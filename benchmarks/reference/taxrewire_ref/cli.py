@@ -1,0 +1,489 @@
+"""Command-line pipeline for taxonomy rewiring and hierarchical classification.
+
+Subcommands, in pipeline order:
+
+  bench       generate a planted benchmark (true tree, corrupted tree, data)
+  similarity  score class-centroid pairs and select the similar ones
+  rewire      correct a hierarchy using the selected pairs
+  train       fit a top-down or flat classifier, optionally tuning C
+  predict     label instances with a trained model file
+  evaluate    score predictions (micro/macro/hierarchical F1, rare slice)
+
+Every command takes --out DIR and writes fixed-named artifacts there.
+Outputs embed the semantic configuration (never paths, --out, or
+--workers) and contain no timestamps, so reruns with the same inputs and
+flags are byte-identical.
+
+Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
+hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
+invalid input or configuration.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+from pathlib import Path
+
+from . import corpus, learner, metrics, rewire, simgraph, synthbench, taxonomy
+from .learner import FingerprintMismatchError, LearnerError
+from .metrics import MetricsError
+from .rewire import RewireError
+from .simgraph import SimilarityError
+from .synthbench import BenchError
+from .taxonomy import TaxonomyError
+from .corpus import DatasetFormatError
+
+
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _provenance(args: argparse.Namespace) -> dict:
+    """Semantic flags only: no paths, no --out, no --workers."""
+    skip = {
+        "func", "command", "out", "workers", "data", "hierarchy",
+        "modified_hierarchy", "pairs", "model", "idf", "cost_file",
+        "predictions", "train_data",
+    }
+    config = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
+    config["command"] = args.command
+    return config
+
+
+def _config_line(args: argparse.Namespace) -> str:
+    return "# config " + json.dumps(_provenance(args), sort_keys=True)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _load_hierarchy(path: str) -> taxonomy.Taxonomy:
+    return taxonomy.parse_taxonomy(_read(path))
+
+
+def _load_dataset(args: argparse.Namespace, path: str) -> corpus.Dataset:
+    data = corpus.parse_dataset(_read(path))
+    if getattr(args, "no_tfidf", False):
+        return data
+    return corpus.tfidf_normalize(data)
+
+
+def _selection_flags(sub: argparse.ArgumentParser) -> None:
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--tau", type=float, default=None,
+                       help="keep pairs with cosine strictly above this threshold")
+    group.add_argument("--top-k", type=int, default=None,
+                       help="keep the k most similar pairs")
+    group.add_argument("--auto-tau", action="store_true",
+                       help="pick the threshold at the knee of the score curve (default)")
+
+
+def _select(args: argparse.Namespace, scores) -> tuple[simgraph.SimilarPairSet, float | None]:
+    """Apply the chosen selection mode; returns (set, suggested tau or None)."""
+    if args.tau is not None:
+        return simgraph.select_pairs(scores, tau=args.tau), None
+    if args.top_k is not None:
+        return simgraph.select_pairs(scores, top_k=args.top_k), None
+    suggested = simgraph.auto_threshold(scores)
+    return simgraph.select_pairs(scores, tau=suggested), suggested
+
+
+def _compute_pairs(args: argparse.Namespace):
+    tax = _load_hierarchy(args.hierarchy)
+    data = _load_dataset(args, args.data)
+    centroids = simgraph.class_centroids(data, tax.leaves)
+    scores = simgraph.all_pairs_scores(centroids, workers=args.workers)
+    return tax, data, centroids, scores
+
+
+# ----------------------------------------------------------------------
+# subcommands
+
+
+def cmd_similarity(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    tax, _, centroids, scores = _compute_pairs(args)
+    selected, suggested = _select(args, scores)
+
+    buf = io.StringIO()
+    simgraph.write_score_curve(scores, buf)
+    (out / "pairs.csv").write_text(buf.getvalue(), encoding="utf-8")
+    (out / "pairs.txt").write_text(
+        _config_line(args) + "\n" + simgraph.serialize_pair_set(selected),
+        encoding="utf-8",
+    )
+    _write_json(out / "similarity_summary.json", {
+        "config": _provenance(args),
+        "n_classes": len(centroids),
+        "n_pairs": len(scores),
+        "n_selected": len(selected),
+        "tau_selected": selected.tau,
+        "tau_suggested": suggested,
+    })
+    return 0
+
+
+def cmd_rewire(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    if args.pairs is not None:
+        tax = _load_hierarchy(args.hierarchy)
+        selected = simgraph.parse_pair_set(_read(args.pairs))
+        suggested = None
+    else:
+        if args.data is None:
+            raise SimilarityError("either --pairs or --data is required")
+        tax, _, _, scores = _compute_pairs(args)
+        selected, suggested = _select(args, scores)
+
+    before_leaves = tax.leaves
+    modified, log = rewire.rewire_hierarchy(tax, selected)
+    if args.collapse_chains:
+        modified, collapse_ops = rewire.collapse_chains(modified, before_leaves)
+        log.ops.extend(collapse_ops)
+    if modified.leaves != before_leaves:  # pragma: no cover - structural guarantee
+        raise RewireError("rewiring changed the class leaves")
+
+    (out / "modified.edges").write_text(
+        _config_line(args) + "\n" + taxonomy.serialize_taxonomy(modified),
+        encoding="utf-8",
+    )
+    (out / "rewire_log.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
+    _write_json(out / "rewire_summary.json", {
+        "config": _provenance(args),
+        "n_pairs_used": len(selected),
+        "tau_selected": selected.tau,
+        "tau_suggested": suggested,
+        "operations": log.counts(),
+        "nodes_before": len(tax),
+        "nodes_after": len(modified),
+        "n_leaves": len(modified.leaves),
+        "fingerprint_before": tax.fingerprint(),
+        "fingerprint_after": modified.fingerprint(),
+    })
+    return 0
+
+
+def _parse_grid(text: str) -> list[float]:
+    if text == "default":
+        return list(learner.DEFAULT_C_GRID)
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise LearnerError(f"bad grid {text!r}; use 'default' or comma-separated floats") from None
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    tax = _load_hierarchy(args.hierarchy)
+    raw = corpus.parse_dataset(_read(args.data))
+    if args.no_tfidf:
+        data = raw
+    else:
+        idf = corpus.compute_idf(raw)
+        data = corpus.apply_tfidf(raw, idf)
+        (out / "idf.txt").write_text(corpus.serialize_idf(idf), encoding="utf-8")
+    if args.bias:
+        data = corpus.with_constant_feature(data, data.dimensionality + 1)
+
+    costs = None
+    if args.cost_file is not None:
+        costs = learner.parse_costs(_read(args.cost_file))
+        if costs.shape[0] != data.n:
+            raise LearnerError(
+                f"cost file has {costs.shape[0]} entries for {data.n} instances"
+            )
+
+    kwargs = dict(workers=args.workers, grad_tol=args.grad_tol, max_iter=args.max_iter)
+    summary: dict = {"config": _provenance(args), "n_instances": data.n,
+                     "n_classes": len(tax.leaves)}
+    if args.C is not None:
+        trainer = learner.train_topdown if args.method == "td-lr" else learner.train_flat
+        model_set = trainer(tax, data, args.C, costs, **kwargs)
+        summary["c_selected"] = args.C
+    else:
+        grid = _parse_grid(args.grid)
+        if costs is None:
+            train_part, val_part = corpus.split_train_validation(data, args.split, args.seed)
+            train_costs = None
+            val_costs = None
+        else:
+            train_part, val_part, train_idx, val_idx = corpus.split_train_validation(
+                data, args.split, args.seed, return_indices=True
+            )
+            train_costs = costs[train_idx]
+            val_costs = costs[val_idx]
+        tuned = learner.tune_c(
+            tax, train_part, val_part, grid, mode=args.method,
+            costs=train_costs, validation_costs=val_costs,
+            per_node=args.per_node_C, **kwargs,
+        )
+        model_set = tuned.model_set
+        summary["c_selected"] = (
+            {str(k): v for k, v in sorted(tuned.best_c.items())}
+            if isinstance(tuned.best_c, dict) else tuned.best_c
+        )
+        summary["grid"] = tuned.grid
+        summary["grid_scores"] = {repr(k): v for k, v in sorted(tuned.scores.items())}
+        summary["split"] = {"train": train_part.n, "validation": val_part.n}
+
+    summary["n_models"] = len(model_set.models)
+    summary["n_unconverged"] = sum(1 for m in model_set.models.values() if not m.converged)
+    summary["fingerprint"] = model_set.fingerprint
+    model_set.extra_headers["config"] = json.dumps(_provenance(args), sort_keys=True)
+    if args.bias:
+        model_set.extra_headers["bias"] = "1"
+    (out / "model.txt").write_text(
+        learner.serialize_model_set(model_set), encoding="utf-8"
+    )
+    _write_json(out / "train_summary.json", summary)
+    return 0
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    model_set = learner.parse_model_set(_read(args.model))
+    data = corpus.parse_dataset(_read(args.data))
+    if args.idf is not None:
+        data = corpus.apply_tfidf(data, corpus.parse_idf(_read(args.idf)))
+    if model_set.extra_headers.get("bias") == "1":
+        data = corpus.with_constant_feature(data, model_set.dimensionality)
+    tax = _load_hierarchy(args.hierarchy) if args.hierarchy else None
+    if model_set.mode == "td-lr" and tax is None:
+        raise LearnerError("--hierarchy is required for td-lr models")
+    preds, n_evals = learner.predict_dataset(model_set, data, tax, return_evals=True)
+
+    # one line per instance, nothing else: downstream tools count lines
+    lines = [f"{i} {label}" for i, label in enumerate(preds)]
+    (out / "predictions.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_json(out / "predict_summary.json", {
+        "config": _provenance(args),
+        "mode": model_set.mode,
+        "n_instances": data.n,
+        "n_model_evaluations": n_evals,
+    })
+    return 0
+
+
+def _parse_predictions(text: str, expected: int) -> list[int]:
+    rows: dict[int, int] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise DatasetFormatError(f"line {lineno}: expected 'index label'")
+        try:
+            idx, label = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: non-numeric prediction") from None
+        if idx in rows:
+            raise DatasetFormatError(f"line {lineno}: duplicate index {idx}")
+        rows[idx] = label
+    if sorted(rows) != list(range(expected)):
+        raise DatasetFormatError(
+            f"predictions cover {len(rows)} instances, expected 0..{expected - 1}"
+        )
+    return [rows[i] for i in range(expected)]
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    data = corpus.parse_dataset(_read(args.data))
+    preds = _parse_predictions(_read(args.predictions), data.n)
+    if args.eval_hierarchy == "modified":
+        if args.modified_hierarchy is None:
+            raise MetricsError("--eval-hierarchy modified requires --modified-hierarchy")
+        tax = _load_hierarchy(args.modified_hierarchy)
+    else:
+        tax = _load_hierarchy(args.hierarchy)
+
+    train_counts = None
+    if args.train_data is not None:
+        train_counts = corpus.parse_dataset(_read(args.train_data)).label_counts()
+
+    pairs = list(zip(data.labels, preds))
+    class_set = sorted(tax.leaves) if args.macro_classes == "all" else None
+    report = metrics.build_report(
+        pairs, tax, train_counts,
+        rare_threshold=args.rare_threshold, class_set=class_set,
+    )
+    payload = metrics.report_as_dict(report)
+    payload["config"] = _provenance(args)
+    payload["n_instances"] = data.n
+    _write_json(out / "metrics.json", payload)
+    buf = io.StringIO()
+    metrics.write_per_class_csv(report, buf, train_counts)
+    (out / "per_class.csv").write_text(buf.getvalue(), encoding="utf-8")
+    return 0
+
+
+def _parse_count(text: str) -> int | tuple[int, int]:
+    if ":" in text:
+        lo, hi = text.split(":", 1)
+        return int(lo), int(hi)
+    return int(text)
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
+    out = _out_dir(args)
+    config = synthbench.PlantConfig(
+        n_leaves=args.leaves,
+        fanout=args.fanout,
+        dims=args.dims,
+        instances_per_leaf=_parse_count(args.instances_per_leaf),
+        noise=args.noise,
+        n_misplaced=args.misplaced,
+        seed=args.seed,
+        leaf_weight=args.leaf_weight,
+    )
+    bench = synthbench.gen_planted(config)
+    (out / "true.edges").write_text(
+        taxonomy.serialize_taxonomy(bench.true_tree), encoding="utf-8"
+    )
+    (out / "corrupted.edges").write_text(
+        taxonomy.serialize_taxonomy(bench.corrupted_tree), encoding="utf-8"
+    )
+    (out / "data.txt").write_text(corpus.serialize_dataset(bench.data), encoding="utf-8")
+    _write_json(out / "bench_summary.json", {
+        "config": _provenance(args),
+        "n_instances": bench.data.n,
+        "n_leaves": len(bench.true_tree.leaves),
+        "misplaced": {str(k): list(v) for k, v in sorted(bench.misplaced.items())},
+        "fingerprint_true": bench.true_tree.fingerprint(),
+        "fingerprint_corrupted": bench.corrupted_tree.fingerprint(),
+    })
+    return 0
+
+
+# ----------------------------------------------------------------------
+# parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="taxrewire",
+        description="Similarity-driven taxonomy rewiring and hierarchical classification.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    sim = subs.add_parser("similarity", help="score and select similar class pairs")
+    sim.add_argument("--data", required=True, help="training data (label idx:val ...)")
+    sim.add_argument("--hierarchy", required=True, help="taxonomy edge list")
+    sim.add_argument("--out", required=True, help="output directory")
+    _selection_flags(sim)
+    sim.add_argument("--no-tfidf", action="store_true", help="use raw feature values")
+    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--workers", type=int, default=1)
+    sim.set_defaults(func=cmd_similarity)
+
+    rew = subs.add_parser("rewire", help="correct a hierarchy from similar pairs")
+    rew.add_argument("--hierarchy", required=True)
+    rew.add_argument("--out", required=True)
+    rew.add_argument("--pairs", default=None, help="pair list from the similarity step")
+    rew.add_argument("--data", default=None, help="or compute pairs from this data")
+    _selection_flags(rew)
+    rew.add_argument("--no-tfidf", action="store_true")
+    rew.add_argument("--collapse-chains", action="store_true",
+                     help="splice out single-child internal nodes afterwards")
+    rew.add_argument("--seed", type=int, default=0)
+    rew.add_argument("--workers", type=int, default=1)
+    rew.set_defaults(func=cmd_rewire)
+
+    tr = subs.add_parser("train", help="fit a hierarchical or flat classifier")
+    tr.add_argument("--data", required=True)
+    tr.add_argument("--hierarchy", required=True)
+    tr.add_argument("--out", required=True)
+    tr.add_argument("--method", choices=("td-lr", "flat"), default="td-lr")
+    cgroup = tr.add_mutually_exclusive_group(required=True)
+    cgroup.add_argument("--C", type=float, default=None, help="fixed regularization weight")
+    cgroup.add_argument("--grid", default=None,
+                        help="'default' or comma-separated C values to tune over")
+    tr.add_argument("--split", type=float, default=0.9,
+                    help="train fraction of the tuning split")
+    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--cost-file", default=None, help="one positive weight per instance")
+    tr.add_argument("--per-node-C", action="store_true",
+                    help="tune C independently per node")
+    tr.add_argument("--bias", action="store_true",
+                    help="append a constant feature (off by default)")
+    tr.add_argument("--no-tfidf", action="store_true")
+    tr.add_argument("--grad-tol", type=float, default=1e-6)
+    tr.add_argument("--max-iter", type=int, default=1000)
+    tr.add_argument("--workers", type=int, default=1)
+    tr.set_defaults(func=cmd_train)
+
+    pr = subs.add_parser("predict", help="label instances with a trained model")
+    pr.add_argument("--model", required=True)
+    pr.add_argument("--data", required=True)
+    pr.add_argument("--out", required=True)
+    pr.add_argument("--hierarchy", default=None,
+                    help="taxonomy the model was trained on (required for td-lr)")
+    pr.add_argument("--idf", default=None,
+                    help="idf table from the train step, for tf-idf data")
+    pr.add_argument("--seed", type=int, default=0)
+    pr.set_defaults(func=cmd_predict)
+
+    ev = subs.add_parser("evaluate", help="score a prediction file")
+    ev.add_argument("--predictions", required=True)
+    ev.add_argument("--data", required=True, help="test data with true labels")
+    ev.add_argument("--hierarchy", required=True, help="original taxonomy")
+    ev.add_argument("--modified-hierarchy", default=None)
+    ev.add_argument("--eval-hierarchy", choices=("original", "modified"),
+                    default="original",
+                    help="tree used for the hierarchical score")
+    ev.add_argument("--train-data", default=None,
+                    help="training data, enables the rare-category slice")
+    ev.add_argument("--rare-threshold", type=int, default=10)
+    ev.add_argument("--macro-classes", choices=("test", "all"), default="test",
+                    help="average over classes seen in the test truth, or all leaves")
+    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--out", required=True)
+    ev.set_defaults(func=cmd_evaluate)
+
+    be = subs.add_parser("bench", help="generate a planted benchmark")
+    be.add_argument("--out", required=True)
+    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--fanout", type=int, default=3)
+    be.add_argument("--leaves", type=int, default=27)
+    be.add_argument("--dims", type=int, default=32)
+    be.add_argument("--instances-per-leaf", default="8",
+                    help="fixed count or inclusive lo:hi range")
+    be.add_argument("--noise", type=float, default=0.1)
+    be.add_argument("--misplaced", type=int, default=2)
+    be.add_argument("--leaf-weight", type=float, default=0.5)
+    be.set_defaults(func=cmd_bench)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except FingerprintMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
+    except (TaxonomyError, DatasetFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (SimilarityError, RewireError, LearnerError, MetricsError, BenchError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
+
+
+if __name__ == "__main__":
+    sys.exit(main())

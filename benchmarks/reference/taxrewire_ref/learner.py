@@ -1,0 +1,583 @@
+"""L2-regularized logistic regression over a class taxonomy.
+
+Two classifier layouts share the same per-node binary trainer:
+
+* top-down ("td-lr"): one model per non-root node, positives are the
+  training instances whose label lies in the node's subtree.  Prediction
+  starts at the root and repeatedly descends into the highest-scoring
+  child, so each instance only evaluates the models along its path.
+* flat: one model per leaf over all instances; prediction evaluates every
+  leaf model and takes the argmax.
+
+Objective for a node with weights theta, regularization weight C and
+optional per-instance costs w_i:
+
+    C * sum_i w_i * log(1 + exp(-y_i * theta . x_i)) + 0.5 * ||theta||^2
+
+computed with log1p/expit-style stable primitives so huge margins never
+overflow.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import warnings
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy import sparse as sp
+from scipy.special import expit
+
+from .corpus import Dataset, SparseVector
+from .solver import minimize_lbfgs
+from .taxonomy import Taxonomy
+
+DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+
+
+class LearnerError(ValueError):
+    """Raised for invalid training or prediction inputs."""
+
+
+class FingerprintMismatchError(LearnerError):
+    """Raised when a model set is applied with a different hierarchy than it was trained on."""
+
+
+@dataclass
+class NodeModel:
+    """Binary one-vs-rest model attached to one taxonomy node."""
+
+    node: int
+    theta: np.ndarray
+    c_used: float
+    final_objective: float = math.nan
+    converged: bool = True
+
+
+@dataclass
+class ModelSet:
+    """All node models of one trained classifier plus its provenance.
+
+    ``fingerprint`` identifies the hierarchy the models were trained
+    against; applying the set with any other tree is refused.  ``c`` is a
+    single float, or a node -> float mapping when tuned per node.
+    ``extra_headers`` carries auxiliary key/value pairs (e.g. pipeline
+    config) through the file format untouched.
+    """
+
+    mode: str
+    fingerprint: str
+    dimensionality: int
+    c: float | dict[int, float]
+    models: dict[int, NodeModel] = field(default_factory=dict)
+    extra_headers: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("td-lr", "flat"):
+            raise LearnerError(f"unknown mode {self.mode!r}")
+
+
+def parse_costs(text: str) -> np.ndarray:
+    """Per-instance positive weights, one per line; blank/# lines skipped."""
+    vals = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            v = float(stripped)
+        except ValueError:
+            raise LearnerError(f"line {lineno}: non-numeric cost {stripped!r}") from None
+        if not (v > 0.0 and math.isfinite(v)):
+            raise LearnerError(f"line {lineno}: costs must be positive and finite")
+        vals.append(v)
+    if not vals:
+        raise LearnerError("cost file is empty")
+    return np.asarray(vals, dtype=np.float64)
+
+
+def lr_objective_gradient(
+    theta: np.ndarray,
+    features: sp.csr_matrix,
+    labels: np.ndarray,
+    c: float,
+    costs: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Objective value and gradient of the regularized logistic loss.
+
+    ``features`` is an (n, d) CSR matrix, ``labels`` an n-vector over
+    {-1, +1}, ``costs`` an optional positive n-vector.  Uniform costs of
+    1.0 reproduce the unweighted objective exactly.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    n, d = features.shape
+    if theta.shape != (d,):
+        raise LearnerError(f"theta has shape {theta.shape}, expected ({d},)")
+    if labels.shape != (n,):
+        raise LearnerError(f"labels have shape {labels.shape}, expected ({n},)")
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise LearnerError("labels must be -1 or +1")
+    if c <= 0.0:
+        raise LearnerError(f"C must be positive, got {c}")
+    if costs is not None:
+        costs = np.asarray(costs, dtype=np.float64)
+        if costs.shape != (n,):
+            raise LearnerError(f"costs have shape {costs.shape}, expected ({n},)")
+        if not np.all(costs > 0.0):
+            raise LearnerError("costs must be positive")
+
+    # One code path for both: uniform costs then reproduce the unweighted
+    # objective bit for bit.
+    if costs is None:
+        costs = np.ones(n, dtype=np.float64)
+    margins = features @ theta
+    z = -labels * margins
+    losses = np.logaddexp(0.0, z)
+    total = float(np.dot(costs, losses))
+    coeff = costs * labels * expit(z)
+    obj = c * total + 0.5 * float(np.dot(theta, theta))
+    grad = -c * (features.T @ coeff) + theta
+    return obj, np.asarray(grad, dtype=np.float64)
+
+
+def _binary_labels(data: Dataset, positives: frozenset[int]) -> np.ndarray:
+    return np.asarray([1.0 if y in positives else -1.0 for y in data.labels])
+
+
+def train_node(
+    tax: Taxonomy,
+    node: int,
+    train: Dataset,
+    c: float,
+    costs: np.ndarray | None = None,
+    *,
+    grad_tol: float = 1e-6,
+    max_iter: int = 1000,
+    features: sp.csr_matrix | None = None,
+    positives: frozenset[int] | None = None,
+) -> NodeModel:
+    """Fit the binary model of one node.
+
+    Positives are instances labeled with a leaf of the node's subtree
+    (for a leaf node, the leaf itself).  A node with no positive training
+    instance is still fit (all-negative) but reported with a warning.
+    ``features`` and ``positives`` may be precomputed by batch trainers.
+    """
+    if node not in tax:
+        raise LearnerError(f"unknown node {node}")
+    if node == tax.root:
+        raise LearnerError("the root has no model")
+    if positives is None:
+        positives = tax.subtree_leaves(node)
+    if features is None:
+        features = train.to_csr()
+    y = _binary_labels(train, positives)
+    if not np.any(y > 0):
+        warnings.warn(f"node {node} has no positive training instances", stacklevel=2)
+    x0 = np.zeros(features.shape[1], dtype=np.float64)
+    result = minimize_lbfgs(
+        lambda th: lr_objective_gradient(th, features, y, c, costs),
+        x0,
+        grad_tol=grad_tol,
+        max_iter=max_iter,
+    )
+    return NodeModel(
+        node=node,
+        theta=result.x,
+        c_used=c,
+        final_objective=result.fun,
+        converged=result.converged,
+    )
+
+
+def _train_many(
+    tax: Taxonomy,
+    nodes: Sequence[int],
+    positives_of: Mapping[int, frozenset[int]],
+    train: Dataset,
+    c: float | Mapping[int, float],
+    costs: np.ndarray | None,
+    workers: int,
+    grad_tol: float,
+    max_iter: int,
+) -> dict[int, NodeModel]:
+    features = train.to_csr()
+
+    def c_of(node: int) -> float:
+        if isinstance(c, Mapping):
+            try:
+                return c[node]
+            except KeyError:
+                raise LearnerError(f"no C value for node {node}") from None
+        return c
+
+    def fit(node: int) -> NodeModel:
+        return train_node(
+            tax, node, train, c_of(node), costs,
+            grad_tol=grad_tol, max_iter=max_iter,
+            features=features, positives=positives_of[node],
+        )
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            fitted = list(pool.map(fit, nodes))
+    else:
+        fitted = [fit(n) for n in nodes]
+    return {m.node: m for m in fitted}
+
+
+def _warn_empty_leaves(tax: Taxonomy, train: Dataset) -> None:
+    present = set(train.labels)
+    empty = sorted(tax.leaves - present)
+    if empty:
+        warnings.warn(
+            f"{len(empty)} leaf classes have no training instances: {empty[:10]}",
+            stacklevel=3,
+        )
+
+
+def train_topdown(
+    tax: Taxonomy,
+    train: Dataset,
+    c: float | Mapping[int, float],
+    costs: np.ndarray | None = None,
+    *,
+    workers: int = 1,
+    grad_tol: float = 1e-6,
+    max_iter: int = 1000,
+) -> ModelSet:
+    """Fit one model per non-root node for root-to-leaf prediction.
+
+    The result is independent of ``workers``: nodes are fit from identical
+    inputs in either case and collected in node order.
+    """
+    _warn_empty_leaves(tax, train)
+    nodes = tax.non_root_nodes()
+    positives_of = {n: tax.subtree_leaves(n) for n in nodes}
+    models = _train_many(
+        tax, nodes, positives_of, train, c, costs, workers, grad_tol, max_iter
+    )
+    c_used = dict(c) if isinstance(c, Mapping) else float(c)
+    return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, c_used, models)
+
+
+def train_flat(
+    tax: Taxonomy,
+    train: Dataset,
+    c: float | Mapping[int, float],
+    costs: np.ndarray | None = None,
+    *,
+    workers: int = 1,
+    grad_tol: float = 1e-6,
+    max_iter: int = 1000,
+) -> ModelSet:
+    """Fit one one-vs-rest model per leaf class, ignoring internal structure."""
+    _warn_empty_leaves(tax, train)
+    leaves = sorted(tax.leaves)
+    positives_of = {n: frozenset((n,)) for n in leaves}
+    models = _train_many(
+        tax, leaves, positives_of, train, c, costs, workers, grad_tol, max_iter
+    )
+    c_used = dict(c) if isinstance(c, Mapping) else float(c)
+    return ModelSet("flat", tax.fingerprint(), train.dimensionality, c_used, models)
+
+
+# ----------------------------------------------------------------------
+# prediction
+
+
+def sparse_score(theta: np.ndarray, x: SparseVector) -> float:
+    """theta . x for a sparse instance; features beyond the trained
+    dimensionality contribute nothing."""
+    if x.nnz == 0:
+        return 0.0
+    idx = x.indices - 1
+    if int(idx[-1]) >= theta.size:
+        keep = idx < theta.size
+        if not np.any(keep):
+            return 0.0
+        return float(np.dot(theta[idx[keep]], x.values[keep]))
+    return float(np.dot(theta[idx], x.values))
+
+
+def predict_proba(model: NodeModel, x: SparseVector) -> float:
+    """Probability that ``x`` belongs under the model's node."""
+    return float(expit(sparse_score(model.theta, x)))
+
+
+def node_decision(model: NodeModel, x: SparseVector) -> int:
+    """Binary decision: +1 on the boundary and above, else -1."""
+    return 1 if sparse_score(model.theta, x) >= 0.0 else -1
+
+
+def predict_topdown(
+    model_set: ModelSet, tax: Taxonomy, x: SparseVector, return_evals: bool = False
+):
+    """Descend from the root, at each level entering the highest-scoring child.
+
+    Ties go to the smallest child id.  Returns the reached leaf, plus the
+    number of model evaluations when ``return_evals`` is set.
+    """
+    if model_set.mode != "td-lr":
+        raise LearnerError(f"top-down prediction needs a td-lr model set, got {model_set.mode!r}")
+    node = tax.root
+    evals = 0
+    while not tax.is_leaf(node):
+        best_child, best_score = -1, -math.inf
+        for child in tax.children(node):
+            model = model_set.models.get(child)
+            if model is None:
+                raise LearnerError(f"model set has no model for node {child}")
+            score = sparse_score(model.theta, x)
+            evals += 1
+            if score > best_score:
+                best_child, best_score = child, score
+        node = best_child
+    return (node, evals) if return_evals else node
+
+
+def predict_flat(model_set: ModelSet, x: SparseVector, return_evals: bool = False):
+    """Score every leaf model and return the argmax leaf (ties: smallest id)."""
+    if model_set.mode != "flat":
+        raise LearnerError(f"flat prediction needs a flat model set, got {model_set.mode!r}")
+    if not model_set.models:
+        raise LearnerError("model set is empty")
+    best_leaf, best_score = -1, -math.inf
+    evals = 0
+    for leaf in sorted(model_set.models):
+        score = sparse_score(model_set.models[leaf].theta, x)
+        evals += 1
+        if score > best_score:
+            best_leaf, best_score = leaf, score
+    return (best_leaf, evals) if return_evals else best_leaf
+
+
+def predict_dataset(
+    model_set: ModelSet,
+    data: Dataset,
+    tax: Taxonomy | None = None,
+    return_evals: bool = False,
+):
+    """Predict a leaf per instance, verifying the hierarchy fingerprint first.
+
+    Top-down prediction requires the hierarchy; flat prediction only
+    checks it when one is supplied.
+    """
+    if tax is not None and tax.fingerprint() != model_set.fingerprint:
+        raise FingerprintMismatchError(
+            "hierarchy does not match the one the model set was trained on"
+        )
+    preds: list[int] = []
+    total_evals = 0
+    if model_set.mode == "td-lr":
+        if tax is None:
+            raise LearnerError("top-down prediction requires the training hierarchy")
+        for x in data.vectors:
+            leaf, n = predict_topdown(model_set, tax, x, return_evals=True)
+            preds.append(leaf)
+            total_evals += n
+    else:
+        for x in data.vectors:
+            leaf, n = predict_flat(model_set, x, return_evals=True)
+            preds.append(leaf)
+            total_evals += n
+    return (preds, total_evals) if return_evals else preds
+
+
+# ----------------------------------------------------------------------
+# regularization tuning
+
+
+@dataclass
+class TuneResult:
+    best_c: float | dict[int, float]
+    grid: list[float]
+    scores: dict[float, float]
+    model_set: ModelSet
+
+
+def tune_c(
+    tax: Taxonomy,
+    train: Dataset,
+    validation: Dataset,
+    grid: Iterable[float] = DEFAULT_C_GRID,
+    mode: str = "td-lr",
+    costs: np.ndarray | None = None,
+    validation_costs: np.ndarray | None = None,
+    *,
+    per_node: bool = False,
+    workers: int = 1,
+    grad_tol: float = 1e-6,
+    max_iter: int = 1000,
+) -> TuneResult:
+    """Grid-search C on a held-out part, then retrain on everything.
+
+    One classifier is trained per grid value; the value with the best
+    validation micro-F1 wins, ties going to the smaller C.  The returned
+    model set is retrained on train + validation at the winning value.
+    With ``per_node`` each node independently keeps the C with the best
+    validation accuracy on its own binary task.
+    """
+    from .corpus import concat_datasets
+    from .metrics import micro_f1
+
+    grid = sorted(set(float(g) for g in grid))
+    if not grid:
+        raise LearnerError("C grid is empty")
+    if any(g <= 0.0 for g in grid):
+        raise LearnerError("C values must be positive")
+    trainer = train_topdown if mode == "td-lr" else train_flat
+    if mode not in ("td-lr", "flat"):
+        raise LearnerError(f"unknown mode {mode!r}")
+
+    merged = concat_datasets(train, validation) if validation.n else train
+    merged_costs = None
+    if costs is not None:
+        vcosts = (
+            validation_costs
+            if validation_costs is not None
+            else np.ones(validation.n, dtype=np.float64)
+        )
+        merged_costs = np.concatenate([costs, vcosts])
+
+    kwargs = dict(workers=workers, grad_tol=grad_tol, max_iter=max_iter)
+
+    if validation.n == 0:
+        warnings.warn(
+            "validation set is empty; falling back to C=1 without a grid search",
+            stacklevel=2,
+        )
+        final = trainer(tax, merged, 1.0, merged_costs, **kwargs)
+        return TuneResult(1.0, grid, {}, final)
+
+    candidates = {g: trainer(tax, train, g, costs, **kwargs) for g in grid}
+
+    if per_node:
+        nodes = sorted(candidates[grid[0]].models)
+        positives_of = {
+            n: (tax.subtree_leaves(n) if mode == "td-lr" else frozenset((n,)))
+            for n in nodes
+        }
+        best_per_node: dict[int, float] = {}
+        for node in nodes:
+            y = _binary_labels(validation, positives_of[node])
+            node_best, node_acc = grid[0], -1.0
+            for g in grid:
+                model = candidates[g].models[node]
+                hits = sum(
+                    1 for x, yy in zip(validation.vectors, y)
+                    if node_decision(model, x) == yy
+                )
+                acc = hits / validation.n
+                if acc > node_acc:
+                    node_best, node_acc = g, acc
+            best_per_node[node] = node_best
+        scores: dict[float, float] = {}
+        final = trainer(tax, merged, best_per_node, merged_costs, **kwargs)
+        return TuneResult(best_per_node, grid, scores, final)
+
+    scores = {}
+    best_c, best_mu = grid[0], -1.0
+    for g in grid:
+        preds = predict_dataset(candidates[g], validation, tax)
+        mu = micro_f1(list(zip(validation.labels, preds)))
+        scores[g] = mu
+        if mu > best_mu:
+            best_c, best_mu = g, mu
+    final = trainer(tax, merged, best_c, merged_costs, **kwargs)
+    return TuneResult(best_c, grid, scores, final)
+
+
+# ----------------------------------------------------------------------
+# model set (de)serialization
+
+
+def serialize_model_set(model_set: ModelSet) -> str:
+    """Text form: ``#key value`` headers, then one ``node idx:w ...`` line per model.
+
+    Only nonzero weights are written, indices are 1-based ascending, and
+    weights use ``repr`` so loading reproduces every float bitwise.  The
+    per-node C mapping, when present, is stored as JSON in the C header.
+    """
+    if isinstance(model_set.c, dict):
+        c_text = json.dumps({str(k): model_set.c[k] for k in sorted(model_set.c)}, sort_keys=True)
+    else:
+        c_text = repr(float(model_set.c))
+    lines = [
+        f"#mode {model_set.mode}",
+        f"#fingerprint {model_set.fingerprint}",
+        f"#dimensionality {model_set.dimensionality}",
+        f"#C {c_text}",
+    ]
+    for key in sorted(model_set.extra_headers):
+        lines.append(f"#{key} {model_set.extra_headers[key]}")
+    for node in sorted(model_set.models):
+        theta = model_set.models[node].theta
+        nz = np.nonzero(theta)[0]
+        entries = " ".join(f"{int(i) + 1}:{float(theta[i])!r}" for i in nz)
+        lines.append(f"{node} {entries}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def parse_model_set(text: str) -> ModelSet:
+    """Inverse of :func:`serialize_model_set`.
+
+    Unknown headers are ignored.  Loaded models carry no objective value
+    (it is not part of the format) and are marked converged.
+    """
+    headers: dict[str, str] = {}
+    records: list[tuple[int, str]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            key, _, value = stripped[1:].partition(" ")
+            headers[key] = value
+            continue
+        records.append((lineno, stripped))
+    for required in ("mode", "fingerprint", "dimensionality", "C"):
+        if required not in headers:
+            raise LearnerError(f"model file is missing the {required!r} header")
+    mode = headers.pop("mode")
+    fingerprint = headers.pop("fingerprint")
+    try:
+        dim = int(headers.pop("dimensionality"))
+    except ValueError:
+        raise LearnerError("dimensionality header is not an integer") from None
+    c_text = headers.pop("C")
+    c: float | dict[int, float]
+    if c_text.startswith("{"):
+        c = {int(k): float(v) for k, v in json.loads(c_text).items()}
+    else:
+        c = float(c_text)
+
+    models: dict[int, NodeModel] = {}
+    for lineno, record in records:
+        parts = record.split()
+        try:
+            node = int(parts[0])
+        except ValueError:
+            raise LearnerError(f"line {lineno}: non-numeric node id {parts[0]!r}") from None
+        if node in models:
+            raise LearnerError(f"line {lineno}: duplicate model for node {node}")
+        theta = np.zeros(dim, dtype=np.float64)
+        prev = 0
+        for tok in parts[1:]:
+            try:
+                i_str, w_str = tok.split(":", 1)
+                i, w = int(i_str), float(w_str)
+            except ValueError:
+                raise LearnerError(f"line {lineno}: malformed entry {tok!r}") from None
+            if i <= prev or i > dim:
+                raise LearnerError(f"line {lineno}: bad weight index {i}")
+            prev = i
+            theta[i - 1] = w
+        node_c = c[node] if isinstance(c, dict) else c
+        models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
+    return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)

@@ -1,0 +1,301 @@
+"""Class-centroid similarity: scoring, ranking, and threshold selection.
+
+The similar-pair list drives the taxonomy rewiring stage.  Every leaf
+class is summarized by its centroid (mean of its training vectors), all
+leaf pairs are scored by cosine similarity, and a pair survives either a
+similarity threshold or a top-k cut.  When no threshold is known up
+front, the knee of the sorted similarity curve suggests one.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import warnings
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .corpus import Dataset, SparseVector, make_sparse
+
+
+class SimilarityError(ValueError):
+    """Raised for invalid similarity inputs or selection parameters."""
+
+
+@dataclass(frozen=True)
+class PairScore:
+    """Cosine score for an unordered class pair, stored with ``a < b``."""
+
+    a: int
+    b: int
+    score: float
+
+    def __post_init__(self) -> None:
+        if self.a >= self.b:
+            raise SimilarityError(f"pair must satisfy a < b, got ({self.a}, {self.b})")
+        if not -1.0 <= self.score <= 1.0:
+            raise SimilarityError(f"cosine score out of range: {self.score}")
+
+
+class SimilarPairSet:
+    """Selected pairs in descending score order, plus the threshold they passed.
+
+    Membership tests normalize pair orientation, so ``(a, b)`` and
+    ``(b, a)`` are the same pair.
+    """
+
+    def __init__(self, pairs: Sequence[PairScore], tau: float) -> None:
+        scores = [p.score for p in pairs]
+        if any(s2 > s1 for s1, s2 in zip(scores, scores[1:])):
+            raise SimilarityError("pairs must be sorted by descending score")
+        if any(p.score < tau for p in pairs):
+            raise SimilarityError("every stored score must be >= tau")
+        self.pairs: list[PairScore] = list(pairs)
+        self.tau = float(tau)
+        self._members = frozenset((p.a, p.b) for p in self.pairs)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self) -> Iterator[PairScore]:
+        return iter(self.pairs)
+
+    def __contains__(self, pair: tuple[int, int]) -> bool:
+        a, b = pair
+        if a > b:
+            a, b = b, a
+        return (a, b) in self._members
+
+    def refilter(self, tau: float) -> "SimilarPairSet":
+        """Keep stored pairs with score >= tau.  Refiltering at the set's own
+        threshold is the identity."""
+        return SimilarPairSet([p for p in self.pairs if p.score >= tau], tau)
+
+
+def cosine(u: SparseVector, v: SparseVector) -> float:
+    """Cosine similarity; 0.0 whenever either vector has zero norm."""
+    nu, nv = u.norm(), v.norm()
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return u.dot(v) / (nu * nv)
+
+
+def class_centroids(data: Dataset, leaves: Iterable[int]) -> dict[int, SparseVector]:
+    """Mean training vector per leaf class.
+
+    Leaves with no instances cannot be scored; they are excluded with a
+    warning rather than silently producing zero centroids.
+    """
+    wanted = set(leaves)
+    sums: dict[int, dict[int, float]] = {}
+    counts: dict[int, int] = {}
+    for vec, label in zip(data.vectors, data.labels):
+        if label not in wanted:
+            continue
+        acc = sums.setdefault(label, {})
+        for i, x in zip(vec.indices, vec.values):
+            acc[int(i)] = acc.get(int(i), 0.0) + float(x)
+        counts[label] = counts.get(label, 0) + 1
+    missing = sorted(wanted - set(counts))
+    if missing:
+        warnings.warn(
+            f"{len(missing)} leaf classes have no training instances and are "
+            f"excluded from pairing: {missing[:10]}",
+            stacklevel=2,
+        )
+    out: dict[int, SparseVector] = {}
+    for label in sorted(counts):
+        acc = sums[label]
+        n = counts[label]
+        out[label] = make_sparse(acc.keys(), [x / n for x in acc.values()])
+    return out
+
+
+def all_pairs_scores(
+    centroids: dict[int, SparseVector], workers: int = 1
+) -> list[PairScore]:
+    """Cosine score for every unordered class pair, sorted for selection.
+
+    Order: descending score, ties by (a, b) ascending.  The result is
+    independent of ``workers``; the flag only splits the pair grid into
+    row blocks evaluated concurrently, and each entry is computed by the
+    same sparse dot product either way.
+    """
+    ids = sorted(centroids)
+    if len(ids) < 2:
+        raise SimilarityError("need at least 2 class centroids to form pairs")
+    dim = max((int(c.indices[-1]) for c in centroids.values() if c.nnz), default=1)
+    from scipy import sparse as sp
+
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    for r, label in enumerate(ids):
+        indptr[r + 1] = indptr[r] + centroids[label].nnz
+    if indptr[-1]:
+        col = np.concatenate([centroids[label].indices - 1 for label in ids])
+        dat = np.concatenate([centroids[label].values for label in ids])
+    else:
+        col = np.array([], dtype=np.int64)
+        dat = np.array([], dtype=np.float64)
+    mat = sp.csr_matrix((dat, col, indptr), shape=(len(ids), dim))
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    scale = np.where(norms > 0.0, norms, 1.0)
+    unit = sp.diags(1.0 / scale) @ mat
+    unit = unit.tocsr()
+
+    n = len(ids)
+    blocks = _row_blocks(n, workers)
+
+    def score_block(rows: range) -> list[PairScore]:
+        gram = (unit[rows.start:rows.stop] @ unit.T).toarray()
+        out = []
+        for r in rows:
+            zero_r = norms[r] == 0.0
+            for c in range(r + 1, n):
+                s = 0.0 if zero_r or norms[c] == 0.0 else float(gram[r - rows.start, c])
+                s = min(1.0, max(-1.0, s))
+                out.append(PairScore(ids[r], ids[c], s))
+        return out
+
+    if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(score_block, blocks))
+    else:
+        chunks = [score_block(b) for b in blocks]
+    scores = [p for chunk in chunks for p in chunk]
+    scores.sort(key=lambda p: (-p.score, p.a, p.b))
+    return scores
+
+
+def _row_blocks(n: int, workers: int) -> list[range]:
+    k = max(1, min(workers, n))
+    step = math.ceil(n / k)
+    return [range(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def select_pairs(
+    scores: Sequence[PairScore],
+    tau: float | None = None,
+    top_k: int | None = None,
+) -> SimilarPairSet:
+    """Cut a sorted score list down to the similar pairs.
+
+    Exactly one of ``tau`` and ``top_k`` must be given.  Threshold mode
+    keeps scores strictly above ``tau``; top-k mode keeps the first ``k``
+    entries and adopts the k-th score as the set's threshold.
+    """
+    if (tau is None) == (top_k is None):
+        raise SimilarityError("exactly one of tau and top_k must be given")
+    for s1, s2 in zip(scores, scores[1:]):
+        if s2.score > s1.score:
+            raise SimilarityError("scores must be sorted descending")
+    if tau is not None:
+        if not -1.0 <= tau <= 1.0:
+            raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
+        kept = [p for p in scores if p.score > tau]
+        return SimilarPairSet(kept, tau)
+    if top_k < 1:
+        raise SimilarityError(f"top_k must be >= 1, got {top_k}")
+    if not scores:
+        raise SimilarityError("cannot take top_k of an empty score list")
+    if top_k > len(scores):
+        warnings.warn(
+            f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
+            stacklevel=2,
+        )
+        top_k = len(scores)
+    kept = list(scores[:top_k])
+    return SimilarPairSet(kept, kept[-1].score)
+
+
+def knee_rank(values: Sequence[float]) -> int:
+    """1-based rank of the knee of a descending curve.
+
+    The knee is the point farthest above the chord joining the first and
+    last points (signed perpendicular offset).  Ties resolve to the
+    smallest rank.  A straight or constant curve has no knee; rank 1 is
+    returned with a warning.
+    """
+    m = len(values)
+    if m < 3:
+        raise SimilarityError("need at least 3 points to locate a knee")
+    for v1, v2 in zip(values, values[1:]):
+        if v2 > v1:
+            raise SimilarityError("curve must be non-increasing")
+    x1, y1 = 1.0, float(values[0])
+    x2, y2 = float(m), float(values[-1])
+    # Signed offset above the chord; scale-free in x and y jointly.
+    length = math.hypot(x2 - x1, y2 - y1)
+    best_rank, best_off = 1, 0.0
+    for i, v in enumerate(values, 1):
+        off = ((x2 - x1) * (v - y1) - (y2 - y1) * (i - x1)) / length
+        if off > best_off:
+            best_rank, best_off = i, off
+    scale = max(abs(y1), abs(y2), 1e-12)
+    if best_off <= 1e-12 * scale:
+        warnings.warn("curve has no knee (straight or constant); using rank 1", stacklevel=2)
+        return 1
+    return best_rank
+
+
+def auto_threshold(
+    scores: Sequence[PairScore], curve_out: IO[str] | None = None
+) -> float:
+    """Pick the similarity threshold at the knee of the sorted score curve.
+
+    Returns the score at the knee rank, so a subsequent top-k selection at
+    that rank and a threshold selection at the returned value agree.
+    Optionally writes the full curve as CSV for inspection.
+    """
+    if curve_out is not None:
+        write_score_curve(scores, curve_out)
+    rank = knee_rank([p.score for p in scores])
+    return scores[rank - 1].score
+
+
+def write_score_curve(scores: Sequence[PairScore], out: IO[str]) -> None:
+    """CSV dump of the sorted score list: rank, class ids, score."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rank", "class_a", "class_b", "score"])
+    for rank, p in enumerate(scores, 1):
+        writer.writerow([rank, p.a, p.b, repr(p.score)])
+
+
+def serialize_pair_set(pair_set: SimilarPairSet) -> str:
+    """Text form: a ``# tau`` header, then one ``a b score`` line per pair."""
+    lines = [f"# tau {pair_set.tau!r}"]
+    for p in pair_set:
+        lines.append(f"{p.a} {p.b} {p.score!r}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_pair_set(text: str) -> SimilarPairSet:
+    """Inverse of :func:`serialize_pair_set`."""
+    tau: float | None = None
+    pairs: list[PairScore] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            parts = stripped[1:].split()
+            if len(parts) == 2 and parts[0] == "tau":
+                tau = float(parts[1])
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise SimilarityError(f"line {lineno}: expected 'a b score', got {stripped!r}")
+        try:
+            a, b, score = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise SimilarityError(f"line {lineno}: malformed pair line {stripped!r}") from None
+        lo, hi = (a, b) if a < b else (b, a)
+        pairs.append(PairScore(lo, hi, score))
+    if not pairs:
+        raise SimilarityError("pair list is empty")
+    if tau is None:
+        tau = pairs[-1].score
+    return SimilarPairSet(pairs, tau)

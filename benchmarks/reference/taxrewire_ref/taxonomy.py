@@ -1,0 +1,378 @@
+"""Rooted class taxonomies over integer node ids.
+
+A taxonomy is a rooted tree whose leaves are the target classes of a
+hierarchical classifier.  Node ids are non-negative integers; an optional
+name table maps ids back to the string labels they were parsed from.
+Children lists are kept sorted ascending so that every traversal of the
+tree is deterministic.
+
+Instances are treated as immutable: the structural editing helpers
+(:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`,
+:meth:`Taxonomy.remove_childless`) return new, fully validated trees and
+never touch the receiver.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from typing import Iterator, Mapping
+
+
+class TaxonomyError(ValueError):
+    """Raised for malformed edge lists or structural violations."""
+
+
+class Taxonomy:
+    """Rooted tree with one parent per non-root node.
+
+    Parameters
+    ----------
+    root:
+        Id of the root node.
+    parent_of:
+        Mapping child id -> parent id for every non-root node.
+    names:
+        Optional mapping id -> display name, used when the tree was parsed
+        from a non-numeric edge list.  Purely cosmetic; all structural
+        operations work on ids.
+    """
+
+    __slots__ = ("root", "_parent", "_children", "names", "_leaves", "_name_to_id")
+
+    def __init__(
+        self,
+        root: int,
+        parent_of: Mapping[int, int],
+        names: Mapping[int, str] | None = None,
+        _validate: bool = True,
+    ) -> None:
+        self.root = root
+        self._parent = dict(parent_of)
+        children: dict[int, list[int]] = {root: []}
+        for child, parent in self._parent.items():
+            children.setdefault(child, [])
+            children.setdefault(parent, []).append(child)
+        for kids in children.values():
+            kids.sort()
+        self._children = children
+        self.names = dict(names) if names is not None else None
+        self._leaves: frozenset[int] | None = None
+        self._name_to_id: dict[str, int] | None = None
+        if _validate:
+            self.validate()
+
+    # ------------------------------------------------------------------
+    # structure checks
+
+    def validate(self) -> None:
+        """Check the tree invariants, raising :class:`TaxonomyError` on failure.
+
+        Verified: ids are non-negative integers, the root has no parent,
+        every other node has exactly one, and every node is reachable from
+        the root (which rules out cycles and disconnected components).
+        """
+        for node in self._children:
+            if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+                raise TaxonomyError(f"node ids must be non-negative integers, got {node!r}")
+        if self.root in self._parent:
+            raise TaxonomyError(f"root {self.root} must not have a parent")
+        for node in self._children:
+            if node != self.root and node not in self._parent:
+                raise TaxonomyError(
+                    f"multiple root candidates: node {node} has no parent "
+                    f"but the root is {self.root}"
+                )
+        seen = {self.root}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            for child in self._children[node]:
+                if child in seen:
+                    raise TaxonomyError(f"cycle detected at node {child}")
+                seen.add(child)
+                stack.append(child)
+        if len(seen) != len(self._children):
+            missing = sorted(set(self._children) - seen)
+            raise TaxonomyError(f"cycle detected: nodes {missing} are unreachable from the root")
+
+    # ------------------------------------------------------------------
+    # queries
+
+    def __len__(self) -> int:
+        return len(self._children)
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._children
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(self._children))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Taxonomy):
+            return NotImplemented
+        return (
+            self.root == other.root
+            and self._parent == other._parent
+            and self.names == other.names
+        )
+
+    def __hash__(self) -> int:  # pragma: no cover - only for set membership in tests
+        return hash((self.root, frozenset(self._parent.items())))
+
+    def __repr__(self) -> str:
+        return f"Taxonomy(root={self.root}, nodes={len(self)}, leaves={len(self.leaves)})"
+
+    @property
+    def nodes(self) -> list[int]:
+        """All node ids, ascending."""
+        return sorted(self._children)
+
+    @property
+    def leaves(self) -> frozenset[int]:
+        """Ids of nodes without children."""
+        if self._leaves is None:
+            self._leaves = frozenset(n for n, kids in self._children.items() if not kids)
+        return self._leaves
+
+    @property
+    def internal_nodes(self) -> list[int]:
+        """Non-leaf node ids (the root included), ascending."""
+        return sorted(n for n, kids in self._children.items() if kids)
+
+    def non_root_nodes(self) -> list[int]:
+        return sorted(n for n in self._children if n != self.root)
+
+    def is_leaf(self, node: int) -> bool:
+        self._require(node)
+        return not self._children[node]
+
+    def parent(self, node: int) -> int:
+        self._require(node)
+        if node == self.root:
+            raise TaxonomyError("the root has no parent")
+        return self._parent[node]
+
+    def children(self, node: int) -> tuple[int, ...]:
+        self._require(node)
+        return tuple(self._children[node])
+
+    def path_to_root(self, node: int) -> list[int]:
+        """Nodes from ``node`` up to and including the root."""
+        self._require(node)
+        path = [node]
+        while node != self.root:
+            node = self._parent[node]
+            path.append(node)
+        return path
+
+    def ancestors(self, node: int) -> list[int]:
+        """Strict ancestors of ``node``, nearest first, root last."""
+        return self.path_to_root(node)[1:]
+
+    def depth(self, node: int) -> int:
+        """Number of edges between ``node`` and the root."""
+        return len(self.path_to_root(node)) - 1
+
+    def lca(self, a: int, b: int) -> int:
+        """Lowest common ancestor of two nodes."""
+        pa = self.path_to_root(a)
+        pb = self.path_to_root(b)
+        # Align the deeper path, then walk up in lockstep.
+        if len(pa) > len(pb):
+            pa = pa[len(pa) - len(pb):]
+        elif len(pb) > len(pa):
+            pb = pb[len(pb) - len(pa):]
+        for x, y in zip(pa, pb):
+            if x == y:
+                return x
+        raise TaxonomyError("nodes do not share an ancestor")  # pragma: no cover
+
+    def leaf_siblings(self, node: int) -> frozenset[int]:
+        """Leaf children of ``node``'s parent, excluding ``node`` itself."""
+        parent = self.parent(node)
+        return frozenset(
+            c for c in self._children[parent] if c != node and not self._children[c]
+        )
+
+    def internal_siblings(self, node: int) -> frozenset[int]:
+        """Non-leaf children of ``node``'s parent, excluding ``node`` itself."""
+        parent = self.parent(node)
+        return frozenset(
+            c for c in self._children[parent] if c != node and self._children[c]
+        )
+
+    def subtree_nodes(self, node: int) -> list[int]:
+        """All nodes of the subtree rooted at ``node``, ascending."""
+        self._require(node)
+        out = []
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            out.append(n)
+            stack.extend(self._children[n])
+        return sorted(out)
+
+    def subtree_leaves(self, node: int) -> frozenset[int]:
+        return frozenset(n for n in self.subtree_nodes(node) if not self._children[n])
+
+    def id_of(self, name: str) -> int:
+        """Resolve a display name to a node id (name-table trees only)."""
+        if self.names is None:
+            raise TaxonomyError("taxonomy has no name table")
+        if self._name_to_id is None:
+            self._name_to_id = {v: k for k, v in self.names.items()}
+        try:
+            return self._name_to_id[name]
+        except KeyError:
+            raise TaxonomyError(f"unknown node name {name!r}") from None
+
+    def name_of(self, node: int) -> str:
+        self._require(node)
+        if self.names is None:
+            return str(node)
+        return self.names[node]
+
+    def _require(self, node: int) -> None:
+        if node not in self._children:
+            raise TaxonomyError(f"unknown node {node}")
+
+    # ------------------------------------------------------------------
+    # copy-returning edits
+
+    def copy(self) -> "Taxonomy":
+        return Taxonomy(self.root, self._parent, self.names, _validate=False)
+
+    def add_node(self, parent: int, node_id: int | None = None) -> tuple["Taxonomy", int]:
+        """Return a new tree with a fresh childless node attached under ``parent``.
+
+        The new id defaults to ``max(nodes) + 1`` so ids never clash with
+        existing ones.  Returns ``(tree, new_id)``.
+        """
+        self._require(parent)
+        if node_id is None:
+            node_id = max(self._children) + 1
+        elif node_id in self._children:
+            raise TaxonomyError(f"node {node_id} already exists")
+        new_parent = dict(self._parent)
+        new_parent[node_id] = parent
+        names = None
+        if self.names is not None:
+            names = dict(self.names)
+            names[node_id] = _fresh_name(set(names.values()), node_id)
+        return Taxonomy(self.root, new_parent, names), node_id
+
+    def reparent(self, node: int, new_parent: int) -> "Taxonomy":
+        """Return a new tree with ``node`` detached and re-attached under ``new_parent``.
+
+        The whole subtree under ``node`` moves with it.  Validation rejects
+        edits that would break the tree, e.g. moving a node under one of its
+        own descendants.
+        """
+        self._require(node)
+        self._require(new_parent)
+        if node == self.root:
+            raise TaxonomyError("cannot reparent the root")
+        if new_parent == node:
+            raise TaxonomyError("cannot attach a node to itself")
+        new_map = dict(self._parent)
+        new_map[node] = new_parent
+        return Taxonomy(self.root, new_map, self.names)
+
+    def remove_childless(self, node: int) -> "Taxonomy":
+        """Return a new tree without ``node``, which must be childless and not the root."""
+        self._require(node)
+        if node == self.root:
+            raise TaxonomyError("cannot remove the root")
+        if self._children[node]:
+            raise TaxonomyError(f"node {node} still has children")
+        new_map = dict(self._parent)
+        del new_map[node]
+        names = None
+        if self.names is not None:
+            names = {k: v for k, v in self.names.items() if k != node}
+        return Taxonomy(self.root, new_map, names)
+
+    # ------------------------------------------------------------------
+    # fingerprints
+
+    def fingerprint(self) -> str:
+        """Hex sha256 of the canonical numeric edge list.
+
+        Stable across name tables and child orderings; used to verify that
+        a model file is applied to the hierarchy it was trained on.
+        """
+        edges = sorted((p, c) for c, p in self._parent.items())
+        payload = "\n".join(f"{p} {c}" for p, c in edges).encode("ascii")
+        return hashlib.sha256(payload).hexdigest()
+
+
+def _fresh_name(taken: set[str], node_id: int) -> str:
+    name = f"new{node_id}"
+    i = node_id
+    while name in taken:
+        i += 1
+        name = f"new{i}"
+    return name
+
+
+def parse_taxonomy(text: str) -> Taxonomy:
+    """Parse an edge list with one ``parent child`` pair per line.
+
+    Blank lines and lines starting with ``#`` are skipped.  If every token
+    is a canonical non-negative decimal integer, tokens are used as node
+    ids directly; otherwise ids are assigned by sorted token order and the
+    original strings are kept in the name table.
+    """
+    rows: list[tuple[int, str, str]] = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise TaxonomyError(
+                f"line {lineno}: expected 'parent child', got {stripped!r}"
+            )
+        rows.append((lineno, parts[0], parts[1]))
+    if not rows:
+        raise TaxonomyError("edge list is empty")
+
+    tokens = {t for _, a, b in rows for t in (a, b)}
+    numeric = all(t.isdigit() and str(int(t)) == t for t in tokens)
+    if numeric:
+        ids = {t: int(t) for t in tokens}
+        names = None
+    else:
+        ids = {t: i for i, t in enumerate(sorted(tokens))}
+        names = {i: t for t, i in ids.items()}
+
+    parent_of: dict[int, int] = {}
+    for lineno, a, b in rows:
+        parent, child = ids[a], ids[b]
+        if parent == child:
+            raise TaxonomyError(f"line {lineno}: self-loop on node {a!r}")
+        if child in parent_of:
+            raise TaxonomyError(f"line {lineno}: node {b!r} has more than one parent")
+        parent_of[child] = parent
+
+    all_ids = set(ids.values())
+    roots = sorted(all_ids - set(parent_of))
+    if not roots:
+        raise TaxonomyError("cycle detected: every node has a parent")
+    if len(roots) > 1:
+        shown = roots if names is None else [names[r] for r in roots]
+        raise TaxonomyError(f"multiple root candidates: {shown}")
+    return Taxonomy(roots[0], parent_of, names)
+
+
+def serialize_taxonomy(tax: Taxonomy) -> str:
+    """Render a taxonomy as an edge list, one ``parent child`` line per edge.
+
+    Lines are sorted by (parent id, child id) so equal trees serialize to
+    identical text.  A single-node tree yields the empty string.
+    """
+    edges = sorted((p, c) for c, p in tax._parent.items())
+    if not edges:
+        return ""
+    lines = [f"{tax.name_of(p)} {tax.name_of(c)}" for p, c in edges]
+    return "\n".join(lines) + "\n"

@@ -48,9 +48,7 @@ from .rewire import (
     RewireError,
     RewireLog,
     collapse_chains,
-    node_create,
     node_delete_sweep,
-    pc_rewire,
     replay_log,
     rewire_flags,
     rewire_hierarchy,

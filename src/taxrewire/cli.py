@@ -383,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     _selection_flags(sim)
     sim.add_argument("--no-tfidf", action="store_true", help="use raw feature values")
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=cmd_similarity)
 
@@ -396,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     rew.add_argument("--no-tfidf", action="store_true")
     rew.add_argument("--collapse-chains", action="store_true",
                      help="splice out single-child internal nodes afterwards")
-    rew.add_argument("--seed", type=int, default=0)
     rew.add_argument("--workers", type=int, default=1)
     rew.set_defaults(func=cmd_rewire)
 
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="taxonomy the model was trained on (required for td-lr)")
     pr.add_argument("--idf", default=None,
                     help="idf table from the train step, for tf-idf data")
-    pr.add_argument("--seed", type=int, default=0)
     pr.set_defaults(func=cmd_predict)
 
     ev = subs.add_parser("evaluate", help="score a prediction file")
@@ -447,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--rare-threshold", type=int, default=10)
     ev.add_argument("--macro-classes", choices=("test", "all"), default="test",
                     help="average over classes seen in the test truth, or all leaves")
-    ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_evaluate)
 

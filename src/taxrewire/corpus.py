@@ -127,8 +127,9 @@ class Dataset:
 def parse_dataset(text: str) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
-    Stored zeros are dropped on input so the no-zero invariant holds for
-    data regardless of origin.
+    Values must be finite: ``nan`` and ``inf`` are rejected with the line
+    number.  Stored zeros are dropped on input so the no-zero invariant
+    holds for data regardless of origin.
     """
     vectors: list[SparseVector] = []
     labels: list[int] = []
@@ -150,6 +151,8 @@ def parse_dataset(text: str) -> Dataset:
                 i, v = int(i_str), float(v_str)
             except ValueError:
                 raise DatasetFormatError(f"line {lineno}: malformed entry {tok!r}") from None
+            if not math.isfinite(v):
+                raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
             if i <= prev:
                 raise DatasetFormatError(
                     f"line {lineno}: feature indices must be 1-based strictly increasing"

@@ -305,11 +305,6 @@ def sparse_score(theta: np.ndarray, x: SparseVector) -> float:
     return float(np.dot(theta[idx], x.values))
 
 
-def predict_proba(model: NodeModel, x: SparseVector) -> float:
-    """Probability that ``x`` belongs under the model's node."""
-    return float(expit(sparse_score(model.theta, x)))
-
-
 def node_decision(model: NodeModel, x: SparseVector) -> int:
     """Binary decision: +1 on the boundary and above, else -1."""
     return 1 if sparse_score(model.theta, x) >= 0.0 else -1

@@ -155,16 +155,6 @@ def rare_category_report(
     return {c: stats[c] for c in rare}
 
 
-def rare_macro_f1(
-    pairs: Sequence[Pair], train_counts: dict[int, int], threshold: int = 10
-) -> float:
-    """Mean F1 over the rare classes; 0.0 when there are none."""
-    report = rare_category_report(pairs, train_counts, threshold)
-    if not report:
-        return 0.0
-    return sum(s.f1 for s in report.values()) / len(report)
-
-
 def rare_win_percentage(
     pairs_a: Sequence[Pair],
     pairs_b: Sequence[Pair],

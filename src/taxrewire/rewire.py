@@ -13,8 +13,10 @@ consistent:
 * a final ``node_delete`` sweep removes internal nodes left without any
   class-leaf descendants.
 
-Every edit is elementary, validated, and logged, so a run can be audited
-or replayed step by step on the original tree.
+Every edit is elementary and logged, so a run can be audited or replayed
+step by step on the original tree.  Runs and replays apply the edits in
+place to a private copy of the input tree, checking each edit's
+preconditions, and validate the whole tree once at the end.
 """
 
 from __future__ import annotations
@@ -169,47 +171,62 @@ def rewire_flags(
     return RewireFlags(move_first=move_first, move_second=move_second)
 
 
-def node_create(
-    tax: Taxonomy,
-    first: int,
-    second: int,
-    parent: int | None = None,
-    new_id: int | None = None,
-) -> tuple[Taxonomy, int]:
-    """Group two leaves with distinct parents under a fresh internal node.
-
-    The new node is attached under ``parent`` (their lowest common
-    ancestor unless overridden for replay) and both leaves are moved into
-    it.  Returns the edited tree and the new node's id.
-    """
-    if not (first in tax and tax.is_leaf(first)):
-        raise RewireError(f"node {first} is not a leaf")
-    if not (second in tax and tax.is_leaf(second)):
-        raise RewireError(f"node {second} is not a leaf")
-    if tax.parent(first) == tax.parent(second):
-        raise RewireError(f"leaves {first} and {second} already share a parent")
-    if parent is None:
-        parent = tax.lca(first, second)
-    out, nid = tax.add_node(parent, new_id)
-    out = out.reparent(first, nid).reparent(second, nid)
-    return out, nid
+def _check_leaf(tax: Taxonomy, node: int) -> None:
+    if not (node in tax and tax.is_leaf(node)):
+        raise RewireError(f"node {node} is not a leaf")
 
 
-def pc_rewire(tax: Taxonomy, leaf: int, new_parent: int) -> Taxonomy:
-    """Move a single leaf under another parent node.
+def _apply(work: Taxonomy, op: RewireOp) -> None:
+    """Apply one logged edit to ``work`` in place, checking its preconditions.
 
-    ``new_parent`` must already be a parent of something (or be the root);
+    A leaf moves only under a node that already has children, or the root:
     turning a sibling class leaf into a parent is not a rewiring move.
     """
-    if not (leaf in tax and tax.is_leaf(leaf)):
-        raise RewireError(f"node {leaf} is not a leaf")
-    if new_parent not in tax:
-        raise RewireError(f"node {new_parent} is not in the tree")
-    if new_parent != tax.root and tax.is_leaf(new_parent):
-        raise RewireError(f"node {new_parent} is a leaf and cannot receive children")
-    if tax.parent(leaf) == new_parent:
-        raise RewireError(f"leaf {leaf} is already under {new_parent}")
-    return tax.reparent(leaf, new_parent)
+    if isinstance(op, CreateOp):
+        first, second = op.pair
+        _check_leaf(work, first)
+        _check_leaf(work, second)
+        if work.parent(first) == work.parent(second):
+            raise RewireError(f"leaves {first} and {second} already share a parent")
+        work._add(op.parent, op.new_node)
+        work._reparent(first, op.new_node)
+        work._reparent(second, op.new_node)
+    elif isinstance(op, MoveOp):
+        leaf, new_parent = op.leaf, op.new_parent
+        _check_leaf(work, leaf)
+        if new_parent not in work:
+            raise RewireError(f"node {new_parent} is not in the tree")
+        if new_parent != work.root and work.is_leaf(new_parent):
+            raise RewireError(f"node {new_parent} is a leaf and cannot receive children")
+        if work.parent(leaf) == new_parent:
+            raise RewireError(f"leaf {leaf} is already under {new_parent}")
+        work._reparent(leaf, new_parent)
+    elif isinstance(op, CollapseOp):
+        work._reparent(op.child, op.parent)
+        work._remove(op.node)
+    else:
+        work._remove(op.node)
+
+
+def _delete_sweep(work: Taxonomy, keep: frozenset[int]) -> list[DeleteOp]:
+    """Delete childless non-root nodes not in ``keep`` in place, round by round.
+
+    Only parents that a round emptied can be deleted in the next one.
+    """
+    ops: list[DeleteOp] = []
+    candidates = work.nodes
+    while True:
+        doomed = sorted({
+            n for n in candidates if n != work.root and work.is_leaf(n) and n not in keep
+        })
+        if not doomed:
+            return ops
+        candidates = []
+        for node in doomed:
+            op = DeleteOp(node=node, parent=work.parent(node))
+            _apply(work, op)
+            ops.append(op)
+            candidates.append(op.parent)
 
 
 def node_delete_sweep(
@@ -222,44 +239,32 @@ def node_delete_sweep(
     leaves) the sweep is the identity.
     """
     keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
-    work = tax
-    ops: list[DeleteOp] = []
-    while True:
-        doomed = sorted(
-            n for n in work.nodes
-            if n != work.root and work.is_leaf(n) and n not in keep
-        )
-        if not doomed:
-            return work, ops
-        for node in doomed:
-            ops.append(DeleteOp(node=node, parent=work.parent(node)))
-            work = work.remove_childless(node)
+    work = tax.copy()
+    ops = _delete_sweep(work, keep)
+    work.validate()
+    return work, ops
 
 
 def collapse_chains(
     tax: Taxonomy, class_leaves: Iterable[int] | None = None
 ) -> tuple[Taxonomy, list[CollapseOp]]:
-    """Splice out internal non-root nodes with exactly one child, bottom-up.
+    """Splice out internal non-root nodes with exactly one child, in id order.
 
     Optional cosmetic pass: the single child is attached to its
     grandparent and the spliced node removed.  Class leaves are never
-    spliced even when structurally childless.
+    spliced even when structurally childless.  Splicing a node leaves
+    every other node's child count as it was, so one pass finds them all.
     """
     keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
-    work = tax
+    work = tax.copy()
     ops: list[CollapseOp] = []
-    while True:
-        chained = sorted(
-            n for n in work.nodes
-            if n != work.root and n not in keep and len(work.children(n)) == 1
-        )
-        if not chained:
-            return work, ops
-        node = chained[0]
-        child = work.children(node)[0]
-        parent = work.parent(node)
-        ops.append(CollapseOp(node=node, child=child, parent=parent))
-        work = work.reparent(child, parent).remove_childless(node)
+    for node in work.nodes:
+        if node != work.root and node not in keep and len(work.children(node)) == 1:
+            op = CollapseOp(node=node, child=work.children(node)[0], parent=work.parent(node))
+            _apply(work, op)
+            ops.append(op)
+    work.validate()
+    return work, ops
 
 
 def rewire_hierarchy(
@@ -273,7 +278,9 @@ def rewire_hierarchy(
     tree is never modified.
     """
     class_leaves = tax.leaves
-    work = tax
+    work = tax.copy()
+    # A created node takes max(ids) + 1; nothing is deleted before the sweep.
+    next_id = max(tax.nodes) + 1
     ops: list[RewireOp] = []
     for iteration, p in enumerate(pairs, 1):
         first, second = p.a, p.b
@@ -292,36 +299,28 @@ def rewire_hierarchy(
             continue
         flags = rewire_flags(work, pairs, first, second, class_leaves)
         if not flags.move_first and not flags.move_second:
-            parent = work.lca(first, second)
-            work, nid = node_create(work, first, second, parent=parent)
-            ops.append(CreateOp(iteration, (first, second), parent, nid))
+            op = CreateOp(iteration, (first, second), work.lca(first, second), next_id)
+            next_id += 1
         elif flags.move_first:
             op = MoveOp(iteration, (first, second), first, work.parent(first), work.parent(second))
-            work = pc_rewire(work, first, op.new_parent)
-            ops.append(op)
         else:
             op = MoveOp(iteration, (first, second), second, work.parent(second), work.parent(first))
-            work = pc_rewire(work, second, op.new_parent)
-            ops.append(op)
+        _apply(work, op)
+        ops.append(op)
         if work.parent(first) != work.parent(second):  # pragma: no cover
             raise RewireError(f"pair ({first}, {second}) still split after editing")
-    work, deletions = node_delete_sweep(work, class_leaves)
-    ops.extend(deletions)
+    ops.extend(_delete_sweep(work, class_leaves))
+    work.validate()
     return work, RewireLog(ops)
 
 
 def replay_log(tax: Taxonomy, log: RewireLog) -> Taxonomy:
-    """Re-apply a recorded run mechanically to its original input tree."""
-    work = tax
+    """Re-apply a recorded run mechanically to its original input tree.
+
+    A log that does not fit the tree raises RewireError or TaxonomyError.
+    """
+    work = tax.copy()
     for op in log.ops:
-        if isinstance(op, CreateOp):
-            work, _ = node_create(
-                work, op.pair[0], op.pair[1], parent=op.parent, new_id=op.new_node
-            )
-        elif isinstance(op, MoveOp):
-            work = pc_rewire(work, op.leaf, op.new_parent)
-        elif isinstance(op, CollapseOp):
-            work = work.reparent(op.child, op.parent).remove_childless(op.node)
-        else:
-            work = work.remove_childless(op.node)
+        _apply(work, op)
+    work.validate()
     return work

@@ -68,11 +68,6 @@ class SimilarPairSet:
             a, b = b, a
         return (a, b) in self._members
 
-    def refilter(self, tau: float) -> "SimilarPairSet":
-        """Keep stored pairs with score >= tau.  Refiltering at the set's own
-        threshold is the identity."""
-        return SimilarPairSet([p for p in self.pairs if p.score >= tau], tau)
-
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
     """Cosine similarity; 0.0 whenever either vector has zero norm."""

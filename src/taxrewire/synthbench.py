@@ -46,7 +46,6 @@ class PlantConfig:
     n_misplaced: int
     seed: int
     leaf_weight: float = 0.5
-    n_internal: int | None = None
 
     def __post_init__(self) -> None:
         if self.fanout < 2:
@@ -56,12 +55,6 @@ class PlantConfig:
             raise BenchError(
                 f"infeasible shape: n_leaves={self.n_leaves} is not a positive "
                 f"power of fanout={self.fanout}"
-            )
-        derived = (self.fanout**depth - 1) // (self.fanout - 1)
-        if self.n_internal is not None and self.n_internal != derived:
-            raise BenchError(
-                f"infeasible shape: a perfect tree with these leaves has "
-                f"{derived} internal nodes, not {self.n_internal}"
             )
         if self.dims < 2:
             raise BenchError(f"dims must be >= 2, got {self.dims}")

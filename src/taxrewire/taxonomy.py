@@ -6,15 +6,16 @@ name table maps ids back to the string labels they were parsed from.
 Children lists are kept sorted ascending so that every traversal of the
 tree is deterministic.
 
-Instances are treated as immutable: the structural editing helpers
-(:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`,
-:meth:`Taxonomy.remove_childless`) return new, fully validated trees and
-never touch the receiver.
+The editing helpers (:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`,
+:meth:`Taxonomy.remove_childless`) return an edited copy and never touch
+the receiver.  An edit checks only the invariants it can break; code that
+edits a private copy in place validates the whole tree once when done.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from typing import Iterator, Mapping
 
 
@@ -194,13 +195,6 @@ class Taxonomy:
             c for c in self._children[parent] if c != node and not self._children[c]
         )
 
-    def internal_siblings(self, node: int) -> frozenset[int]:
-        """Non-leaf children of ``node``'s parent, excluding ``node`` itself."""
-        parent = self.parent(node)
-        return frozenset(
-            c for c in self._children[parent] if c != node and self._children[c]
-        )
-
     def subtree_nodes(self, node: int) -> list[int]:
         """All nodes of the subtree rooted at ``node``, ascending."""
         self._require(node)
@@ -248,49 +242,73 @@ class Taxonomy:
         The new id defaults to ``max(nodes) + 1`` so ids never clash with
         existing ones.  Returns ``(tree, new_id)``.
         """
-        self._require(parent)
         if node_id is None:
             node_id = max(self._children) + 1
-        elif node_id in self._children:
-            raise TaxonomyError(f"node {node_id} already exists")
-        new_parent = dict(self._parent)
-        new_parent[node_id] = parent
-        names = None
-        if self.names is not None:
-            names = dict(self.names)
-            names[node_id] = _fresh_name(set(names.values()), node_id)
-        return Taxonomy(self.root, new_parent, names), node_id
+        out = self.copy()
+        out._add(parent, node_id)
+        return out, node_id
 
     def reparent(self, node: int, new_parent: int) -> "Taxonomy":
         """Return a new tree with ``node`` detached and re-attached under ``new_parent``.
 
-        The whole subtree under ``node`` moves with it.  Validation rejects
-        edits that would break the tree, e.g. moving a node under one of its
-        own descendants.
+        The whole subtree under ``node`` moves with it.  Edits that would
+        break the tree, e.g. moving a node under one of its own
+        descendants, are rejected.
         """
+        out = self.copy()
+        out._reparent(node, new_parent)
+        return out
+
+    def remove_childless(self, node: int) -> "Taxonomy":
+        """Return a new tree without ``node``, which must be childless and not the root."""
+        out = self.copy()
+        out._remove(node)
+        return out
+
+    # ------------------------------------------------------------------
+    # in-place edits, for a working copy no one else holds
+
+    def _add(self, parent: int, node: int) -> None:
+        if not isinstance(node, int) or isinstance(node, bool) or node < 0:
+            raise TaxonomyError(f"node ids must be non-negative integers, got {node!r}")
+        if node in self._children:
+            raise TaxonomyError(f"node {node} already exists")
+        self._require(parent)
+        self._parent[node] = parent
+        self._children[node] = []
+        insort(self._children[parent], node)
+        if self.names is not None:
+            self.names[node] = _fresh_name(set(self.names.values()), node)
+        self._leaves = self._name_to_id = None
+
+    def _reparent(self, node: int, new_parent: int) -> None:
         self._require(node)
         self._require(new_parent)
         if node == self.root:
             raise TaxonomyError("cannot reparent the root")
         if new_parent == node:
             raise TaxonomyError("cannot attach a node to itself")
-        new_map = dict(self._parent)
-        new_map[node] = new_parent
-        return Taxonomy(self.root, new_map, self.names)
+        up = new_parent
+        while up != self.root:
+            up = self._parent[up]
+            if up == node:
+                raise TaxonomyError(f"cycle detected: {new_parent} is below {node}")
+        self._children[self._parent[node]].remove(node)
+        insort(self._children[new_parent], node)
+        self._parent[node] = new_parent
+        self._leaves = None
 
-    def remove_childless(self, node: int) -> "Taxonomy":
-        """Return a new tree without ``node``, which must be childless and not the root."""
+    def _remove(self, node: int) -> None:
         self._require(node)
         if node == self.root:
             raise TaxonomyError("cannot remove the root")
         if self._children[node]:
             raise TaxonomyError(f"node {node} still has children")
-        new_map = dict(self._parent)
-        del new_map[node]
-        names = None
+        self._children[self._parent.pop(node)].remove(node)
+        del self._children[node]
         if self.names is not None:
-            names = {k: v for k, v in self.names.items() if k != node}
-        return Taxonomy(self.root, new_map, names)
+            self.names.pop(node, None)
+        self._leaves = self._name_to_id = None
 
     # ------------------------------------------------------------------
     # fingerprints

@@ -95,3 +95,44 @@ def brute_macro_f1(pairs, classes):
         if prec + rec:
             total += prec if prec == rec else 2 * prec * rec / (prec + rec)
     return total / len(classes)
+
+
+def round_by_round_delete_sweep(tax, class_leaves):
+    """Delete childless non-root non-class nodes in rounds over the whole tree.
+
+    Each round rescans every node and removes the doomed ones in ascending
+    id order through the copy-returning edit.  Returns the tree and the
+    ``(node, parent)`` of every deletion.
+    """
+    keep = frozenset(class_leaves)
+    ops = []
+    while True:
+        doomed = sorted(
+            n for n in tax.nodes if n != tax.root and tax.is_leaf(n) and n not in keep
+        )
+        if not doomed:
+            return tax, ops
+        for node in doomed:
+            ops.append((node, tax.parent(node)))
+            tax = tax.remove_childless(node)
+
+
+def round_by_round_collapse(tax, class_leaves=None):
+    """Splice the smallest single-child non-root non-class node until none is left.
+
+    Every round rescans the whole tree.  Returns the tree and the
+    ``(node, child, parent)`` of every splice.
+    """
+    keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
+    ops = []
+    while True:
+        chained = sorted(
+            n for n in tax.nodes
+            if n != tax.root and n not in keep and len(tax.children(n)) == 1
+        )
+        if not chained:
+            return tax, ops
+        node = chained[0]
+        child, parent = tax.children(node)[0], tax.parent(node)
+        ops.append((node, child, parent))
+        tax = tax.reparent(child, parent).remove_childless(node)

@@ -34,15 +34,7 @@ from taxrewire.learner import (
     train_topdown,
 )
 from taxrewire.metrics import hier_f1, macro_f1, micro_f1
-from taxrewire.rewire import (
-    CollapseOp,
-    CreateOp,
-    DeleteOp,
-    MoveOp,
-    node_create,
-    pc_rewire,
-    rewire_hierarchy,
-)
+from taxrewire.rewire import CreateOp, MoveOp, RewireLog, replay_log, rewire_hierarchy
 from taxrewire.simgraph import all_pairs_scores, class_centroids, select_pairs
 from taxrewire.synthbench import (
     PlantConfig,
@@ -97,17 +89,7 @@ def test_rewiring_correctness_on_random_inputs():
         modified, log = rewire_hierarchy(tax, pairs)
         work = tax
         for op in log.ops:
-            if isinstance(op, CreateOp):
-                work, _ = node_create(
-                    work, op.pair[0], op.pair[1], parent=op.parent, new_id=op.new_node
-                )
-            elif isinstance(op, MoveOp):
-                work = pc_rewire(work, op.leaf, op.new_parent)
-            elif isinstance(op, CollapseOp):
-                work = work.reparent(op.child, op.parent).remove_childless(op.node)
-            else:
-                assert isinstance(op, DeleteOp)
-                work = work.remove_childless(op.node)
+            work = replay_log(work, RewireLog([op]))
             work.validate()
             total_ops += 1
             if isinstance(op, (CreateOp, MoveOp)):

@@ -151,7 +151,7 @@ class TestDeterminism:
         summary = json.loads((pipeline["sim"] / "similarity_summary.json").read_text())
         config = summary["config"]
         assert config["command"] == "similarity"
-        assert config["seed"] == 0
+        assert "seed" not in config  # similarity has no --seed
         assert config["no_tfidf"] is True
         for absent in ("out", "workers", "data", "hierarchy"):
             assert absent not in config
@@ -320,6 +320,18 @@ class TestExitCodes:
         bad.write_text("1 not-a-feature\n")
         assert run("train", "--data", bad, "--hierarchy", tax,
                    "--out", tmp_path / "o", "--C", "1") == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_dataset_value(self, pipeline, tmp_path, capsys, value):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"0 1:1.0\n1 1:0.5 2:{value}\n")
+        h = pipeline["bench"] / "true.edges"
+        assert run("similarity", "--data", bad, "--hierarchy", h,
+                   "--out", tmp_path / "s", "--no-tfidf") == 4
+        assert run("train", "--data", bad, "--hierarchy", h,
+                   "--out", tmp_path / "t", "--C", "1") == 4
+        assert "line 2: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "pairs.csv").exists()
 
     def test_fingerprint_mismatch(self, pipeline, tmp_path):
         b, t = pipeline["bench"], pipeline["train"]

@@ -111,6 +111,8 @@ class TestParsing:
             ("1 nope\n", "malformed entry"),
             ("1 2:1.0 1:1.0\n", "strictly increasing"),
             ("1 0:1.0\n", "strictly increasing"),
+            ("1 1:nan\n", "line 1: non-finite"),
+            ("1 1:1.0\n2 1:0.5 3:-inf\n", "line 2: non-finite"),
             ("", "empty"),
         ],
     )

@@ -17,7 +17,6 @@ from taxrewire.learner import (
     parse_model_set,
     predict_dataset,
     predict_flat,
-    predict_proba,
     predict_topdown,
     serialize_model_set,
     sparse_score,
@@ -213,7 +212,6 @@ class TestPrediction:
     def test_proba_and_decision(self):
         model = NodeModel(0, np.array([math.log(3.0)]), 1.0)
         x = sv({1: 1.0})
-        assert predict_proba(model, x) == pytest.approx(0.75, abs=1e-12)
         assert node_decision(model, x) == 1
         zero = NodeModel(0, np.zeros(1), 1.0)
         assert node_decision(zero, x) == 1  # boundary counts as positive

@@ -15,7 +15,6 @@ from taxrewire.metrics import (
     per_class_stats,
     rare_category_report,
     rare_classes,
-    rare_macro_f1,
     rare_win_percentage,
     report_as_dict,
     write_per_class_csv,
@@ -156,8 +155,13 @@ class TestRare:
 
     def test_rare_macro(self):
         pairs = [(1, 1), (2, 2), (3, 2), (4, 4)]
-        assert rare_macro_f1(pairs, self.COUNTS, 10) == 0.5
-        assert rare_macro_f1(pairs, self.COUNTS, 1) == 0.0
+
+        def rare_macro(threshold):
+            report = build_report(pairs, train_counts=self.COUNTS, rare_threshold=threshold)
+            return report_as_dict(report)["rare_macro_f1"]
+
+        assert rare_macro(10) == 0.5
+        assert rare_macro(1) == 0.0
         assert rare_category_report(pairs, self.COUNTS, 1) == {}
 
     def test_win_percentage(self):

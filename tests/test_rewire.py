@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -9,17 +11,21 @@ from taxrewire.rewire import (
     RewireError,
     RewireLog,
     collapse_chains,
-    node_create,
     node_delete_sweep,
-    pc_rewire,
     replay_log,
     rewire_flags,
     rewire_hierarchy,
 )
 from taxrewire.synthbench import random_pair_set, random_taxonomy
-from taxrewire.taxonomy import Taxonomy, parse_taxonomy
+from taxrewire.taxonomy import TaxonomyError, parse_taxonomy
 
-from conftest import pair_set
+from conftest import LETTER_EDGES, pair_set
+from reference_impls import round_by_round_collapse, round_by_round_delete_sweep
+
+
+def apply_one(tax, op):
+    """Replay a single logged edit on ``tax``."""
+    return replay_log(tax, RewireLog([op]))
 
 
 class TestFlags:
@@ -77,34 +83,42 @@ class TestFlags:
 class TestElementaryOps:
     def test_node_create_under_lca(self, letter_tree, letter_ids):
         i = letter_ids
-        out, nid = node_create(letter_tree, i["3"], i["6"])
-        assert nid == 9
-        assert out.parent(nid) == i["A"]
-        assert out.parent(i["3"]) == nid and out.parent(i["6"]) == nid
-        assert sorted(out.children(nid)) == sorted([i["3"], i["6"]])
+        _, log = rewire_hierarchy(letter_tree, pair_set((i["3"], i["6"])))
+        # attached at the LCA, with the next free id
+        assert log.ops == [CreateOp(1, (i["3"], i["6"]), i["A"], 9)]
+        out = apply_one(letter_tree, log.ops[0])
+        assert out.parent(9) == i["A"]
+        assert out.parent(i["3"]) == 9 and out.parent(i["6"]) == 9
+        assert sorted(out.children(9)) == sorted([i["3"], i["6"]])
+        assert out.name_of(9) == "new9"
 
     def test_node_create_rejects_same_parent_or_internal(self, letter_tree, letter_ids):
         i = letter_ids
         with pytest.raises(RewireError, match="share a parent"):
-            node_create(letter_tree, i["3"], i["4"])
+            apply_one(letter_tree, CreateOp(1, (i["3"], i["4"]), i["A"], 9))
         with pytest.raises(RewireError, match="not a leaf"):
-            node_create(letter_tree, i["B"], i["6"])
+            apply_one(letter_tree, CreateOp(1, (i["B"], i["6"]), i["A"], 9))
 
     def test_pc_rewire_moves_leaf(self, letter_tree, letter_ids):
         i = letter_ids
-        out = pc_rewire(letter_tree, i["3"], i["C"])
+        out = apply_one(letter_tree, MoveOp(1, (i["3"], i["6"]), i["3"], i["B"], i["C"]))
         assert out.parent(i["3"]) == i["C"]
+        assert letter_tree.parent(i["3"]) == i["B"]  # input untouched
 
     def test_pc_rewire_target_rules(self, letter_tree, letter_ids):
         i = letter_ids
+
+        def move_3_under(target):
+            return apply_one(letter_tree, MoveOp(1, (i["3"], i["6"]), i["3"], i["B"], target))
+
         with pytest.raises(RewireError, match="cannot receive children"):
-            pc_rewire(letter_tree, i["3"], i["6"])
+            move_3_under(i["6"])
         with pytest.raises(RewireError, match="already under"):
-            pc_rewire(letter_tree, i["3"], i["B"])
+            move_3_under(i["B"])
         with pytest.raises(RewireError, match="not in the tree"):
-            pc_rewire(letter_tree, i["3"], 42)
+            move_3_under(42)
         # the root is always a legal target
-        assert pc_rewire(letter_tree, i["3"], i["A"]).parent(i["3"]) == i["A"]
+        assert move_3_under(i["A"]).parent(i["3"]) == i["A"]
 
     def test_delete_sweep_is_identity_on_clean_trees(self, letter_tree):
         out, ops = node_delete_sweep(letter_tree)
@@ -254,6 +268,69 @@ class TestLog:
         tax = parse_taxonomy("0 1\n1 2\n2 3\n2 4\n")
         out, ops = collapse_chains(tax)
         assert replay_log(tax, RewireLog(list(ops))) == out
+
+
+class TestUntrustedReplay:
+    """Logs that do not fit the tree are rejected, whatever their source.
+
+    Letter-tree ids: leaves 3..8 are 0..5, A (root) 6, B 7, C 8.
+    """
+
+    @pytest.mark.parametrize(
+        "jsonl,error,fragment",
+        [
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
+                         '"new_node": -5}', TaxonomyError, "non-negative", id="create-negative"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
+                         '"new_node": true}', TaxonomyError, None, id="create-bool"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
+                         '"new_node": 2.5}', TaxonomyError, "non-negative", id="create-float"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
+                         '"new_node": 8}', TaxonomyError, "already exists", id="create-clash"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 0, '
+                         '"new_node": 9}', TaxonomyError, "cycle", id="create-cycle"),
+            pytest.param('{"op": "node_delete", "node": 7, "parent": 6}',
+                         TaxonomyError, "children", id="delete-parent"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
+                         '"new_node": 9}\n{"op": "node_delete", "node": 9, "parent": 6}',
+                         TaxonomyError, "children", id="delete-created-parent"),
+            pytest.param('{"op": "collapse", "node": 8, "child": 7, "parent": 0}',
+                         TaxonomyError, "cycle", id="collapse-cycle"),
+            pytest.param('{"op": "collapse", "node": 7, "child": 6, "parent": 8}',
+                         TaxonomyError, "root", id="collapse-root"),
+            pytest.param('{"op": "pc_rewire", "iteration": 1, "pair": [0, 3], "leaf": 7, '
+                         '"old_parent": 6, "new_parent": 0}', RewireError, "not a leaf",
+                         id="move-cycle"),
+            pytest.param('{"op": "pc_rewire", "iteration": 1, "pair": [0, 3], "leaf": 0, '
+                         '"old_parent": 7, "new_parent": 0}', RewireError,
+                         "cannot receive children", id="move-self"),
+        ],
+    )
+    def test_bad_op_raises(self, letter_tree, jsonl, error, fragment):
+        log = RewireLog.from_jsonl(jsonl + "\n")
+        with pytest.raises(error, match=fragment):
+            replay_log(letter_tree, log)
+        assert letter_tree == parse_taxonomy(LETTER_EDGES)
+
+
+@pytest.mark.parametrize("names", [False, True])
+def test_sweep_and_collapse_match_round_by_round_reference(names):
+    """One-pass sweep and collapse against the round-by-round loops."""
+    rng = np.random.default_rng(7 + names)
+    for _ in range(250):
+        tax = random_taxonomy(rng, int(rng.integers(1, 40)), names=names)
+        leaves = sorted(tax.leaves)
+        keep = [leaf for leaf in leaves if rng.random() < 0.6]
+
+        out, ops = node_delete_sweep(tax, keep)
+        ref, ref_ops = round_by_round_delete_sweep(tax, keep)
+        assert out == ref and [astuple(op) for op in ops] == ref_ops
+
+        for class_leaves in (keep, None):
+            out, ops = collapse_chains(tax, class_leaves)
+            ref, ref_ops = round_by_round_collapse(tax, class_leaves)
+            assert out == ref and [astuple(op) for op in ops] == ref_ops
+            assert replay_log(tax, RewireLog(list(ops))) == out
 
 
 def test_random_inputs_keep_invariants():

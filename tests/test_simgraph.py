@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
@@ -166,12 +164,6 @@ class TestSimilarPairSet:
         assert (1, 2) in s and (2, 1) in s
         assert (1, 3) not in s
 
-    def test_refilter_keeps_boundary(self):
-        s = SimilarPairSet(descending(0.9, 0.5, 0.3), tau=0.3)
-        again = s.refilter(0.5)
-        assert len(again) == 2  # >= keeps the 0.5 entry
-        assert s.refilter(s.tau).pairs == s.pairs  # identity at own tau
-
 
 class TestKnee:
     def test_spec_style_cliff(self):
@@ -258,22 +250,3 @@ class TestPairScore:
             PairScore(1, 1, 0.5)
         with pytest.raises(SimilarityError):
             PairScore(1, 2, 1.5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-        min_size=1,
-        max_size=25,
-    ),
-    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
-)
-def test_refilter_is_idempotent(raw_scores, tau):
-    vals = sorted(raw_scores, reverse=True)
-    pairs = [PairScore(i, i + 100, v) for i, v in enumerate(vals)]
-    base = SimilarPairSet(pairs, tau=min(vals))
-    once = base.refilter(tau)
-    twice = once.refilter(tau)
-    assert once.pairs == twice.pairs
-    assert all(p.score >= tau for p in once.pairs)

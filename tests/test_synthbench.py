@@ -46,15 +46,11 @@ class TestConfig:
             (dict(n_misplaced=-1), "n_misplaced"),
             (dict(instances_per_leaf=0), "instances_per_leaf"),
             (dict(instances_per_leaf=(5, 2)), "instances_per_leaf"),
-            (dict(n_internal=3), "internal nodes"),
         ],
     )
     def test_rejects_infeasible(self, overrides, msg):
         with pytest.raises(BenchError, match=msg):
             cfg(**overrides)
-
-    def test_matching_internal_count_accepted(self):
-        assert cfg(n_internal=4).n_internal == 4
 
     def test_instance_range(self):
         assert cfg(instances_per_leaf=5).instance_range() == (5, 5)

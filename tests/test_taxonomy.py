@@ -118,7 +118,6 @@ class TestQueries:
     def test_sibling_sets(self, letter_tree, letter_ids):
         assert letter_tree.leaf_siblings(letter_ids["3"]) == frozenset({1, 2})
         assert letter_tree.leaf_siblings(letter_ids["B"]) == frozenset()
-        assert letter_tree.internal_siblings(letter_ids["B"]) == frozenset({8})
 
     def test_subtrees(self, letter_tree, letter_ids):
         b = letter_ids["B"]

@@ -55,6 +55,7 @@ from .rewire import (
 )
 from .simgraph import (
     PairScore,
+    ScoreTable,
     SimilarPairSet,
     SimilarityError,
     all_pairs_scores,
@@ -62,6 +63,7 @@ from .simgraph import (
     class_centroids,
     cosine,
     knee_rank,
+    select_at_knee,
     select_pairs,
 )
 from .synthbench import (

@@ -85,7 +85,7 @@ def _selection_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--top-k", type=int, default=None,
                        help="keep the k most similar pairs")
     group.add_argument("--auto-tau", action="store_true",
-                       help="pick the threshold at the knee of the score curve (default)")
+                       help="keep pairs scoring at least the knee of the score curve (default)")
 
 
 def _select(args: argparse.Namespace, scores) -> tuple[simgraph.SimilarPairSet, float | None]:
@@ -94,8 +94,8 @@ def _select(args: argparse.Namespace, scores) -> tuple[simgraph.SimilarPairSet, 
         return simgraph.select_pairs(scores, tau=args.tau), None
     if args.top_k is not None:
         return simgraph.select_pairs(scores, top_k=args.top_k), None
-    suggested = simgraph.auto_threshold(scores)
-    return simgraph.select_pairs(scores, tau=suggested), suggested
+    selected = simgraph.select_at_knee(scores)
+    return selected, selected.tau
 
 
 def _compute_pairs(args: argparse.Namespace):
@@ -115,9 +115,8 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     tax, _, centroids, scores = _compute_pairs(args)
     selected, suggested = _select(args, scores)
 
-    buf = io.StringIO()
-    simgraph.write_score_curve(scores, buf)
-    (out / "pairs.csv").write_text(buf.getvalue(), encoding="utf-8")
+    with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
+        simgraph.write_score_curve(scores, fh)
     (out / "pairs.txt").write_text(
         _config_line(args) + "\n" + simgraph.serialize_pair_set(selected),
         encoding="utf-8",

@@ -231,8 +231,14 @@ def _train_many(
     return {m.node: m for m in fitted}
 
 
-def _warn_empty_leaves(tax: Taxonomy, train: Dataset) -> None:
+def _check_labels(tax: Taxonomy, train: Dataset) -> None:
+    """Reject labels that are not leaves; warn about leaves without instances."""
     present = set(train.labels)
+    unknown = sorted(present - tax.leaves)
+    if unknown:
+        raise LearnerError(
+            f"{len(unknown)} training labels are not leaves of the hierarchy: {unknown[:10]}"
+        )
     empty = sorted(tax.leaves - present)
     if empty:
         warnings.warn(
@@ -254,9 +260,10 @@ def train_topdown(
     """Fit one model per non-root node for root-to-leaf prediction.
 
     The result is independent of ``workers``: nodes are fit from identical
-    inputs in either case and collected in node order.
+    inputs in either case and collected in node order.  A training label
+    that is not a leaf of ``tax`` raises :class:`LearnerError`.
     """
-    _warn_empty_leaves(tax, train)
+    _check_labels(tax, train)
     nodes = tax.non_root_nodes()
     positives_of = {n: tax.subtree_leaves(n) for n in nodes}
     models = _train_many(
@@ -276,8 +283,11 @@ def train_flat(
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> ModelSet:
-    """Fit one one-vs-rest model per leaf class, ignoring internal structure."""
-    _warn_empty_leaves(tax, train)
+    """Fit one one-vs-rest model per leaf class, ignoring internal structure.
+
+    A training label that is not a leaf of ``tax`` raises :class:`LearnerError`.
+    """
+    _check_labels(tax, train)
     leaves = sorted(tax.leaves)
     positives_of = {n: frozenset((n,)) for n in leaves}
     models = _train_many(

@@ -5,11 +5,14 @@ class is summarized by its centroid (mean of its training vectors), all
 leaf pairs are scored by cosine similarity, and a pair survives either a
 similarity threshold or a top-k cut.  When no threshold is known up
 front, the knee of the sorted similarity curve suggests one.
+
+All pairs are kept as one :class:`ScoreTable` of numpy arrays, sorted
+once; only the pairs a selection keeps become :class:`PairScore`
+objects, collected in a :class:`SimilarPairSet`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +40,38 @@ class PairScore:
             raise SimilarityError(f"pair must satisfy a < b, got ({self.a}, {self.b})")
         if not -1.0 <= self.score <= 1.0:
             raise SimilarityError(f"cosine score out of range: {self.score}")
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Scored class pairs as three parallel arrays, in descending score order.
+
+    Row ``i`` is the pair ``(a[i], b[i])`` with ``a[i] < b[i]`` and cosine
+    ``score[i]``; ties are in (a, b) order.  ``len()`` is the pair count.
+    Only the rows a selection keeps are turned into :class:`PairScore`
+    objects, by :meth:`head`.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    score: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", np.asarray(self.a))
+        object.__setattr__(self, "b", np.asarray(self.b))
+        object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
+        if self.a.ndim != 1 or not self.a.shape == self.b.shape == self.score.shape:
+            raise SimilarityError("a, b and score must be 1-d arrays of equal length")
+
+    def __len__(self) -> int:
+        return int(self.score.size)
+
+    def head(self, k: int) -> list[PairScore]:
+        """The first ``k`` rows as validated :class:`PairScore` objects."""
+        return [
+            PairScore(a, b, s)
+            for a, b, s in zip(self.a[:k].tolist(), self.b[:k].tolist(), self.score[:k].tolist())
+        ]
 
 
 class SimilarPairSet:
@@ -110,13 +145,14 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> dict[int, SparseVec
 
 def all_pairs_scores(
     centroids: dict[int, SparseVector], workers: int = 1
-) -> list[PairScore]:
-    """Cosine score for every unordered class pair, sorted for selection.
+) -> ScoreTable:
+    """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
 
-    Order: descending score, ties by (a, b) ascending.  The result is
-    independent of ``workers``; the flag only splits the pair grid into
-    row blocks evaluated concurrently, and each entry is computed by the
-    same sparse dot product either way.
+    Order: descending score, ties by (a, b) ascending.  Pairs with a
+    zero-norm centroid score 0.0 and every score is clipped to [-1, 1].
+    The result is independent of ``workers``; the flag only splits the
+    pair grid into row blocks evaluated concurrently, and each entry is
+    computed by the same sparse dot product either way.
     """
     ids = sorted(centroids)
     if len(ids) < 2:
@@ -140,29 +176,30 @@ def all_pairs_scores(
     unit = unit.tocsr()
 
     n = len(ids)
+    rows, cols = np.triu_indices(n, k=1)
+    scores = np.empty(rows.size, dtype=np.float64)
     blocks = _row_blocks(n, workers)
 
-    def score_block(rows: range) -> list[PairScore]:
-        gram = (unit[rows.start:rows.stop] @ unit.T).toarray()
-        out = []
-        for r in rows:
-            zero_r = norms[r] == 0.0
-            for c in range(r + 1, n):
-                s = 0.0 if zero_r or norms[c] == 0.0 else float(gram[r - rows.start, c])
-                s = min(1.0, max(-1.0, s))
-                out.append(PairScore(ids[r], ids[c], s))
-        return out
+    def score_block(block: range) -> None:
+        gram = (unit[block.start:block.stop] @ unit.T).toarray()
+        lo, hi = np.searchsorted(rows, (block.start, block.stop))
+        scores[lo:hi] = gram[rows[lo:hi] - block.start, cols[lo:hi]]
 
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(score_block, blocks))
+            list(pool.map(score_block, blocks))
     else:
-        chunks = [score_block(b) for b in blocks]
-    scores = [p for chunk in chunks for p in chunk]
-    scores.sort(key=lambda p: (-p.score, p.a, p.b))
-    return scores
+        for block in blocks:
+            score_block(block)
+    zero = norms == 0.0
+    scores[zero[rows] | zero[cols]] = 0.0
+    np.clip(scores, -1.0, 1.0, out=scores)
+    # (rows, cols) is in (a, b) order, so a stable sort leaves ties in it.
+    order = np.argsort(-scores, kind="stable")
+    labels = np.asarray(ids, dtype=np.int64)
+    return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
 
 
 def _row_blocks(n: int, workers: int) -> list[range]:
@@ -172,41 +209,51 @@ def _row_blocks(n: int, workers: int) -> list[range]:
 
 
 def select_pairs(
-    scores: Sequence[PairScore],
+    scores: ScoreTable,
     tau: float | None = None,
     top_k: int | None = None,
 ) -> SimilarPairSet:
-    """Cut a sorted score list down to the similar pairs.
+    """Cut a descending score table down to the similar pairs.
 
     Exactly one of ``tau`` and ``top_k`` must be given.  Threshold mode
     keeps scores strictly above ``tau``; top-k mode keeps the first ``k``
-    entries and adopts the k-th score as the set's threshold.
+    rows and adopts the k-th score as the set's threshold.  Only the
+    kept rows become :class:`PairScore` objects.
     """
     if (tau is None) == (top_k is None):
         raise SimilarityError("exactly one of tau and top_k must be given")
-    for s1, s2 in zip(scores, scores[1:]):
-        if s2.score > s1.score:
-            raise SimilarityError("scores must be sorted descending")
+    if np.any(scores.score[1:] > scores.score[:-1]):
+        raise SimilarityError("scores must be sorted descending")
     if tau is not None:
         if not -1.0 <= tau <= 1.0:
             raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
-        kept = [p for p in scores if p.score > tau]
-        return SimilarPairSet(kept, tau)
+        return SimilarPairSet(scores.head(int(np.count_nonzero(scores.score > tau))), tau)
     if top_k < 1:
         raise SimilarityError(f"top_k must be >= 1, got {top_k}")
-    if not scores:
-        raise SimilarityError("cannot take top_k of an empty score list")
+    if not len(scores):
+        raise SimilarityError("cannot take top_k of an empty score table")
     if top_k > len(scores):
         warnings.warn(
             f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
             stacklevel=2,
         )
         top_k = len(scores)
-    kept = list(scores[:top_k])
+    kept = scores.head(top_k)
     return SimilarPairSet(kept, kept[-1].score)
 
 
-def knee_rank(values: Sequence[float]) -> int:
+def select_at_knee(scores: ScoreTable) -> SimilarPairSet:
+    """Keep every pair scoring at least the knee score of :func:`auto_threshold`.
+
+    This is the default selection.  Unlike ``select_pairs(tau=...)``, which
+    is strict, it keeps the knee pair itself and any pair tied with it;
+    the set's threshold is the knee score.
+    """
+    knee = auto_threshold(scores)
+    return select_pairs(scores, top_k=int(np.count_nonzero(scores.score >= knee)))
+
+
+def knee_rank(values: Sequence[float] | np.ndarray) -> int:
     """1-based rank of the knee of a descending curve.
 
     The knee is the point farthest above the chord joining the first and
@@ -214,49 +261,50 @@ def knee_rank(values: Sequence[float]) -> int:
     smallest rank.  A straight or constant curve has no knee; rank 1 is
     returned with a warning.
     """
-    m = len(values)
+    v = np.asarray(values, dtype=np.float64)
+    m = v.size
     if m < 3:
         raise SimilarityError("need at least 3 points to locate a knee")
-    for v1, v2 in zip(values, values[1:]):
-        if v2 > v1:
-            raise SimilarityError("curve must be non-increasing")
-    x1, y1 = 1.0, float(values[0])
-    x2, y2 = float(m), float(values[-1])
+    if np.any(v[1:] > v[:-1]):
+        raise SimilarityError("curve must be non-increasing")
+    x1, y1 = 1.0, float(v[0])
+    x2, y2 = float(m), float(v[-1])
     # Signed offset above the chord; scale-free in x and y jointly.
     length = math.hypot(x2 - x1, y2 - y1)
-    best_rank, best_off = 1, 0.0
-    for i, v in enumerate(values, 1):
-        off = ((x2 - x1) * (v - y1) - (y2 - y1) * (i - x1)) / length
-        if off > best_off:
-            best_rank, best_off = i, off
+    off = ((x2 - x1) * (v - y1) - (y2 - y1) * (np.arange(1, m + 1) - x1)) / length
+    # Only offsets above the chord count; argmax takes the first maximum.
+    above = np.where(off > 0.0, off, 0.0)
+    best = int(np.argmax(above))
+    best_off = float(above[best])
     scale = max(abs(y1), abs(y2), 1e-12)
     if best_off <= 1e-12 * scale:
         warnings.warn("curve has no knee (straight or constant); using rank 1", stacklevel=2)
         return 1
-    return best_rank
+    return best + 1
 
 
-def auto_threshold(
-    scores: Sequence[PairScore], curve_out: IO[str] | None = None
-) -> float:
+def auto_threshold(scores: ScoreTable, curve_out: IO[str] | None = None) -> float:
     """Pick the similarity threshold at the knee of the sorted score curve.
 
-    Returns the score at the knee rank, so a subsequent top-k selection at
-    that rank and a threshold selection at the returned value agree.
+    Returns the score at the knee rank.  Every pair scoring at least that
+    value is what :func:`select_at_knee` keeps; ``select_pairs(tau=...)``
+    at the returned value drops the knee pair, because it is strict.
     Optionally writes the full curve as CSV for inspection.
     """
     if curve_out is not None:
         write_score_curve(scores, curve_out)
-    rank = knee_rank([p.score for p in scores])
-    return scores[rank - 1].score
+    rank = knee_rank(scores.score)
+    return float(scores.score[rank - 1])
 
 
-def write_score_curve(scores: Sequence[PairScore], out: IO[str]) -> None:
-    """CSV dump of the sorted score list: rank, class ids, score."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "class_a", "class_b", "score"])
-    for rank, p in enumerate(scores, 1):
-        writer.writerow([rank, p.a, p.b, repr(p.score)])
+def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
+    """CSV dump of a score table: rank, class ids, score (``repr``)."""
+    rows = zip(
+        range(1, len(scores) + 1), scores.a.tolist(), scores.b.tolist(), scores.score.tolist()
+    )
+    out.write(
+        "rank,class_a,class_b,score\n" + "".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in rows)
+    )
 
 
 def serialize_pair_set(pair_set: SimilarPairSet) -> str:

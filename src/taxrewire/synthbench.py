@@ -187,17 +187,15 @@ def _check_separability(tree: Taxonomy, data: Dataset) -> None:
     from .simgraph import all_pairs_scores, class_centroids
 
     centroids = class_centroids(data, tree.leaves)
-    within: list[float] = []
-    cross: list[float] = []
-    for p in all_pairs_scores(centroids):
-        if tree.parent(p.a) == tree.parent(p.b):
-            within.append(p.score)
-        else:
-            cross.append(p.score)
-    if within and cross and min(within) <= max(cross):
+    scores = all_pairs_scores(centroids)
+    ids = np.asarray(sorted(centroids), dtype=np.int64)
+    parent = np.asarray([tree.parent(int(leaf)) for leaf in ids])
+    same = parent[np.searchsorted(ids, scores.a)] == parent[np.searchsorted(ids, scores.b)]
+    within, cross = scores.score[same], scores.score[~same]
+    if within.size and cross.size and within.min() <= cross.max():
         raise BenchError(
             f"planted groups are not separable: weakest within-group score "
-            f"{min(within):.4f} <= strongest cross-group score {max(cross):.4f}"
+            f"{within.min():.4f} <= strongest cross-group score {cross.max():.4f}"
         )
 
 

@@ -7,9 +7,11 @@ exactly, both would have to be wrong in the same way for a bug to slip
 through.
 """
 
+import csv
 import math
 
 import numpy as np
+from scipy import sparse as sp
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -69,6 +71,53 @@ def brute_cosine_pairs(centroids):
             out.append((a, b, max(-1.0, min(1.0, s))))
     out.sort(key=lambda t: (-t[2], t[0], t[1]))
     return out
+
+
+def per_pair_scores(centroids, workers=1):
+    """The per-pair scorer the score table replaced, kept as its reference.
+
+    Same CSR build, norms, scaling and sparse product ``unit[rows] @ unit.T``
+    as the package, so every score must match bit for bit; then one Python
+    entry per pair, a zero-norm test and clip per pair, and a sort with a
+    Python key.  Returns ``(a, b, score)`` tuples, best first.
+    """
+    ids = sorted(centroids)
+    dim = max((int(c.indices[-1]) for c in centroids.values() if c.nnz), default=1)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    for r, label in enumerate(ids):
+        indptr[r + 1] = indptr[r] + centroids[label].nnz
+    if indptr[-1]:
+        col = np.concatenate([centroids[label].indices - 1 for label in ids])
+        dat = np.concatenate([centroids[label].values for label in ids])
+    else:
+        col = np.array([], dtype=np.int64)
+        dat = np.array([], dtype=np.float64)
+    mat = sp.csr_matrix((dat, col, indptr), shape=(len(ids), dim))
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    scale = np.where(norms > 0.0, norms, 1.0)
+    unit = (sp.diags(1.0 / scale) @ mat).tocsr()
+
+    n = len(ids)
+    step = math.ceil(n / max(1, min(workers, n)))
+    out = []
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        gram = (unit[start:stop] @ unit.T).toarray()
+        for r in range(start, stop):
+            zero_r = norms[r] == 0.0
+            for c in range(r + 1, n):
+                s = 0.0 if zero_r or norms[c] == 0.0 else float(gram[r - start, c])
+                out.append((ids[r], ids[c], min(1.0, max(-1.0, s))))
+    out.sort(key=lambda t: (-t[2], t[0], t[1]))
+    return out
+
+
+def csv_score_curve(pairs, out):
+    """The ``csv.writer`` curve dump the one-join writer replaced."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rank", "class_a", "class_b", "score"])
+    for rank, (a, b, score) in enumerate(pairs, 1):
+        writer.writerow([rank, a, b, repr(score)])
 
 
 def brute_micro_f1(pairs):

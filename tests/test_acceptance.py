@@ -35,7 +35,7 @@ from taxrewire.learner import (
 )
 from taxrewire.metrics import hier_f1, macro_f1, micro_f1
 from taxrewire.rewire import CreateOp, MoveOp, RewireLog, replay_log, rewire_hierarchy
-from taxrewire.simgraph import all_pairs_scores, class_centroids, select_pairs
+from taxrewire.simgraph import all_pairs_scores, class_centroids, select_at_knee, select_pairs
 from taxrewire.synthbench import (
     PlantConfig,
     gen_planted,
@@ -379,10 +379,7 @@ def test_newsgroups_rewire_improves_topdown():
     test = apply_tfidf(test_raw, idf)
 
     centroids = class_centroids(train, tax.leaves)
-    scores = all_pairs_scores(centroids)
-    from taxrewire.simgraph import auto_threshold
-
-    pairs = select_pairs(scores, tau=auto_threshold(scores))
+    pairs = select_at_knee(all_pairs_scores(centroids))
     modified, _ = rewire_hierarchy(tax, pairs)
 
     expert = train_topdown(tax, train, 1.0)

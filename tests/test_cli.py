@@ -75,6 +75,9 @@ class TestArtifacts:
         curve = (s / "pairs.csv").read_text().splitlines()
         assert curve[0] == "rank,class_a,class_b,score"
         assert len(curve) == 37
+        # --auto-tau keeps the knee pair: every pair scoring at least tau
+        scores = [float(line.split(",")[3]) for line in curve[1:]]
+        assert summary["n_selected"] == sum(s >= summary["tau_selected"] for s in scores)
 
     def test_rewire_outputs_and_replay(self, pipeline):
         b, r = pipeline["bench"], pipeline["rewire"]
@@ -332,6 +335,18 @@ class TestExitCodes:
                    "--out", tmp_path / "t", "--C", "1") == 4
         assert "line 2: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "s" / "pairs.csv").exists()
+
+    @pytest.mark.parametrize("method", ["td-lr", "flat"])
+    def test_training_label_not_a_leaf(self, tmp_path, capsys, method):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:1.0\n2 2:1.0\n7 1:0.5\n0 2:0.5\n7 2:0.5\n")
+        assert run("train", "--data", data, "--hierarchy", tax, "--method", method,
+                   "--out", tmp_path / "o", "--C", "1", "--no-tfidf") == 6
+        err = capsys.readouterr().err
+        assert "2 training labels are not leaves of the hierarchy: [0, 7]" in err
+        assert not (tmp_path / "o" / "model.txt").exists()
 
     def test_fingerprint_mismatch(self, pipeline, tmp_path):
         b, t = pipeline["bench"], pipeline["train"]

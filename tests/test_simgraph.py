@@ -7,6 +7,7 @@ import pytest
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     PairScore,
+    ScoreTable,
     SimilarityError,
     SimilarPairSet,
     all_pairs_scores,
@@ -15,16 +16,21 @@ from taxrewire.simgraph import (
     cosine,
     knee_rank,
     parse_pair_set,
+    select_at_knee,
     select_pairs,
     serialize_pair_set,
     write_score_curve,
 )
 
-from reference_impls import brute_cosine_pairs, brute_knee
+from reference_impls import brute_cosine_pairs, brute_knee, csv_score_curve, per_pair_scores
 
 
 def sv(*entries):
     return make_sparse([i for i, _ in entries], [v for _, v in entries])
+
+
+def rows(table):
+    return list(zip(table.a.tolist(), table.b.tolist(), table.score.tolist()))
 
 
 class TestCosine:
@@ -75,7 +81,7 @@ class TestAllPairs:
 
     def test_matches_dense_reference(self):
         cents = self.random_centroids(3, 7)
-        got = [(p.a, p.b, p.score) for p in all_pairs_scores(cents)]
+        got = rows(all_pairs_scores(cents))
         want = brute_cosine_pairs(cents)
         assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
         for (_, _, s1), (_, _, s2) in zip(got, want):
@@ -88,14 +94,17 @@ class TestAllPairs:
             3: sv((2, 1.0)),
         }
         scores = all_pairs_scores(cents)
-        assert [(p.a, p.b) for p in scores] == [(1, 2), (1, 3), (2, 3)]
-        assert scores[0].score == pytest.approx(1.0)
+        assert [(a, b) for a, b, _ in rows(scores)] == [(1, 2), (1, 3), (2, 3)]
+        assert scores.score[0] == pytest.approx(1.0)
 
     def test_workers_do_not_change_anything(self):
         cents = self.random_centroids(9, 11)
         one = all_pairs_scores(cents, workers=1)
         four = all_pairs_scores(cents, workers=4)
-        assert one == four  # PairScore is frozen/eq, scores must be bitwise equal
+        # ids must match exactly and scores bitwise
+        assert one.a.tobytes() == four.a.tobytes()
+        assert one.b.tobytes() == four.b.tobytes()
+        assert one.score.tobytes() == four.score.tobytes()
 
     def test_needs_two_centroids(self):
         with pytest.raises(SimilarityError, match="at least 2"):
@@ -103,13 +112,60 @@ class TestAllPairs:
 
     def test_zero_norm_centroid_scores_zero(self):
         cents = {1: sv(), 2: sv((1, 1.0)), 3: sv((1, 2.0))}
-        scores = {(p.a, p.b): p.score for p in all_pairs_scores(cents)}
+        scores = {(a, b): s for a, b, s in rows(all_pairs_scores(cents))}
         assert scores[(1, 2)] == 0.0
         assert scores[(1, 3)] == 0.0
 
 
+class TestMatchesPerPairScorer:
+    """The score table against the per-pair scorer it replaced."""
+
+    def centroid_set(self, rng, n):
+        dims = int(rng.integers(1, 9))
+        labels = rng.choice(10_000, size=n, replace=False).tolist()
+        made = []
+        for _ in labels:
+            kind = int(rng.integers(5))
+            if kind == 0:
+                vec = sv()  # zero norm
+            elif kind == 1 and made:
+                vec = made[int(rng.integers(len(made)))]  # duplicate: tied scores
+            else:
+                k = int(rng.integers(1, dims + 1))
+                idx = rng.choice(np.arange(1, dims + 1), size=k, replace=False)
+                if kind == 2:
+                    vals = rng.integers(-3, 4, size=k).astype(np.float64)  # integer ties
+                else:
+                    vals = rng.uniform(-1.0, 1.0, size=k)
+                vec = make_sparse(idx, vals)
+            made.append(vec)
+        return dict(zip(labels, made))
+
+    def test_order_scores_and_curve_text_match(self):
+        rng = np.random.default_rng(2024)
+        ties = zeros = negatives = 0
+        for trial in range(240):
+            n = 2 if trial % 8 == 0 else int(rng.integers(3, 30))
+            workers = 1 + trial % 4
+            cents = self.centroid_set(rng, n)
+            table = all_pairs_scores(cents, workers=workers)
+            want = per_pair_scores(cents, workers=workers)
+            assert [(a, b) for a, b, _ in rows(table)] == [(a, b) for a, b, _ in want]
+            assert [s.hex() for s in table.score.tolist()] == [s.hex() for _, _, s in want]
+            got_csv, want_csv = io.StringIO(), io.StringIO()
+            write_score_curve(table, got_csv)
+            csv_score_curve(want, want_csv)
+            assert got_csv.getvalue() == want_csv.getvalue()
+            scores = table.score
+            ties += int(np.count_nonzero(scores[1:] == scores[:-1]))
+            zeros += int(np.count_nonzero(scores == 0.0))
+            negatives += int(np.count_nonzero(scores < 0.0))
+        assert ties and zeros and negatives  # the generator reached every case
+
+
 def descending(*vals):
-    return [PairScore(i, i + 100, v) for i, v in enumerate(vals)]
+    ids = np.arange(len(vals))
+    return ScoreTable(ids, ids + 100, np.asarray(vals, dtype=np.float64))
 
 
 class TestSelectPairs:
@@ -144,10 +200,10 @@ class TestSelectPairs:
         with pytest.raises(SimilarityError, match=">= 1"):
             select_pairs(descending(0.9), top_k=0)
         with pytest.raises(SimilarityError, match="empty"):
-            select_pairs([], top_k=1)
+            select_pairs(descending(), top_k=1)
 
     def test_unsorted_scores_rejected(self):
-        bad = [PairScore(1, 2, 0.1), PairScore(3, 4, 0.9)]
+        bad = ScoreTable([1, 3], [2, 4], [0.1, 0.9])
         with pytest.raises(SimilarityError, match="descending"):
             select_pairs(bad, tau=0.0)
 
@@ -203,6 +259,13 @@ class TestKnee:
         scores = descending(1.0, 0.95, 0.9, 0.2, 0.19, 0.18)
         assert auto_threshold(scores) == 0.9
 
+    def test_auto_selection_keeps_the_knee_pair(self):
+        kept = select_at_knee(descending(1.0, 0.95, 0.9, 0.2, 0.19, 0.18))
+        assert [p.score for p in kept] == [1.0, 0.95, 0.9]
+        assert kept.tau == 0.9
+        kept = select_at_knee(descending(1.0, 0.95, 0.9, 0.9, 0.2, 0.19, 0.18))
+        assert [p.score for p in kept] == [1.0, 0.95, 0.9, 0.9]
+
     def test_auto_threshold_writes_curve(self):
         scores = descending(1.0, 0.9, 0.1)
         buf = io.StringIO()
@@ -238,11 +301,16 @@ class TestPairSetText:
 
     def test_curve_csv_format(self):
         buf = io.StringIO()
-        write_score_curve([PairScore(1, 2, 0.5)], buf)
+        write_score_curve(ScoreTable([1], [2], [0.5]), buf)
         assert buf.getvalue() == "rank,class_a,class_b,score\n1,1,2,0.5\n"
 
 
 class TestPairScore:
+    def test_score_table_shapes_checked(self):
+        with pytest.raises(SimilarityError, match="equal length"):
+            ScoreTable([1], [2, 3], [0.5])
+        assert len(ScoreTable([1, 1], [2, 3], [0.5, 0.25])) == 2
+
     def test_orientation_and_range_checked(self):
         with pytest.raises(SimilarityError):
             PairScore(2, 1, 0.5)

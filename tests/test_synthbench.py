@@ -139,9 +139,24 @@ class TestGenPlanted:
         tree = bench.true_tree
         cents = class_centroids(bench.data, tree.leaves)
         within, cross = [], []
-        for p in all_pairs_scores(cents):
-            (within if tree.parent(p.a) == tree.parent(p.b) else cross).append(p.score)
+        scores = all_pairs_scores(cents)
+        for a, b, s in zip(scores.a.tolist(), scores.b.tolist(), scores.score.tolist()):
+            (within if tree.parent(a) == tree.parent(b) else cross).append(s)
         assert min(within) > max(cross)
+
+    def test_separability_check_rejects_overlapping_groups(self):
+        from taxrewire.corpus import Dataset, make_sparse
+        from taxrewire.synthbench import _check_separability
+        from taxrewire.taxonomy import Taxonomy
+
+        tree = Taxonomy(0, {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2})
+        vec = {3: [1, 2], 4: [1, 3], 5: [4, 5], 6: [4, 6]}
+        data = Dataset([make_sparse(i, [1.0, 0.5]) for i in vec.values()], list(vec))
+        _check_separability(tree, data)
+        vec[5] = vec[3]  # leaf 5 now matches leaf 3 across groups
+        data = Dataset([make_sparse(i, [1.0, 0.5]) for i in vec.values()], list(vec))
+        with pytest.raises(BenchError, match="not separable"):
+            _check_separability(tree, data)
 
 
 class TestOracles:

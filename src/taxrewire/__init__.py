@@ -71,10 +71,7 @@ from .synthbench import (
     PlantConfig,
     PlantedBench,
     gen_planted,
-    oracle_hier_f1,
-    oracle_lca,
     perfect_tree,
-    random_taxonomy,
 )
 from .taxonomy import Taxonomy, TaxonomyError, parse_taxonomy, serialize_taxonomy
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,11 +53,6 @@ class SparseVector:
             return 0.0
         return float(np.dot(self.values[ia], other.values[ib]))
 
-    def scaled(self, alpha: float) -> "SparseVector":
-        if alpha == 0.0:
-            return make_sparse([], [])
-        return SparseVector(self.indices, self.values * alpha)
-
 
 def make_sparse(indices: Iterable[int], values: Iterable[float]) -> SparseVector:
     """Build a SparseVector from unordered entries, dropping exact zeros."""
@@ -71,57 +66,109 @@ def make_sparse(indices: Iterable[int], values: Iterable[float]) -> SparseVector
     return SparseVector(idx, val)
 
 
-@dataclass
 class Dataset:
-    """A list of sparse instances with integer labels.
+    """Labeled instances stored once, as one CSR matrix.
 
-    ``dimensionality`` is the largest feature index present (or a larger
-    explicit bound); subsets inherit it so train/validation halves agree
-    on the feature space.
+    The matrix is n x ``dimensionality`` with 0-based columns (feature
+    index minus one), sorted indices in every row and no stored zeros;
+    row ``i`` carries label ``labels[i]``.  ``dimensionality`` is the
+    largest feature index present (or a larger explicit bound); subsets
+    inherit it so train/validation halves agree on the feature space.
+
+    The constructor is the boundary for code that builds instances one by
+    one: it stacks the :class:`SparseVector` rows once.  Library
+    transforms build their results from matrices directly.
     """
 
-    vectors: list[SparseVector]
-    labels: list[int]
-    dimensionality: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.vectors) != len(self.labels):
+    def __init__(
+        self,
+        vectors: Sequence[SparseVector],
+        labels: Sequence[int],
+        dimensionality: int = 0,
+    ) -> None:
+        vectors = list(vectors)
+        if len(vectors) != len(labels):
             raise DatasetFormatError("vectors and labels differ in length")
-        max_idx = max((int(v.indices[-1]) for v in self.vectors if v.nnz), default=0)
-        if self.dimensionality == 0:
-            self.dimensionality = max_idx
-        elif self.dimensionality < max_idx:
+        nnz = np.fromiter((v.nnz for v in vectors), dtype=np.int64, count=len(vectors))
+        indptr = np.concatenate(([0], np.cumsum(nnz)))
+        cols = np.concatenate([v.indices - 1 for v in vectors] or [np.zeros(0, np.int64)])
+        vals = np.concatenate([v.values for v in vectors] or [np.zeros(0)])
+        max_idx = int(cols.max()) + 1 if cols.size else 0
+        if dimensionality == 0:
+            dimensionality = max_idx
+        elif dimensionality < max_idx:
             raise DatasetFormatError(
-                f"dimensionality {self.dimensionality} below max feature index {max_idx}"
+                f"dimensionality {dimensionality} below max feature index {max_idx}"
             )
+        self._matrix = _csr(vals, cols, indptr, dimensionality)
+        self.labels = list(labels)
+
+    @classmethod
+    def _from_matrix(cls, matrix: sp.csr_matrix, labels: list[int]) -> "Dataset":
+        """Wrap a CSR matrix that already holds the invariants above."""
+        data = cls.__new__(cls)
+        data._matrix = matrix
+        data.labels = labels
+        return data
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def dimensionality(self) -> int:
+        return int(self._matrix.shape[1])
+
+    @property
+    def vectors(self) -> list[SparseVector]:
+        """The instances as :class:`SparseVector` rows, built on each access."""
+        m = self._matrix
+        cols = m.indices.astype(np.int64) + 1
+        vals = m.data.astype(np.float64)
+        ptr = m.indptr.tolist()
+        return [SparseVector(cols[s:e], vals[s:e]) for s, e in zip(ptr, ptr[1:])]
+
+    def to_csr(self) -> sp.csr_matrix:
+        """The stored matrix itself, not a copy: callers must not modify it."""
+        return self._matrix
+
     def label_counts(self) -> dict[int, int]:
-        return dict(Counter(self.labels))
+        labels, counts = np.unique(np.asarray(self.labels, dtype=np.int64), return_counts=True)
+        return dict(zip(labels.tolist(), counts.tolist()))
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
-        return Dataset(
-            [self.vectors[i] for i in indices],
-            [self.labels[i] for i in indices],
-            self.dimensionality,
+        rows = np.asarray(indices, dtype=np.intp)
+        return Dataset._from_matrix(
+            self._matrix[rows], [self.labels[i] for i in rows.tolist()]
         )
 
-    def to_csr(self, dimensionality: int | None = None) -> sp.csr_matrix:
-        """Instances as a CSR matrix with 0-based columns."""
-        dim = self.dimensionality if dimensionality is None else dimensionality
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for i, v in enumerate(self.vectors):
-            indptr[i + 1] = indptr[i] + v.nnz
-        if self.n:
-            indices = np.concatenate([v.indices - 1 for v in self.vectors])
-            data = np.concatenate([v.values for v in self.vectors])
-        else:
-            indices = np.array([], dtype=np.int64)
-            data = np.array([], dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, dim))
+
+def _csr(values, cols, indptr, dimensionality: int) -> sp.csr_matrix:
+    """A CSR matrix from entries already in row order, sorted within each row."""
+    return sp.csr_matrix(
+        (np.asarray(values, dtype=np.float64), np.asarray(cols, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, dimensionality),
+    )
+
+
+def _row_norms(m: sp.csr_matrix) -> np.ndarray:
+    """``np.sqrt(np.dot(row, row))`` for every row of ``m``, bit for bit.
+
+    Rows of equal length are gathered into one block and reduced by a
+    stacked ``(1, k) @ (k, 1)`` matmul, which numpy evaluates with the
+    same dot kernel as ``np.dot`` on each row.  A segmented sum would add
+    in another order and change the last bits of the weights.
+    """
+    lengths = np.diff(m.indptr)
+    out = np.zeros(m.shape[0])
+    order = np.argsort(lengths, kind="stable")
+    ks, starts = np.unique(lengths[order], return_index=True)
+    for k, rows in zip(ks.tolist(), np.split(order, starts[1:])):
+        if k:
+            block = m.data[m.indptr[rows][:, None] + np.arange(k)]
+            out[rows] = np.sqrt(np.matmul(block[:, None, :], block[:, :, None]).ravel())
+    return out
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -131,8 +178,9 @@ def parse_dataset(text: str) -> Dataset:
     number.  Stored zeros are dropped on input so the no-zero invariant
     holds for data regardless of origin.
     """
-    vectors: list[SparseVector] = []
     labels: list[int] = []
+    # Typed buffers hold every entry without a Python object per value.
+    indptr, cols, vals = array("q", [0]), array("q"), array("d")
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -142,8 +190,6 @@ def parse_dataset(text: str) -> Dataset:
             label = int(parts[0])
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric label {parts[0]!r}") from None
-        idx: list[int] = []
-        val: list[float] = []
         prev = 0
         for tok in parts[1:]:
             try:
@@ -159,31 +205,34 @@ def parse_dataset(text: str) -> Dataset:
                 )
             prev = i
             if v != 0.0:
-                idx.append(i)
-                val.append(v)
-        vectors.append(SparseVector(np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.float64)))
+                cols.append(i - 1)
+                vals.append(v)
+        indptr.append(len(cols))
         labels.append(label)
-    if not vectors:
+    if not labels:
         raise DatasetFormatError("dataset is empty")
-    return Dataset(vectors, labels)
+    cols_arr = np.frombuffer(cols, dtype=np.int64)
+    dimensionality = int(cols_arr.max()) + 1 if cols_arr.size else 0
+    return Dataset._from_matrix(_csr(vals, cols_arr, indptr, dimensionality), labels)
 
 
 def serialize_dataset(data: Dataset) -> str:
     """Inverse of :func:`parse_dataset`; values rendered with ``repr`` round-trip bitwise."""
+    m = data.to_csr()
+    cols, ptr = m.indices + 1, m.indptr.tolist()
     lines = []
-    for v, label in zip(data.vectors, data.labels):
-        entries = " ".join(f"{int(i)}:{float(x)!r}" for i, x in zip(v.indices, v.values))
+    for label, s, e in zip(data.labels, ptr, ptr[1:]):
+        entries = " ".join(f"{i}:{x!r}" for i, x in zip(cols[s:e].tolist(), m.data[s:e].tolist()))
         lines.append(f"{label} {entries}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def compute_idf(data: Dataset) -> dict[int, float]:
     """Inverse document frequency ln(N / df) per feature, from this corpus only."""
-    df: Counter[int] = Counter()
-    for v in data.vectors:
-        df.update(int(i) for i in v.indices)
+    df = np.bincount(data.to_csr().indices)
+    present = np.flatnonzero(df)
     n = data.n
-    return {i: math.log(n / c) for i, c in sorted(df.items())}
+    return {i + 1: math.log(n / c) for i, c in zip(present.tolist(), df[present].tolist())}
 
 
 def serialize_idf(idf: dict[int, float]) -> str:
@@ -192,6 +241,7 @@ def serialize_idf(idf: dict[int, float]) -> str:
 
 
 def parse_idf(text: str) -> dict[int, float]:
+    """Inverse of :func:`serialize_idf`; non-finite weights are rejected by line."""
     out: dict[int, float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -201,9 +251,12 @@ def parse_idf(text: str) -> dict[int, float]:
         try:
             if len(parts) != 2:
                 raise ValueError
-            out[int(parts[0])] = float(parts[1])
+            index, weight = int(parts[0]), float(parts[1])
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: expected 'index idf'") from None
+        if not math.isfinite(weight):
+            raise DatasetFormatError(f"line {lineno}: non-finite idf {parts[1]!r}")
+        out[index] = weight
     return out
 
 
@@ -214,22 +267,21 @@ def apply_tfidf(data: Dataset, idf: dict[int, float]) -> Dataset:
     features whose idf is 0 (present in every document).  All-zero vectors
     are left empty rather than normalized.
     """
-    out: list[SparseVector] = []
-    for v in data.vectors:
-        idx: list[int] = []
-        val: list[float] = []
-        for i, x in zip(v.indices, v.values):
-            w = idf.get(int(i))
-            if w is None or w == 0.0:
-                continue
-            idx.append(int(i))
-            val.append(float(x) * w)
-        sv = make_sparse(idx, val)
-        nrm = sv.norm()
-        if nrm > 0.0:
-            sv = sv.scaled(1.0 / nrm)
-        out.append(sv)
-    return Dataset(out, list(data.labels), data.dimensionality)
+    m = data.to_csr()
+    dim = m.shape[1]
+    weights = np.zeros(dim)
+    keys = np.fromiter(idf, dtype=np.int64, count=len(idf))
+    inside = (keys >= 1) & (keys <= dim)
+    weights[keys[inside] - 1] = np.fromiter(idf.values(), dtype=np.float64, count=len(idf))[inside]
+    out = sp.csr_matrix(
+        (m.data * weights[m.indices], m.indices.copy(), m.indptr.copy()), shape=m.shape
+    )
+    out.eliminate_zeros()
+    norms = _row_norms(out)
+    scale = 1.0 / np.where(norms > 0.0, norms, 1.0)
+    out.data *= np.repeat(scale, np.diff(out.indptr))
+    out.eliminate_zeros()
+    return Dataset._from_matrix(out, list(data.labels))
 
 
 def tfidf_normalize(data: Dataset) -> Dataset:
@@ -267,7 +319,9 @@ def split_train_validation(
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
     if a.dimensionality != b.dimensionality:
         raise DatasetFormatError("cannot concatenate datasets of different dimensionality")
-    return Dataset(a.vectors + b.vectors, a.labels + b.labels, a.dimensionality)
+    return Dataset._from_matrix(
+        sp.vstack([a.to_csr(), b.to_csr()], format="csr"), a.labels + b.labels
+    )
 
 
 def with_constant_feature(data: Dataset, index: int) -> Dataset:
@@ -280,10 +334,13 @@ def with_constant_feature(data: Dataset, index: int) -> Dataset:
     """
     if index < 1:
         raise DatasetFormatError(f"feature index must be >= 1, got {index}")
-    out = []
-    for v in data.vectors:
-        keep = v.indices < index
-        idx = np.append(v.indices[keep], np.int64(index))
-        val = np.append(v.values[keep], 1.0)
-        out.append(SparseVector(idx, val))
-    return Dataset(out, list(data.labels), index)
+    m = data.to_csr()
+    n = data.n
+    keep = m.indices < index - 1
+    rows = np.concatenate([np.repeat(np.arange(n), np.diff(m.indptr))[keep], np.arange(n)])
+    # A stable sort by row puts each row's constant after its kept entries.
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate([m.indices[keep], np.full(n, index - 1)])[order]
+    vals = np.concatenate([m.data[keep], np.ones(n)])[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return Dataset._from_matrix(_csr(vals, cols, indptr, index), list(data.labels))

@@ -144,7 +144,8 @@ def lr_objective_gradient(
 
 
 def _binary_labels(data: Dataset, positives: frozenset[int]) -> np.ndarray:
-    return np.asarray([1.0 if y in positives else -1.0 for y in data.labels])
+    pos = np.fromiter(positives, dtype=np.int64, count=len(positives))
+    return np.where(np.isin(np.asarray(data.labels, dtype=np.int64), pos), 1.0, -1.0)
 
 
 def train_node(
@@ -156,7 +157,6 @@ def train_node(
     *,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
-    features: sp.csr_matrix | None = None,
     positives: frozenset[int] | None = None,
 ) -> NodeModel:
     """Fit the binary model of one node.
@@ -164,7 +164,7 @@ def train_node(
     Positives are instances labeled with a leaf of the node's subtree
     (for a leaf node, the leaf itself).  A node with no positive training
     instance is still fit (all-negative) but reported with a warning.
-    ``features`` and ``positives`` may be precomputed by batch trainers.
+    ``positives`` may be precomputed by batch trainers.
     """
     if node not in tax:
         raise LearnerError(f"unknown node {node}")
@@ -172,8 +172,7 @@ def train_node(
         raise LearnerError("the root has no model")
     if positives is None:
         positives = tax.subtree_leaves(node)
-    if features is None:
-        features = train.to_csr()
+    features = train.to_csr()
     y = _binary_labels(train, positives)
     if not np.any(y > 0):
         warnings.warn(f"node {node} has no positive training instances", stacklevel=2)
@@ -204,8 +203,6 @@ def _train_many(
     grad_tol: float,
     max_iter: int,
 ) -> dict[int, NodeModel]:
-    features = train.to_csr()
-
     def c_of(node: int) -> float:
         if isinstance(c, Mapping):
             try:
@@ -217,8 +214,7 @@ def _train_many(
     def fit(node: int) -> NodeModel:
         return train_node(
             tax, node, train, c_of(node), costs,
-            grad_tol=grad_tol, max_iter=max_iter,
-            features=features, positives=positives_of[node],
+            grad_tol=grad_tol, max_iter=max_iter, positives=positives_of[node],
         )
 
     if workers > 1:
@@ -468,19 +464,17 @@ def tune_c(
             n: (tax.subtree_leaves(n) if mode == "td-lr" else frozenset((n,)))
             for n in nodes
         }
+        features = validation.to_csr()
         best_per_node: dict[int, float] = {}
         for node in nodes:
             y = _binary_labels(validation, positives_of[node])
-            node_best, node_acc = grid[0], -1.0
+            node_best, node_hits = grid[0], -1
             for g in grid:
-                model = candidates[g].models[node]
-                hits = sum(
-                    1 for x, yy in zip(validation.vectors, y)
-                    if node_decision(model, x) == yy
-                )
-                acc = hits / validation.n
-                if acc > node_acc:
-                    node_best, node_acc = g, acc
+                # Decision +1 on the boundary and above, as in node_decision.
+                margins = features @ candidates[g].models[node].theta
+                hits = int(np.count_nonzero((margins >= 0.0) == (y > 0.0)))
+                if hits > node_hits:
+                    node_best, node_hits = g, hits
             best_per_node[node] = node_best
         scores: dict[float, float] = {}
         final = trainer(tax, merged, best_per_node, merged_costs, **kwargs)
@@ -579,6 +573,8 @@ def parse_model_set(text: str) -> ModelSet:
                 i, w = int(i_str), float(w_str)
             except ValueError:
                 raise LearnerError(f"line {lineno}: malformed entry {tok!r}") from None
+            if not math.isfinite(w):
+                raise LearnerError(f"line {lineno}: non-finite weight in {tok!r}")
             if i <= prev or i > dim:
                 raise LearnerError(f"line {lineno}: bad weight index {i}")
             prev = i

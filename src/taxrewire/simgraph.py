@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse as sp
 
-from .corpus import Dataset, SparseVector, make_sparse
+from .corpus import Dataset, SparseVector
 
 
 class SimilarityError(ValueError):
@@ -116,31 +117,35 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> dict[int, SparseVec
     """Mean training vector per leaf class.
 
     Leaves with no instances cannot be scored; they are excluded with a
-    warning rather than silently producing zero centroids.
+    warning rather than silently producing zero centroids.  Each sum is
+    taken in instance order and divided by the class count, so a centroid
+    is exactly what summing its rows one by one and dividing gives.
     """
     wanted = set(leaves)
-    sums: dict[int, dict[int, float]] = {}
-    counts: dict[int, int] = {}
-    for vec, label in zip(data.vectors, data.labels):
-        if label not in wanted:
-            continue
-        acc = sums.setdefault(label, {})
-        for i, x in zip(vec.indices, vec.values):
-            acc[int(i)] = acc.get(int(i), 0.0) + float(x)
-        counts[label] = counts.get(label, 0) + 1
-    missing = sorted(wanted - set(counts))
+    labels = np.asarray(data.labels, dtype=np.int64)
+    ids = np.asarray(sorted(wanted.intersection(labels.tolist())), dtype=np.int64)
+    missing = sorted(wanted.difference(ids.tolist()))
     if missing:
         warnings.warn(
             f"{len(missing)} leaf classes have no training instances and are "
             f"excluded from pairing: {missing[:10]}",
             stacklevel=2,
         )
-    out: dict[int, SparseVector] = {}
-    for label in sorted(counts):
-        acc = sums[label]
-        n = counts[label]
-        out[label] = make_sparse(acc.keys(), [x / n for x in acc.values()])
-    return out
+    members = np.flatnonzero(np.isin(labels, ids))
+    group = np.searchsorted(ids, labels[members])
+    counts = np.bincount(group, minlength=ids.size)
+    # One row per class selecting its instances in instance order.
+    indicator = sp.csr_matrix(
+        (np.ones(members.size), members[np.argsort(group, kind="stable")],
+         np.concatenate(([0], np.cumsum(counts)))),
+        shape=(ids.size, data.n),
+    )
+    sums = (indicator @ data.to_csr()).tocsr()
+    sums.sort_indices()
+    sums.data /= np.repeat(counts, np.diff(sums.indptr))
+    sums.eliminate_zeros()
+    labels_out = ids.tolist()
+    return dict(zip(labels_out, Dataset._from_matrix(sums, labels_out).vectors))
 
 
 def all_pairs_scores(
@@ -158,8 +163,6 @@ def all_pairs_scores(
     if len(ids) < 2:
         raise SimilarityError("need at least 2 class centroids to form pairs")
     dim = max((int(c.indices[-1]) for c in centroids.values() if c.nnz), default=1)
-    from scipy import sparse as sp
-
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
     for r, label in enumerate(ids):
         indptr[r + 1] = indptr[r] + centroids[label].nnz

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as sp
 
-from .corpus import Dataset, SparseVector
-from .simgraph import PairScore, SimilarPairSet
+from .corpus import Dataset
 from .taxonomy import Taxonomy
 
 
@@ -135,17 +135,15 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
         leaf: (lo if lo == hi else int(rng.integers(lo, hi + 1))) for leaf in leaves
     }
 
-    vectors: list[SparseVector] = []
+    rows: list[np.ndarray] = []
     labels: list[int] = []
-    all_indices = np.arange(1, config.dims + 1, dtype=np.int64)
     for leaf in leaves:
         for _ in range(counts[leaf]):
             x = centroids[leaf] + config.noise * _unit(rng, config.dims)
-            x = x / np.linalg.norm(x)
-            keep = x != 0.0
-            vectors.append(SparseVector(all_indices[keep], x[keep]))
+            rows.append(x / np.linalg.norm(x))
             labels.append(leaf)
-    data = Dataset(vectors, labels, config.dims)
+    dense = np.asarray(rows).reshape(len(labels), config.dims)
+    data = Dataset._from_matrix(sp.csr_matrix(dense), labels)
 
     parents = sorted({tree.parent(leaf) for leaf in leaves})
     remaining = {p: sum(1 for leaf in leaves if tree.parent(leaf) == p) for p in parents}
@@ -197,67 +195,3 @@ def _check_separability(tree: Taxonomy, data: Dataset) -> None:
             f"planted groups are not separable: weakest within-group score "
             f"{within.min():.4f} <= strongest cross-group score {cross.max():.4f}"
         )
-
-
-def oracle_lca(tax: Taxonomy, a: int, b: int) -> int:
-    """Reference lowest common ancestor: intersect full root paths, take the deepest.
-
-    Deliberately naive; used by equivalence tests against the tree's own
-    lockstep-walk implementation.
-    """
-    path_a = tax.path_to_root(a)
-    path_b = set(tax.path_to_root(b))
-    common = [n for n in path_a if n in path_b]
-    return max(common, key=lambda n: len(tax.path_to_root(n)))
-
-
-def oracle_hier_f1(pairs, tax: Taxonomy) -> float:
-    """Reference ancestor-overlap F1 with ancestor lists materialized per pair."""
-    if not pairs:
-        raise BenchError("no pairs to score")
-    overlap = 0
-    n_pred = 0
-    n_true = 0
-    for true, pred in pairs:
-        true_set = [n for n in tax.path_to_root(true) if n != tax.root]
-        pred_set = [n for n in tax.path_to_root(pred) if n != tax.root]
-        overlap += sum(1 for n in pred_set if n in true_set)
-        n_pred += len(pred_set)
-        n_true += len(true_set)
-    precision = overlap / n_pred if n_pred else 0.0
-    recall = overlap / n_true if n_true else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    if precision == recall:
-        return precision
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def random_taxonomy(rng: np.random.Generator, n_nodes: int, names: bool = False) -> Taxonomy:
-    """Random rooted tree on ids 0..n_nodes-1 (0 is the root); test fodder."""
-    if n_nodes < 1:
-        raise BenchError("need at least one node")
-    parent_of = {v: int(rng.integers(0, v)) for v in range(1, n_nodes)}
-    table = {v: f"n{v}" for v in range(n_nodes)} if names else None
-    return Taxonomy(0, parent_of, table)
-
-
-def random_pair_set(
-    rng: np.random.Generator, tax: Taxonomy, max_pairs: int | None = None
-) -> SimilarPairSet:
-    """Random subset of leaf pairs with random descending scores; test fodder."""
-    leaves = sorted(tax.leaves)
-    all_pairs = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
-    if not all_pairs:
-        return SimilarPairSet([], tau=1.0)
-    cap = len(all_pairs) if max_pairs is None else min(max_pairs, len(all_pairs))
-    k = int(rng.integers(0, cap + 1))
-    chosen = sorted(rng.permutation(len(all_pairs))[:k])
-    scores = np.sort(rng.uniform(-1.0, 1.0, size=k))[::-1]
-    pairs = [
-        PairScore(all_pairs[i][0], all_pairs[i][1], float(s))
-        for i, s in zip(chosen, scores)
-    ]
-    pairs.sort(key=lambda p: (-p.score, p.a, p.b))
-    tau = pairs[-1].score if pairs else 1.0
-    return SimilarPairSet(pairs, tau)

@@ -9,9 +9,15 @@ through.
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 from scipy import sparse as sp
+
+from taxrewire.corpus import SparseVector, make_sparse
+from taxrewire.simgraph import PairScore, SimilarPairSet
+from taxrewire.synthbench import BenchError
+from taxrewire.taxonomy import Taxonomy
 
 
 def fd_gradient(fun, x, h=1e-6):
@@ -185,3 +191,139 @@ def round_by_round_collapse(tax, class_leaves=None):
         child, parent = tax.children(node)[0], tax.parent(node)
         ops.append((node, child, parent))
         tax = tax.reparent(child, parent).remove_childless(node)
+
+
+def oracle_lca(tax: Taxonomy, a: int, b: int) -> int:
+    """Reference lowest common ancestor: intersect full root paths, take the deepest.
+
+    Deliberately naive; used by equivalence tests against the tree's own
+    lockstep-walk implementation.
+    """
+    path_a = tax.path_to_root(a)
+    path_b = set(tax.path_to_root(b))
+    common = [n for n in path_a if n in path_b]
+    return max(common, key=lambda n: len(tax.path_to_root(n)))
+
+
+def oracle_hier_f1(pairs, tax: Taxonomy) -> float:
+    """Reference ancestor-overlap F1 with ancestor lists materialized per pair."""
+    if not pairs:
+        raise BenchError("no pairs to score")
+    overlap = 0
+    n_pred = 0
+    n_true = 0
+    for true, pred in pairs:
+        true_set = [n for n in tax.path_to_root(true) if n != tax.root]
+        pred_set = [n for n in tax.path_to_root(pred) if n != tax.root]
+        overlap += sum(1 for n in pred_set if n in true_set)
+        n_pred += len(pred_set)
+        n_true += len(true_set)
+    precision = overlap / n_pred if n_pred else 0.0
+    recall = overlap / n_true if n_true else 0.0
+    if precision + recall == 0.0:
+        return 0.0
+    if precision == recall:
+        return precision
+    return 2.0 * precision * recall / (precision + recall)
+
+
+def random_taxonomy(rng: np.random.Generator, n_nodes: int, names: bool = False) -> Taxonomy:
+    """Random rooted tree on ids 0..n_nodes-1 (0 is the root); test fodder."""
+    if n_nodes < 1:
+        raise BenchError("need at least one node")
+    parent_of = {v: int(rng.integers(0, v)) for v in range(1, n_nodes)}
+    table = {v: f"n{v}" for v in range(n_nodes)} if names else None
+    return Taxonomy(0, parent_of, table)
+
+
+def random_pair_set(
+    rng: np.random.Generator, tax: Taxonomy, max_pairs: int | None = None
+) -> SimilarPairSet:
+    """Random subset of leaf pairs with random descending scores; test fodder."""
+    leaves = sorted(tax.leaves)
+    all_pairs = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
+    if not all_pairs:
+        return SimilarPairSet([], tau=1.0)
+    cap = len(all_pairs) if max_pairs is None else min(max_pairs, len(all_pairs))
+    k = int(rng.integers(0, cap + 1))
+    chosen = sorted(rng.permutation(len(all_pairs))[:k])
+    scores = np.sort(rng.uniform(-1.0, 1.0, size=k))[::-1]
+    pairs = [
+        PairScore(all_pairs[i][0], all_pairs[i][1], float(s))
+        for i, s in zip(chosen, scores)
+    ]
+    pairs.sort(key=lambda p: (-p.score, p.a, p.b))
+    tau = pairs[-1].score if pairs else 1.0
+    return SimilarPairSet(pairs, tau)
+
+
+# ----------------------------------------------------------------------
+# Per-row dataset transforms: the loops the CSR-matrix versions replaced.
+# Each takes and returns SparseVector rows (1-based indices).
+
+
+def per_row_to_csr(vectors, dimensionality):
+    """Rows stacked into a CSR matrix with 0-based columns, one row at a time."""
+    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+    for i, v in enumerate(vectors):
+        indptr[i + 1] = indptr[i] + v.nnz
+    if vectors:
+        indices = np.concatenate([v.indices - 1 for v in vectors])
+        data = np.concatenate([v.values for v in vectors])
+    else:
+        indices = np.array([], dtype=np.int64)
+        data = np.array([], dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(vectors), dimensionality))
+
+
+def per_row_compute_idf(vectors):
+    df = Counter()
+    for v in vectors:
+        df.update(int(i) for i in v.indices)
+    n = len(vectors)
+    return {i: math.log(n / c) for i, c in sorted(df.items())}
+
+
+def per_row_apply_tfidf(vectors, idf):
+    out = []
+    for v in vectors:
+        idx, val = [], []
+        for i, x in zip(v.indices, v.values):
+            w = idf.get(int(i))
+            if w is None or w == 0.0:
+                continue
+            idx.append(int(i))
+            val.append(float(x) * w)
+        sv = make_sparse(idx, val)
+        nrm = sv.norm()
+        if nrm > 0.0:
+            sv = SparseVector(sv.indices, sv.values * (1.0 / nrm))
+        out.append(sv)
+    return out
+
+
+def per_row_with_constant_feature(vectors, index):
+    out = []
+    for v in vectors:
+        keep = v.indices < index
+        out.append(SparseVector(
+            np.append(v.indices[keep], np.int64(index)), np.append(v.values[keep], 1.0)
+        ))
+    return out
+
+
+def per_row_class_centroids(vectors, labels, leaves):
+    """Per-class dict sums in instance order, each divided by the class count."""
+    wanted = set(leaves)
+    sums, counts = {}, {}
+    for vec, label in zip(vectors, labels):
+        if label not in wanted:
+            continue
+        acc = sums.setdefault(label, {})
+        for i, x in zip(vec.indices, vec.values):
+            acc[int(i)] = acc.get(int(i), 0.0) + float(x)
+        counts[label] = counts.get(label, 0) + 1
+    return {
+        label: make_sparse(sums[label].keys(), [x / counts[label] for x in sums[label].values()])
+        for label in sorted(counts)
+    }

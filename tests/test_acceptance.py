@@ -36,18 +36,16 @@ from taxrewire.learner import (
 from taxrewire.metrics import hier_f1, macro_f1, micro_f1
 from taxrewire.rewire import CreateOp, MoveOp, RewireLog, replay_log, rewire_hierarchy
 from taxrewire.simgraph import all_pairs_scores, class_centroids, select_at_knee, select_pairs
-from taxrewire.synthbench import (
-    PlantConfig,
-    gen_planted,
+from taxrewire.synthbench import PlantConfig, gen_planted, perfect_tree
+from taxrewire.taxonomy import parse_taxonomy
+
+from reference_impls import (
+    fd_gradient,
     oracle_hier_f1,
     oracle_lca,
-    perfect_tree,
     random_pair_set,
     random_taxonomy,
 )
-from taxrewire.taxonomy import parse_taxonomy
-
-from reference_impls import fd_gradient
 
 
 def checklist(tag):

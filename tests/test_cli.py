@@ -336,6 +336,37 @@ class TestExitCodes:
         assert "line 2: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "s" / "pairs.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_idf_value(self, tmp_path, capsys, value):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:2.0 3:1.0\n1 1:3.0 3:2.0\n2 2:2.0 3:1.0\n2 2:1.0 3:3.0\n")
+        assert run("train", "--data", data, "--hierarchy", tax, "--out", tmp_path / "t",
+                   "--method", "flat", "--C", "5") == 0
+        idf = tmp_path / "t" / "idf.txt"
+        lines = idf.read_text().splitlines()
+        lines[1] = f"{lines[1].split()[0]} {value}"
+        idf.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
+                   "--idf", idf, "--out", tmp_path / "p") == 4
+        assert "line 2: non-finite idf" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "predictions.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_model_weight(self, pipeline, tmp_path, capsys, value):
+        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        node, entry, *rest = lines[first].split()
+        lines[first] = " ".join([node, f"{entry.split(':')[0]}:{value}", *rest])
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert f"line {first + 1}: non-finite weight" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "predictions.txt").exists()
+
     @pytest.mark.parametrize("method", ["td-lr", "flat"])
     def test_training_label_not_a_leaf(self, tmp_path, capsys, method):
         tax = tmp_path / "h.edges"

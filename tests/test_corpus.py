@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ from taxrewire.corpus import (
     split_train_validation,
     tfidf_normalize,
     with_constant_feature,
+)
+from taxrewire.simgraph import class_centroids
+
+from reference_impls import (
+    per_row_apply_tfidf,
+    per_row_class_centroids,
+    per_row_compute_idf,
+    per_row_to_csr,
+    per_row_with_constant_feature,
 )
 
 
@@ -49,11 +59,6 @@ class TestSparseVector:
         assert u.norm() == 5.0
         assert u.dot(sv((2, 2.0), (5, 9.0))) == 8.0
         assert u.dot(sv((7, 1.0))) == 0.0
-
-    def test_scaled(self):
-        u = sv((1, 2.0))
-        assert list(u.scaled(0.5).values) == [1.0]
-        assert u.scaled(0.0).nnz == 0
 
 
 class TestDataset:
@@ -156,6 +161,11 @@ class TestTfidf:
         with pytest.raises(DatasetFormatError, match="line 1"):
             parse_idf("1 2 3\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_parse_idf_rejects_non_finite(self, value):
+        with pytest.raises(DatasetFormatError, match="line 2: non-finite idf"):
+            parse_idf(f"1 0.5\n2 {value}\n")
+
 
 class TestSplit:
     def make(self, n):
@@ -233,8 +243,6 @@ class TestConcatAndBias:
     st.integers(min_value=0, max_value=10_000),
 )
 def test_split_is_a_partition(n, ratio, seed):
-    import warnings
-
     data = Dataset([sv((1, float(i + 1))) for i in range(n)], list(range(n)))
     with warnings.catch_warnings():
         # high ratios on tiny n legitimately empty the validation side
@@ -280,3 +288,84 @@ def test_dataset_text_round_trip(rows):
     for u, v in zip(again.vectors, data.vectors):
         assert np.array_equal(u.indices, v.indices)
         assert np.array_equal(u.values, v.values)
+
+
+def assert_rows_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert u.indices.tolist() == v.indices.tolist()
+        assert u.values.tobytes() == v.values.tobytes()
+
+
+def random_rows(rng):
+    """Rows mixing empty ones, small integer counts and floats over six
+    orders of magnitude, up to 60 entries long so dot products run past
+    the vectorised part of the BLAS kernel."""
+    dim = int(rng.integers(1, 90))
+    rows = []
+    for _ in range(int(rng.integers(1, 30))):
+        k = 0 if rng.random() < 0.15 else int(rng.integers(1, min(dim, 60) + 1))
+        idx = rng.choice(np.arange(1, dim + 1), size=k, replace=False)
+        if rng.random() < 0.5:
+            val = rng.integers(1, 6, size=k).astype(np.float64)
+        else:
+            val = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, size=k)
+        rows.append(make_sparse(idx, val))
+    return rows, dim
+
+
+class TestMatchesPerRowReference:
+    """The matrix transforms against the per-row loops they replaced."""
+
+    def test_transforms_match_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            rows, dim = random_rows(rng)
+            top = max((int(v.indices[-1]) for v in rows if v.nnz), default=0)
+            # A row whose only feature gets idf 0, one whose only feature is
+            # missing from the table, and one beyond the table.
+            idf = per_row_compute_idf(rows)
+            if top:
+                zeroed, dropped = int(rng.integers(1, top + 1)), int(rng.integers(1, top + 1))
+                rows += [make_sparse([zeroed], [2.0]), make_sparse([dropped], [3.0])]
+                idf[zeroed] = 0.0
+                idf.pop(dropped, None)
+                beyond = top + int(rng.integers(1, 5))
+                rows.append(make_sparse([1, beyond], [1.0, 4.0]))
+                dim = max(dim, beyond)
+            idf.update({0: 5.0, -3: 1.0})  # keys that never match a feature
+            if rng.random() < 0.5:
+                idf[dim + 7] = 2.0
+            labels = [int(x) for x in rng.integers(0, 9, size=len(rows))]
+            leaves = [int(x) for x in rng.choice(11, size=int(rng.integers(1, 11)), replace=False)]
+            data = Dataset(rows, labels, dim)
+
+            m, ref = data.to_csr(), per_row_to_csr(rows, dim)
+            assert m.shape == ref.shape
+            assert m.indptr.tolist() == ref.indptr.tolist()
+            assert m.indices.tolist() == ref.indices.tolist()
+            assert m.data.tobytes() == ref.data.tobytes()
+
+            got_idf, want_idf = compute_idf(data), per_row_compute_idf(rows)
+            assert list(got_idf) == list(want_idf)
+            assert [float.hex(v) for v in got_idf.values()] == [
+                float.hex(v) for v in want_idf.values()
+            ]
+
+            weighted = apply_tfidf(data, idf)
+            assert weighted.dimensionality == dim
+            assert_rows_bitwise_equal(weighted.vectors, per_row_apply_tfidf(rows, idf))
+
+            for index in {dim + 1, max(top, 1), int(rng.integers(1, max(top, 1) + 1))}:
+                out = with_constant_feature(data, index)
+                assert out.dimensionality == index
+                assert_rows_bitwise_equal(out.vectors, per_row_with_constant_feature(rows, index))
+
+            for source in (data, weighted):
+                vectors = source.vectors
+                want = per_row_class_centroids(vectors, labels, leaves)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # leaves with no instances
+                    got = class_centroids(source, leaves)
+                assert list(got) == list(want)
+                assert_rows_bitwise_equal(list(got.values()), list(want.values()))

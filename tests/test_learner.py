@@ -317,6 +317,23 @@ class TestTuning:
         assert set(result.best_c.values()) <= {0.5, 2.0}
         assert isinstance(result.model_set.c, dict)
 
+    def test_per_node_choice_matches_per_instance_decisions(self, letter_tree):
+        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.6, seed=2)
+        val = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2, jitter=0.9, seed=5)
+        grid = (0.01, 0.3, 30.0)
+        result = tune_c(letter_tree, train, val, grid=grid, mode="td-lr", per_node=True)
+        candidates = {g: train_topdown(letter_tree, train, g) for g in grid}
+        for node, chosen in result.best_c.items():
+            positives = letter_tree.subtree_leaves(node)
+            hits = {
+                g: sum(
+                    node_decision(candidates[g].models[node], x) == (1 if y in positives else -1)
+                    for x, y in zip(val.vectors, val.labels)
+                )
+                for g in grid
+            }
+            assert chosen == min(g for g in grid if hits[g] == max(hits.values()))
+
 
 class TestSerialization:
     def test_round_trip_is_bitwise(self, letter_tree):
@@ -367,6 +384,10 @@ class TestSerialization:
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5\n0 2:0.5\n", "duplicate"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1=0.5\n", "malformed"),
             ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 2:nan\n",
+             "line 5: non-finite weight"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:-inf\n",
+             "line 5: non-finite weight"),
         ],
     )
     def test_parse_rejects(self, text, msg):

@@ -16,11 +16,15 @@ from taxrewire.rewire import (
     rewire_flags,
     rewire_hierarchy,
 )
-from taxrewire.synthbench import random_pair_set, random_taxonomy
 from taxrewire.taxonomy import TaxonomyError, parse_taxonomy
 
 from conftest import LETTER_EDGES, pair_set
-from reference_impls import round_by_round_collapse, round_by_round_delete_sweep
+from reference_impls import (
+    random_pair_set,
+    random_taxonomy,
+    round_by_round_collapse,
+    round_by_round_delete_sweep,
+)
 
 
 def apply_one(tax, op):

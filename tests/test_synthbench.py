@@ -3,17 +3,10 @@ import pytest
 
 from taxrewire.corpus import serialize_dataset
 from taxrewire.metrics import hier_f1
-from taxrewire.synthbench import (
-    BenchError,
-    PlantConfig,
-    gen_planted,
-    oracle_hier_f1,
-    oracle_lca,
-    perfect_tree,
-    random_pair_set,
-    random_taxonomy,
-)
+from taxrewire.synthbench import BenchError, PlantConfig, gen_planted, perfect_tree
 from taxrewire.taxonomy import serialize_taxonomy
+
+from reference_impls import oracle_hier_f1, oracle_lca, random_pair_set, random_taxonomy
 
 
 def cfg(**overrides):

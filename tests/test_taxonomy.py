@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxrewire.synthbench import oracle_lca, random_taxonomy
 from taxrewire.taxonomy import (
     Taxonomy,
     TaxonomyError,
@@ -12,6 +11,7 @@ from taxrewire.taxonomy import (
 )
 
 from conftest import LETTER_EDGES
+from reference_impls import oracle_lca, random_taxonomy
 
 
 class TestParsing:

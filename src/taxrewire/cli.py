@@ -123,7 +123,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     )
     _write_json(out / "similarity_summary.json", {
         "config": _provenance(args),
-        "n_classes": len(centroids),
+        "n_classes": centroids.n,
         "n_pairs": len(scores),
         "n_selected": len(selected),
         "tau_selected": selected.tau,

@@ -171,6 +171,41 @@ def _row_norms(m: sp.csr_matrix) -> np.ndarray:
     return out
 
 
+def parse_row(lineno: int, line: str) -> tuple[int, list[int], list[float]]:
+    """One ``label idx:val ...`` line as (label, 0-based columns, values).
+
+    Errors name ``lineno``.  Zeros are returned too, to be range-checked.
+    """
+    parts = line.split()
+    try:
+        label = int(parts[0])
+    except ValueError:
+        raise DatasetFormatError(f"line {lineno}: non-numeric label {parts[0]!r}") from None
+    cols, vals, prev = [], [], 0
+    for tok in parts[1:]:
+        try:
+            i_str, v_str = tok.split(":", 1)
+            i, v = int(i_str), float(v_str)
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: malformed entry {tok!r}") from None
+        if not math.isfinite(v):
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
+        if i <= prev:
+            raise DatasetFormatError(
+                f"line {lineno}: feature indices must be 1-based strictly increasing"
+            )
+        prev = i
+        cols.append(i - 1)
+        vals.append(v)
+    return label, cols, vals
+
+
+def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
+    """Inverse of :func:`parse_row`; ``repr`` values parse back bit for bit."""
+    entries = zip((cols + 1).tolist(), values.tolist())
+    return " ".join([str(label), *(f"{i}:{x!r}" for i, x in entries)])
+
+
 def parse_dataset(text: str) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
@@ -179,51 +214,34 @@ def parse_dataset(text: str) -> Dataset:
     holds for data regardless of origin.
     """
     labels: list[int] = []
-    # Typed buffers hold every entry without a Python object per value.
+    # Typed buffers hold every entry; only the current line's are Python objects.
     indptr, cols, vals = array("q", [0]), array("q"), array("d")
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split()
-        try:
-            label = int(parts[0])
-        except ValueError:
-            raise DatasetFormatError(f"line {lineno}: non-numeric label {parts[0]!r}") from None
-        prev = 0
-        for tok in parts[1:]:
-            try:
-                i_str, v_str = tok.split(":", 1)
-                i, v = int(i_str), float(v_str)
-            except ValueError:
-                raise DatasetFormatError(f"line {lineno}: malformed entry {tok!r}") from None
-            if not math.isfinite(v):
-                raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
-            if i <= prev:
-                raise DatasetFormatError(
-                    f"line {lineno}: feature indices must be 1-based strictly increasing"
-                )
-            prev = i
-            if v != 0.0:
-                cols.append(i - 1)
-                vals.append(v)
-        indptr.append(len(cols))
+        label, row_cols, row_vals = parse_row(lineno, stripped)
         labels.append(label)
+        cols.extend(row_cols)
+        vals.extend(row_vals)
+        indptr.append(len(cols))
     if not labels:
         raise DatasetFormatError("dataset is empty")
-    cols_arr = np.frombuffer(cols, dtype=np.int64)
-    dimensionality = int(cols_arr.max()) + 1 if cols_arr.size else 0
-    return Dataset._from_matrix(_csr(vals, cols_arr, indptr, dimensionality), labels)
+    # Wide enough for every index read; the width shrinks to the nonzero ones.
+    matrix = _csr(vals, cols, indptr, int(np.max(cols, initial=-1)) + 1)
+    matrix.eliminate_zeros()
+    matrix.resize(len(labels), int(np.max(matrix.indices, initial=-1)) + 1)
+    return Dataset._from_matrix(matrix, labels)
 
 
 def serialize_dataset(data: Dataset) -> str:
     """Inverse of :func:`parse_dataset`; values rendered with ``repr`` round-trip bitwise."""
     m = data.to_csr()
-    cols, ptr = m.indices + 1, m.indptr.tolist()
-    lines = []
-    for label, s, e in zip(data.labels, ptr, ptr[1:]):
-        entries = " ".join(f"{i}:{x!r}" for i, x in zip(cols[s:e].tolist(), m.data[s:e].tolist()))
-        lines.append(f"{label} {entries}".rstrip())
+    ptr = m.indptr.tolist()
+    lines = [
+        format_row(label, m.indices[s:e], m.data[s:e])
+        for label, s, e in zip(data.labels, ptr, ptr[1:])
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -300,7 +318,7 @@ def split_train_validation(
     side data (e.g. costs) can be sliced consistently.
     """
     if not 0.0 < ratio < 1.0:
-        raise DatasetFormatError(f"split ratio must be in (0, 1), got {ratio}")
+        raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     if data.n < 2:
         raise DatasetFormatError("need at least 2 instances to split")
     rng = np.random.default_rng(seed)

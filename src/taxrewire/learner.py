@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from .corpus import Dataset, SparseVector
+from .corpus import Dataset, DatasetFormatError, SparseVector, format_row, parse_row
 from .solver import minimize_lbfgs
 from .taxonomy import Taxonomy
 
@@ -311,11 +311,6 @@ def sparse_score(theta: np.ndarray, x: SparseVector) -> float:
     return float(np.dot(theta[idx], x.values))
 
 
-def node_decision(model: NodeModel, x: SparseVector) -> int:
-    """Binary decision: +1 on the boundary and above, else -1."""
-    return 1 if sparse_score(model.theta, x) >= 0.0 else -1
-
-
 def predict_topdown(
     model_set: ModelSet, tax: Taxonomy, x: SparseVector, return_evals: bool = False
 ):
@@ -470,7 +465,7 @@ def tune_c(
             y = _binary_labels(validation, positives_of[node])
             node_best, node_hits = grid[0], -1
             for g in grid:
-                # Decision +1 on the boundary and above, as in node_decision.
+                # Decision +1 on the boundary and above.
                 margins = features @ candidates[g].models[node].theta
                 hits = int(np.count_nonzero((margins >= 0.0) == (y > 0.0)))
                 if hits > node_hits:
@@ -499,8 +494,8 @@ def tune_c(
 def serialize_model_set(model_set: ModelSet) -> str:
     """Text form: ``#key value`` headers, then one ``node idx:w ...`` line per model.
 
-    Only nonzero weights are written, indices are 1-based ascending, and
-    weights use ``repr`` so loading reproduces every float bitwise.  The
+    Each line is a dataset row of the nonzero weights, indices 1-based
+    ascending and weights in ``repr``, so loading is bitwise exact.  The
     per-node C mapping, when present, is stored as JSON in the C header.
     """
     if isinstance(model_set.c, dict):
@@ -517,9 +512,8 @@ def serialize_model_set(model_set: ModelSet) -> str:
         lines.append(f"#{key} {model_set.extra_headers[key]}")
     for node in sorted(model_set.models):
         theta = model_set.models[node].theta
-        nz = np.nonzero(theta)[0]
-        entries = " ".join(f"{int(i) + 1}:{float(theta[i])!r}" for i in nz)
-        lines.append(f"{node} {entries}".rstrip())
+        nz = np.flatnonzero(theta)
+        lines.append(format_row(node, nz, theta[nz]))
     return "\n".join(lines) + "\n"
 
 
@@ -549,6 +543,8 @@ def parse_model_set(text: str) -> ModelSet:
         dim = int(headers.pop("dimensionality"))
     except ValueError:
         raise LearnerError("dimensionality header is not an integer") from None
+    if dim < 0:
+        raise LearnerError(f"dimensionality header must not be negative, got {dim}")
     c_text = headers.pop("C")
     c: float | dict[int, float]
     if c_text.startswith("{"):
@@ -558,27 +554,18 @@ def parse_model_set(text: str) -> ModelSet:
 
     models: dict[int, NodeModel] = {}
     for lineno, record in records:
-        parts = record.split()
         try:
-            node = int(parts[0])
-        except ValueError:
-            raise LearnerError(f"line {lineno}: non-numeric node id {parts[0]!r}") from None
+            node, cols, weights = parse_row(lineno, record)
+        except DatasetFormatError as exc:
+            raise LearnerError(str(exc)) from None
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
+        if cols and cols[-1] >= dim:
+            raise LearnerError(f"line {lineno}: bad weight index {cols[-1] + 1}")
+        if isinstance(c, dict) and node not in c:
+            raise LearnerError(f"line {lineno}: the C header has no value for node {node}")
         theta = np.zeros(dim, dtype=np.float64)
-        prev = 0
-        for tok in parts[1:]:
-            try:
-                i_str, w_str = tok.split(":", 1)
-                i, w = int(i_str), float(w_str)
-            except ValueError:
-                raise LearnerError(f"line {lineno}: malformed entry {tok!r}") from None
-            if not math.isfinite(w):
-                raise LearnerError(f"line {lineno}: non-finite weight in {tok!r}")
-            if i <= prev or i > dim:
-                raise LearnerError(f"line {lineno}: bad weight index {i}")
-            prev = i
-            theta[i - 1] = w
+        theta[cols] = weights
         node_c = c[node] if isinstance(c, dict) else c
         models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
     return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)

@@ -113,8 +113,8 @@ def cosine(u: SparseVector, v: SparseVector) -> float:
     return u.dot(v) / (nu * nv)
 
 
-def class_centroids(data: Dataset, leaves: Iterable[int]) -> dict[int, SparseVector]:
-    """Mean training vector per leaf class.
+def class_centroids(data: Dataset, leaves: Iterable[int]) -> Dataset:
+    """Mean training vector per leaf class, one row per class, labels ascending.
 
     Leaves with no instances cannot be scored; they are excluded with a
     warning rather than silently producing zero centroids.  Each sum is
@@ -144,41 +144,30 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> dict[int, SparseVec
     sums.sort_indices()
     sums.data /= np.repeat(counts, np.diff(sums.indptr))
     sums.eliminate_zeros()
-    labels_out = ids.tolist()
-    return dict(zip(labels_out, Dataset._from_matrix(sums, labels_out).vectors))
+    return Dataset._from_matrix(sums, ids.tolist())
 
 
-def all_pairs_scores(
-    centroids: dict[int, SparseVector], workers: int = 1
-) -> ScoreTable:
+def all_pairs_scores(centroids: Dataset, workers: int = 1) -> ScoreTable:
     """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
 
+    ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
     Order: descending score, ties by (a, b) ascending.  Pairs with a
     zero-norm centroid score 0.0 and every score is clipped to [-1, 1].
     The result is independent of ``workers``; the flag only splits the
     pair grid into row blocks evaluated concurrently, and each entry is
     computed by the same sparse dot product either way.
     """
-    ids = sorted(centroids)
-    if len(ids) < 2:
+    labels = np.asarray(centroids.labels, dtype=np.int64)
+    if labels.size < 2:
         raise SimilarityError("need at least 2 class centroids to form pairs")
-    dim = max((int(c.indices[-1]) for c in centroids.values() if c.nnz), default=1)
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    for r, label in enumerate(ids):
-        indptr[r + 1] = indptr[r] + centroids[label].nnz
-    if indptr[-1]:
-        col = np.concatenate([centroids[label].indices - 1 for label in ids])
-        dat = np.concatenate([centroids[label].values for label in ids])
-    else:
-        col = np.array([], dtype=np.int64)
-        dat = np.array([], dtype=np.float64)
-    mat = sp.csr_matrix((dat, col, indptr), shape=(len(ids), dim))
+    if np.any(labels[1:] <= labels[:-1]):
+        raise SimilarityError("centroid labels must be strictly ascending")
+    mat = centroids.to_csr()
     norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
     scale = np.where(norms > 0.0, norms, 1.0)
-    unit = sp.diags(1.0 / scale) @ mat
-    unit = unit.tocsr()
+    unit = (sp.diags(1.0 / scale) @ mat).tocsr()
 
-    n = len(ids)
+    n = labels.size
     rows, cols = np.triu_indices(n, k=1)
     scores = np.empty(rows.size, dtype=np.float64)
     blocks = _row_blocks(n, workers)
@@ -201,7 +190,6 @@ def all_pairs_scores(
     np.clip(scores, -1.0, 1.0, out=scores)
     # (rows, cols) is in (a, b) order, so a stable sort leaves ties in it.
     order = np.argsort(-scores, kind="stable")
-    labels = np.asarray(ids, dtype=np.int64)
     return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
 
 
@@ -300,14 +288,20 @@ def auto_threshold(scores: ScoreTable, curve_out: IO[str] | None = None) -> floa
     return float(scores.score[rank - 1])
 
 
+# Rows of pairs.csv formatted per write: bounds the text held in memory.
+_CURVE_CHUNK_ROWS = 65_536
+
+
 def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
-    """CSV dump of a score table: rank, class ids, score (``repr``)."""
-    rows = zip(
-        range(1, len(scores) + 1), scores.a.tolist(), scores.b.tolist(), scores.score.tolist()
-    )
-    out.write(
-        "rank,class_a,class_b,score\n" + "".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in rows)
-    )
+    """CSV dump of a score table: rank, class ids, score (``repr``), in chunks of rows."""
+    out.write("rank,class_a,class_b,score\n")
+    for start in range(0, len(scores), _CURVE_CHUNK_ROWS):
+        stop = start + _CURVE_CHUNK_ROWS
+        rows = zip(
+            range(start + 1, stop + 1), scores.a[start:stop].tolist(),
+            scores.b[start:stop].tolist(), scores.score[start:stop].tolist(),
+        )
+        out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in rows))
 
 
 def serialize_pair_set(pair_set: SimilarPairSet) -> str:

@@ -186,7 +186,7 @@ def _check_separability(tree: Taxonomy, data: Dataset) -> None:
 
     centroids = class_centroids(data, tree.leaves)
     scores = all_pairs_scores(centroids)
-    ids = np.asarray(sorted(centroids), dtype=np.int64)
+    ids = np.asarray(centroids.labels, dtype=np.int64)
     parent = np.asarray([tree.parent(int(leaf)) for leaf in ids])
     same = parent[np.searchsorted(ids, scores.a)] == parent[np.searchsorted(ids, scores.b)]
     within, cross = scores.score[same], scores.score[~same]

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -364,8 +365,46 @@ class TestExitCodes:
         b, r = pipeline["bench"], pipeline["rewire"]
         assert run("predict", "--model", model, "--data", b / "data.txt",
                    "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
-        assert f"line {first + 1}: non-finite weight" in capsys.readouterr().err
+        assert f"line {first + 1}: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "p" / "predictions.txt").exists()
+
+    def test_per_node_c_map_missing_a_node(self, pipeline, tmp_path, capsys):
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
+                   "--out", tmp_path / "t", "--method", "td-lr", "--grid", "0.1,10",
+                   "--per-node-C", "--no-tfidf") == 0
+        lines = (tmp_path / "t" / "model.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("#C "))
+        c = json.loads(lines[at][3:])
+        dropped = sorted(c, key=int)[1]
+        del c[dropped]
+        lines[at] = "#C " + json.dumps(c, sort_keys=True)
+        row = next(i for i, line in enumerate(lines) if line.split()[0] == dropped)
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        err = capsys.readouterr().err
+        assert f"line {row + 1}: the C header has no value for node {dropped}" in err
+        assert not (tmp_path / "p" / "predictions.txt").exists()
+
+    def test_negative_model_dimensionality(self, pipeline, tmp_path, capsys):
+        text = (pipeline["train"] / "model.txt").read_text()
+        model = tmp_path / "model.txt"
+        model.write_text(re.sub(r"(?m)^#dimensionality \d+$", "#dimensionality -3", text))
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert "dimensionality header must not be negative, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["0", "1", "1.5"])
+    def test_split_outside_unit_interval(self, pipeline, tmp_path, capsys, split):
+        b = pipeline["bench"]
+        assert run("train", "--data", b / "data.txt", "--hierarchy", b / "true.edges",
+                   "--out", tmp_path / "o", "--grid", "1", "--split", split,
+                   "--no-tfidf") == 6
+        assert "split ratio must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.txt").exists()
 
     @pytest.mark.parametrize("method", ["td-lr", "flat"])
     def test_training_label_not_a_leaf(self, tmp_path, capsys, method):

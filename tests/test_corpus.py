@@ -13,9 +13,11 @@ from taxrewire.corpus import (
     apply_tfidf,
     compute_idf,
     concat_datasets,
+    format_row,
     make_sparse,
     parse_dataset,
     parse_idf,
+    parse_row,
     serialize_dataset,
     serialize_idf,
     split_train_validation,
@@ -109,6 +111,25 @@ class TestParsing:
         data = parse_dataset("1 1:0.0 2:3.0\n")
         assert list(data.vectors[0].indices) == [2]
 
+    def test_zeros_dropped_across_rows(self):
+        data = parse_dataset("1 1:0.0 2:3.0\n2 1:0.0\n3 4:-0.0 5:1.0\n4 2:2.0 9:0.0\n")
+        m = data.to_csr()
+        assert m.indptr.tolist() == [0, 1, 1, 2, 3]
+        assert m.indices.tolist() == [1, 4, 1]
+        assert m.data.tolist() == [3.0, 1.0, 2.0]
+        assert data.dimensionality == 5  # a zero at index 9 sets no width
+
+    def test_row_codec(self):
+        label, cols, vals = parse_row(4, "12 1:0.5 3:-0.0 7:1e308")
+        assert (label, cols, vals) == (12, [0, 2, 6], [0.5, -0.0, 1e308])
+        assert math.copysign(1.0, vals[1]) == -1.0  # zeros come back as written
+        text = format_row(12, np.array([0, 6]), np.array([0.1, 5e-324]))
+        assert text == "12 1:0.1 7:5e-324"
+        assert parse_row(1, text) == (12, [0, 6], [0.1, 5e-324])
+        assert format_row(3, np.array([], dtype=np.int64), np.array([])) == "3"
+        with pytest.raises(DatasetFormatError, match="line 4: malformed entry '2'"):
+            parse_row(4, "1 1:1.0 2")
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -178,10 +199,11 @@ class TestSplit:
         assert (train.n, val.n) == (10, 1)
 
     def test_ratio_and_size_validation(self):
-        with pytest.raises(DatasetFormatError, match="ratio"):
-            split_train_validation(self.make(4), 1.0, seed=0)
-        with pytest.raises(DatasetFormatError, match="ratio"):
-            split_train_validation(self.make(4), 0.0, seed=0)
+        # A bad ratio is a configuration error, not a malformed file.
+        for ratio in (1.0, 0.0):
+            with pytest.raises(ValueError, match="ratio") as exc:
+                split_train_validation(self.make(4), ratio, seed=0)
+            assert not isinstance(exc.value, DatasetFormatError)
         with pytest.raises(DatasetFormatError, match="at least 2"):
             split_train_validation(self.make(1), 0.5, seed=0)
 
@@ -367,5 +389,5 @@ class TestMatchesPerRowReference:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # leaves with no instances
                     got = class_centroids(source, leaves)
-                assert list(got) == list(want)
-                assert_rows_bitwise_equal(list(got.values()), list(want.values()))
+                assert got.labels == list(want)
+                assert_rows_bitwise_equal(got.vectors, list(want.values()))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from taxrewire.learner import (
     ModelSet,
     NodeModel,
     lr_objective_gradient,
-    node_decision,
     parse_costs,
     parse_model_set,
     predict_dataset,
@@ -28,7 +28,12 @@ from taxrewire.learner import (
 from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
 from conftest import one_hot_dataset
-from reference_impls import fd_gradient
+from reference_impls import (
+    fd_gradient,
+    node_decision,
+    per_entry_serialize_model_set,
+    per_token_parse_model_set,
+)
 
 
 def small_problem():
@@ -210,6 +215,8 @@ class TestPrediction:
         assert sparse_score(theta, sv({})) == 0.0
 
     def test_proba_and_decision(self):
+        # The per-instance decision rule that tune_c's per-node choice is
+        # checked against (reference_impls.node_decision).
         model = NodeModel(0, np.array([math.log(3.0)]), 1.0)
         x = sv({1: 1.0})
         assert node_decision(model, x) == 1
@@ -377,19 +384,134 @@ class TestSerialization:
         [
             ("#mode flat\n#dimensionality 2\n#C 1.0\n", "fingerprint"),
             ("#mode flat\n#fingerprint a\n#dimensionality two\n#C 1.0\n", "not an integer"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\nx 1:0.5\n", "non-numeric node"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 0:0.5\n", "bad weight index"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 3:0.5\n", "bad weight index"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 2:0.5 1:0.5\n", "bad weight index"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\nx 1:0.5\n",
+             "line 5: non-numeric label"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 0:0.5\n",
+             "line 5: .*1-based strictly increasing"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 3:0.5\n",
+             "line 5: bad weight index 3"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 3:0.0 4:0.0\n",
+             "line 5: bad weight index 4"),
+            ("#mode flat\n#fingerprint a\n#dimensionality -1\n#C 1.0\n", "must not be negative"),
+            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0}\n0 1:0.5\n1 2:0.5\n',
+             "line 6: the C header has no value for node 1"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 2:0.5 1:0.5\n",
+             "line 5: .*1-based strictly increasing"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5\n0 2:0.5\n", "duplicate"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1=0.5\n", "malformed"),
             ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 2:nan\n",
-             "line 5: non-finite weight"),
+             "line 5: non-finite value"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:-inf\n",
-             "line 5: non-finite weight"),
+             "line 5: non-finite value"),
         ],
     )
     def test_parse_rejects(self, text, msg):
         with pytest.raises(LearnerError, match=msg):
             parse_model_set(text)
+
+
+def random_model_set(rng: np.random.Generator) -> ModelSet:
+    """A model set with the weights a writer must render exactly.
+
+    Weights include -0.0 (never written), subnormals, the smallest
+    subnormal and +-1e308; some rows are all zero, and the
+    dimensionality header may exceed the largest weight index.
+    """
+    special = [-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.0, 0.1]
+    dim = int(rng.integers(0, 10))
+    width = dim + int(rng.integers(0, 3))  # trailing columns stay zero
+    nodes = sorted(int(n) for n in rng.choice(40, size=int(rng.integers(0, 6)), replace=False))
+    models = {}
+    for node in nodes:
+        theta = np.zeros(width)
+        if dim and rng.random() < 0.8:
+            picks = rng.random(dim) < 0.6
+            values = rng.normal(size=dim) * 10.0 ** rng.integers(-300, 300, size=dim)
+            values = np.where(rng.random(dim) < 0.3, rng.choice(special, size=dim), values)
+            theta[:dim] = np.where(picks, values, 0.0)
+        models[node] = NodeModel(node, theta, 1.0)
+    if rng.random() < 0.4:
+        c = {node: float(10.0 ** rng.uniform(-3, 3)) for node in nodes}
+    else:
+        c = float(rng.choice([0.001, 1.0, 10.0, 1 / 3]))
+    headers = {k: v for k, v in [("config", '{"a": 1, "b": [2, 3]}'), ("bias", "1"),
+                                 ("note", "kept  as  written")] if rng.random() < 0.5}
+    mode = "flat" if rng.random() < 0.5 else "td-lr"
+    return ModelSet(mode, "f" * 8, width, c, models, extra_headers=headers)
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: the model set's content, or where it failed."""
+    try:
+        ms = parse(text)
+    except LearnerError as exc:
+        at = re.match(r"line (\d+):", str(exc))
+        return ("error", at.group(1) if at else str(exc))
+    except KeyError:
+        return ("key error",)
+    return ("ok", ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
+            {n: (m.theta.tobytes(), m.c_used) for n, m in ms.models.items()})
+
+
+def mutate(rng: np.random.Generator, text: str) -> str:
+    """One random edit of a model text: a character, a token or a line."""
+    lines = text.splitlines()
+    body = [i for i, line in enumerate(lines) if not line.startswith("#")] or [0]
+    i = int(rng.choice(body))
+    line = lines[i]
+    kind = int(rng.integers(5))
+    if kind == 0 and line:
+        k = int(rng.integers(len(line)))
+        line = line[:k] + str(rng.choice(list(" :0129.-+eanif#x"))) + line[k + 1:]
+    elif kind == 1 and line:
+        k = int(rng.integers(len(line)))
+        line = line[:k] + line[k + 1:]
+    elif kind == 2:
+        toks = line.split()
+        extra = ["1:0.0", "1:-0.0", "40:0.0", "40:2.5", "0:1.0", "nan", "2:inf", ":", "1:",
+                 ":1", "x:1", "1:2:3", "0.5", "3:1e400", "2:5e-324"]
+        toks.insert(int(rng.integers(len(toks) + 1)), str(rng.choice(extra)))
+        line = " ".join(toks)
+    elif kind == 3:
+        toks = line.split()
+        if len(toks) > 1:
+            a, b = rng.choice(len(toks), size=2, replace=False)
+            toks[a], toks[b] = toks[b], toks[a]
+        line = " ".join(toks)
+    else:
+        lines.insert(i, line)  # a duplicate model line
+    lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+class TestMatchesPerEntryCodec:
+    """The model-file codec against the per-token reader and writer it replaced."""
+
+    def test_writer_text_and_parsed_weights_match(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            ms = random_model_set(rng)
+            text = serialize_model_set(ms)
+            assert text == per_entry_serialize_model_set(ms)
+            got = parse_outcome(parse_model_set, text)
+            assert got[0] == "ok"
+            assert got == parse_outcome(per_token_parse_model_set, text)
+
+    def test_parser_rejects_the_same_texts_on_the_same_line(self):
+        rng = np.random.default_rng(12)
+        seen = {"ok": 0, "error": 0, "key error": 0}
+        for _ in range(300):
+            text = serialize_model_set(random_model_set(rng))
+            for _ in range(8):
+                mutated = mutate(rng, text)
+                want = parse_outcome(per_token_parse_model_set, mutated)
+                got = parse_outcome(parse_model_set, mutated)
+                seen[want[0]] += 1
+                if want[0] == "key error":
+                    # The old reader crashed on a node missing from a per-node
+                    # C map; the new one names the line.
+                    assert got[0] == "error" and got[1].isdigit()
+                else:
+                    assert got == want, mutated
+        assert all(seen.values())  # accepted, rejected and per-node C misses all occurred

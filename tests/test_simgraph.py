@@ -6,6 +6,7 @@ import pytest
 
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
+    _CURVE_CHUNK_ROWS,
     PairScore,
     ScoreTable,
     SimilarityError,
@@ -33,6 +34,12 @@ def rows(table):
     return list(zip(table.a.tolist(), table.b.tolist(), table.score.tolist()))
 
 
+def centroid_rows(by_label):
+    """A centroid Dataset from a label -> SparseVector mapping, labels ascending."""
+    labels = sorted(by_label)
+    return Dataset([by_label[label] for label in labels], labels)
+
+
 class TestCosine:
     def test_identical_direction(self):
         assert cosine(sv((1, 3.0), (2, 4.0)), sv((1, 6.0), (2, 8.0))) == pytest.approx(1.0)
@@ -54,19 +61,29 @@ class TestCentroids:
     def test_mean_of_class_vectors(self):
         data = Dataset([sv((1, 1.0)), sv((2, 1.0))], [5, 5])
         cents = class_centroids(data, [5])
-        assert list(cents[5].indices) == [1, 2]
-        assert list(cents[5].values) == [0.5, 0.5]
+        assert cents.labels == [5]
+        assert cents.dimensionality == data.dimensionality
+        (row,) = cents.vectors
+        assert list(row.indices) == [1, 2]
+        assert list(row.values) == [0.5, 0.5]
+
+    def test_one_row_per_class_labels_ascending(self):
+        data = Dataset([sv((1, 2.0)), sv((2, 1.0)), sv((1, 4.0)), sv((3, 1.0))], [9, 2, 9, 4])
+        cents = class_centroids(data, [4, 9, 2])
+        by_label = dict(zip(cents.labels, cents.vectors))
+        assert cents.labels == [2, 4, 9]
+        assert list(by_label[9].indices) == [1] and list(by_label[9].values) == [3.0]
 
     def test_non_leaf_labels_ignored(self):
         data = Dataset([sv((1, 1.0)), sv((2, 9.0))], [5, 3])
         cents = class_centroids(data, [5])
-        assert set(cents) == {5}
+        assert cents.labels == [5]
 
     def test_empty_class_warns_and_excluded(self):
         data = Dataset([sv((1, 1.0))], [5])
         with pytest.warns(UserWarning, match="no training instances"):
             cents = class_centroids(data, [5, 6])
-        assert set(cents) == {5}
+        assert cents.labels == [5]
 
 
 class TestAllPairs:
@@ -77,22 +94,22 @@ class TestAllPairs:
             k = int(rng.integers(1, dims))
             idx = sorted(rng.choice(np.arange(1, dims + 1), size=k, replace=False))
             out[label] = make_sparse(idx, rng.uniform(-1, 1, size=k))
-        return out
+        return centroid_rows(out)
 
     def test_matches_dense_reference(self):
         cents = self.random_centroids(3, 7)
         got = rows(all_pairs_scores(cents))
-        want = brute_cosine_pairs(cents)
+        want = brute_cosine_pairs(dict(zip(cents.labels, cents.vectors)))
         assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
         for (_, _, s1), (_, _, s2) in zip(got, want):
             assert s1 == pytest.approx(s2, abs=1e-12)
 
     def test_sorted_descending_with_id_ties(self):
-        cents = {
+        cents = centroid_rows({
             1: sv((1, 1.0)),
             2: sv((1, 2.0)),   # same direction as 1 -> score 1.0
             3: sv((2, 1.0)),
-        }
+        })
         scores = all_pairs_scores(cents)
         assert [(a, b) for a, b, _ in rows(scores)] == [(1, 2), (1, 3), (2, 3)]
         assert scores.score[0] == pytest.approx(1.0)
@@ -108,13 +125,24 @@ class TestAllPairs:
 
     def test_needs_two_centroids(self):
         with pytest.raises(SimilarityError, match="at least 2"):
-            all_pairs_scores({1: sv((1, 1.0))})
+            all_pairs_scores(Dataset([sv((1, 1.0))], [1]))
+
+    @pytest.mark.parametrize("labels", [[2, 1, 3], [1, 1, 3], [3, 2, 1]])
+    def test_labels_must_be_strictly_ascending(self, labels):
+        cents = Dataset([sv((1, 1.0)), sv((2, 1.0)), sv((1, 1.0), (2, 1.0))], labels)
+        with pytest.raises(SimilarityError, match="strictly ascending"):
+            all_pairs_scores(cents)
 
     def test_zero_norm_centroid_scores_zero(self):
-        cents = {1: sv(), 2: sv((1, 1.0)), 3: sv((1, 2.0))}
+        cents = centroid_rows({1: sv(), 2: sv((1, 1.0)), 3: sv((1, 2.0))})
         scores = {(a, b): s for a, b, s in rows(all_pairs_scores(cents))}
         assert scores[(1, 2)] == 0.0
         assert scores[(1, 3)] == 0.0
+
+    def test_all_zero_centroids_score_zero(self):
+        cents = centroid_rows({4: sv(), 7: sv(), 9: sv()})
+        assert cents.dimensionality == 0
+        assert rows(all_pairs_scores(cents)) == [(4, 7, 0.0), (4, 9, 0.0), (7, 9, 0.0)]
 
 
 class TestMatchesPerPairScorer:
@@ -139,17 +167,21 @@ class TestMatchesPerPairScorer:
                     vals = rng.uniform(-1.0, 1.0, size=k)
                 vec = make_sparse(idx, vals)
             made.append(vec)
-        return dict(zip(labels, made))
+        return centroid_rows(dict(zip(labels, made)))
 
     def test_order_scores_and_curve_text_match(self):
         rng = np.random.default_rng(2024)
         ties = zeros = negatives = 0
-        for trial in range(240):
+        # The last set has more pairs than write_score_curve formats per chunk.
+        for trial in range(241):
             n = 2 if trial % 8 == 0 else int(rng.integers(3, 30))
+            if trial == 240:
+                n = math.isqrt(2 * _CURVE_CHUNK_ROWS) + 2
+                assert n * (n - 1) // 2 > _CURVE_CHUNK_ROWS
             workers = 1 + trial % 4
             cents = self.centroid_set(rng, n)
             table = all_pairs_scores(cents, workers=workers)
-            want = per_pair_scores(cents, workers=workers)
+            want = per_pair_scores(dict(zip(cents.labels, cents.vectors)), workers=workers)
             assert [(a, b) for a, b, _ in rows(table)] == [(a, b) for a, b, _ in want]
             assert [s.hex() for s in table.score.tolist()] == [s.hex() for _, _, s in want]
             got_csv, want_csv = io.StringIO(), io.StringIO()

@@ -26,8 +26,6 @@ from .learner import (
     lr_objective_gradient,
     parse_model_set,
     predict_dataset,
-    predict_flat,
-    predict_topdown,
     serialize_model_set,
     train_flat,
     train_node,

@@ -1,13 +1,14 @@
 """L2-regularized logistic regression over a class taxonomy.
 
-Two classifier layouts share the same per-node binary trainer:
+One trainer and one descent serve both classifier layouts:
 
 * top-down ("td-lr"): one model per non-root node, positives are the
   training instances whose label lies in the node's subtree.  Prediction
   starts at the root and repeatedly descends into the highest-scoring
   child, so each instance only evaluates the models along its path.
-* flat: one model per leaf over all instances; prediction evaluates every
-  leaf model and takes the argmax.
+* flat: top-down over the one-level tree (the root with every leaf as its
+  child), so one model per leaf, and prediction evaluates every leaf
+  model and takes the argmax.
 
 Objective for a node with weights theta, regularization weight C and
 optional per-instance costs w_i:
@@ -24,13 +25,13 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from .corpus import Dataset, DatasetFormatError, SparseVector, format_row, parse_row
+from .corpus import Dataset, DatasetFormatError, format_row, parse_row
 from .solver import minimize_lbfgs
 from .taxonomy import Taxonomy
 
@@ -148,6 +149,17 @@ def _binary_labels(data: Dataset, positives: frozenset[int]) -> np.ndarray:
     return np.where(np.isin(np.asarray(data.labels, dtype=np.int64), pos), 1.0, -1.0)
 
 
+def _check_solver_settings(cs: Iterable[float], grad_tol: float, max_iter: int) -> None:
+    """Reject settings the solver would accept but cannot fit with."""
+    for c in cs:
+        if not (math.isfinite(c) and c > 0.0):
+            raise LearnerError(f"C must be finite and positive, got {c}")
+    if not (math.isfinite(grad_tol) and grad_tol >= 0.0):
+        raise LearnerError(f"grad_tol must be finite and non-negative, got {grad_tol}")
+    if max_iter < 1:
+        raise LearnerError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def train_node(
     tax: Taxonomy,
     node: int,
@@ -157,23 +169,20 @@ def train_node(
     *,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
-    positives: frozenset[int] | None = None,
 ) -> NodeModel:
     """Fit the binary model of one node.
 
     Positives are instances labeled with a leaf of the node's subtree
     (for a leaf node, the leaf itself).  A node with no positive training
     instance is still fit (all-negative) but reported with a warning.
-    ``positives`` may be precomputed by batch trainers.
     """
     if node not in tax:
         raise LearnerError(f"unknown node {node}")
     if node == tax.root:
         raise LearnerError("the root has no model")
-    if positives is None:
-        positives = tax.subtree_leaves(node)
+    _check_solver_settings((c,), grad_tol, max_iter)
     features = train.to_csr()
-    y = _binary_labels(train, positives)
+    y = _binary_labels(train, tax.subtree_leaves(node))
     if not np.any(y > 0):
         warnings.warn(f"node {node} has no positive training instances", stacklevel=2)
     x0 = np.zeros(features.shape[1], dtype=np.float64)
@@ -192,10 +201,8 @@ def train_node(
     )
 
 
-def _train_many(
-    tax: Taxonomy,
-    nodes: Sequence[int],
-    positives_of: Mapping[int, frozenset[int]],
+def _fit_tree(
+    tree: Taxonomy,
     train: Dataset,
     c: float | Mapping[int, float],
     costs: np.ndarray | None,
@@ -203,18 +210,21 @@ def _train_many(
     grad_tol: float,
     max_iter: int,
 ) -> dict[int, NodeModel]:
-    def c_of(node: int) -> float:
-        if isinstance(c, Mapping):
-            try:
-                return c[node]
-            except KeyError:
-                raise LearnerError(f"no C value for node {node}") from None
-        return c
+    """One model per non-root node of ``tree``, collected in node order.
+
+    Every setting is checked before the first node is fit.
+    """
+    _check_labels(tree, train)
+    nodes = tree.non_root_nodes()
+    try:
+        c_of = {n: c[n] if isinstance(c, Mapping) else c for n in nodes}
+    except KeyError as exc:
+        raise LearnerError(f"no C value for node {exc.args[0]}") from None
+    _check_solver_settings(c_of.values(), grad_tol, max_iter)
 
     def fit(node: int) -> NodeModel:
         return train_node(
-            tax, node, train, c_of(node), costs,
-            grad_tol=grad_tol, max_iter=max_iter, positives=positives_of[node],
+            tree, node, train, c_of[node], costs, grad_tol=grad_tol, max_iter=max_iter
         )
 
     if workers > 1:
@@ -239,8 +249,13 @@ def _check_labels(tax: Taxonomy, train: Dataset) -> None:
     if empty:
         warnings.warn(
             f"{len(empty)} leaf classes have no training instances: {empty[:10]}",
-            stacklevel=3,
+            stacklevel=4,
         )
+
+
+def _one_level(tax: Taxonomy) -> Taxonomy:
+    """The flat hierarchy over ``tax``'s classes: every leaf a child of the root."""
+    return Taxonomy(tax.root, {leaf: tax.root for leaf in tax.leaves if leaf != tax.root})
 
 
 def train_topdown(
@@ -259,12 +274,7 @@ def train_topdown(
     inputs in either case and collected in node order.  A training label
     that is not a leaf of ``tax`` raises :class:`LearnerError`.
     """
-    _check_labels(tax, train)
-    nodes = tax.non_root_nodes()
-    positives_of = {n: tax.subtree_leaves(n) for n in nodes}
-    models = _train_many(
-        tax, nodes, positives_of, train, c, costs, workers, grad_tol, max_iter
-    )
+    models = _fit_tree(tax, train, c, costs, workers, grad_tol, max_iter)
     c_used = dict(c) if isinstance(c, Mapping) else float(c)
     return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, c_used, models)
 
@@ -281,14 +291,12 @@ def train_flat(
 ) -> ModelSet:
     """Fit one one-vs-rest model per leaf class, ignoring internal structure.
 
-    A training label that is not a leaf of ``tax`` raises :class:`LearnerError`.
+    This is top-down training over the one-level tree (the root with every
+    leaf of ``tax`` as its child); the model set keeps ``tax``'s
+    fingerprint.  A training label that is not a leaf of ``tax`` raises
+    :class:`LearnerError`.
     """
-    _check_labels(tax, train)
-    leaves = sorted(tax.leaves)
-    positives_of = {n: frozenset((n,)) for n in leaves}
-    models = _train_many(
-        tax, leaves, positives_of, train, c, costs, workers, grad_tol, max_iter
-    )
+    models = _fit_tree(_one_level(tax), train, c, costs, workers, grad_tol, max_iter)
     c_used = dict(c) if isinstance(c, Mapping) else float(c)
     return ModelSet("flat", tax.fingerprint(), train.dimensionality, c_used, models)
 
@@ -296,61 +304,28 @@ def train_flat(
 # ----------------------------------------------------------------------
 # prediction
 
-
-def sparse_score(theta: np.ndarray, x: SparseVector) -> float:
-    """theta . x for a sparse instance; features beyond the trained
-    dimensionality contribute nothing."""
-    if x.nnz == 0:
-        return 0.0
-    idx = x.indices - 1
-    if int(idx[-1]) >= theta.size:
-        keep = idx < theta.size
-        if not np.any(keep):
-            return 0.0
-        return float(np.dot(theta[idx[keep]], x.values[keep]))
-    return float(np.dot(theta[idx], x.values))
+# Start of the flat descent: ids are non-negative, so -1 names no node.
+_FLAT_START = -1
 
 
-def predict_topdown(
-    model_set: ModelSet, tax: Taxonomy, x: SparseVector, return_evals: bool = False
-):
-    """Descend from the root, at each level entering the highest-scoring child.
+def _descent_map(
+    model_set: ModelSet, tax: Taxonomy | None
+) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(start node, node -> children) of the tree prediction descends.
 
-    Ties go to the smallest child id.  Returns the reached leaf, plus the
-    number of model evaluations when ``return_evals`` is set.
+    Flat prediction descends one level over every model; top-down over
+    ``tax``, whose every non-root node must have a model.
     """
-    if model_set.mode != "td-lr":
-        raise LearnerError(f"top-down prediction needs a td-lr model set, got {model_set.mode!r}")
-    node = tax.root
-    evals = 0
-    while not tax.is_leaf(node):
-        best_child, best_score = -1, -math.inf
-        for child in tax.children(node):
-            model = model_set.models.get(child)
-            if model is None:
-                raise LearnerError(f"model set has no model for node {child}")
-            score = sparse_score(model.theta, x)
-            evals += 1
-            if score > best_score:
-                best_child, best_score = child, score
-        node = best_child
-    return (node, evals) if return_evals else node
-
-
-def predict_flat(model_set: ModelSet, x: SparseVector, return_evals: bool = False):
-    """Score every leaf model and return the argmax leaf (ties: smallest id)."""
-    if model_set.mode != "flat":
-        raise LearnerError(f"flat prediction needs a flat model set, got {model_set.mode!r}")
-    if not model_set.models:
-        raise LearnerError("model set is empty")
-    best_leaf, best_score = -1, -math.inf
-    evals = 0
-    for leaf in sorted(model_set.models):
-        score = sparse_score(model_set.models[leaf].theta, x)
-        evals += 1
-        if score > best_score:
-            best_leaf, best_score = leaf, score
-    return (best_leaf, evals) if return_evals else best_leaf
+    if model_set.mode == "flat":
+        if not model_set.models:
+            raise LearnerError("model set is empty")
+        return _FLAT_START, {_FLAT_START: tuple(sorted(model_set.models))}
+    if tax is None:
+        raise LearnerError("top-down prediction requires the training hierarchy")
+    missing = [n for n in tax.non_root_nodes() if n not in model_set.models]
+    if missing:
+        raise LearnerError(f"model set has no model for node {missing[0]}")
+    return tax.root, {n: tax.children(n) for n in tax.internal_nodes}
 
 
 def predict_dataset(
@@ -361,27 +336,42 @@ def predict_dataset(
 ):
     """Predict a leaf per instance, verifying the hierarchy fingerprint first.
 
-    Top-down prediction requires the hierarchy; flat prediction only
-    checks it when one is supplied.
+    Each instance descends from the start node, at each level entering
+    the highest-scoring child (ties: the smallest id), so top-down only
+    evaluates the models along one root-leaf path while flat evaluates
+    every leaf model.  Top-down prediction requires the hierarchy; flat
+    prediction only checks it when one is supplied.  Features beyond the
+    model's dimensionality contribute nothing.  With ``return_evals`` the
+    total number of model evaluations is returned too.
     """
     if tax is not None and tax.fingerprint() != model_set.fingerprint:
         raise FingerprintMismatchError(
             "hierarchy does not match the one the model set was trained on"
         )
+    start, children = _descent_map(model_set, tax)
+    dim = model_set.dimensionality
+    thetas = {n: m.theta for n, m in model_set.models.items()}
+    if any(theta.shape != (dim,) for theta in thetas.values()):
+        raise LearnerError(f"every model must have {dim} weights")
+    x = data.to_csr()
+    if x.shape[1] > dim:
+        x = x[:, :dim]
+    ptr = x.indptr.tolist()
     preds: list[int] = []
     total_evals = 0
-    if model_set.mode == "td-lr":
-        if tax is None:
-            raise LearnerError("top-down prediction requires the training hierarchy")
-        for x in data.vectors:
-            leaf, n = predict_topdown(model_set, tax, x, return_evals=True)
-            preds.append(leaf)
-            total_evals += n
-    else:
-        for x in data.vectors:
-            leaf, n = predict_flat(model_set, x, return_evals=True)
-            preds.append(leaf)
-            total_evals += n
+    for s, e in zip(ptr, ptr[1:]):
+        cols, vals = x.indices[s:e], x.data[s:e]
+        node = start
+        while node in children:
+            kids = children[node]
+            total_evals += len(kids)
+            best_child, best_score = -1, -math.inf
+            for child in kids:
+                score = float(np.dot(thetas[child][cols], vals))
+                if score > best_score:
+                    best_child, best_score = child, score
+            node = best_child
+        preds.append(node)
     return (preds, total_evals) if return_evals else preds
 
 
@@ -425,10 +415,13 @@ def tune_c(
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise LearnerError("C grid is empty")
-    if any(g <= 0.0 for g in grid):
-        raise LearnerError("C values must be positive")
-    trainer = train_topdown if mode == "td-lr" else train_flat
-    if mode not in ("td-lr", "flat"):
+    _check_solver_settings(grid, grad_tol, max_iter)
+    # Looked up at call time, so wrappers on the module attributes see every fit.
+    if mode == "td-lr":
+        trainer, tree = train_topdown, tax
+    elif mode == "flat":
+        trainer, tree = train_flat, _one_level(tax)
+    else:
         raise LearnerError(f"unknown mode {mode!r}")
 
     merged = concat_datasets(train, validation) if validation.n else train
@@ -454,15 +447,10 @@ def tune_c(
     candidates = {g: trainer(tax, train, g, costs, **kwargs) for g in grid}
 
     if per_node:
-        nodes = sorted(candidates[grid[0]].models)
-        positives_of = {
-            n: (tax.subtree_leaves(n) if mode == "td-lr" else frozenset((n,)))
-            for n in nodes
-        }
         features = validation.to_csr()
         best_per_node: dict[int, float] = {}
-        for node in nodes:
-            y = _binary_labels(validation, positives_of[node])
+        for node in tree.non_root_nodes():
+            y = _binary_labels(validation, tree.subtree_leaves(node))
             node_best, node_hits = grid[0], -1
             for g in grid:
                 # Decision +1 on the boundary and above.

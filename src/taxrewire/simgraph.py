@@ -323,7 +323,12 @@ def parse_pair_set(text: str) -> SimilarPairSet:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if len(parts) == 2 and parts[0] == "tau":
-                tau = float(parts[1])
+                try:
+                    tau = float(parts[1])
+                except ValueError:
+                    raise SimilarityError(f"line {lineno}: non-numeric tau {parts[1]!r}") from None
+                if not -1.0 <= tau <= 1.0:
+                    raise SimilarityError(f"line {lineno}: tau must lie in [-1, 1], got {parts[1]}")
             continue
         parts = stripped.split()
         if len(parts) != 3:

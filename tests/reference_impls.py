@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from taxrewire.corpus import SparseVector, make_sparse
-from taxrewire.learner import LearnerError, ModelSet, NodeModel, sparse_score
+from taxrewire.learner import LearnerError, ModelSet, NodeModel
 from taxrewire.simgraph import PairScore, SimilarPairSet
 from taxrewire.synthbench import BenchError
 from taxrewire.taxonomy import Taxonomy
@@ -329,6 +329,65 @@ def per_row_class_centroids(vectors, labels, leaves):
         label: make_sparse(sums[label].keys(), [x / counts[label] for x in sums[label].values()])
         for label in sorted(counts)
     }
+
+
+# ----------------------------------------------------------------------
+# Per-instance prediction: the SparseVector loops the CSR-row descent
+# replaced.
+
+
+def sparse_score(theta, x):
+    """theta . x for a sparse instance; features beyond the trained
+    dimensionality contribute nothing."""
+    if x.nnz == 0:
+        return 0.0
+    idx = x.indices - 1
+    if int(idx[-1]) >= theta.size:
+        keep = idx < theta.size
+        if not np.any(keep):
+            return 0.0
+        return float(np.dot(theta[idx[keep]], x.values[keep]))
+    return float(np.dot(theta[idx], x.values))
+
+
+def predict_topdown(model_set, tax, x, return_evals=False):
+    """Descend from the root, at each level entering the highest-scoring child.
+
+    Ties go to the smallest child id.  Returns the reached leaf, plus the
+    number of model evaluations when ``return_evals`` is set.
+    """
+    if model_set.mode != "td-lr":
+        raise LearnerError(f"top-down prediction needs a td-lr model set, got {model_set.mode!r}")
+    node = tax.root
+    evals = 0
+    while not tax.is_leaf(node):
+        best_child, best_score = -1, -math.inf
+        for child in tax.children(node):
+            model = model_set.models.get(child)
+            if model is None:
+                raise LearnerError(f"model set has no model for node {child}")
+            score = sparse_score(model.theta, x)
+            evals += 1
+            if score > best_score:
+                best_child, best_score = child, score
+        node = best_child
+    return (node, evals) if return_evals else node
+
+
+def predict_flat(model_set, x, return_evals=False):
+    """Score every leaf model and return the argmax leaf (ties: smallest id)."""
+    if model_set.mode != "flat":
+        raise LearnerError(f"flat prediction needs a flat model set, got {model_set.mode!r}")
+    if not model_set.models:
+        raise LearnerError("model set is empty")
+    best_leaf, best_score = -1, -math.inf
+    evals = 0
+    for leaf in sorted(model_set.models):
+        score = sparse_score(model_set.models[leaf].theta, x)
+        evals += 1
+        if score > best_score:
+            best_leaf, best_score = leaf, score
+    return (best_leaf, evals) if return_evals else best_leaf
 
 
 def node_decision(model, x):

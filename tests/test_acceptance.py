@@ -28,8 +28,6 @@ from taxrewire.corpus import (
 from taxrewire.learner import (
     lr_objective_gradient,
     predict_dataset,
-    predict_flat,
-    predict_topdown,
     train_flat,
     train_topdown,
 )
@@ -255,10 +253,9 @@ def test_one_level_tree_makes_topdown_and_flat_identical():
     flat = train_flat(tree, data, 1.0)
     for leaf in sorted(tree.leaves):
         assert np.array_equal(td.models[leaf].theta, flat.models[leaf].theta)
-    agreements = 0
-    for x in data.vectors:
-        assert predict_topdown(td, tree, x) == predict_flat(flat, x)
-        agreements += 1
+    td_preds = predict_dataset(td, data, tree)
+    assert td_preds == predict_dataset(flat, data)
+    agreements = len(td_preds)
     return (
         f"one-level 5-leaf tree: per-leaf weights bitwise equal, predictions "
         f"identical on all {agreements}/50 instances"
@@ -287,9 +284,10 @@ def test_topdown_prediction_cost_on_thousand_leaves():
     assert len(td.models) == 1110 and len(flat.models) == 1000
 
     test = Dataset(vectors[:200], leaves[:200], dims)
-    for x in test.vectors[:5]:
-        assert predict_topdown(td, tree, x, return_evals=True)[1] == 30
-        assert predict_flat(flat, x, return_evals=True)[1] == 1000
+    for i in range(5):
+        one = test.subset([i])
+        assert predict_dataset(td, one, tree, return_evals=True)[1] == 30
+        assert predict_dataset(flat, one, return_evals=True)[1] == 1000
 
     def timed(fn):
         best = math.inf

@@ -432,6 +432,41 @@ class TestExitCodes:
             "--out", tmp_path / "o", "--tau", "2.0",
         ) == 6
 
+    @pytest.mark.parametrize("method", ["td-lr", "flat"])
+    @pytest.mark.parametrize("flags,msg", [
+        (["--C", "1", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+        (["--C", "1", "--max-iter", "-5"], "max_iter must be at least 1, got -5"),
+        (["--C", "1", "--grad-tol", "nan"], "grad_tol must be finite and non-negative, got nan"),
+        (["--C", "1", "--grad-tol", "-1"], "grad_tol must be finite and non-negative, got -1.0"),
+        (["--C", "nan"], "C must be finite and positive, got nan"),
+        (["--C", "inf"], "C must be finite and positive, got inf"),
+        (["--grid", "nan,1"], "C must be finite and positive, got nan"),
+        (["--grid", "1", "--per-node-C", "--max-iter", "0"], "max_iter must be at least 1"),
+    ])
+    def test_bad_solver_settings(self, pipeline, tmp_path, capsys, method, flags, msg):
+        b = pipeline["bench"]
+        assert run("train", "--data", b / "data.txt", "--hierarchy", b / "true.edges",
+                   "--out", tmp_path / "o", "--method", method, "--no-tfidf", *flags) == 6
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.txt").exists()
+
+    @pytest.mark.parametrize("tau,msg", [
+        ("nan", "line 1: tau must lie in [-1, 1], got nan"),
+        ("-inf", "line 1: tau must lie in [-1, 1], got -inf"),
+        ("-7", "line 1: tau must lie in [-1, 1], got -7"),
+        ("1.5", "line 1: tau must lie in [-1, 1], got 1.5"),
+        ("abc", "line 1: non-numeric tau 'abc'"),
+    ])
+    def test_bad_pairs_tau_header(self, pipeline, tmp_path, capsys, tau, msg):
+        text = (pipeline["sim"] / "pairs.txt").read_text()
+        body = [line for line in text.splitlines() if not line.startswith("#")]
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("\n".join([f"# tau {tau}", *body]) + "\n")
+        assert run("rewire", "--hierarchy", pipeline["bench"] / "corrupted.edges",
+                   "--pairs", pairs, "--out", tmp_path / "o") == 6
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "o" / "rewire_summary.json").exists()
+
     def test_bad_grid(self, pipeline, tmp_path):
         b = pipeline["bench"]
         assert run(

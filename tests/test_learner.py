@@ -16,15 +16,13 @@ from taxrewire.learner import (
     parse_costs,
     parse_model_set,
     predict_dataset,
-    predict_flat,
-    predict_topdown,
     serialize_model_set,
-    sparse_score,
     train_flat,
     train_node,
     train_topdown,
     tune_c,
 )
+from taxrewire.solver import minimize_lbfgs
 from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
 from conftest import one_hot_dataset
@@ -33,6 +31,9 @@ from reference_impls import (
     node_decision,
     per_entry_serialize_model_set,
     per_token_parse_model_set,
+    predict_flat,
+    predict_topdown,
+    random_taxonomy,
 )
 
 
@@ -197,6 +198,33 @@ class TestTraining:
             train_flat(letter_tree, data, c={0: 1.0})
 
 
+    @pytest.mark.parametrize("c,grad_tol,max_iter,msg", [
+        (math.nan, 1e-6, 10, "C must be finite and positive, got nan"),
+        (math.inf, 1e-6, 10, "C must be finite and positive, got inf"),
+        (1.0, -1e-3, 10, "grad_tol must be finite and non-negative, got -0.001"),
+        (1.0, math.nan, 10, "grad_tol must be finite and non-negative, got nan"),
+        (1.0, 1e-6, 0, "max_iter must be at least 1, got 0"),
+    ])
+    def test_bad_settings_rejected_before_any_fit(
+        self, letter_tree, monkeypatch, c, grad_tol, max_iter, msg
+    ):
+        import taxrewire.learner as learner
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a node was fit")
+
+        monkeypatch.setattr(learner, "minimize_lbfgs", no_fit)
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
+        settings = dict(grad_tol=grad_tol, max_iter=max_iter)
+        # the bad C sits on the last node of a per-node map
+        c_map = {n: 1.0 for n in letter_tree.non_root_nodes()} | {8: c}
+        for fit in (lambda: train_topdown(letter_tree, data, c_map, **settings),
+                    lambda: train_flat(letter_tree, data, c, **settings),
+                    lambda: train_node(letter_tree, 8, data, c, **settings)):
+            with pytest.raises(LearnerError, match=msg):
+                fit()
+
+
 def zero_model_set(tax: Taxonomy, mode: str, dims: int) -> ModelSet:
     if mode == "td-lr":
         nodes = tax.non_root_nodes()
@@ -207,12 +235,13 @@ def zero_model_set(tax: Taxonomy, mode: str, dims: int) -> ModelSet:
 
 
 class TestPrediction:
-    def test_sparse_score_ignores_unseen_dimensions(self):
-        theta = np.array([1.0, 2.0, 3.0])
-        assert sparse_score(theta, sv({2: 0.5})) == 1.0
-        assert sparse_score(theta, sv({5: 9.0})) == 0.0
-        assert sparse_score(theta, sv({2: 0.5, 5: 9.0})) == 1.0
-        assert sparse_score(theta, sv({})) == 0.0
+    def test_unseen_dimensions_contribute_nothing(self):
+        # Leaf 1 wins only when its score beats leaf 0's constant 0.0.
+        models = {0: NodeModel(0, np.zeros(3), 1.0), 1: NodeModel(1, np.array([1.0, 2.0, 3.0]), 1.0)}
+        ms = ModelSet("flat", "f", 3, 1.0, models)
+        rows = [{2: 0.5}, {5: 9.0}, {2: 0.5, 5: 9.0}, {}, {1: -1.0, 5: 9.0}]
+        data = Dataset([sv(r) for r in rows], [0] * len(rows), dimensionality=5)
+        assert predict_dataset(ms, data) == [1, 0, 1, 0, 0]
 
     def test_proba_and_decision(self):
         # The per-instance decision rule that tune_c's per-node choice is
@@ -227,29 +256,34 @@ class TestPrediction:
 
     def test_topdown_ties_take_smallest_child(self, letter_tree):
         ms = zero_model_set(letter_tree, "td-lr", 6)
-        leaf, evals = predict_topdown(ms, letter_tree, sv({1: 1.0}), return_evals=True)
-        assert leaf == 0
-        assert evals == 5  # two root children, then three under the winner
+        one = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1).subset([3])
+        assert predict_dataset(ms, one, letter_tree, return_evals=True) == ([0], 5)
+        # two root children, then three under the winner
 
     def test_flat_ties_take_smallest_leaf(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
-        leaf, evals = predict_flat(ms, sv({1: 1.0}), return_evals=True)
-        assert leaf == 0 and evals == 6
+        one = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1).subset([3])
+        assert predict_dataset(ms, one, return_evals=True) == ([0], 6)
 
-    def test_mode_mismatch_rejected(self, letter_tree):
-        td = zero_model_set(letter_tree, "td-lr", 6)
-        flat = zero_model_set(letter_tree, "flat", 6)
-        x = sv({1: 1.0})
-        with pytest.raises(LearnerError, match="flat"):
-            predict_topdown(flat, letter_tree, x)
-        with pytest.raises(LearnerError, match="td-lr"):
-            predict_flat(td, x)
-
-    def test_missing_child_model_rejected(self, letter_tree):
+    def test_missing_child_model_rejected_before_any_instance(self, letter_tree):
         ms = zero_model_set(letter_tree, "td-lr", 6)
         del ms.models[8]
-        with pytest.raises(LearnerError, match="no model for node 8"):
-            predict_topdown(ms, letter_tree, sv({1: 1.0}))
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
+        for rows in ([0], []):  # instance 0 never reaches node 8; no instance at all
+            with pytest.raises(LearnerError, match="no model for node 8"):
+                predict_dataset(ms, data.subset(rows), letter_tree)
+
+    def test_empty_flat_model_set_rejected(self):
+        ms = ModelSet("flat", "f", 2, 1.0, {})
+        with pytest.raises(LearnerError, match="model set is empty"):
+            predict_dataset(ms, Dataset((), (), dimensionality=2))
+
+    def test_model_width_must_match_dimensionality(self, letter_tree):
+        ms = zero_model_set(letter_tree, "flat", 6)
+        ms.models[3].theta = np.zeros(4)
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
+        with pytest.raises(LearnerError, match="6 weights"):
+            predict_dataset(ms, data)
 
     def test_dataset_fingerprint_checked(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
@@ -274,6 +308,92 @@ class TestPrediction:
         _, n_flat = predict_dataset(flat, data, return_evals=True)
         assert n_td == 6 * 5
         assert n_flat == 6 * 6
+
+
+def random_rows(rng: np.random.Generator, n: int, width: int) -> list:
+    """Sparse rows over features 1..width, about one in six empty; values
+    come from a small set so that scores tie often."""
+    rows = []
+    for _ in range(n):
+        k = 0 if rng.random() < 0.15 or width == 0 else int(rng.integers(1, width + 1))
+        idx = rng.choice(np.arange(1, width + 1), size=k, replace=False)
+        rows.append(make_sparse(idx, rng.choice([-1.0, 0.5, 1.0, 2.0], size=k)))
+    return rows
+
+
+def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeModel]:
+    """Node models with all-zero, small-integer or normal weights, in
+    shuffled insertion order."""
+    models = {}
+    for node in rng.permutation(np.asarray(nodes, dtype=np.int64)).tolist():
+        kind = rng.random()
+        if kind < 0.3:
+            theta = np.zeros(dim)
+        elif kind < 0.6:
+            theta = rng.integers(-1, 2, size=dim).astype(np.float64)
+        else:
+            theta = rng.standard_normal(dim)
+        models[node] = NodeModel(node, theta, 1.0)
+    return models
+
+
+class TestMatchesPerInstanceOracles:
+    """Prediction and flat training against the per-instance code they replaced."""
+
+    def test_descent_matches_per_instance_prediction(self):
+        rng = np.random.default_rng(21)
+        checked = {"td-lr": 0, "flat": 0}
+        for _ in range(150):
+            tax = random_taxonomy(rng, int(rng.integers(2, 25)))
+            dim = int(rng.integers(0, 8))
+            width = max(0, dim + int(rng.integers(-2, 4)))  # data narrower or wider
+            vectors = random_rows(rng, int(rng.integers(0, 12)), width)
+            data = Dataset(vectors, [0] * len(vectors), dimensionality=width)
+            fp = tax.fingerprint()
+
+            td = ModelSet("td-lr", fp, dim, 1.0, random_thetas(rng, tax.non_root_nodes(), dim))
+            want = [predict_topdown(td, tax, x, return_evals=True) for x in vectors]
+            got = predict_dataset(td, data, tax, return_evals=True)
+            assert got == ([leaf for leaf, _ in want], sum(n for _, n in want))
+
+            flat = ModelSet("flat", fp, dim, 1.0, random_thetas(rng, sorted(tax.leaves), dim))
+            want = [predict_flat(flat, x, return_evals=True) for x in vectors]
+            expected = ([leaf for leaf, _ in want], sum(n for _, n in want))
+            assert predict_dataset(flat, data, return_evals=True) == expected
+            assert predict_dataset(flat, data, tax, return_evals=True) == expected
+            checked["td-lr"] += len(vectors)
+            checked["flat"] += len(vectors)
+        assert min(checked.values()) > 500
+
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_flat_thetas_match_per_leaf_fits(self, per_node):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            tax = random_taxonomy(rng, int(rng.integers(4, 12)))
+            leaves = sorted(tax.leaves)
+            dim = int(rng.integers(2, 7))
+            vectors = random_rows(rng, 30, dim)
+            labels = [int(l) for l in rng.choice(leaves, size=len(vectors))]
+            data = Dataset(vectors, labels, dimensionality=dim)
+            costs = rng.uniform(0.5, 2.0, size=data.n)
+            c = ({leaf: float(rng.choice([0.1, 1.0, 10.0])) for leaf in leaves}
+                 if per_node else 3.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # leaves without instances
+                ms = train_flat(tax, data, c, costs, max_iter=40)
+            assert ms.mode == "flat" and ms.fingerprint == tax.fingerprint()
+            assert sorted(ms.models) == leaves
+            features = data.to_csr()
+            for leaf in leaves:
+                y = np.where(np.asarray(labels) == leaf, 1.0, -1.0)
+                c_leaf = c[leaf] if per_node else c
+                want = minimize_lbfgs(
+                    lambda th: lr_objective_gradient(th, features, y, c_leaf, costs),
+                    np.zeros(dim), grad_tol=1e-6, max_iter=40,
+                )
+                model = ms.models[leaf]
+                assert np.array_equal(model.theta, want.x)
+                assert model.c_used == c_leaf and model.final_objective == want.fun
 
 
 class TestTuning:

@@ -36,6 +36,9 @@ from .synthbench import BenchError
 from .taxonomy import TaxonomyError
 from .corpus import DatasetFormatError
 
+# Ranks of the sorted pair table that similarity writes to pairs.csv.
+_CURVE_SAMPLE_ROWS = 1_024
+
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -116,7 +119,7 @@ def cmd_similarity(args: argparse.Namespace) -> int:
     selected, suggested = _select(args, scores)
 
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
-        simgraph.write_score_curve(scores, fh)
+        simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS)
     (out / "pairs.txt").write_text(
         _config_line(args) + "\n" + simgraph.serialize_pair_set(selected),
         encoding="utf-8",
@@ -465,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

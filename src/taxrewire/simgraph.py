@@ -274,16 +274,13 @@ def knee_rank(values: Sequence[float] | np.ndarray) -> int:
     return best + 1
 
 
-def auto_threshold(scores: ScoreTable, curve_out: IO[str] | None = None) -> float:
+def auto_threshold(scores: ScoreTable) -> float:
     """Pick the similarity threshold at the knee of the sorted score curve.
 
     Returns the score at the knee rank.  Every pair scoring at least that
     value is what :func:`select_at_knee` keeps; ``select_pairs(tau=...)``
     at the returned value drops the knee pair, because it is strict.
-    Optionally writes the full curve as CSV for inspection.
     """
-    if curve_out is not None:
-        write_score_curve(scores, curve_out)
     rank = knee_rank(scores.score)
     return float(scores.score[rank - 1])
 
@@ -292,16 +289,28 @@ def auto_threshold(scores: ScoreTable, curve_out: IO[str] | None = None) -> floa
 _CURVE_CHUNK_ROWS = 65_536
 
 
-def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
-    """CSV dump of a score table: rank, class ids, score (``repr``), in chunks of rows."""
+def write_score_curve(scores: ScoreTable, out: IO[str], sample: int | None = None) -> None:
+    """CSV dump of a score table: rank, class ids, score (``repr``), in chunks of rows.
+
+    ``sample=None`` writes every rank.  ``sample=t`` writes ``T = min(t, n)``
+    ranks spread evenly over the curve, ``1 + floor(j * (n - 1) / (T - 1))``
+    for ``j = 0..T-1``: the first and the last rank, and every rank when
+    ``t >= n``.  A written line is the same as that rank's line in the
+    full curve.
+    """
+    if sample is not None and sample < 1:
+        raise SimilarityError(f"sample must be at least 1, got {sample}")
+    n = len(scores)
+    t = n if sample is None else min(sample, n)
     out.write("rank,class_a,class_b,score\n")
-    for start in range(0, len(scores), _CURVE_CHUNK_ROWS):
-        stop = start + _CURVE_CHUNK_ROWS
-        rows = zip(
-            range(start + 1, stop + 1), scores.a[start:stop].tolist(),
-            scores.b[start:stop].tolist(), scores.score[start:stop].tolist(),
+    for start in range(0, t, _CURVE_CHUNK_ROWS):
+        j = np.arange(start, min(start + _CURVE_CHUNK_ROWS, t), dtype=np.int64)
+        rows = j * (n - 1) // max(t - 1, 1)  # 0-based; j itself when t == n
+        lines = zip(
+            (rows + 1).tolist(), scores.a[rows].tolist(),
+            scores.b[rows].tolist(), scores.score[rows].tolist(),
         )
-        out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in rows))
+        out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in lines))
 
 
 def serialize_pair_set(pair_set: SimilarPairSet) -> str:

@@ -1,15 +1,19 @@
 """End-to-end pipeline runs through the console entry point, in process."""
 
 import filecmp
+import io
 import json
 import re
 
 import pytest
 
 from taxrewire.cli import main
+from taxrewire.corpus import parse_dataset
 from taxrewire.rewire import RewireLog, replay_log
-from taxrewire.simgraph import parse_pair_set
+from taxrewire.simgraph import class_centroids, parse_pair_set
 from taxrewire.taxonomy import parse_taxonomy, serialize_taxonomy
+
+from reference_impls import csv_score_curve, per_pair_scores
 
 BENCH_ARGS = [
     "--seed", "7", "--fanout", "3", "--leaves", "9", "--dims", "16",
@@ -130,6 +134,46 @@ class TestArtifacts:
         assert len(csv_lines) == 10
 
 
+@pytest.fixture(scope="module")
+def bench81(tmp_path_factory):
+    """A planted 81-leaf benchmark: 3,240 class pairs."""
+    out = tmp_path_factory.mktemp("bench81")
+    assert run("bench", "--out", out, "--seed", "3", "--leaves", "81") == 0
+    return out
+
+
+class TestScoreCurve:
+    def test_curve_is_an_even_sample_of_the_full_curve(self, bench81, tmp_path):
+        out = tmp_path / "sim"
+        assert run(
+            "similarity", "--data", bench81 / "data.txt",
+            "--hierarchy", bench81 / "corrupted.edges", "--out", out,
+            "--no-tfidf", "--top-k", "100",
+        ) == 0
+        # The full curve of the per-pair scorer and csv writer.
+        data = parse_dataset((bench81 / "data.txt").read_text())
+        leaves = parse_taxonomy((bench81 / "corrupted.edges").read_text()).leaves
+        cents = class_centroids(data, leaves)
+        buf = io.StringIO()
+        csv_score_curve(per_pair_scores(dict(zip(cents.labels, cents.vectors))), buf)
+        full_lines = buf.getvalue().splitlines()
+        assert len(full_lines) == 1 + 3240
+
+        lines = (out / "pairs.csv").read_text().splitlines()
+        ranks = [int(line.split(",", 1)[0]) for line in lines[1:]]
+        assert lines[0] == full_lines[0]
+        assert [full_lines[r] for r in ranks] == lines[1:]
+        assert ranks == sorted(set(ranks)) and len(lines) == 1 + 1024
+        assert ranks[0] == 1 and ranks[-1] == 3240
+        # Sampled ranks within the selection are the pairs of pairs.txt.
+        selected = parse_pair_set((out / "pairs.txt").read_text())
+        head = [line.split(",") for line in lines[1:] if int(line.split(",", 1)[0]) <= 100]
+        assert len(head) == 32  # 1 + floor(j * 3239 / 1023) <= 100 for j = 0..31
+        assert [(int(a), int(b)) for _, a, b, _ in head] == [
+            (selected.pairs[int(r) - 1].a, selected.pairs[int(r) - 1].b) for r, _, _, _ in head
+        ]
+
+
 class TestDeterminism:
     def test_bench_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = tmp_path / "bench2"
@@ -137,15 +181,14 @@ class TestDeterminism:
         for name in ("true.edges", "corrupted.edges", "data.txt", "bench_summary.json"):
             assert filecmp.cmp(pipeline["bench"] / name, again / name, shallow=False)
 
-    def test_similarity_workers_do_not_leak(self, pipeline, tmp_path):
-        b = pipeline["bench"]
+    def test_similarity_workers_do_not_leak(self, bench81, tmp_path):
         outs = []
         for workers in ("1", "8"):
             out = tmp_path / f"sim{workers}"
             assert run(
-                "similarity", "--data", b / "data.txt",
-                "--hierarchy", b / "corrupted.edges", "--out", out,
-                "--no-tfidf", "--auto-tau", "--workers", workers,
+                "similarity", "--data", bench81 / "data.txt",
+                "--hierarchy", bench81 / "corrupted.edges", "--out", out,
+                "--no-tfidf", "--top-k", "100", "--workers", workers,
             ) == 0
             outs.append(out)
         for name in ("pairs.csv", "pairs.txt", "similarity_summary.json"):
@@ -473,6 +516,22 @@ class TestExitCodes:
             "train", "--data", b / "data.txt", "--hierarchy", b / "true.edges",
             "--out", tmp_path / "o", "--grid", "abc",
         ) == 6
+
+    @pytest.mark.parametrize("argv", [
+        ["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
+         "--workers", "-3"],
+        ["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
+         "--workers", "0"],
+        ["rewire", "--hierarchy", "{b}/corrupted.edges", "--pairs", "{s}/pairs.txt",
+         "--workers", "0"],
+        ["train", "--data", "{b}/data.txt", "--hierarchy", "{b}/true.edges", "--C", "1",
+         "--no-tfidf", "--workers", "-4"],
+    ])
+    def test_workers_below_one(self, pipeline, tmp_path, capsys, argv):
+        argv = [a.format(b=pipeline["bench"], s=pipeline["sim"]) for a in argv]
+        assert run(*argv, "--out", tmp_path / "o") == 6
+        assert "--workers must be at least 1, got " + argv[-1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:

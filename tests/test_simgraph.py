@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,11 +189,82 @@ class TestMatchesPerPairScorer:
             write_score_curve(table, got_csv)
             csv_score_curve(want, want_csv)
             assert got_csv.getvalue() == want_csv.getvalue()
+            check_sampled_curve(table, int(rng.integers(1, len(want) + 2)), want_csv.getvalue())
             scores = table.score
             ties += int(np.count_nonzero(scores[1:] == scores[:-1]))
             zeros += int(np.count_nonzero(scores == 0.0))
             negatives += int(np.count_nonzero(scores < 0.0))
         assert ties and zeros and negatives  # the generator reached every case
+
+
+def check_sampled_curve(table, sample, full_text):
+    """``write_score_curve(table, sample=sample)`` against the full curve text."""
+    buf = io.StringIO()
+    write_score_curve(table, buf, sample=sample)
+    text = buf.getvalue()
+    full = full_text.splitlines()
+    lines = text.splitlines()
+    n = len(table)
+    t = min(sample, n)
+    assert text.endswith("\n") and lines[0] == full[0]
+    ranks = [int(line.split(",", 1)[0]) for line in lines[1:]]
+    assert [full[r] for r in ranks] == lines[1:]  # the full curve's lines, by rank
+    assert ranks == sorted(set(ranks))  # in order, none twice
+    assert ranks == [1 + math.floor(Fraction(j * (n - 1), max(t - 1, 1))) for j in range(t)]
+    assert len(lines) == 1 + t
+    if n:
+        assert ranks[0] == 1 and (t == 1 or ranks[-1] == n)
+    if sample >= n:
+        assert text == full_text
+    return ranks
+
+
+class TestScoreCurve:
+    """pairs.csv: every rank of the sorted table, or an even sample of them."""
+
+    @staticmethod
+    def table(n, seed=0):
+        rng = np.random.default_rng(seed)
+        scores = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 3))[::-1]  # with ties
+        a = rng.integers(0, 500, n)
+        return ScoreTable(a, a + 1 + rng.integers(0, 500, n), scores)
+
+    @staticmethod
+    def full_text(table):
+        buf = io.StringIO()
+        csv_score_curve(rows(table), buf)
+        return buf.getvalue()
+
+    def test_writes_every_row_by_default(self):
+        buf = io.StringIO()
+        write_score_curve(descending(1.0, 0.9, 0.1), buf)
+        assert buf.getvalue() == (
+            "rank,class_a,class_b,score\n1,0,100,1.0\n2,1,101,0.9\n3,2,102,0.1\n"
+        )
+
+    @pytest.mark.parametrize("n,sample", [
+        (3000, 1024), (3000, 1), (3000, 2), (3000, 2999), (3000, 3000), (3000, 5000),
+        (1024, 1024), (1025, 1024), (5, 2), (1, 1), (1, 1024), (0, 1024),
+    ])
+    def test_even_sample_of_the_full_curve(self, n, sample):
+        table = self.table(n)
+        check_sampled_curve(table, sample, self.full_text(table))
+
+    def test_sample_spans_the_curve(self):
+        table = self.table(3000)
+        ranks = check_sampled_curve(table, 1024, self.full_text(table))
+        assert ranks[:4] == [1, 3, 6, 9]  # 1 + floor(j * 2999 / 1023)
+        assert ranks[-2:] == [2997, 3000]
+
+    @pytest.mark.parametrize("sample", [1024, _CURVE_CHUNK_ROWS + 5])
+    def test_table_larger_than_a_chunk(self, sample):
+        table = self.table(_CURVE_CHUNK_ROWS + 3000, seed=1)
+        check_sampled_curve(table, sample, self.full_text(table))
+
+    @pytest.mark.parametrize("sample", [0, -1])
+    def test_sample_below_one_rejected(self, sample):
+        with pytest.raises(SimilarityError, match="sample must be at least 1"):
+            write_score_curve(descending(1.0, 0.9, 0.1), io.StringIO(), sample=sample)
 
 
 def descending(*vals):
@@ -297,14 +369,6 @@ class TestKnee:
         assert kept.tau == 0.9
         kept = select_at_knee(descending(1.0, 0.95, 0.9, 0.9, 0.2, 0.19, 0.18))
         assert [p.score for p in kept] == [1.0, 0.95, 0.9, 0.9]
-
-    def test_auto_threshold_writes_curve(self):
-        scores = descending(1.0, 0.9, 0.1)
-        buf = io.StringIO()
-        auto_threshold(scores, curve_out=buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "rank,class_a,class_b,score"
-        assert len(lines) == 4
 
 
 class TestPairSetText:

@@ -52,7 +52,6 @@ from .rewire import (
     rewire_hierarchy,
 )
 from .simgraph import (
-    PairScore,
     ScoreTable,
     SimilarPairSet,
     SimilarityError,

@@ -93,12 +93,10 @@ def _selection_flags(sub: argparse.ArgumentParser) -> None:
 
 def _select(args: argparse.Namespace, scores) -> tuple[simgraph.SimilarPairSet, float | None]:
     """Apply the chosen selection mode; returns (set, suggested tau or None)."""
-    if args.tau is not None:
-        return simgraph.select_pairs(scores, tau=args.tau), None
-    if args.top_k is not None:
-        return simgraph.select_pairs(scores, top_k=args.top_k), None
-    selected = simgraph.select_at_knee(scores)
-    return selected, selected.tau
+    if args.tau is None and args.top_k is None:
+        selected = simgraph.select_at_knee(scores)
+        return selected, selected.tau
+    return simgraph.select_pairs(scores, tau=args.tau, top_k=args.top_k), None
 
 
 def _compute_pairs(args: argparse.Namespace):
@@ -114,9 +112,9 @@ def _compute_pairs(args: argparse.Namespace):
 
 
 def cmd_similarity(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     tax, _, centroids, scores = _compute_pairs(args)
     selected, suggested = _select(args, scores)
+    out = _out_dir(args)
 
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
         simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS)
@@ -136,7 +134,6 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def cmd_rewire(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     if args.pairs is not None:
         tax = _load_hierarchy(args.hierarchy)
         selected = simgraph.parse_pair_set(_read(args.pairs))
@@ -155,6 +152,7 @@ def cmd_rewire(args: argparse.Namespace) -> int:
     if modified.leaves != before_leaves:  # pragma: no cover - structural guarantee
         raise RewireError("rewiring changed the class leaves")
 
+    out = _out_dir(args)
     (out / "modified.edges").write_text(
         _config_line(args) + "\n" + taxonomy.serialize_taxonomy(modified),
         encoding="utf-8",

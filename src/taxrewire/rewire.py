@@ -282,14 +282,9 @@ def rewire_hierarchy(
     # A created node takes max(ids) + 1; nothing is deleted before the sweep.
     next_id = max(tax.nodes) + 1
     ops: list[RewireOp] = []
-    for iteration, p in enumerate(pairs, 1):
-        first, second = p.a, p.b
-        if (
-            first not in work
-            or second not in work
-            or first not in class_leaves
-            or second not in class_leaves
-        ):
+    ordered = zip(pairs.a.tolist(), pairs.b.tolist())
+    for iteration, (first, second) in enumerate(ordered, 1):
+        if first not in class_leaves or second not in class_leaves:
             warnings.warn(
                 f"pair ({first}, {second}) skipped: not class leaves of the tree",
                 stacklevel=2,

@@ -7,16 +7,20 @@ similarity threshold or a top-k cut.  When no threshold is known up
 front, the knee of the sorted similarity curve suggests one.
 
 All pairs are kept as one :class:`ScoreTable` of numpy arrays, sorted
-once; only the pairs a selection keeps become :class:`PairScore`
-objects, collected in a :class:`SimilarPairSet`.
+once.  A selection is a :class:`SimilarPairSet`: the same three arrays,
+sliced to the kept rows, plus the threshold they passed.  No pair
+becomes a Python object; only rewiring's membership tests build a set
+of ``(a, b)`` tuples, on first use.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -28,29 +32,12 @@ class SimilarityError(ValueError):
     """Raised for invalid similarity inputs or selection parameters."""
 
 
-@dataclass(frozen=True)
-class PairScore:
-    """Cosine score for an unordered class pair, stored with ``a < b``."""
-
-    a: int
-    b: int
-    score: float
-
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise SimilarityError(f"pair must satisfy a < b, got ({self.a}, {self.b})")
-        if not -1.0 <= self.score <= 1.0:
-            raise SimilarityError(f"cosine score out of range: {self.score}")
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Scored class pairs as three parallel arrays, in descending score order.
 
     Row ``i`` is the pair ``(a[i], b[i])`` with ``a[i] < b[i]`` and cosine
     ``score[i]``; ties are in (a, b) order.  ``len()`` is the pair count.
-    Only the rows a selection keeps are turned into :class:`PairScore`
-    objects, by :meth:`head`.
     """
 
     a: np.ndarray
@@ -67,36 +54,37 @@ class ScoreTable:
     def __len__(self) -> int:
         return int(self.score.size)
 
-    def head(self, k: int) -> list[PairScore]:
-        """The first ``k`` rows as validated :class:`PairScore` objects."""
-        return [
-            PairScore(a, b, s)
-            for a, b, s in zip(self.a[:k].tolist(), self.b[:k].tolist(), self.score[:k].tolist())
-        ]
 
-
-class SimilarPairSet:
+@dataclass(frozen=True, eq=False)
+class SimilarPairSet(ScoreTable):
     """Selected pairs in descending score order, plus the threshold they passed.
 
-    Membership tests normalize pair orientation, so ``(a, b)`` and
-    ``(b, a)`` are the same pair.
+    The rows are checked on construction: ``a < b``, scores in [-1, 1],
+    non-increasing and at least ``tau``.  Membership tests normalize pair
+    orientation, so ``(a, b)`` and ``(b, a)`` are the same pair; the first
+    test builds the set of member tuples.
     """
 
-    def __init__(self, pairs: Sequence[PairScore], tau: float) -> None:
-        scores = [p.score for p in pairs]
-        if any(s2 > s1 for s1, s2 in zip(scores, scores[1:])):
+    tau: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "tau", float(self.tau))
+        bad = np.flatnonzero(self.a >= self.b)
+        if bad.size:
+            i = bad[0]
+            raise SimilarityError(f"pair must satisfy a < b, got ({self.a[i]}, {self.b[i]})")
+        bad = np.flatnonzero(~((self.score >= -1.0) & (self.score <= 1.0)))
+        if bad.size:
+            raise SimilarityError(f"cosine score out of range: {self.score[bad[0]]}")
+        if np.any(self.score[1:] > self.score[:-1]):
             raise SimilarityError("pairs must be sorted by descending score")
-        if any(p.score < tau for p in pairs):
+        if np.any(self.score < self.tau):
             raise SimilarityError("every stored score must be >= tau")
-        self.pairs: list[PairScore] = list(pairs)
-        self.tau = float(tau)
-        self._members = frozenset((p.a, p.b) for p in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[PairScore]:
-        return iter(self.pairs)
+    @cached_property
+    def _members(self) -> frozenset[tuple[int, int]]:
+        return frozenset(zip(self.a.tolist(), self.b.tolist()))
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         a, b = pair
@@ -207,30 +195,33 @@ def select_pairs(
     """Cut a descending score table down to the similar pairs.
 
     Exactly one of ``tau`` and ``top_k`` must be given.  Threshold mode
-    keeps scores strictly above ``tau``; top-k mode keeps the first ``k``
-    rows and adopts the k-th score as the set's threshold.  Only the
-    kept rows become :class:`PairScore` objects.
+    keeps scores strictly above ``tau`` and fails when there are none;
+    top-k mode keeps the first ``k`` rows and adopts the k-th score as the
+    set's threshold.  The set's arrays are the table's first rows.
     """
     if (tau is None) == (top_k is None):
         raise SimilarityError("exactly one of tau and top_k must be given")
+    if not len(scores):
+        raise SimilarityError("cannot select from an empty score table")
     if np.any(scores.score[1:] > scores.score[:-1]):
         raise SimilarityError("scores must be sorted descending")
     if tau is not None:
         if not -1.0 <= tau <= 1.0:
             raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
-        return SimilarPairSet(scores.head(int(np.count_nonzero(scores.score > tau))), tau)
-    if top_k < 1:
-        raise SimilarityError(f"top_k must be >= 1, got {top_k}")
-    if not len(scores):
-        raise SimilarityError("cannot take top_k of an empty score table")
-    if top_k > len(scores):
-        warnings.warn(
-            f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
-            stacklevel=2,
-        )
-        top_k = len(scores)
-    kept = scores.head(top_k)
-    return SimilarPairSet(kept, kept[-1].score)
+        k = int(np.count_nonzero(scores.score > tau))
+        if not k:
+            raise SimilarityError(f"no pair scores above tau {tau} (top score {scores.score[0]})")
+    else:
+        if top_k < 1:
+            raise SimilarityError(f"top_k must be >= 1, got {top_k}")
+        if top_k > len(scores):
+            warnings.warn(
+                f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
+                stacklevel=2,
+            )
+        k = min(top_k, len(scores))
+        tau = scores.score[k - 1]
+    return SimilarPairSet(scores.a[:k], scores.b[:k], scores.score[:k], tau)
 
 
 def select_at_knee(scores: ScoreTable) -> SimilarPairSet:
@@ -315,16 +306,21 @@ def write_score_curve(scores: ScoreTable, out: IO[str], sample: int | None = Non
 
 def serialize_pair_set(pair_set: SimilarPairSet) -> str:
     """Text form: a ``# tau`` header, then one ``a b score`` line per pair."""
-    lines = [f"# tau {pair_set.tau!r}"]
-    for p in pair_set:
-        lines.append(f"{p.a} {p.b} {p.score!r}")
+    rows = zip(pair_set.a.tolist(), pair_set.b.tolist(), pair_set.score.tolist())
+    lines = [f"# tau {pair_set.tau!r}", *(f"{a} {b} {s!r}" for a, b, s in rows)]
     return "\n".join(lines) + "\n"
 
 
 def parse_pair_set(text: str) -> SimilarPairSet:
-    """Inverse of :func:`serialize_pair_set`."""
+    """Inverse of :func:`serialize_pair_set`.
+
+    Each pair line names two distinct classes, in either order, and a
+    finite score in [-1, 1]; no pair may be listed twice.  Errors name
+    the line.  Without a ``# tau`` header the last score is the threshold.
+    """
     tau: float | None = None
-    pairs: list[PairScore] = []
+    # Typed buffers hold every pair; only the current line's are Python objects.
+    lo, hi, linenos, score = array("q"), array("q"), array("q"), array("d")
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped:
@@ -343,13 +339,24 @@ def parse_pair_set(text: str) -> SimilarPairSet:
         if len(parts) != 3:
             raise SimilarityError(f"line {lineno}: expected 'a b score', got {stripped!r}")
         try:
-            a, b, score = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError:
+            a, b, s = int(parts[0]), int(parts[1]), float(parts[2])
+            lo.append(a if a < b else b)
+            hi.append(b if a < b else a)
+        except (ValueError, OverflowError):
             raise SimilarityError(f"line {lineno}: malformed pair line {stripped!r}") from None
-        lo, hi = (a, b) if a < b else (b, a)
-        pairs.append(PairScore(lo, hi, score))
-    if not pairs:
+        if a == b:
+            raise SimilarityError(f"line {lineno}: pair ({a}, {b}) names one class twice")
+        if not -1.0 <= s <= 1.0:
+            raise SimilarityError(f"line {lineno}: cosine score out of range: {parts[2]}")
+        linenos.append(lineno)
+        score.append(s)
+    if not score:
         raise SimilarityError("pair list is empty")
-    if tau is None:
-        tau = pairs[-1].score
-    return SimilarPairSet(pairs, tau)
+    pairs = SimilarPairSet(lo, hi, score, score[-1] if tau is None else tau)
+    # A stable sort by pair: a row equal to the one before it repeats that pair.
+    order = np.lexsort((pairs.b, pairs.a))
+    later = order[1:][(np.diff(pairs.a[order]) == 0) & (np.diff(pairs.b[order]) == 0)]
+    if later.size:
+        i = later.min()
+        raise SimilarityError(f"line {linenos[i]}: pair ({lo[i]}, {hi[i]}) is listed twice")
+    return pairs

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from taxrewire.corpus import Dataset, make_sparse
-from taxrewire.simgraph import PairScore, SimilarPairSet
+from taxrewire.simgraph import SimilarPairSet
 from taxrewire.taxonomy import parse_taxonomy
 
 LETTER_EDGES = "A B\nA C\nB 3\nB 4\nB 5\nC 6\nC 7\nC 8\n"
@@ -35,13 +35,8 @@ def letter_ids(letter_tree):
 
 def pair_set(*pairs: tuple[int, int], tau: float = 0.5) -> SimilarPairSet:
     """Build a pair set from (a, b) tuples; scores descend from 0.9."""
-    scored = []
-    score = 0.9
-    for a, b in pairs:
-        lo, hi = (a, b) if a < b else (b, a)
-        scored.append(PairScore(lo, hi, round(score, 6)))
-        score -= 0.01
-    return SimilarPairSet(scored, tau)
+    scores = [round(0.9 - 0.01 * i, 6) for i in range(len(pairs))]
+    return SimilarPairSet([min(p) for p in pairs], [max(p) for p in pairs], scores, tau)
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from scipy import sparse as sp
 
 from taxrewire.corpus import SparseVector, make_sparse
 from taxrewire.learner import LearnerError, ModelSet, NodeModel
-from taxrewire.simgraph import PairScore, SimilarPairSet
+from taxrewire.simgraph import SimilarPairSet
 from taxrewire.synthbench import BenchError
 from taxrewire.taxonomy import Taxonomy
 
@@ -244,19 +244,18 @@ def random_pair_set(
     """Random subset of leaf pairs with random descending scores; test fodder."""
     leaves = sorted(tax.leaves)
     all_pairs = [(a, b) for i, a in enumerate(leaves) for b in leaves[i + 1:]]
-    if not all_pairs:
-        return SimilarPairSet([], tau=1.0)
-    cap = len(all_pairs) if max_pairs is None else min(max_pairs, len(all_pairs))
-    k = int(rng.integers(0, cap + 1))
-    chosen = sorted(rng.permutation(len(all_pairs))[:k])
-    scores = np.sort(rng.uniform(-1.0, 1.0, size=k))[::-1]
-    pairs = [
-        PairScore(all_pairs[i][0], all_pairs[i][1], float(s))
-        for i, s in zip(chosen, scores)
-    ]
-    pairs.sort(key=lambda p: (-p.score, p.a, p.b))
-    tau = pairs[-1].score if pairs else 1.0
-    return SimilarPairSet(pairs, tau)
+    rows: list[tuple[int, int, float]] = []
+    if all_pairs:
+        cap = len(all_pairs) if max_pairs is None else min(max_pairs, len(all_pairs))
+        k = int(rng.integers(0, cap + 1))
+        chosen = sorted(rng.permutation(len(all_pairs))[:k])
+        scores = np.sort(rng.uniform(-1.0, 1.0, size=k))[::-1]
+        rows = sorted(
+            ((all_pairs[i][0], all_pairs[i][1], float(s)) for i, s in zip(chosen, scores)),
+            key=lambda r: (-r[2], r[0], r[1]),
+        )
+    tau = rows[-1][2] if rows else 1.0
+    return SimilarPairSet([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows], tau)
 
 
 # ----------------------------------------------------------------------

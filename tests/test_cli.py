@@ -170,7 +170,7 @@ class TestScoreCurve:
         head = [line.split(",") for line in lines[1:] if int(line.split(",", 1)[0]) <= 100]
         assert len(head) == 32  # 1 + floor(j * 3239 / 1023) <= 100 for j = 0..31
         assert [(int(a), int(b)) for _, a, b, _ in head] == [
-            (selected.pairs[int(r) - 1].a, selected.pairs[int(r) - 1].b) for r, _, _, _ in head
+            (selected.a[int(r) - 1], selected.b[int(r) - 1]) for r, _, _, _ in head
         ]
 
 
@@ -317,8 +317,12 @@ class TestEvaluateModes:
         ) == 6
 
 
+def edge_lines(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
 class TestRewireModes:
-    def test_rewire_from_data(self, pipeline, tmp_path):
+    def test_rewire_from_data_matches_pipeline(self, pipeline, tmp_path):
         b = pipeline["bench"]
         out = tmp_path / "rewire_data"
         assert run(
@@ -328,6 +332,35 @@ class TestRewireModes:
         direct = parse_taxonomy((out / "modified.edges").read_text())
         via_pairs = parse_taxonomy((pipeline["rewire"] / "modified.edges").read_text())
         assert direct == via_pairs
+
+    @pytest.mark.parametrize("flag", [["--auto-tau"], ["--tau", "0.5"], ["--top-k", "100"]])
+    def test_rewire_from_data(self, bench81, tmp_path, flag):
+        """The in-memory selection rewires exactly as its pairs.txt round trip."""
+        sim, via_pairs, direct = tmp_path / "sim", tmp_path / "pairs", tmp_path / "data"
+        source = ["--data", bench81 / "data.txt", "--no-tfidf", *flag]
+        tree = ["--hierarchy", bench81 / "corrupted.edges"]
+        assert run("similarity", *source, *tree, "--out", sim) == 0
+        assert run("rewire", *tree, "--pairs", sim / "pairs.txt", "--out", via_pairs) == 0
+        assert run("rewire", *source, *tree, "--out", direct) == 0
+        assert edge_lines(direct / "modified.edges") == edge_lines(via_pairs / "modified.edges")
+        log = (direct / "rewire_log.jsonl").read_text()
+        assert log and log == (via_pairs / "rewire_log.jsonl").read_text()
+        selected = json.loads((sim / "similarity_summary.json").read_text())
+        for out in (via_pairs, direct):
+            summary = json.loads((out / "rewire_summary.json").read_text())
+            assert summary["n_pairs_used"] == selected["n_selected"] > 0
+            assert summary["tau_selected"] == selected["tau_selected"]
+
+    @pytest.mark.parametrize("command", ["similarity", "rewire"])
+    def test_empty_selection_fails_before_any_output(self, tmp_path, capsys, command):
+        bench = tmp_path / "bench"
+        assert run("bench", "--out", bench, "--seed", "1") == 0
+        assert run(
+            command, "--data", bench / "data.txt", "--hierarchy", bench / "corrupted.edges",
+            "--out", tmp_path / "o", "--no-tfidf", "--tau", "0.99999",
+        ) == 6
+        assert "no pair scores above tau 0.99999 (top score 0.95" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rewire_needs_pairs_or_data(self, pipeline, tmp_path):
         assert run(
@@ -509,6 +542,19 @@ class TestExitCodes:
                    "--pairs", pairs, "--out", tmp_path / "o") == 6
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "o" / "rewire_summary.json").exists()
+
+    @pytest.mark.parametrize("body,msg", [
+        ("3 3 0.9", "line 2: pair (3, 3) names one class twice"),
+        ("1 2 1.5", "line 2: cosine score out of range: 1.5"),
+        ("3 5 0.9\n5 3 0.8", "line 3: pair (3, 5) is listed twice"),
+    ])
+    def test_bad_pair_lines(self, pipeline, tmp_path, capsys, body, msg):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# tau 0.5\n{body}\n")
+        assert run("rewire", "--hierarchy", pipeline["bench"] / "corrupted.edges",
+                   "--pairs", pairs, "--out", tmp_path / "o") == 6
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_grid(self, pipeline, tmp_path):
         b = pipeline["bench"]

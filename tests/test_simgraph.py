@@ -8,7 +8,6 @@ import pytest
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     _CURVE_CHUNK_ROWS,
-    PairScore,
     ScoreTable,
     SimilarityError,
     SimilarPairSet,
@@ -289,6 +288,21 @@ class TestSelectPairs:
         with pytest.raises(SimilarityError, match="tau"):
             select_pairs(descending(0.5), tau=1.5)
 
+    def test_tau_above_every_score_fails(self):
+        top = r"no pair scores above tau 0.9 \(top score 0.9\)"
+        with pytest.raises(SimilarityError, match=top):
+            select_pairs(descending(0.9, 0.5), tau=0.9)
+        with pytest.raises(SimilarityError, match="empty score table"):
+            select_pairs(descending(), tau=0.0)
+
+    @pytest.mark.parametrize("mode", [{"tau": 0.55}, {"top_k": 2}])
+    def test_selection_is_the_tables_first_rows(self, mode):
+        scores = descending(0.9, 0.6, 0.5, 0.1)
+        kept = select_pairs(scores, **mode)
+        assert rows(kept) == rows(scores)[:2]
+        for col in ("a", "b", "score"):
+            assert np.shares_memory(getattr(kept, col), getattr(scores, col))
+
     def test_top_k_keeps_k_and_adopts_kth_score(self):
         scores = descending(0.9, 0.8, 0.7, 0.6)
         kept = select_pairs(scores, top_k=2)
@@ -315,14 +329,27 @@ class TestSelectPairs:
 class TestSimilarPairSet:
     def test_invariants(self):
         with pytest.raises(SimilarityError, match="descending"):
-            SimilarPairSet([PairScore(1, 2, 0.1), PairScore(1, 3, 0.9)], tau=0.0)
+            SimilarPairSet([1, 1], [2, 3], [0.1, 0.9], tau=0.0)
         with pytest.raises(SimilarityError, match=">= tau"):
-            SimilarPairSet([PairScore(1, 2, 0.1)], tau=0.5)
+            SimilarPairSet([1], [2], [0.1], tau=0.5)
+
+    def test_orientation_and_range_checked(self):
+        with pytest.raises(SimilarityError, match=r"a < b, got \(2, 1\)"):
+            SimilarPairSet([1, 2], [3, 1], [0.9, 0.5], tau=0.0)
+        with pytest.raises(SimilarityError, match=r"a < b, got \(1, 1\)"):
+            SimilarPairSet([1], [1], [0.5], tau=0.0)
+        for bad in (1.5, -1.5, math.nan, math.inf):
+            with pytest.raises(SimilarityError, match="out of range"):
+                SimilarPairSet([1], [2], [bad], tau=-1.0)
 
     def test_contains_normalizes_orientation(self):
-        s = SimilarPairSet([PairScore(1, 2, 0.9)], tau=0.5)
+        s = SimilarPairSet([1], [2], [0.9], tau=0.5)
         assert (1, 2) in s and (2, 1) in s
         assert (1, 3) not in s
+
+    def test_empty_set(self):
+        s = SimilarPairSet([], [], [], tau=1.0)
+        assert len(s) == 0 and (1, 2) not in s
 
 
 class TestKnee:
@@ -365,25 +392,25 @@ class TestKnee:
 
     def test_auto_selection_keeps_the_knee_pair(self):
         kept = select_at_knee(descending(1.0, 0.95, 0.9, 0.2, 0.19, 0.18))
-        assert [p.score for p in kept] == [1.0, 0.95, 0.9]
+        assert kept.score.tolist() == [1.0, 0.95, 0.9]
         assert kept.tau == 0.9
         kept = select_at_knee(descending(1.0, 0.95, 0.9, 0.9, 0.2, 0.19, 0.18))
-        assert [p.score for p in kept] == [1.0, 0.95, 0.9, 0.9]
+        assert kept.score.tolist() == [1.0, 0.95, 0.9, 0.9]
 
 
 class TestPairSetText:
     def test_round_trip(self):
-        s = SimilarPairSet(
-            [PairScore(0, 3, 0.875), PairScore(1, 2, 0.25)], tau=0.125
-        )
+        s = SimilarPairSet([0, 1], [3, 2], [0.875, 0.25], tau=0.125)
         text = serialize_pair_set(s)
+        assert text == "# tau 0.125\n0 3 0.875\n1 2 0.25\n"
         again = parse_pair_set(text)
         assert again.tau == s.tau
-        assert again.pairs == s.pairs
+        assert rows(again) == rows(s)
 
     def test_parse_normalizes_orientation(self):
         s = parse_pair_set("5 2 0.75\n")
-        assert s.pairs[0].a == 2 and s.pairs[0].b == 5
+        assert s.a.tolist() == [2] and s.b.tolist() == [5]
+        assert (5, 2) in s
 
     def test_tau_defaults_to_last_score(self):
         s = parse_pair_set("1 2 0.9\n1 3 0.4\n")
@@ -394,6 +421,23 @@ class TestPairSetText:
             parse_pair_set("1 2\n")
         with pytest.raises(SimilarityError, match="empty"):
             parse_pair_set("# tau 0.5\n")
+        with pytest.raises(SimilarityError, match="line 2: malformed pair line"):
+            parse_pair_set(f"1 2 0.9\n1 {2 ** 63} 0.5\n")
+
+    @pytest.mark.parametrize("text,msg", [
+        ("3 3 0.9\n", r"line 1: pair \(3, 3\) names one class twice"),
+        ("# tau 0.5\n\n1 2 1.5\n", "line 3: cosine score out of range: 1.5"),
+        ("1 2 -1.5\n", "line 1: cosine score out of range: -1.5"),
+        ("1 2 nan\n", "line 1: cosine score out of range: nan"),
+        ("1 2 inf\n", "line 1: cosine score out of range: inf"),
+        ("3 5 0.9\n5 3 0.8\n", r"line 2: pair \(3, 5\) is listed twice"),
+        ("3 5 0.9\n3 5 0.9\n", r"line 2: pair \(3, 5\) is listed twice"),
+        ("# c\n7 8 0.9\n1 2 0.8\n\n8 7 0.7\n2 1 0.6\n",
+         r"line 5: pair \(7, 8\) is listed twice"),
+    ])
+    def test_bad_pair_lines_name_the_line(self, text, msg):
+        with pytest.raises(SimilarityError, match=msg):
+            parse_pair_set(text)
 
     def test_curve_csv_format(self):
         buf = io.StringIO()
@@ -401,16 +445,10 @@ class TestPairSetText:
         assert buf.getvalue() == "rank,class_a,class_b,score\n1,1,2,0.5\n"
 
 
-class TestPairScore:
+class TestScoreTable:
     def test_score_table_shapes_checked(self):
         with pytest.raises(SimilarityError, match="equal length"):
             ScoreTable([1], [2, 3], [0.5])
+        with pytest.raises(SimilarityError, match="equal length"):
+            SimilarPairSet([1], [2, 3], [0.5], tau=0.0)
         assert len(ScoreTable([1, 1], [2, 3], [0.5, 0.25])) == 2
-
-    def test_orientation_and_range_checked(self):
-        with pytest.raises(SimilarityError):
-            PairScore(2, 1, 0.5)
-        with pytest.raises(SimilarityError):
-            PairScore(1, 1, 0.5)
-        with pytest.raises(SimilarityError):
-            PairScore(1, 2, 1.5)

@@ -200,19 +200,21 @@ class TestRandomFodder:
             leaves = tax.leaves
             seen = set()
             prev = float("inf")
-            for p in ps.pairs:
-                assert p.a < p.b
-                assert p.a in leaves and p.b in leaves
-                assert (p.a, p.b) not in seen
-                seen.add((p.a, p.b))
-                assert p.score <= prev
-                prev = p.score
-            if ps.pairs:
-                assert ps.tau == ps.pairs[-1].score
+            rows = list(zip(ps.a.tolist(), ps.b.tolist(), ps.score.tolist()))
+            assert len(rows) == len(ps)
+            for a, b, score in rows:
+                assert a < b
+                assert a in leaves and b in leaves
+                assert (a, b) not in seen
+                seen.add((a, b))
+                assert score <= prev
+                prev = score
+            if rows:
+                assert ps.tau == rows[-1][2]
 
     def test_random_pair_set_cap(self):
         rng = np.random.default_rng(8)
         tax = random_taxonomy(rng, 20)
         for _ in range(10):
             ps = random_pair_set(rng, tax, max_pairs=3)
-            assert len(ps.pairs) <= 3
+            assert len(ps) <= 3

@@ -118,10 +118,9 @@ def cmd_similarity(args: argparse.Namespace) -> int:
 
     with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
         simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS)
-    (out / "pairs.txt").write_text(
-        _config_line(args) + "\n" + simgraph.serialize_pair_set(selected),
-        encoding="utf-8",
-    )
+    with (out / "pairs.txt").open("w", encoding="utf-8") as fh:
+        fh.write(_config_line(args) + "\n")
+        simgraph.write_pair_set(selected, fh)
     _write_json(out / "similarity_summary.json", {
         "config": _provenance(args),
         "n_classes": centroids.n,
@@ -203,7 +202,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"cost file has {costs.shape[0]} entries for {data.n} instances"
             )
 
-    kwargs = dict(workers=args.workers, grad_tol=args.grad_tol, max_iter=args.max_iter)
+    kwargs = dict(grad_tol=args.grad_tol, max_iter=args.max_iter)
     summary: dict = {"config": _provenance(args), "n_instances": data.n,
                      "n_classes": len(tax.leaves)}
     if args.C is not None:
@@ -243,7 +242,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.bias:
         model_set.extra_headers["bias"] = "1"
     (out / "model.txt").write_text(
-        learner.serialize_model_set(model_set), encoding="utf-8"
+        learner.serialize_model_set(model_set, workers=args.workers), encoding="utf-8"
     )
     _write_json(out / "train_summary.json", summary)
     return 0

@@ -25,7 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -206,7 +206,6 @@ def _fit_tree(
     train: Dataset,
     c: float | Mapping[int, float],
     costs: np.ndarray | None,
-    workers: int,
     grad_tol: float,
     max_iter: int,
 ) -> dict[int, NodeModel]:
@@ -222,19 +221,10 @@ def _fit_tree(
         raise LearnerError(f"no C value for node {exc.args[0]}") from None
     _check_solver_settings(c_of.values(), grad_tol, max_iter)
 
-    def fit(node: int) -> NodeModel:
-        return train_node(
-            tree, node, train, c_of[node], costs, grad_tol=grad_tol, max_iter=max_iter
-        )
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fitted = list(pool.map(fit, nodes))
-    else:
-        fitted = [fit(n) for n in nodes]
-    return {m.node: m for m in fitted}
+    return {
+        n: train_node(tree, n, train, c_of[n], costs, grad_tol=grad_tol, max_iter=max_iter)
+        for n in nodes
+    }
 
 
 def _check_labels(tax: Taxonomy, train: Dataset) -> None:
@@ -264,17 +254,16 @@ def train_topdown(
     c: float | Mapping[int, float],
     costs: np.ndarray | None = None,
     *,
-    workers: int = 1,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> ModelSet:
     """Fit one model per non-root node for root-to-leaf prediction.
 
-    The result is independent of ``workers``: nodes are fit from identical
-    inputs in either case and collected in node order.  A training label
-    that is not a leaf of ``tax`` raises :class:`LearnerError`.
+    Nodes are fit one after another in this process, in node order.  A
+    training label that is not a leaf of ``tax`` raises
+    :class:`LearnerError`.
     """
-    models = _fit_tree(tax, train, c, costs, workers, grad_tol, max_iter)
+    models = _fit_tree(tax, train, c, costs, grad_tol, max_iter)
     c_used = dict(c) if isinstance(c, Mapping) else float(c)
     return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, c_used, models)
 
@@ -285,7 +274,6 @@ def train_flat(
     c: float | Mapping[int, float],
     costs: np.ndarray | None = None,
     *,
-    workers: int = 1,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> ModelSet:
@@ -296,7 +284,7 @@ def train_flat(
     fingerprint.  A training label that is not a leaf of ``tax`` raises
     :class:`LearnerError`.
     """
-    models = _fit_tree(_one_level(tax), train, c, costs, workers, grad_tol, max_iter)
+    models = _fit_tree(_one_level(tax), train, c, costs, grad_tol, max_iter)
     c_used = dict(c) if isinstance(c, Mapping) else float(c)
     return ModelSet("flat", tax.fingerprint(), train.dimensionality, c_used, models)
 
@@ -350,9 +338,15 @@ def predict_dataset(
         )
     start, children = _descent_map(model_set, tax)
     dim = model_set.dimensionality
-    thetas = {n: m.theta for n, m in model_set.models.items()}
-    if any(theta.shape != (dim,) for theta in thetas.values()):
+    if any(m.theta.shape != (dim,) for m in model_set.models.values()):
         raise LearnerError(f"every model must have {dim} weights")
+    # One (children x dim) weight block per internal node.  Each (instance,
+    # node) pair gathers its columns once with ``take``, whose rows are
+    # contiguous: a dot over such a row equals np.dot(theta[cols], vals)
+    # bit for bit (a strided row of block[:, cols] does not).
+    blocks = {
+        n: np.stack([model_set.models[k].theta for k in kids]) for n, kids in children.items()
+    }
     x = data.to_csr()
     if x.shape[1] > dim:
         x = x[:, :dim]
@@ -366,8 +360,8 @@ def predict_dataset(
             kids = children[node]
             total_evals += len(kids)
             best_child, best_score = -1, -math.inf
-            for child in kids:
-                score = float(np.dot(thetas[child][cols], vals))
+            for child, row in zip(kids, blocks[node].take(cols, axis=1)):
+                score = float(np.dot(row, vals))
                 if score > best_score:
                     best_child, best_score = child, score
             node = best_child
@@ -397,7 +391,6 @@ def tune_c(
     validation_costs: np.ndarray | None = None,
     *,
     per_node: bool = False,
-    workers: int = 1,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> TuneResult:
@@ -434,7 +427,7 @@ def tune_c(
         )
         merged_costs = np.concatenate([costs, vcosts])
 
-    kwargs = dict(workers=workers, grad_tol=grad_tol, max_iter=max_iter)
+    kwargs = dict(grad_tol=grad_tol, max_iter=max_iter)
 
     if validation.n == 0:
         warnings.warn(
@@ -478,13 +471,49 @@ def tune_c(
 # ----------------------------------------------------------------------
 # model set (de)serialization
 
+# (fn, items) of the pool this worker process was forked for.
+_POOL_TASK: tuple[Callable, Sequence] | None = None
 
-def serialize_model_set(model_set: ModelSet) -> str:
+
+def _set_pool_task(fn: Callable, items: Sequence) -> None:
+    global _POOL_TASK
+    _POOL_TASK = (fn, items)
+
+
+def _run_pool_task(i: int) -> object:
+    fn, items = _POOL_TASK
+    return fn(items[i])
+
+
+def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, in ``min(workers, len(items))`` forked processes.
+
+    The workers are forked from this process, so ``fn`` may be a closure
+    and sees this process's state as of the fork; results come back in
+    item order.  The pool forks every worker before it starts its own
+    threads.  A task's exception is re-raised here with its type and
+    message, and the workers are then stopped.  With one worker, or where
+    ``fork`` is not available, the same list comprehension runs here.
+    """
+    # Imported here, so that commands which write no model do not load it.
+    import multiprocessing
+
+    workers = min(workers, len(items))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    # fork, not spawn: the initializer's arguments reach the workers unpickled.
+    with multiprocessing.get_context("fork").Pool(workers, _set_pool_task, (fn, items)) as pool:
+        return pool.map(_run_pool_task, range(len(items)))
+
+
+def serialize_model_set(model_set: ModelSet, workers: int = 1) -> str:
     """Text form: ``#key value`` headers, then one ``node idx:w ...`` line per model.
 
     Each line is a dataset row of the nonzero weights, indices 1-based
     ascending and weights in ``repr``, so loading is bitwise exact.  The
     per-node C mapping, when present, is stored as JSON in the C header.
+    With ``workers`` > 1 the model lines are formatted in that many forked
+    processes; the text does not depend on ``workers``.
     """
     if isinstance(model_set.c, dict):
         c_text = json.dumps({str(k): model_set.c[k] for k in sorted(model_set.c)}, sort_keys=True)
@@ -498,10 +527,13 @@ def serialize_model_set(model_set: ModelSet) -> str:
     ]
     for key in sorted(model_set.extra_headers):
         lines.append(f"#{key} {model_set.extra_headers[key]}")
-    for node in sorted(model_set.models):
+
+    def model_line(node: int) -> str:
         theta = model_set.models[node].theta
         nz = np.flatnonzero(theta)
-        lines.append(format_row(node, nz, theta[nz]))
+        return format_row(node, nz, theta[nz])
+
+    lines += _pool_map(model_line, sorted(model_set.models), workers)
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ of ``(a, b)`` tuples, on first use.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from array import array
@@ -276,7 +277,8 @@ def auto_threshold(scores: ScoreTable) -> float:
     return float(scores.score[rank - 1])
 
 
-# Rows of pairs.csv formatted per write: bounds the text held in memory.
+# Rows formatted per write by write_score_curve and write_pair_set: bounds
+# the text and the per-row Python objects held in memory.
 _CURVE_CHUNK_ROWS = 65_536
 
 
@@ -304,11 +306,21 @@ def write_score_curve(scores: ScoreTable, out: IO[str], sample: int | None = Non
         out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in lines))
 
 
+def write_pair_set(pair_set: SimilarPairSet, out: IO[str]) -> None:
+    """Text form: a ``# tau`` header, then one ``a b score`` line per pair, in chunks of rows."""
+    out.write(f"# tau {pair_set.tau!r}\n")
+    for start in range(0, len(pair_set), _CURVE_CHUNK_ROWS):
+        part = slice(start, start + _CURVE_CHUNK_ROWS)
+        rows = zip(pair_set.a[part].tolist(), pair_set.b[part].tolist(),
+                   pair_set.score[part].tolist())
+        out.write("".join(f"{a} {b} {s!r}\n" for a, b, s in rows))
+
+
 def serialize_pair_set(pair_set: SimilarPairSet) -> str:
-    """Text form: a ``# tau`` header, then one ``a b score`` line per pair."""
-    rows = zip(pair_set.a.tolist(), pair_set.b.tolist(), pair_set.score.tolist())
-    lines = [f"# tau {pair_set.tau!r}", *(f"{a} {b} {s!r}" for a, b, s in rows)]
-    return "\n".join(lines) + "\n"
+    """The text :func:`write_pair_set` writes, as one string."""
+    buf = io.StringIO()
+    write_pair_set(pair_set, buf)
+    return buf.getvalue()
 
 
 def parse_pair_set(text: str) -> SimilarPairSet:

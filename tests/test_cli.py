@@ -3,10 +3,15 @@
 import filecmp
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taxrewire
 from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
 from taxrewire.rewire import RewireLog, replay_log
@@ -193,6 +198,37 @@ class TestDeterminism:
             outs.append(out)
         for name in ("pairs.csv", "pairs.txt", "similarity_summary.json"):
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
+
+    @pytest.mark.parametrize("fit", [["--C", "1"], ["--grid", "0.1,10", "--split", "0.5"]])
+    def test_train_workers_keep_exit_code_and_stderr(self, tmp_path, fit):
+        # Leaf 3 has no instances: training warns about the empty leaf, and
+        # the fit of node 3 finds no positives.
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n0 3\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:1.0\n1 1:0.9\n1 1:0.8\n1 1:0.7\n"
+                        "2 2:1.0\n2 2:0.8\n2 2:0.6\n2 2:0.5\n")
+        # Warnings print to stderr only outside pytest, so run the CLI in a child.
+        src = str(Path(taxrewire.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        outcomes = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"t{workers}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "taxrewire.cli", "train", "--data", str(data),
+                 "--hierarchy", str(tax), "--out", str(out), "--method", "flat",
+                 "--no-tfidf", "--workers", workers, *fit],
+                capture_output=True, text=True, env=env,
+            )
+            outcomes.append((proc.returncode, proc.stderr))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 0
+        assert "1 leaf classes have no training instances" in err
+        assert err.count("node 3 has no positive training instances") == 1
+        for name in ("model.txt", "train_summary.json"):
+            assert filecmp.cmp(tmp_path / "t1" / name, tmp_path / "t2" / name, shallow=False)
 
     def test_provenance_has_flags_but_no_paths(self, pipeline):
         summary = json.loads((pipeline["sim"] / "similarity_summary.json").read_text())

@@ -171,13 +171,27 @@ class TestTraining:
         assert any("leaf classes have no training instances" in t for t in texts)
         assert any("node 5 has no positive" in t for t in texts)
 
-    def test_workers_do_not_change_thetas(self, letter_tree):
+    @pytest.mark.parametrize("trainer", [train_topdown, train_flat])
+    def test_workers_do_not_change_model_text(self, letter_tree, trainer):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.05, seed=3)
-        seq = train_topdown(letter_tree, data, c=2.0, workers=1)
-        par = train_topdown(letter_tree, data, c=2.0, workers=3)
-        assert sorted(seq.models) == sorted(par.models)
-        for node in seq.models:
-            assert np.array_equal(seq.models[node].theta, par.models[node].theta)
+        model_set = trainer(letter_tree, data, c=2.0)
+        text = serialize_model_set(model_set)
+        for workers in (2, 3, 8):
+            assert serialize_model_set(model_set, workers=workers) == text
+
+    def test_worker_error_surfaces_unchanged(self, letter_tree, monkeypatch):
+        import taxrewire.learner as learner
+
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
+        model_set = train_flat(letter_tree, data, c=1.0)
+
+        def broken(label, cols, values):
+            raise FloatingPointError("cannot format")
+
+        # The forked workers inherit the patched module attribute.
+        monkeypatch.setattr(learner, "format_row", broken)
+        with pytest.raises(FloatingPointError, match="^cannot format$"):
+            serialize_model_set(model_set, workers=2)
 
     def test_separable_data_is_fit_perfectly(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=6)

@@ -20,6 +20,7 @@ from taxrewire.simgraph import (
     select_at_knee,
     select_pairs,
     serialize_pair_set,
+    write_pair_set,
     write_score_curve,
 )
 
@@ -406,6 +407,22 @@ class TestPairSetText:
         again = parse_pair_set(text)
         assert again.tau == s.tau
         assert rows(again) == rows(s)
+
+    def test_text_over_several_chunks(self):
+        n = _CURVE_CHUNK_ROWS + 1000
+        rng = np.random.default_rng(2)
+        a = rng.integers(0, 500, n)
+        b = a + 1 + rng.integers(0, 500, n)
+        score = np.sort(rng.uniform(-1.0, 1.0, n))[::-1]
+        s = SimilarPairSet(a, b, score, tau=float(score[-1]))
+        lines = [f"# tau {s.tau!r}"] + [
+            f"{x} {y} {z!r}" for x, y, z in zip(a.tolist(), b.tolist(), score.tolist())
+        ]
+        text = "\n".join(lines) + "\n"
+        assert serialize_pair_set(s) == text
+        out = io.StringIO()
+        write_pair_set(s, out)
+        assert out.getvalue() == text
 
     def test_parse_normalizes_orientation(self):
         s = parse_pair_set("5 2 0.75\n")

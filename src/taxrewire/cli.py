@@ -10,19 +10,22 @@ Subcommands, in pipeline order:
   evaluate    score predictions (micro/macro/hierarchical F1, rare slice)
 
 Every command takes --out DIR and writes fixed-named artifacts there.
+Each ``cmd_*`` returns its artifacts as ``{file name: text | JSON dict |
+writer function}``; :func:`main` creates --out and writes them only once
+the command has returned, so a command that fails writes nothing.
 Outputs embed the semantic configuration (never paths, --out, or
 --workers) and contain no timestamps, so reruns with the same inputs and
 flags are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
-invalid input or configuration.
+invalid input or configuration (including an --out that is a file or
+lies under one).
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from pathlib import Path
@@ -44,12 +47,6 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _provenance(args: argparse.Namespace) -> dict:
     """Semantic flags only: no paths, no --out, no --workers."""
     skip = {
@@ -66,83 +63,66 @@ def _config_line(args: argparse.Namespace) -> str:
     return "# config " + json.dumps(_provenance(args), sort_keys=True)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
+    """Create --out and write each artifact; JSON ones get the config added."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {args.out} is a file or lies under one") from None
+    for name, body in artifacts.items():
+        with (out / name).open("w", encoding="utf-8") as fh:
+            if isinstance(body, dict):
+                payload = {**body, "config": _provenance(args)}
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            elif callable(body):
+                body(fh)
+            else:
+                fh.write(body)
 
 
 def _load_hierarchy(path: str) -> taxonomy.Taxonomy:
     return taxonomy.parse_taxonomy(_read(path))
 
 
-def _load_dataset(args: argparse.Namespace, path: str) -> corpus.Dataset:
-    data = corpus.parse_dataset(_read(path))
-    if getattr(args, "no_tfidf", False):
-        return data
-    return corpus.tfidf_normalize(data)
-
-
-def _selection_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--tau", type=float, default=None,
-                       help="keep pairs with cosine strictly above this threshold")
-    group.add_argument("--top-k", type=int, default=None,
-                       help="keep the k most similar pairs")
-    group.add_argument("--auto-tau", action="store_true",
-                       help="keep pairs scoring at least the knee of the score curve (default)")
-
-
-def _select(args: argparse.Namespace, scores) -> tuple[simgraph.SimilarPairSet, float | None]:
-    """Apply the chosen selection mode; returns (set, suggested tau or None)."""
-    if args.tau is None and args.top_k is None:
-        selected = simgraph.select_at_knee(scores)
-        return selected, selected.tau
-    return simgraph.select_pairs(scores, tau=args.tau, top_k=args.top_k), None
-
-
-def _compute_pairs(args: argparse.Namespace):
-    tax = _load_hierarchy(args.hierarchy)
-    data = _load_dataset(args, args.data)
-    centroids = simgraph.class_centroids(data, tax.leaves)
-    scores = simgraph.all_pairs_scores(centroids, workers=args.workers)
-    return tax, data, centroids, scores
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
 
-def cmd_similarity(args: argparse.Namespace) -> int:
-    tax, _, centroids, scores = _compute_pairs(args)
-    selected, suggested = _select(args, scores)
-    out = _out_dir(args)
+def cmd_similarity(args: argparse.Namespace) -> dict:
+    tax = _load_hierarchy(args.hierarchy)
+    data = corpus.parse_dataset(_read(args.data))
+    if not args.no_tfidf:
+        data = corpus.tfidf_normalize(data)
+    centroids = simgraph.class_centroids(data, tax.leaves)
+    scores = simgraph.all_pairs_scores(centroids, workers=args.workers)
+    if args.tau is None and args.top_k is None:
+        selected = simgraph.select_at_knee(scores)
+        suggested = selected.tau
+    else:
+        selected = simgraph.select_pairs(scores, tau=args.tau, top_k=args.top_k)
+        suggested = None
 
-    with (out / "pairs.csv").open("w", encoding="utf-8") as fh:
-        simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS)
-    with (out / "pairs.txt").open("w", encoding="utf-8") as fh:
+    def write_pairs(fh) -> None:
         fh.write(_config_line(args) + "\n")
         simgraph.write_pair_set(selected, fh)
-    _write_json(out / "similarity_summary.json", {
-        "config": _provenance(args),
-        "n_classes": centroids.n,
-        "n_pairs": len(scores),
-        "n_selected": len(selected),
-        "tau_selected": selected.tau,
-        "tau_suggested": suggested,
-    })
-    return 0
+
+    return {
+        "pairs.csv": lambda fh: simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS),
+        "pairs.txt": write_pairs,
+        "similarity_summary.json": {
+            "n_classes": centroids.n,
+            "n_pairs": len(scores),
+            "n_selected": len(selected),
+            "tau_selected": selected.tau,
+            "tau_suggested": suggested,
+        },
+    }
 
 
-def cmd_rewire(args: argparse.Namespace) -> int:
-    if args.pairs is not None:
-        tax = _load_hierarchy(args.hierarchy)
-        selected = simgraph.parse_pair_set(_read(args.pairs))
-        suggested = None
-    else:
-        if args.data is None:
-            raise SimilarityError("either --pairs or --data is required")
-        tax, _, _, scores = _compute_pairs(args)
-        selected, suggested = _select(args, scores)
-
+def cmd_rewire(args: argparse.Namespace) -> dict:
+    tax = _load_hierarchy(args.hierarchy)
+    selected = simgraph.parse_pair_set(_read(args.pairs))
     before_leaves = tax.leaves
     modified, log = rewire.rewire_hierarchy(tax, selected)
     if args.collapse_chains:
@@ -151,25 +131,20 @@ def cmd_rewire(args: argparse.Namespace) -> int:
     if modified.leaves != before_leaves:  # pragma: no cover - structural guarantee
         raise RewireError("rewiring changed the class leaves")
 
-    out = _out_dir(args)
-    (out / "modified.edges").write_text(
-        _config_line(args) + "\n" + taxonomy.serialize_taxonomy(modified),
-        encoding="utf-8",
-    )
-    (out / "rewire_log.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
-    _write_json(out / "rewire_summary.json", {
-        "config": _provenance(args),
-        "n_pairs_used": len(selected),
-        "tau_selected": selected.tau,
-        "tau_suggested": suggested,
-        "operations": log.counts(),
-        "nodes_before": len(tax),
-        "nodes_after": len(modified),
-        "n_leaves": len(modified.leaves),
-        "fingerprint_before": tax.fingerprint(),
-        "fingerprint_after": modified.fingerprint(),
-    })
-    return 0
+    return {
+        "modified.edges": _config_line(args) + "\n" + taxonomy.serialize_taxonomy(modified),
+        "rewire_log.jsonl": log.to_jsonl(),
+        "rewire_summary.json": {
+            "n_pairs_used": len(selected),
+            "tau_selected": selected.tau,
+            "operations": log.counts(),
+            "nodes_before": len(tax),
+            "nodes_after": len(modified),
+            "n_leaves": len(modified.leaves),
+            "fingerprint_before": tax.fingerprint(),
+            "fingerprint_after": modified.fingerprint(),
+        },
+    }
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -181,8 +156,10 @@ def _parse_grid(text: str) -> list[float]:
         raise LearnerError(f"bad grid {text!r}; use 'default' or comma-separated floats") from None
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_train(args: argparse.Namespace) -> dict:
+    if args.per_node_C and args.grid is None:
+        raise LearnerError("--per-node-C needs --grid")
+    artifacts: dict = {}
     tax = _load_hierarchy(args.hierarchy)
     raw = corpus.parse_dataset(_read(args.data))
     if args.no_tfidf:
@@ -190,7 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         idf = corpus.compute_idf(raw)
         data = corpus.apply_tfidf(raw, idf)
-        (out / "idf.txt").write_text(corpus.serialize_idf(idf), encoding="utf-8")
+        artifacts["idf.txt"] = corpus.serialize_idf(idf)
     if args.bias:
         data = corpus.with_constant_feature(data, data.dimensionality + 1)
 
@@ -203,8 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
 
     kwargs = dict(grad_tol=args.grad_tol, max_iter=args.max_iter)
-    summary: dict = {"config": _provenance(args), "n_instances": data.n,
-                     "n_classes": len(tax.leaves)}
+    summary: dict = {"n_instances": data.n, "n_classes": len(tax.leaves)}
     if args.C is not None:
         trainer = learner.train_topdown if args.method == "td-lr" else learner.train_flat
         model_set = trainer(tax, data, args.C, costs, **kwargs)
@@ -241,15 +217,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_set.extra_headers["config"] = json.dumps(_provenance(args), sort_keys=True)
     if args.bias:
         model_set.extra_headers["bias"] = "1"
-    (out / "model.txt").write_text(
-        learner.serialize_model_set(model_set, workers=args.workers), encoding="utf-8"
-    )
-    _write_json(out / "train_summary.json", summary)
-    return 0
+    artifacts["model.txt"] = learner.serialize_model_set(model_set, workers=args.workers)
+    artifacts["train_summary.json"] = summary
+    return artifacts
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_predict(args: argparse.Namespace) -> dict:
     model_set = learner.parse_model_set(_read(args.model))
     data = corpus.parse_dataset(_read(args.data))
     if args.idf is not None:
@@ -263,14 +236,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     # one line per instance, nothing else: downstream tools count lines
     lines = [f"{i} {label}" for i, label in enumerate(preds)]
-    (out / "predictions.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_json(out / "predict_summary.json", {
-        "config": _provenance(args),
-        "mode": model_set.mode,
-        "n_instances": data.n,
-        "n_model_evaluations": n_evals,
-    })
-    return 0
+    return {
+        "predictions.txt": "\n".join(lines) + "\n",
+        "predict_summary.json": {
+            "mode": model_set.mode,
+            "n_instances": data.n,
+            "n_model_evaluations": n_evals,
+        },
+    }
 
 
 def _parse_predictions(text: str, expected: int) -> list[int]:
@@ -296,8 +269,7 @@ def _parse_predictions(text: str, expected: int) -> list[int]:
     return [rows[i] for i in range(expected)]
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_evaluate(args: argparse.Namespace) -> dict:
     data = corpus.parse_dataset(_read(args.data))
     preds = _parse_predictions(_read(args.predictions), data.n)
     if args.eval_hierarchy == "modified":
@@ -318,13 +290,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         rare_threshold=args.rare_threshold, class_set=class_set,
     )
     payload = metrics.report_as_dict(report)
-    payload["config"] = _provenance(args)
     payload["n_instances"] = data.n
-    _write_json(out / "metrics.json", payload)
-    buf = io.StringIO()
-    metrics.write_per_class_csv(report, buf, train_counts)
-    (out / "per_class.csv").write_text(buf.getvalue(), encoding="utf-8")
-    return 0
+    return {
+        "metrics.json": payload,
+        "per_class.csv": lambda fh: metrics.write_per_class_csv(report, fh, train_counts),
+    }
 
 
 def _parse_count(text: str) -> int | tuple[int, int]:
@@ -334,8 +304,7 @@ def _parse_count(text: str) -> int | tuple[int, int]:
     return int(text)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_bench(args: argparse.Namespace) -> dict:
     config = synthbench.PlantConfig(
         n_leaves=args.leaves,
         fanout=args.fanout,
@@ -347,22 +316,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         leaf_weight=args.leaf_weight,
     )
     bench = synthbench.gen_planted(config)
-    (out / "true.edges").write_text(
-        taxonomy.serialize_taxonomy(bench.true_tree), encoding="utf-8"
-    )
-    (out / "corrupted.edges").write_text(
-        taxonomy.serialize_taxonomy(bench.corrupted_tree), encoding="utf-8"
-    )
-    (out / "data.txt").write_text(corpus.serialize_dataset(bench.data), encoding="utf-8")
-    _write_json(out / "bench_summary.json", {
-        "config": _provenance(args),
-        "n_instances": bench.data.n,
-        "n_leaves": len(bench.true_tree.leaves),
-        "misplaced": {str(k): list(v) for k, v in sorted(bench.misplaced.items())},
-        "fingerprint_true": bench.true_tree.fingerprint(),
-        "fingerprint_corrupted": bench.corrupted_tree.fingerprint(),
-    })
-    return 0
+    return {
+        "true.edges": taxonomy.serialize_taxonomy(bench.true_tree),
+        "corrupted.edges": taxonomy.serialize_taxonomy(bench.corrupted_tree),
+        "data.txt": corpus.serialize_dataset(bench.data),
+        "bench_summary.json": {
+            "n_instances": bench.data.n,
+            "n_leaves": len(bench.true_tree.leaves),
+            "misplaced": {str(k): list(v) for k, v in sorted(bench.misplaced.items())},
+            "fingerprint_true": bench.true_tree.fingerprint(),
+            "fingerprint_corrupted": bench.corrupted_tree.fingerprint(),
+        },
+    }
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--data", required=True, help="training data (label idx:val ...)")
     sim.add_argument("--hierarchy", required=True, help="taxonomy edge list")
     sim.add_argument("--out", required=True, help="output directory")
-    _selection_flags(sim)
+    group = sim.add_mutually_exclusive_group()
+    group.add_argument("--tau", type=float, default=None,
+                       help="keep pairs with cosine strictly above this threshold")
+    group.add_argument("--top-k", type=int, default=None,
+                       help="keep the k most similar pairs")
+    group.add_argument("--auto-tau", action="store_true",
+                       help="keep pairs scoring at least the knee of the score curve (default)")
     sim.add_argument("--no-tfidf", action="store_true", help="use raw feature values")
     sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=cmd_similarity)
@@ -388,13 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     rew = subs.add_parser("rewire", help="correct a hierarchy from similar pairs")
     rew.add_argument("--hierarchy", required=True)
     rew.add_argument("--out", required=True)
-    rew.add_argument("--pairs", default=None, help="pair list from the similarity step")
-    rew.add_argument("--data", default=None, help="or compute pairs from this data")
-    _selection_flags(rew)
-    rew.add_argument("--no-tfidf", action="store_true")
+    rew.add_argument("--pairs", required=True, help="pair list from the similarity step")
     rew.add_argument("--collapse-chains", action="store_true",
                      help="splice out single-child internal nodes afterwards")
-    rew.add_argument("--workers", type=int, default=1)
     rew.set_defaults(func=cmd_rewire)
 
     tr = subs.add_parser("train", help="fit a hierarchical or flat classifier")
@@ -467,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        return args.func(args)
+        _write_artifacts(args, args.func(args))
+        return 0
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -259,7 +259,11 @@ def serialize_idf(idf: dict[int, float]) -> str:
 
 
 def parse_idf(text: str) -> dict[int, float]:
-    """Inverse of :func:`serialize_idf`; non-finite weights are rejected by line."""
+    """Inverse of :func:`serialize_idf`.
+
+    Non-finite weights, indices below 1 and repeated indices are rejected
+    with their line number.
+    """
     out: dict[int, float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -274,6 +278,10 @@ def parse_idf(text: str) -> dict[int, float]:
             raise DatasetFormatError(f"line {lineno}: expected 'index idf'") from None
         if not math.isfinite(weight):
             raise DatasetFormatError(f"line {lineno}: non-finite idf {parts[1]!r}")
+        if index < 1:
+            raise DatasetFormatError(f"line {lineno}: idf index must be at least 1, got {index}")
+        if index in out:
+            raise DatasetFormatError(f"line {lineno}: idf index {index} is listed twice")
         out[index] = weight
     return out
 

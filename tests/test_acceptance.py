@@ -326,8 +326,8 @@ def test_full_pipeline_is_deterministic(tmp_path):
             ["similarity", "--data", b / "data.txt", "--hierarchy",
              b / "corrupted.edges", "--out", s, "--no-tfidf", "--auto-tau",
              "--workers", workers],
-            ["rewire", "--hierarchy", b / "corrupted.edges", "--data", b / "data.txt",
-             "--out", r, "--no-tfidf", "--auto-tau", "--workers", workers],
+            ["rewire", "--hierarchy", b / "corrupted.edges", "--pairs", s / "pairs.txt",
+             "--out", r],
             ["train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
              "--out", t, "--C", "10", "--no-tfidf", "--workers", workers],
             ["predict", "--model", t / "model.txt", "--data", b / "data.txt",

@@ -353,56 +353,19 @@ class TestEvaluateModes:
         ) == 6
 
 
-def edge_lines(path):
-    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
-
-
 class TestRewireModes:
-    def test_rewire_from_data_matches_pipeline(self, pipeline, tmp_path):
-        b = pipeline["bench"]
-        out = tmp_path / "rewire_data"
-        assert run(
-            "rewire", "--hierarchy", b / "corrupted.edges", "--data", b / "data.txt",
-            "--out", out, "--no-tfidf", "--auto-tau",
-        ) == 0
-        direct = parse_taxonomy((out / "modified.edges").read_text())
-        via_pairs = parse_taxonomy((pipeline["rewire"] / "modified.edges").read_text())
-        assert direct == via_pairs
-
     @pytest.mark.parametrize("flag", [["--auto-tau"], ["--tau", "0.5"], ["--top-k", "100"]])
-    def test_rewire_from_data(self, bench81, tmp_path, flag):
-        """The in-memory selection rewires exactly as its pairs.txt round trip."""
-        sim, via_pairs, direct = tmp_path / "sim", tmp_path / "pairs", tmp_path / "data"
-        source = ["--data", bench81 / "data.txt", "--no-tfidf", *flag]
+    def test_rewire_uses_the_similarity_selection(self, bench81, tmp_path, flag):
+        sim, rew = tmp_path / "sim", tmp_path / "rewire"
         tree = ["--hierarchy", bench81 / "corrupted.edges"]
-        assert run("similarity", *source, *tree, "--out", sim) == 0
-        assert run("rewire", *tree, "--pairs", sim / "pairs.txt", "--out", via_pairs) == 0
-        assert run("rewire", *source, *tree, "--out", direct) == 0
-        assert edge_lines(direct / "modified.edges") == edge_lines(via_pairs / "modified.edges")
-        log = (direct / "rewire_log.jsonl").read_text()
-        assert log and log == (via_pairs / "rewire_log.jsonl").read_text()
+        assert run("similarity", "--data", bench81 / "data.txt", "--no-tfidf", *flag,
+                   *tree, "--out", sim) == 0
+        assert run("rewire", *tree, "--pairs", sim / "pairs.txt", "--out", rew) == 0
+        assert (rew / "rewire_log.jsonl").read_text()
         selected = json.loads((sim / "similarity_summary.json").read_text())
-        for out in (via_pairs, direct):
-            summary = json.loads((out / "rewire_summary.json").read_text())
-            assert summary["n_pairs_used"] == selected["n_selected"] > 0
-            assert summary["tau_selected"] == selected["tau_selected"]
-
-    @pytest.mark.parametrize("command", ["similarity", "rewire"])
-    def test_empty_selection_fails_before_any_output(self, tmp_path, capsys, command):
-        bench = tmp_path / "bench"
-        assert run("bench", "--out", bench, "--seed", "1") == 0
-        assert run(
-            command, "--data", bench / "data.txt", "--hierarchy", bench / "corrupted.edges",
-            "--out", tmp_path / "o", "--no-tfidf", "--tau", "0.99999",
-        ) == 6
-        assert "no pair scores above tau 0.99999 (top score 0.95" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_rewire_needs_pairs_or_data(self, pipeline, tmp_path):
-        assert run(
-            "rewire", "--hierarchy", pipeline["bench"] / "corrupted.edges",
-            "--out", tmp_path / "x",
-        ) == 6
+        summary = json.loads((rew / "rewire_summary.json").read_text())
+        assert summary["n_pairs_used"] == selected["n_selected"] > 0
+        assert summary["tau_selected"] == selected["tau_selected"]
 
     def test_collapse_chains_flag(self, tmp_path):
         tax = tmp_path / "chain.edges"
@@ -554,6 +517,7 @@ class TestExitCodes:
         (["--C", "inf"], "C must be finite and positive, got inf"),
         (["--grid", "nan,1"], "C must be finite and positive, got nan"),
         (["--grid", "1", "--per-node-C", "--max-iter", "0"], "max_iter must be at least 1"),
+        (["--C", "10", "--per-node-C"], "--per-node-C needs --grid"),
     ])
     def test_bad_solver_settings(self, pipeline, tmp_path, capsys, method, flags, msg):
         b = pipeline["bench"]
@@ -604,8 +568,6 @@ class TestExitCodes:
          "--workers", "-3"],
         ["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
          "--workers", "0"],
-        ["rewire", "--hierarchy", "{b}/corrupted.edges", "--pairs", "{s}/pairs.txt",
-         "--workers", "0"],
         ["train", "--data", "{b}/data.txt", "--hierarchy", "{b}/true.edges", "--C", "1",
          "--no-tfidf", "--workers", "-4"],
     ])
@@ -614,6 +576,39 @@ class TestExitCodes:
         assert run(*argv, "--out", tmp_path / "o") == 6
         assert "--workers must be at least 1, got " + argv[-1] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,code,msg", [
+        (["bench", "--leaves", "10"], 6, "n_leaves=10 is not a positive power of fanout=3"),
+        (["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
+          "--no-tfidf", "--tau", "0.99999"], 6, "no pair scores above tau 0.99999 (top score "),
+        (["rewire", "--hierarchy", "{b}/corrupted.edges", "--pairs", "{tmp}/pairs.txt"],
+         6, "line 2: cosine score out of range: 1.5"),
+        (["train", "--data", "{b}/data.txt", "--hierarchy", "{b}/true.edges", "--C", "-1",
+          "--no-tfidf"], 6, "C must be finite and positive, got -1.0"),
+        (["predict", "--model", "{t}/model.txt", "--data", "{b}/data.txt",
+          "--hierarchy", "{b}/corrupted.edges"], 5, "hierarchy does not match the one"),
+        (["evaluate", "--predictions", "{tmp}/predictions.txt", "--data", "{b}/data.txt",
+          "--hierarchy", "{b}/true.edges"], 4, "predictions cover 53 instances, expected 0..53"),
+    ], ids=["bench", "similarity", "rewire", "train", "predict", "evaluate"])
+    def test_failed_command_writes_nothing(self, pipeline, tmp_path, capsys, argv, code, msg):
+        """Each command fails on its inputs, after reading them, and leaves no --out."""
+        (tmp_path / "pairs.txt").write_text("# tau 0.5\n1 2 1.5\n")
+        preds = (pipeline["predict"] / "predictions.txt").read_text().splitlines()
+        (tmp_path / "predictions.txt").write_text("\n".join(preds[:-1]) + "\n")
+        argv = [a.format(b=pipeline["bench"], t=pipeline["train"], tmp=tmp_path) for a in argv]
+        assert run(*argv, "--out", tmp_path / "o") == code
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_is_a_file(self, tmp_path, capsys, under):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = afile / "sub" if under else afile
+        assert run("bench", "--out", out) == 6
+        assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
+        assert afile.read_text() == "keep\n"
+        assert list(tmp_path.iterdir()) == [afile]
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -625,4 +620,7 @@ class TestExitCodes:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             run("no-such-command")
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run("rewire", "--hierarchy", "h", "--out", "o")  # --pairs is required
         assert exc.value.code == 2

@@ -187,6 +187,15 @@ class TestTfidf:
         with pytest.raises(DatasetFormatError, match="line 2: non-finite idf"):
             parse_idf(f"1 0.5\n2 {value}\n")
 
+    @pytest.mark.parametrize("text,msg", [
+        ("1 0.5\n0 1.0\n", "line 2: idf index must be at least 1, got 0"),
+        ("# idf\n-3 1.0\n", "line 2: idf index must be at least 1, got -3"),
+        ("1 0.5\n2 0.25\n\n2 0.75\n", "line 4: idf index 2 is listed twice"),
+    ], ids=["zero", "negative", "repeated"])
+    def test_parse_idf_rejects_bad_index(self, text, msg):
+        with pytest.raises(DatasetFormatError, match=msg):
+            parse_idf(text)
+
 
 class TestSplit:
     def make(self, n):

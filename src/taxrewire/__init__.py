@@ -46,9 +46,7 @@ from .rewire import (
     RewireError,
     RewireLog,
     collapse_chains,
-    node_delete_sweep,
     replay_log,
-    rewire_flags,
     rewire_hierarchy,
 )
 from .simgraph import (

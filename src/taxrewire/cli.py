@@ -9,33 +9,37 @@ Subcommands, in pipeline order:
   predict     label instances with a trained model file
   evaluate    score predictions (micro/macro/hierarchical F1, rare slice)
 
-Every command takes --out DIR and writes fixed-named artifacts there.
-Each ``cmd_*`` returns its artifacts as ``{file name: text | JSON dict |
-writer function}``; :func:`main` creates --out and writes them only once
-the command has returned, so a command that fails writes nothing.
+Every command takes --out DIR, which must be new or an empty directory.
+Each ``cmd_*`` returns its fixed-named artifacts as ``{file name: text |
+JSON dict | writer function}``; :func:`main` writes them into a fresh
+directory beside --out once the command has returned and renames it to
+--out, so a command that fails, or an artifact that cannot be written,
+leaves no --out behind.
 Outputs embed the semantic configuration (never paths, --out, or
 --workers) and contain no timestamps, so reruns with the same inputs and
 flags are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
-invalid input or configuration (including an --out that is a file or
-lies under one).
+invalid input or configuration (including a pair that names a node
+which is not a class leaf, an --out that is a file, lies under one or
+is a non-empty directory, and an artifact that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import corpus, learner, metrics, rewire, simgraph, synthbench, taxonomy
 from .learner import FingerprintMismatchError, LearnerError
 from .metrics import MetricsError
 from .rewire import RewireError
-from .simgraph import SimilarityError
-from .synthbench import BenchError
 from .taxonomy import TaxonomyError
 from .corpus import DatasetFormatError
 
@@ -63,22 +67,46 @@ def _config_line(args: argparse.Namespace) -> str:
     return "# config " + json.dumps(_provenance(args), sort_keys=True)
 
 
+def _check_out(out: Path) -> None:
+    """Fail before the command runs if --out is a file, under one, or not empty."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if out.is_symlink() or not existing.is_dir():
+        raise ValueError(f"--out {out} is a file or lies under one")
+    if existing == out and any(out.iterdir()):
+        raise ValueError(f"--out {out} is not empty")
+
+
 def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
-    """Create --out and write each artifact; JSON ones get the config added."""
+    """Write each artifact into a fresh directory, then rename it to --out.
+
+    JSON artifacts get the config added.  If anything fails, the fresh
+    directory is removed, --out is left as it was, and an OSError is
+    raised as ValueError.
+    """
     out = Path(args.out)
+    tmp = None
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ValueError(f"--out {args.out} is a file or lies under one") from None
-    for name, body in artifacts.items():
-        with (out / name).open("w", encoding="utf-8") as fh:
-            if isinstance(body, dict):
-                payload = {**body, "config": _provenance(args)}
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            elif callable(body):
-                body(fh)
-            else:
-                fh.write(body)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+        for name, body in artifacts.items():
+            with (tmp / name).open("w", encoding="utf-8") as fh:
+                if isinstance(body, dict):
+                    payload = {**body, "config": _provenance(args)}
+                    fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                elif callable(body):
+                    body(fh)
+                else:
+                    fh.write(body)
+        umask = os.umask(0)  # mkdtemp makes the directory 0700; give it the usual mode
+        os.umask(umask)
+        tmp.chmod(0o777 & ~umask)
+        os.replace(tmp, out)
+    except BaseException as exc:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write --out {out}: {exc}") from None
+        raise
 
 
 def _load_hierarchy(path: str) -> taxonomy.Taxonomy:
@@ -434,6 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        _check_out(Path(args.out))
         _write_artifacts(args, args.func(args))
         return 0
     except (FileNotFoundError, IsADirectoryError) as exc:
@@ -445,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TaxonomyError, DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SimilarityError, RewireError, LearnerError, MetricsError, BenchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
 

@@ -6,23 +6,24 @@ parent, using the cheapest edit that keeps the rest of the tree
 consistent:
 
 * ``pc_rewire`` moves one leaf under the other's parent, but only when
-  the moved leaf is similar to every class leaf already there;
+  the moved leaf is paired with every class leaf already there;
 * ``node_create`` groups the two leaves under a fresh node (attached at
   their lowest common ancestor) when neither parent can accept the other
   leaf;
 * a final ``node_delete`` sweep removes internal nodes left without any
   class-leaf descendants.
 
-Every edit is elementary and logged, so a run can be audited or replayed
-step by step on the original tree.  Runs and replays apply the edits in
-place to a private copy of the input tree, checking each edit's
-preconditions, and validate the whole tree once at the end.
+Every pair must name two class leaves of the input tree; the pass checks
+the whole set before it edits anything.  Every edit is elementary and
+logged, so a run can be audited or replayed step by step on the original
+tree.  Runs and replays apply the edits in place to a private copy of
+the input tree, checking each edit's preconditions, and validate the
+whole tree once at the end.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -32,18 +33,6 @@ from .taxonomy import Taxonomy
 
 class RewireError(ValueError):
     """Raised when an edit's preconditions do not hold."""
-
-
-@dataclass(frozen=True)
-class RewireFlags:
-    """Feasibility of the two leaf moves for a pair (first, second).
-
-    ``move_first`` means first may be moved under second's parent;
-    ``move_second`` the reverse.  Both False calls for a new shared node.
-    """
-
-    move_first: bool
-    move_second: bool
 
 
 @dataclass(frozen=True)
@@ -86,6 +75,7 @@ _OP_NAMES = {
     DeleteOp: "node_delete",
     CollapseOp: "collapse",
 }
+_OP_TYPES = {name: cls for cls, name in _OP_NAMES.items()}
 
 
 @dataclass
@@ -118,57 +108,15 @@ class RewireLog:
             try:
                 record = json.loads(line)
                 kind = record.pop("op")
-                if kind == "node_create":
-                    record["pair"] = tuple(record["pair"])
-                    ops.append(CreateOp(**record))
-                elif kind == "pc_rewire":
-                    record["pair"] = tuple(record["pair"])
-                    ops.append(MoveOp(**record))
-                elif kind == "node_delete":
-                    ops.append(DeleteOp(**record))
-                elif kind == "collapse":
-                    ops.append(CollapseOp(**record))
-                else:
+                cls = _OP_TYPES.get(kind) if isinstance(kind, str) else None
+                if cls is None:
                     raise ValueError(f"unknown op {kind!r}")
-            except (ValueError, KeyError, TypeError) as exc:
+                if cls in (CreateOp, MoveOp):
+                    record["pair"] = tuple(record["pair"])
+                ops.append(cls(**record))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise RewireError(f"log line {lineno}: {exc}") from None
         return RewireLog(ops)
-
-
-def _check_class_leaf(tax: Taxonomy, node: int, class_leaves: frozenset[int]) -> None:
-    if node not in tax:
-        raise RewireError(f"node {node} is not in the tree")
-    if node not in class_leaves or not tax.is_leaf(node):
-        raise RewireError(f"node {node} is not a class leaf")
-
-
-def rewire_flags(
-    tax: Taxonomy,
-    pairs: SimilarPairSet,
-    first: int,
-    second: int,
-    class_leaves: frozenset[int] | None = None,
-) -> RewireFlags:
-    """Decide which of the two leaves may join the other's siblings.
-
-    A move of ``second`` under ``first``'s parent is vetoed as soon as one
-    of ``first``'s class-leaf siblings is not paired with ``second`` (and
-    symmetrically).  A leaf with no class-leaf siblings vetoes nothing.
-    ``class_leaves`` restricts the sibling sets when the tree carries
-    structural leftovers (e.g. emptied parents awaiting deletion); by
-    default all current leaves count.
-    """
-    if class_leaves is None:
-        class_leaves = tax.leaves
-    _check_class_leaf(tax, first, class_leaves)
-    _check_class_leaf(tax, second, class_leaves)
-    if tax.parent(first) == tax.parent(second):
-        raise RewireError(f"nodes {first} and {second} already share a parent")
-    sib_first = tax.leaf_siblings(first) & class_leaves
-    sib_second = tax.leaf_siblings(second) & class_leaves
-    move_second = all((j, second) in pairs for j in sib_first)
-    move_first = all((j, first) in pairs for j in sib_second)
-    return RewireFlags(move_first=move_first, move_second=move_second)
 
 
 def _check_leaf(tax: Taxonomy, node: int) -> None:
@@ -229,22 +177,6 @@ def _delete_sweep(work: Taxonomy, keep: frozenset[int]) -> list[DeleteOp]:
             candidates.append(op.parent)
 
 
-def node_delete_sweep(
-    tax: Taxonomy, class_leaves: Iterable[int] | None = None
-) -> tuple[Taxonomy, list[DeleteOp]]:
-    """Repeatedly delete childless non-root nodes that are not class leaves.
-
-    Bottom-up this removes exactly the internal nodes left without any
-    class-leaf descendant.  With the default ``class_leaves`` (the current
-    leaves) the sweep is the identity.
-    """
-    keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
-    work = tax.copy()
-    ops = _delete_sweep(work, keep)
-    work.validate()
-    return work, ops
-
-
 def collapse_chains(
     tax: Taxonomy, class_leaves: Iterable[int] | None = None
 ) -> tuple[Taxonomy, list[CollapseOp]]:
@@ -272,34 +204,35 @@ def rewire_hierarchy(
 ) -> tuple[Taxonomy, RewireLog]:
     """Run the full correction pass and return the edited tree plus its log.
 
-    Pairs are visited in the set's order (descending similarity).  Pairs
-    already sharing a parent are skipped; pairs naming nodes that are not
-    class leaves of the input tree are skipped with a warning.  The input
-    tree is never modified.
+    Every pair must name two class leaves of the input tree; otherwise
+    RewireError names the first pair, in set order, that does not.  Pairs
+    are visited in the set's order (descending similarity), and a pair
+    whose leaves already share a parent is passed over.  The input tree
+    is never modified.
     """
     class_leaves = tax.leaves
+    for a, b in zip(pairs.a.tolist(), pairs.b.tolist()):
+        if a not in class_leaves or b not in class_leaves:
+            node = b if a in class_leaves else a
+            raise RewireError(f"pair ({a}, {b}): node {node} is not a class leaf of the tree")
     work = tax.copy()
     # A created node takes max(ids) + 1; nothing is deleted before the sweep.
     next_id = max(tax.nodes) + 1
     ops: list[RewireOp] = []
     ordered = zip(pairs.a.tolist(), pairs.b.tolist())
     for iteration, (first, second) in enumerate(ordered, 1):
-        if first not in class_leaves or second not in class_leaves:
-            warnings.warn(
-                f"pair ({first}, {second}) skipped: not class leaves of the tree",
-                stacklevel=2,
-            )
+        parent_first, parent_second = work.parent(first), work.parent(second)
+        if parent_first == parent_second:
             continue
-        if work.parent(first) == work.parent(second):
-            continue
-        flags = rewire_flags(work, pairs, first, second, class_leaves)
-        if not flags.move_first and not flags.move_second:
+        # A leaf may join the other's parent only if it is paired with every
+        # class leaf there (the other leaf of the pair trivially is).
+        if all((j, first) in pairs for j in work.children(parent_second) if j in class_leaves):
+            op = MoveOp(iteration, (first, second), first, parent_first, parent_second)
+        elif all((j, second) in pairs for j in work.children(parent_first) if j in class_leaves):
+            op = MoveOp(iteration, (first, second), second, parent_second, parent_first)
+        else:
             op = CreateOp(iteration, (first, second), work.lca(first, second), next_id)
             next_id += 1
-        elif flags.move_first:
-            op = MoveOp(iteration, (first, second), first, work.parent(first), work.parent(second))
-        else:
-            op = MoveOp(iteration, (first, second), second, work.parent(second), work.parent(first))
         _apply(work, op)
         ops.append(op)
         if work.parent(first) != work.parent(second):  # pragma: no cover

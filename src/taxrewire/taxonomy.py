@@ -188,13 +188,6 @@ class Taxonomy:
                 return x
         raise TaxonomyError("nodes do not share an ancestor")  # pragma: no cover
 
-    def leaf_siblings(self, node: int) -> frozenset[int]:
-        """Leaf children of ``node``'s parent, excluding ``node`` itself."""
-        parent = self.parent(node)
-        return frozenset(
-            c for c in self._children[parent] if c != node and not self._children[c]
-        )
-
     def subtree_nodes(self, node: int) -> list[int]:
         """All nodes of the subtree rooted at ``node``, ascending."""
         self._require(node)

@@ -30,6 +30,12 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full run: bench -> similarity -> rewire -> train -> predict -> evaluate."""
@@ -609,6 +615,62 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: --out {out} is a file or lies under one\n"
         assert afile.read_text() == "keep\n"
         assert list(tmp_path.iterdir()) == [afile]
+
+    @pytest.mark.parametrize("body,msg", [
+        ("1 999 0.9", "pair (1, 999): node 1 is not a class leaf of the tree"),
+        ("4 999 0.9", "pair (4, 999): node 999 is not a class leaf of the tree"),
+        ("4 5 0.95\n4 2 0.9", "pair (2, 4): node 2 is not a class leaf of the tree"),
+    ], ids=["unknown", "unknown-second", "internal"])
+    def test_pairs_outside_the_class_leaves(self, pipeline, tmp_path, capsys, body, msg):
+        # Quick-start tree: root 0, internal 1..3, class leaves 4..12.
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# tau 0.5\n{body}\n")
+        assert run("rewire", "--hierarchy", pipeline["bench"] / "corrupted.edges",
+                   "--pairs", pairs, "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_non_empty_out_is_left_alone(self, pipeline, tmp_path, capsys):
+        b = pipeline["bench"]
+        argv = ["train", "--data", b / "data.txt", "--hierarchy", b / "true.edges",
+                "--C", "10", "--no-tfidf", "--out"]
+        out = tmp_path / "t"
+        assert run(*argv, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(*argv, out) == 6
+        assert capsys.readouterr().err == f"error: --out {out} is not empty\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # A directory where an artifact would go is not removed either.
+        blocked = tmp_path / "blocked"
+        (blocked / "model.txt").mkdir(parents=True)
+        assert run(*argv, blocked) == 6
+        assert capsys.readouterr().err == f"error: --out {blocked} is not empty\n"
+        assert [p.name for p in blocked.iterdir()] == ["model.txt"]
+        assert (blocked / "model.txt").is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "t"]
+
+    def test_empty_out_is_filled(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert run("bench", "--out", out, *BENCH_ARGS) == 0
+        assert (out / "data.txt").is_file()
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+        assert oct(out.stat().st_mode & 0o777) == oct(0o777 & ~_umask())
+
+    def test_write_error_leaves_no_out(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_space(*args):
+            raise OSError(28, "No space left on device")
+
+        # pairs.csv is written first; the pair list then fails.
+        monkeypatch.setattr("taxrewire.simgraph.write_pair_set", no_space)
+        b = pipeline["bench"]
+        out = tmp_path / "deep" / "s"
+        assert run("similarity", "--data", b / "data.txt", "--hierarchy",
+                   b / "corrupted.edges", "--no-tfidf", "--out", out) == 6
+        assert capsys.readouterr().err == (
+            f"error: cannot write --out {out}: [Errno 28] No space left on device\n"
+        )
+        assert list((tmp_path / "deep").iterdir()) == []
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:

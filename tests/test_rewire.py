@@ -10,10 +10,9 @@ from taxrewire.rewire import (
     MoveOp,
     RewireError,
     RewireLog,
+    _delete_sweep,
     collapse_chains,
-    node_delete_sweep,
     replay_log,
-    rewire_flags,
     rewire_hierarchy,
 )
 from taxrewire.taxonomy import TaxonomyError, parse_taxonomy
@@ -32,56 +31,65 @@ def apply_one(tax, op):
     return replay_log(tax, RewireLog([op]))
 
 
-class TestFlags:
-    """Flag semantics on the letter tree (B holds 3,4,5; C holds 6,7,8)."""
+def delete_sweep(tax, class_leaves):
+    """Run the final node_delete sweep on a copy of ``tax``."""
+    work = tax.copy()
+    ops = _delete_sweep(work, frozenset(class_leaves))
+    work.validate()
+    return work, ops
+
+
+class TestVetoes:
+    """Which edit a pair gets, on the letter tree (B holds 3,4,5; C holds 6,7,8).
+
+    A leaf may join the other leaf's parent only if it is paired with every
+    class leaf there; when neither may move, the pair gets a new node.
+    """
 
     def test_isolated_pair_blocks_both_moves(self, letter_tree, letter_ids):
         i = letter_ids
-        pairs = pair_set((i["3"], i["6"]))
-        flags = rewire_flags(letter_tree, pairs, i["3"], i["6"])
-        assert not flags.move_first and not flags.move_second
+        _, log = rewire_hierarchy(letter_tree, pair_set((i["3"], i["6"])))
+        assert log.ops == [CreateOp(1, (i["3"], i["6"]), i["A"], 9)]
 
     def test_pair_with_all_siblings_allows_move(self, letter_tree, letter_ids):
         i = letter_ids
         # 6 is similar to every leaf under B, so 6 may join them;
         # 3 is not similar to 7 or 8, so 3 may not join C.
         pairs = pair_set((i["3"], i["6"]), (i["4"], i["6"]), (i["5"], i["6"]))
-        flags = rewire_flags(letter_tree, pairs, i["3"], i["6"])
-        assert flags.move_second and not flags.move_first
+        _, log = rewire_hierarchy(letter_tree, pairs)
+        assert log.ops[0] == MoveOp(1, (i["3"], i["6"]), i["6"], i["C"], i["B"])
 
-    def test_symmetric_case_allows_both(self, letter_tree, letter_ids):
+    def test_symmetric_case_moves_first(self, letter_tree, letter_ids):
         i = letter_ids
         pairs = pair_set(
             (i["3"], i["6"]), (i["4"], i["6"]), (i["5"], i["6"]),
             (i["3"], i["7"]), (i["3"], i["8"]),
         )
-        flags = rewire_flags(letter_tree, pairs, i["3"], i["6"])
-        assert flags.move_first and flags.move_second
+        _, log = rewire_hierarchy(letter_tree, pairs)
+        assert log.ops[0] == MoveOp(1, (i["3"], i["6"]), i["3"], i["B"], i["C"])
 
     def test_no_class_siblings_is_vacuously_permissive(self):
-        # 1 sits alone under the root; nothing can veto a move toward it.
+        # 1 sits alone under the root; nothing can veto a move toward it,
+        # while sibling 4 of 3 is not paired with 1, so 1 may not move.
         tax = parse_taxonomy("0 1\n0 2\n2 3\n2 4\n")
-        pairs = pair_set((1, 3))
-        flags = rewire_flags(tax, pairs, 1, 3)
-        assert flags.move_second  # 3 may move under 1's parent (the root)
-        assert not flags.move_first  # sibling 4 of 3 is not paired with 1
+        _, log = rewire_hierarchy(tax, pair_set((1, 3)))
+        assert log.ops == [MoveOp(1, (1, 3), 3, 2, 0)]
 
-    def test_same_parent_rejected(self, letter_tree, letter_ids):
+    def test_same_parent_pair_logs_nothing(self, letter_tree, letter_ids):
         i = letter_ids
-        with pytest.raises(RewireError, match="share a parent"):
-            rewire_flags(letter_tree, pair_set((i["3"], i["4"])), i["3"], i["4"])
+        out, log = rewire_hierarchy(letter_tree, pair_set((i["3"], i["4"])))
+        assert out == letter_tree and log.ops == []
 
-    def test_non_class_leaf_rejected(self, letter_tree, letter_ids):
-        i = letter_ids
-        with pytest.raises(RewireError, match="class leaf"):
-            rewire_flags(letter_tree, pair_set((i["B"], i["6"])), i["B"], i["6"])
-
-    def test_class_leaves_parameter_excludes_husks(self):
-        # 3 is a structural leaf but not a class; it must not veto.
-        tax = parse_taxonomy("0 1\n0 3\n1 2\n0 4\n4 5\n")
-        pairs = pair_set((2, 5))
-        permissive = rewire_flags(tax, pairs, 2, 5, class_leaves=frozenset({2, 5}))
-        assert permissive.move_first and permissive.move_second
+    def test_emptied_parent_does_not_veto(self):
+        # (3, 6) moves 3 under 12 and empties 11, which is no class.
+        # (3, 7) then shares a parent.  (6, 9) moves 6 under 10: among
+        # 10's children only 9 is a class leaf.  Were the emptied 11 a
+        # veto, the op would be a node_create.
+        tax = parse_taxonomy("10 11\n10 12\n10 9\n11 3\n12 6\n12 7\n")
+        out, log = rewire_hierarchy(tax, pair_set((3, 6), (3, 7), (6, 9)))
+        assert log.ops[:2] == [MoveOp(1, (3, 6), 3, 11, 12), MoveOp(3, (6, 9), 6, 12, 10)]
+        assert log.ops[2:] == [DeleteOp(node=11, parent=10)]
+        assert out.parent(6) == 10
 
 
 class TestElementaryOps:
@@ -125,18 +133,18 @@ class TestElementaryOps:
         assert move_3_under(i["A"]).parent(i["3"]) == i["A"]
 
     def test_delete_sweep_is_identity_on_clean_trees(self, letter_tree):
-        out, ops = node_delete_sweep(letter_tree)
+        out, ops = delete_sweep(letter_tree, letter_tree.leaves)
         assert out == letter_tree and ops == []
 
     def test_delete_sweep_cascades_up_chains(self):
         tax = parse_taxonomy("0 1\n1 2\n0 3\n")
-        out, ops = node_delete_sweep(tax, class_leaves=[3])
+        out, ops = delete_sweep(tax, [3])
         assert out.nodes == [0, 3]
         assert [op.node for op in ops] == [2, 1]
 
     def test_delete_sweep_spares_class_leaves(self):
         tax = parse_taxonomy("0 1\n0 2\n1 3\n")
-        out, _ = node_delete_sweep(tax, class_leaves=[2, 3])
+        out, _ = delete_sweep(tax, [2, 3])
         assert out.nodes == [0, 1, 2, 3]
 
     def test_collapse_splices_single_child_nodes(self):
@@ -208,19 +216,16 @@ class TestFullPass:
         assert sorted(out.children(i["C"])) == [0, 1, 2, 3, 4, 5]
         assert out.leaves == letter_tree.leaves
 
-    def test_same_parent_pairs_skipped_silently(self, letter_tree, letter_ids):
+    def test_pairs_outside_the_class_leaves_are_rejected(self, letter_tree, letter_ids):
         i = letter_ids
-        out, log = rewire_hierarchy(letter_tree, pair_set((i["3"], i["4"])))
-        assert out == letter_tree and log.ops == []
-
-    def test_unknown_pair_members_warn_and_skip(self, letter_tree, letter_ids):
-        i = letter_ids
-        with pytest.warns(UserWarning, match="skipped"):
-            out, log = rewire_hierarchy(letter_tree, pair_set((90, 91)))
-        assert out == letter_tree and log.ops == []
-        with pytest.warns(UserWarning, match="skipped"):
-            out, _ = rewire_hierarchy(letter_tree, pair_set((i["B"], i["6"])))
-        assert out == letter_tree
+        with pytest.raises(RewireError, match=r"^pair \(90, 91\): node 90 is not a class leaf"):
+            rewire_hierarchy(letter_tree, pair_set((90, 91)))
+        # an internal node; the first misfit in set order is named, even
+        # after pairs that fit
+        pairs = pair_set((i["3"], i["6"]), (i["6"], i["B"]), (i["4"], 99))
+        with pytest.raises(RewireError, match=r"^pair \(3, 7\): node 7 is not a class leaf"):
+            rewire_hierarchy(letter_tree, pairs)
+        assert letter_tree == parse_taxonomy(LETTER_EDGES)
 
     def test_input_tree_never_mutated(self, letter_tree, letter_ids):
         i = letter_ids
@@ -246,8 +251,14 @@ class TestLog:
         assert again.ops == log.ops
 
     def test_from_jsonl_rejects_garbage(self):
-        with pytest.raises(RewireError, match="log line 1"):
+        with pytest.raises(RewireError, match="^log line 1: unknown op 'warp'$"):
             RewireLog.from_jsonl('{"op": "warp", "node": 1}\n')
+        with pytest.raises(RewireError, match=r"^log line 1: unknown op \['node_delete'\]$"):
+            RewireLog.from_jsonl('{"op": ["node_delete"], "node": 1, "parent": 0}\n')
+        with pytest.raises(RewireError, match="^log line 1: "):
+            RewireLog.from_jsonl("5\n")  # JSON, but not an object
+        with pytest.raises(RewireError, match="^log line 1: 'pair'$"):
+            RewireLog.from_jsonl('{"op": "pc_rewire", "iteration": 1, "leaf": 0}\n')
         with pytest.raises(RewireError, match="log line 2"):
             RewireLog.from_jsonl('{"op": "node_delete", "node": 1, "parent": 0}\nnot json\n')
 
@@ -326,7 +337,7 @@ def test_sweep_and_collapse_match_round_by_round_reference(names):
         leaves = sorted(tax.leaves)
         keep = [leaf for leaf in leaves if rng.random() < 0.6]
 
-        out, ops = node_delete_sweep(tax, keep)
+        out, ops = delete_sweep(tax, keep)
         ref, ref_ops = round_by_round_delete_sweep(tax, keep)
         assert out == ref and [astuple(op) for op in ops] == ref_ops
 

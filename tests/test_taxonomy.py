@@ -115,10 +115,6 @@ class TestQueries:
                 b = nodes[int(rng.integers(len(nodes)))]
                 assert tax.lca(a, b) == oracle_lca(tax, a, b)
 
-    def test_sibling_sets(self, letter_tree, letter_ids):
-        assert letter_tree.leaf_siblings(letter_ids["3"]) == frozenset({1, 2})
-        assert letter_tree.leaf_siblings(letter_ids["B"]) == frozenset()
-
     def test_subtrees(self, letter_tree, letter_ids):
         b = letter_ids["B"]
         assert letter_tree.subtree_nodes(b) == [0, 1, 2, 7]

@@ -4,10 +4,12 @@ Subcommands, in pipeline order:
 
   bench       generate a planted benchmark (true tree, corrupted tree, data)
   similarity  score class-centroid pairs and select the similar ones
+              (--tau, --top-k, or by default the knee of the score curve)
   rewire      correct a hierarchy using the selected pairs
   train       fit a top-down or flat classifier, optionally tuning C
   predict     label instances with a trained model file
-  evaluate    score predictions (micro/macro/hierarchical F1, rare slice)
+  evaluate    score predictions against --hierarchy (micro/macro/hierarchical
+              F1, rare slice); pass modified.edges to score on the repaired tree
 
 Every command takes --out DIR, which must be new or an empty directory.
 Each ``cmd_*`` returns its fixed-named artifacts as ``{file name: text |
@@ -16,19 +18,21 @@ directory beside --out once the command has returned and renames it to
 --out, so a command that fails, or an artifact that cannot be written,
 leaves no --out behind.
 Outputs embed the semantic configuration (never paths, --out, or
---workers) and contain no timestamps, so reruns with the same inputs and
-flags are byte-identical.
+train's --workers) and contain no timestamps, so reruns with the same
+inputs and flags are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
-which is not a class leaf, an --out that is a file, lies under one or
-is a non-empty directory, and an artifact that cannot be written).
+which is not a class leaf, a tf-idf model given no --idf or a raw-feature
+model given one, an --out that is a file, lies under one or is a
+non-empty directory, and an artifact that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -38,7 +42,6 @@ from pathlib import Path
 
 from . import corpus, learner, metrics, rewire, simgraph, synthbench, taxonomy
 from .learner import FingerprintMismatchError, LearnerError
-from .metrics import MetricsError
 from .rewire import RewireError
 from .taxonomy import TaxonomyError
 from .corpus import DatasetFormatError
@@ -54,9 +57,8 @@ def _read(path: str) -> str:
 def _provenance(args: argparse.Namespace) -> dict:
     """Semantic flags only: no paths, no --out, no --workers."""
     skip = {
-        "func", "command", "out", "workers", "data", "hierarchy",
-        "modified_hierarchy", "pairs", "model", "idf", "cost_file",
-        "predictions", "train_data",
+        "func", "command", "out", "workers", "data", "hierarchy", "pairs",
+        "model", "idf", "cost_file", "predictions", "train_data",
     }
     config = {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
     config["command"] = args.command
@@ -80,10 +82,11 @@ def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
     """Write each artifact into a fresh directory, then rename it to --out.
 
     JSON artifacts get the config added.  If anything fails, the fresh
-    directory is removed, --out is left as it was, and an OSError is
-    raised as ValueError.
+    directory and the parents of --out made for it are removed, --out is
+    left as it was, and an OSError is raised as ValueError.
     """
     out = Path(args.out)
+    made = list(itertools.takewhile(lambda p: not p.exists(), out.parents))  # deepest first
     tmp = None
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -104,6 +107,11 @@ def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
     except BaseException as exc:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
+        for parent in made:
+            try:
+                parent.rmdir()
+            except OSError:
+                break
         if isinstance(exc, OSError):
             raise ValueError(f"cannot write --out {out}: {exc}") from None
         raise
@@ -123,13 +131,11 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
     if not args.no_tfidf:
         data = corpus.tfidf_normalize(data)
     centroids = simgraph.class_centroids(data, tax.leaves)
-    scores = simgraph.all_pairs_scores(centroids, workers=args.workers)
+    scores = simgraph.all_pairs_scores(centroids)
     if args.tau is None and args.top_k is None:
         selected = simgraph.select_at_knee(scores)
-        suggested = selected.tau
     else:
         selected = simgraph.select_pairs(scores, tau=args.tau, top_k=args.top_k)
-        suggested = None
 
     def write_pairs(fh) -> None:
         fh.write(_config_line(args) + "\n")
@@ -143,7 +149,6 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
             "n_pairs": len(scores),
             "n_selected": len(selected),
             "tau_selected": selected.tau,
-            "tau_suggested": suggested,
         },
     }
 
@@ -245,6 +250,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
     model_set.extra_headers["config"] = json.dumps(_provenance(args), sort_keys=True)
     if args.bias:
         model_set.extra_headers["bias"] = "1"
+    if not args.no_tfidf:
+        model_set.extra_headers["tfidf"] = "1"
     artifacts["model.txt"] = learner.serialize_model_set(model_set, workers=args.workers)
     artifacts["train_summary.json"] = summary
     return artifacts
@@ -252,6 +259,11 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 def cmd_predict(args: argparse.Namespace) -> dict:
     model_set = learner.parse_model_set(_read(args.model))
+    tfidf = model_set.extra_headers.get("tfidf") == "1"
+    if tfidf and args.idf is None:
+        raise LearnerError("the model was trained on tf-idf features; pass its --idf table")
+    if not tfidf and args.idf is not None:
+        raise LearnerError("the model was trained on raw features (--no-tfidf); drop --idf")
     data = corpus.parse_dataset(_read(args.data))
     if args.idf is not None:
         data = corpus.apply_tfidf(data, corpus.parse_idf(_read(args.idf)))
@@ -300,12 +312,7 @@ def _parse_predictions(text: str, expected: int) -> list[int]:
 def cmd_evaluate(args: argparse.Namespace) -> dict:
     data = corpus.parse_dataset(_read(args.data))
     preds = _parse_predictions(_read(args.predictions), data.n)
-    if args.eval_hierarchy == "modified":
-        if args.modified_hierarchy is None:
-            raise MetricsError("--eval-hierarchy modified requires --modified-hierarchy")
-        tax = _load_hierarchy(args.modified_hierarchy)
-    else:
-        tax = _load_hierarchy(args.hierarchy)
+    tax = _load_hierarchy(args.hierarchy)
 
     train_counts = None
     if args.train_data is not None:
@@ -377,11 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tau", type=float, default=None,
                        help="keep pairs with cosine strictly above this threshold")
     group.add_argument("--top-k", type=int, default=None,
-                       help="keep the k most similar pairs")
-    group.add_argument("--auto-tau", action="store_true",
-                       help="keep pairs scoring at least the knee of the score curve (default)")
+                       help="keep the k most similar pairs (with neither flag: every "
+                            "pair scoring at least the knee of the score curve)")
     sim.add_argument("--no-tfidf", action="store_true", help="use raw feature values")
-    sim.add_argument("--workers", type=int, default=1)
     sim.set_defaults(func=cmd_similarity)
 
     rew = subs.add_parser("rewire", help="correct a hierarchy from similar pairs")
@@ -428,11 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = subs.add_parser("evaluate", help="score a prediction file")
     ev.add_argument("--predictions", required=True)
     ev.add_argument("--data", required=True, help="test data with true labels")
-    ev.add_argument("--hierarchy", required=True, help="original taxonomy")
-    ev.add_argument("--modified-hierarchy", default=None)
-    ev.add_argument("--eval-hierarchy", choices=("original", "modified"),
-                    default="original",
-                    help="tree used for the hierarchical score")
+    ev.add_argument("--hierarchy", required=True,
+                    help="taxonomy to score against (modified.edges for the repaired tree)")
     ev.add_argument("--train-data", default=None,
                     help="training data, enables the rare-category slice")
     ev.add_argument("--rare-threshold", type=int, default=10)

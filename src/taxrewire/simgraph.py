@@ -136,15 +136,13 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> Dataset:
     return Dataset._from_matrix(sums, ids.tolist())
 
 
-def all_pairs_scores(centroids: Dataset, workers: int = 1) -> ScoreTable:
+def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
 
     ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
     Order: descending score, ties by (a, b) ascending.  Pairs with a
     zero-norm centroid score 0.0 and every score is clipped to [-1, 1].
-    The result is independent of ``workers``; the flag only splits the
-    pair grid into row blocks evaluated concurrently, and each entry is
-    computed by the same sparse dot product either way.
+    Every score comes from one sparse Gram matrix of the unit centroids.
     """
     labels = np.asarray(centroids.labels, dtype=np.int64)
     if labels.size < 2:
@@ -156,36 +154,14 @@ def all_pairs_scores(centroids: Dataset, workers: int = 1) -> ScoreTable:
     scale = np.where(norms > 0.0, norms, 1.0)
     unit = (sp.diags(1.0 / scale) @ mat).tocsr()
 
-    n = labels.size
-    rows, cols = np.triu_indices(n, k=1)
-    scores = np.empty(rows.size, dtype=np.float64)
-    blocks = _row_blocks(n, workers)
-
-    def score_block(block: range) -> None:
-        gram = (unit[block.start:block.stop] @ unit.T).toarray()
-        lo, hi = np.searchsorted(rows, (block.start, block.stop))
-        scores[lo:hi] = gram[rows[lo:hi] - block.start, cols[lo:hi]]
-
-    if workers > 1 and len(blocks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(score_block, blocks))
-    else:
-        for block in blocks:
-            score_block(block)
+    rows, cols = np.triu_indices(labels.size, k=1)
+    scores = (unit @ unit.T).toarray()[rows, cols]
     zero = norms == 0.0
     scores[zero[rows] | zero[cols]] = 0.0
     np.clip(scores, -1.0, 1.0, out=scores)
     # (rows, cols) is in (a, b) order, so a stable sort leaves ties in it.
     order = np.argsort(-scores, kind="stable")
     return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
-
-
-def _row_blocks(n: int, workers: int) -> list[range]:
-    k = max(1, min(workers, n))
-    step = math.ceil(n / k)
-    return [range(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def select_pairs(

@@ -315,7 +315,7 @@ def test_topdown_prediction_cost_on_thousand_leaves():
 
 @checklist("A7 determinism")
 def test_full_pipeline_is_deterministic(tmp_path):
-    """Two complete CLI runs, --workers 1 vs 8: byte-identical artifacts."""
+    """Two complete CLI runs, train --workers 1 vs 8: byte-identical artifacts."""
 
     def run_pipeline(root: Path, workers: str) -> list[Path]:
         b, s, r, t, p, e = (root / n for n in ("b", "s", "r", "t", "p", "e"))
@@ -324,8 +324,7 @@ def test_full_pipeline_is_deterministic(tmp_path):
              "--dims", "16", "--instances-per-leaf", "6", "--noise", "0.08",
              "--misplaced", "1"],
             ["similarity", "--data", b / "data.txt", "--hierarchy",
-             b / "corrupted.edges", "--out", s, "--no-tfidf", "--auto-tau",
-             "--workers", workers],
+             b / "corrupted.edges", "--out", s, "--no-tfidf"],
             ["rewire", "--hierarchy", b / "corrupted.edges", "--pairs", s / "pairs.txt",
              "--out", r],
             ["train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
@@ -333,9 +332,8 @@ def test_full_pipeline_is_deterministic(tmp_path):
             ["predict", "--model", t / "model.txt", "--data", b / "data.txt",
              "--hierarchy", r / "modified.edges", "--out", p],
             ["evaluate", "--predictions", p / "predictions.txt", "--data",
-             b / "data.txt", "--hierarchy", b / "corrupted.edges",
-             "--modified-hierarchy", r / "modified.edges", "--eval-hierarchy",
-             "modified", "--train-data", b / "data.txt", "--out", e],
+             b / "data.txt", "--hierarchy", r / "modified.edges",
+             "--train-data", b / "data.txt", "--out", e],
         ]
         for argv in steps:
             assert cli_main([str(a) for a in argv]) == 0, argv[0]
@@ -349,7 +347,7 @@ def test_full_pipeline_is_deterministic(tmp_path):
     for a, b in zip(first, second):
         assert filecmp.cmp(a, b, shallow=False), f"{a.name} differs between runs"
     return (
-        f"two full pipeline runs (bench through evaluate), --workers 1 vs 8: "
+        f"two full pipeline runs (bench through evaluate), train --workers 1 vs 8: "
         f"all {len(first)} artifacts byte-identical"
     )
 

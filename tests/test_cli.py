@@ -14,6 +14,7 @@ import pytest
 import taxrewire
 from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
+from taxrewire.metrics import build_report
 from taxrewire.rewire import RewireLog, replay_log
 from taxrewire.simgraph import class_centroids, parse_pair_set
 from taxrewire.taxonomy import parse_taxonomy, serialize_taxonomy
@@ -44,7 +45,7 @@ def pipeline(tmp_path_factory):
     assert run("bench", "--out", b, *BENCH_ARGS) == 0
     assert run(
         "similarity", "--data", b / "data.txt", "--hierarchy", b / "corrupted.edges",
-        "--out", s, "--no-tfidf", "--auto-tau",
+        "--out", s, "--no-tfidf",
     ) == 0
     assert run(
         "rewire", "--hierarchy", b / "corrupted.edges", "--pairs", s / "pairs.txt",
@@ -60,8 +61,7 @@ def pipeline(tmp_path_factory):
     ) == 0
     assert run(
         "evaluate", "--predictions", p / "predictions.txt", "--data", b / "data.txt",
-        "--hierarchy", b / "corrupted.edges", "--modified-hierarchy", r / "modified.edges",
-        "--eval-hierarchy", "modified", "--train-data", b / "data.txt", "--out", e,
+        "--hierarchy", r / "modified.edges", "--train-data", b / "data.txt", "--out", e,
     ) == 0
     return {"bench": b, "sim": s, "rewire": r, "train": t, "predict": p, "eval": e}
 
@@ -85,13 +85,13 @@ class TestArtifacts:
         assert summary["n_classes"] == 9
         assert summary["n_pairs"] == 36
         assert 0 < summary["n_selected"] <= 36
-        assert summary["tau_selected"] == summary["tau_suggested"]
+        assert "tau_suggested" not in summary
         selected = parse_pair_set((s / "pairs.txt").read_text())
         assert len(selected) == summary["n_selected"]
         curve = (s / "pairs.csv").read_text().splitlines()
         assert curve[0] == "rank,class_a,class_b,score"
         assert len(curve) == 37
-        # --auto-tau keeps the knee pair: every pair scoring at least tau
+        # the default selection keeps the knee pair: every pair scoring at least tau
         scores = [float(line.split(",")[3]) for line in curve[1:]]
         assert summary["n_selected"] == sum(s >= summary["tau_selected"] for s in scores)
 
@@ -121,6 +121,7 @@ class TestArtifacts:
         model_text = (t / "model.txt").read_text()
         assert model_text.startswith("#mode td-lr\n")
         assert "#config" in model_text
+        assert "#tfidf" not in model_text  # --no-tfidf
 
     def test_predict_outputs(self, pipeline):
         p = pipeline["predict"]
@@ -192,19 +193,6 @@ class TestDeterminism:
         for name in ("true.edges", "corrupted.edges", "data.txt", "bench_summary.json"):
             assert filecmp.cmp(pipeline["bench"] / name, again / name, shallow=False)
 
-    def test_similarity_workers_do_not_leak(self, bench81, tmp_path):
-        outs = []
-        for workers in ("1", "8"):
-            out = tmp_path / f"sim{workers}"
-            assert run(
-                "similarity", "--data", bench81 / "data.txt",
-                "--hierarchy", bench81 / "corrupted.edges", "--out", out,
-                "--no-tfidf", "--top-k", "100", "--workers", workers,
-            ) == 0
-            outs.append(out)
-        for name in ("pairs.csv", "pairs.txt", "similarity_summary.json"):
-            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
-
     @pytest.mark.parametrize("fit", [["--C", "1"], ["--grid", "0.1,10", "--split", "0.5"]])
     def test_train_workers_keep_exit_code_and_stderr(self, tmp_path, fit):
         # Leaf 3 has no instances: training warns about the empty leaf, and
@@ -242,7 +230,7 @@ class TestDeterminism:
         assert config["command"] == "similarity"
         assert "seed" not in config  # similarity has no --seed
         assert config["no_tfidf"] is True
-        for absent in ("out", "workers", "data", "hierarchy"):
+        for absent in ("out", "data", "hierarchy", "auto_tau"):
             assert absent not in config
 
 
@@ -275,10 +263,30 @@ class TestTrainModes:
         assert run("train", "--data", train, "--hierarchy", tax, "--out", t_out,
                    "--method", "flat", "--C", "5") == 0
         assert (t_out / "idf.txt").exists()
+        assert "#tfidf 1\n" in (t_out / "model.txt").read_text()
         assert run("predict", "--model", t_out / "model.txt", "--data", train,
                    "--idf", t_out / "idf.txt", "--out", p_out) == 0
         preds = [int(l.split()[1]) for l in (p_out / "predictions.txt").read_text().splitlines()]
         assert preds == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("tfidf,msg", [
+        (True, "the model was trained on tf-idf features; pass its --idf table"),
+        (False, "the model was trained on raw features (--no-tfidf); drop --idf"),
+    ], ids=["tfidf-model-without-idf", "raw-model-with-idf"])
+    def test_idf_must_match_the_model(self, tmp_path, capsys, tfidf, msg):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        train = tmp_path / "train.txt"
+        train.write_text("1 1:2.0 3:1.0\n1 1:3.0 3:2.0\n2 2:2.0 3:1.0\n2 2:1.0 3:3.0\n")
+        common = ["train", "--data", train, "--hierarchy", tax, "--method", "flat", "--C", "5"]
+        assert run(*common, "--out", tmp_path / "tfidf") == 0
+        assert run(*common, "--no-tfidf", "--out", tmp_path / "raw") == 0
+        model = tmp_path / ("tfidf" if tfidf else "raw") / "model.txt"
+        idf = [] if tfidf else ["--idf", tmp_path / "tfidf" / "idf.txt"]
+        assert run("predict", "--model", model, "--data", train, *idf,
+                   "--out", tmp_path / "p") == 6
+        assert capsys.readouterr().err == f"error: {msg}\n"
+        assert not (tmp_path / "p").exists()
 
     def test_bias_header_round_trip(self, tmp_path):
         tax = tmp_path / "h.edges"
@@ -350,17 +358,32 @@ class TestEvaluateModes:
         assert payload["n_rare_classes"] == 0
         assert payload["rare_macro_f1"] == 0.0
 
-    def test_modified_eval_requires_file(self, pipeline, tmp_path):
-        b, p = pipeline["bench"], pipeline["predict"]
-        assert run(
-            "evaluate", "--predictions", p / "predictions.txt", "--data", b / "data.txt",
-            "--hierarchy", b / "true.edges", "--eval-hierarchy", "modified",
-            "--out", tmp_path / "x",
-        ) == 6
+    def test_scores_against_the_given_tree(self, pipeline, tmp_path):
+        b, r = pipeline["bench"], pipeline["rewire"]
+        data = parse_dataset((b / "data.txt").read_text())
+        leaves = sorted(parse_taxonomy((b / "true.edges").read_text()).leaves)
+        # Every third prediction names the next leaf: errors the two trees score differently.
+        labels = [leaves[(leaves.index(y) + 1) % len(leaves)] if i % 3 == 0 else y
+                  for i, y in enumerate(data.labels)]
+        preds = tmp_path / "preds.txt"
+        preds.write_text("".join(f"{i} {y}\n" for i, y in enumerate(labels)))
+        hier = {}
+        for tree in (b / "corrupted.edges", r / "modified.edges"):
+            out = tmp_path / tree.stem
+            assert run("evaluate", "--predictions", preds, "--data", b / "data.txt",
+                       "--hierarchy", tree, "--out", out) == 0
+            payload = json.loads((out / "metrics.json").read_text())
+            want = build_report(list(zip(data.labels, labels)), parse_taxonomy(tree.read_text()))
+            assert payload["micro_f1"] == want.micro_f1
+            assert payload["macro_f1"] == want.macro_f1
+            assert payload["hier_f1"] == want.hier_f1
+            hier[tree.stem] = payload["hier_f1"]
+        assert hier["corrupted"] != hier["modified"]
 
 
 class TestRewireModes:
-    @pytest.mark.parametrize("flag", [["--auto-tau"], ["--tau", "0.5"], ["--top-k", "100"]])
+    @pytest.mark.parametrize("flag", [[], ["--tau", "0.5"], ["--top-k", "100"]],
+                             ids=["knee", "tau", "top-k"])
     def test_rewire_uses_the_similarity_selection(self, bench81, tmp_path, flag):
         sim, rew = tmp_path / "sim", tmp_path / "rewire"
         tree = ["--hierarchy", bench81 / "corrupted.edges"]
@@ -569,18 +592,12 @@ class TestExitCodes:
             "--out", tmp_path / "o", "--grid", "abc",
         ) == 6
 
-    @pytest.mark.parametrize("argv", [
-        ["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
-         "--workers", "-3"],
-        ["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
-         "--workers", "0"],
-        ["train", "--data", "{b}/data.txt", "--hierarchy", "{b}/true.edges", "--C", "1",
-         "--no-tfidf", "--workers", "-4"],
-    ])
-    def test_workers_below_one(self, pipeline, tmp_path, capsys, argv):
-        argv = [a.format(b=pipeline["bench"], s=pipeline["sim"]) for a in argv]
+    @pytest.mark.parametrize("workers", ["-4", "0"])
+    def test_workers_below_one(self, pipeline, tmp_path, capsys, workers):
+        argv = ["train", "--data", pipeline["bench"] / "data.txt", "--hierarchy",
+                pipeline["bench"] / "true.edges", "--C", "1", "--no-tfidf", "--workers", workers]
         assert run(*argv, "--out", tmp_path / "o") == 6
-        assert "--workers must be at least 1, got " + argv[-1] in capsys.readouterr().err
+        assert "--workers must be at least 1, got " + workers in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv,code,msg", [
@@ -670,7 +687,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: cannot write --out {out}: [Errno 28] No space left on device\n"
         )
-        assert list((tmp_path / "deep").iterdir()) == []
+        assert list(tmp_path.iterdir()) == []  # nor the parent made for it
+        # A parent that existed before the run is kept.
+        (tmp_path / "kept").mkdir()
+        assert run("similarity", "--data", b / "data.txt", "--hierarchy",
+                   b / "corrupted.edges", "--no-tfidf",
+                   "--out", tmp_path / "kept" / "made" / "s") == 6
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -686,3 +710,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run("rewire", "--hierarchy", "h", "--out", "o")  # --pairs is required
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,flag", [
+        ("similarity", ["--auto-tau"]),
+        ("similarity", ["--workers", "2"]),
+        ("evaluate --predictions p", ["--eval-hierarchy", "modified"]),
+        ("evaluate --predictions p", ["--modified-hierarchy", "m.edges"]),
+    ], ids=["auto-tau", "similarity-workers", "eval-hierarchy", "modified-hierarchy"])
+    def test_removed_flags_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(*command.split(), "--data", "d", "--hierarchy", "h", "--out", "o", *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err

@@ -115,15 +115,6 @@ class TestAllPairs:
         assert [(a, b) for a, b, _ in rows(scores)] == [(1, 2), (1, 3), (2, 3)]
         assert scores.score[0] == pytest.approx(1.0)
 
-    def test_workers_do_not_change_anything(self):
-        cents = self.random_centroids(9, 11)
-        one = all_pairs_scores(cents, workers=1)
-        four = all_pairs_scores(cents, workers=4)
-        # ids must match exactly and scores bitwise
-        assert one.a.tobytes() == four.a.tobytes()
-        assert one.b.tobytes() == four.b.tobytes()
-        assert one.score.tobytes() == four.score.tobytes()
-
     def test_needs_two_centroids(self):
         with pytest.raises(SimilarityError, match="at least 2"):
             all_pairs_scores(Dataset([sv((1, 1.0))], [1]))
@@ -179,10 +170,9 @@ class TestMatchesPerPairScorer:
             if trial == 240:
                 n = math.isqrt(2 * _CURVE_CHUNK_ROWS) + 2
                 assert n * (n - 1) // 2 > _CURVE_CHUNK_ROWS
-            workers = 1 + trial % 4
             cents = self.centroid_set(rng, n)
-            table = all_pairs_scores(cents, workers=workers)
-            want = per_pair_scores(dict(zip(cents.labels, cents.vectors)), workers=workers)
+            table = all_pairs_scores(cents)
+            want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))
             assert [(a, b) for a, b, _ in rows(table)] == [(a, b) for a, b, _ in want]
             assert [s.hex() for s in table.score.tolist()] == [s.hex() for _, _, s in want]
             got_csv, want_csv = io.StringIO(), io.StringIO()

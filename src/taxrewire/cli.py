@@ -24,9 +24,10 @@ inputs and flags are byte-identical.
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
-which is not a class leaf, a tf-idf model given no --idf or a raw-feature
-model given one, an --out that is a file, lies under one or is a
-non-empty directory, and an artifact that cannot be written).
+which is not a class leaf, tf-idf features that are all zero, a tf-idf
+model given no --idf or a raw-feature model given one, an --out that is
+a file, lies under one or is a non-empty directory, and an artifact
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -121,6 +122,16 @@ def _load_hierarchy(path: str) -> taxonomy.Taxonomy:
     return taxonomy.parse_taxonomy(_read(path))
 
 
+def _check_tfidf(data: corpus.Dataset) -> corpus.Dataset:
+    """``data``, the tf-idf features of a command, unless every one is zero."""
+    if not data.to_csr().nnz:
+        raise ValueError(
+            "tf-idf leaves no nonzero feature (a feature in every instance gets idf 0);"
+            " pass --no-tfidf"
+        )
+    return data
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -129,7 +140,7 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
     tax = _load_hierarchy(args.hierarchy)
     data = corpus.parse_dataset(_read(args.data))
     if not args.no_tfidf:
-        data = corpus.tfidf_normalize(data)
+        data = _check_tfidf(corpus.tfidf_normalize(data))
     centroids = simgraph.class_centroids(data, tax.leaves)
     scores = simgraph.all_pairs_scores(centroids)
     if args.tau is None and args.top_k is None:
@@ -199,7 +210,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
         data = raw
     else:
         idf = corpus.compute_idf(raw)
-        data = corpus.apply_tfidf(raw, idf)
+        data = _check_tfidf(corpus.apply_tfidf(raw, idf))
         artifacts["idf.txt"] = corpus.serialize_idf(idf)
     if args.bias:
         data = corpus.with_constant_feature(data, data.dimensionality + 1)

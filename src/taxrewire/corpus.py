@@ -8,10 +8,11 @@ the data is classified against.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -19,6 +20,14 @@ from scipy import sparse as sp
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset text or inconsistent construction."""
+
+
+# Labels and indices are stored as int64.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# Entries per bulk pass of :func:`parse_rows`: larger chunks raise the
+# peak memory of a parse, smaller ones pay numpy's per-call overhead.
+_PARSE_CHUNK = 4_096
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,8 @@ def parse_row(lineno: int, line: str) -> tuple[int, list[int], list[float]]:
     """One ``label idx:val ...`` line as (label, 0-based columns, values).
 
     Errors name ``lineno``.  Zeros are returned too, to be range-checked.
+    A label or index outside int64 is rejected once the line passes every
+    other check.
     """
     parts = line.split()
     try:
@@ -197,7 +208,103 @@ def parse_row(lineno: int, line: str) -> tuple[int, list[int], list[float]]:
         prev = i
         cols.append(i - 1)
         vals.append(v)
+    if not _INT64_MIN <= label <= _INT64_MAX:
+        raise DatasetFormatError(f"line {lineno}: label {parts[0]!r} is out of the int64 range")
+    if prev > _INT64_MAX:
+        raise DatasetFormatError(
+            f"line {lineno}: feature index out of the int64 range in {parts[-1]!r}"
+        )
     return label, cols, vals
+
+
+def _chunks(
+    records: Iterable[tuple[int, str]],
+) -> Iterator[tuple[list[tuple[int, str]], list[list[str]]]]:
+    """Runs of ``(lineno, line)`` records, and their split lines, of at most
+    ``_PARSE_CHUNK`` entries; a longer line is a run of its own."""
+    chunk: list[tuple[int, str]] = []
+    rows: list[list[str]] = []
+    size = 0
+    for record in records:
+        parts = record[1].split()
+        if chunk and size + len(parts) - 1 > _PARSE_CHUNK:
+            yield chunk, rows
+            chunk, rows, size = [], [], 0
+        chunk.append(record)
+        rows.append(parts)
+        size += len(parts) - 1
+    if chunk:
+        yield chunk, rows
+
+
+def _bulk_parse(
+    rows: list[list[str]],
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray] | None:
+    """(labels, row lengths, 0-based columns, values) of split lines, or
+    None if any line fails a check of :func:`parse_row`.
+
+    The tokens go through the ``int`` and ``float`` that :func:`parse_row`
+    calls, one C-level pass each, so every number is the same.
+    """
+    try:
+        labels = list(map(int, map(operator.itemgetter(0), rows)))
+    except ValueError:
+        return None
+    if min(labels) < _INT64_MIN or max(labels) > _INT64_MAX:
+        return None
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+    entries = list(chain.from_iterable(map(operator.itemgetter(slice(1, None)), rows)))
+    n = len(entries)
+    if not n:
+        return labels, lengths, np.zeros(0, np.int64), np.zeros(0)
+    # Exactly one ':' per entry, so the fields alternate index and value.
+    joined = ":".join(entries)
+    if joined.count(":") != 2 * n - 1 or not all(map(operator.contains, entries, repeat(":"))):
+        return None
+    fields = joined.split(":")
+    try:
+        idx = np.fromiter(map(int, fields[0::2]), np.int64, n)
+        vals = np.fromiter(map(float, fields[1::2]), np.float64, n)
+    except (ValueError, OverflowError):
+        return None
+    prev = np.empty_like(idx)  # the index before each entry in its row, 0 at a row start
+    prev[1:] = idx[:-1]
+    prev[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0
+    if not (np.isfinite(vals).all() and (idx > prev).all()):
+        return None
+    return labels, lengths, idx - 1, vals
+
+
+def parse_rows(
+    records: Iterable[tuple[int, str]],
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """``(lineno, line)`` records of ``label idx:val ...`` as (labels, indptr,
+    0-based columns, values), zeros included.
+
+    Accepts exactly the lines :func:`parse_row` accepts, with the same
+    numbers.  Lines are parsed in bulk, in chunks of at most
+    ``_PARSE_CHUNK`` entries; a chunk that fails a check goes through
+    :func:`parse_row` line by line, which raises the error of its first
+    bad line.
+    """
+    labels: list[int] = []
+    # Seeded with indptr's leading 0 and empty arrays, so no rows parse too.
+    lengths, cols, vals = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for chunk, rows in _chunks(records):
+        parsed = _bulk_parse(rows)
+        if parsed is None:
+            for lineno, line in chunk:
+                parse_row(lineno, line)
+            raise AssertionError(f"line {chunk[0][0]}: bulk parse refused lines parse_row accepts")
+        chunk_labels, chunk_lengths, chunk_cols, chunk_vals = parsed
+        labels += chunk_labels
+        lengths.append(chunk_lengths)
+        cols.append(chunk_cols)
+        vals.append(chunk_vals)
+    # One at a time, so each list of chunks is freed before the next is joined.
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return labels, np.cumsum(np.concatenate(lengths)), cols, vals
 
 
 def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
@@ -209,22 +316,15 @@ def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
 def parse_dataset(text: str) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
-    Values must be finite: ``nan`` and ``inf`` are rejected with the line
-    number.  Stored zeros are dropped on input so the no-zero invariant
-    holds for data regardless of origin.
+    Values must be finite, and labels and indices fit in int64: anything
+    else is rejected with the line number.  Stored zeros are dropped on
+    input so the no-zero invariant holds for data regardless of origin.
     """
-    labels: list[int] = []
-    # Typed buffers hold every entry; only the current line's are Python objects.
-    indptr, cols, vals = array("q", [0]), array("q"), array("d")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        label, row_cols, row_vals = parse_row(lineno, stripped)
-        labels.append(label)
-        cols.extend(row_cols)
-        vals.extend(row_vals)
-        indptr.append(len(cols))
+    labels, indptr, cols, vals = parse_rows(
+        (lineno, stripped)
+        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
+        if stripped and not stripped.startswith("#")
+    )
     if not labels:
         raise DatasetFormatError("dataset is empty")
     # Wide enough for every index read; the width shrinks to the nonzero ones.
@@ -261,8 +361,8 @@ def serialize_idf(idf: dict[int, float]) -> str:
 def parse_idf(text: str) -> dict[int, float]:
     """Inverse of :func:`serialize_idf`.
 
-    Non-finite weights, indices below 1 and repeated indices are rejected
-    with their line number.
+    Non-finite weights, indices below 1 or outside int64 and repeated
+    indices are rejected with their line number.
     """
     out: dict[int, float] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -280,6 +380,10 @@ def parse_idf(text: str) -> dict[int, float]:
             raise DatasetFormatError(f"line {lineno}: non-finite idf {parts[1]!r}")
         if index < 1:
             raise DatasetFormatError(f"line {lineno}: idf index must be at least 1, got {index}")
+        if index > _INT64_MAX:
+            raise DatasetFormatError(
+                f"line {lineno}: idf index {parts[0]!r} is out of the int64 range"
+            )
         if index in out:
             raise DatasetFormatError(f"line {lineno}: idf index {index} is listed twice")
         out[index] = weight

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from .corpus import Dataset, DatasetFormatError, format_row, parse_row
+from .corpus import Dataset, DatasetFormatError, format_row, parse_rows
 from .solver import minimize_lbfgs
 from .taxonomy import Taxonomy
 
@@ -573,14 +573,15 @@ def parse_model_set(text: str) -> ModelSet:
         c = float(c_text)
 
     models: dict[int, NodeModel] = {}
+    # One line per call, so that each line's checks fire in line order.
     for lineno, record in records:
         try:
-            node, cols, weights = parse_row(lineno, record)
+            (node,), _, cols, weights = parse_rows([(lineno, record)])
         except DatasetFormatError as exc:
             raise LearnerError(str(exc)) from None
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        if cols and cols[-1] >= dim:
+        if cols.size and cols[-1] >= dim:
             raise LearnerError(f"line {lineno}: bad weight index {cols[-1] + 1}")
         if isinstance(c, dict) and node not in c:
             raise LearnerError(f"line {lineno}: the C header has no value for node {node}")

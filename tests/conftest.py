@@ -15,6 +15,7 @@ Parsed from a name-table edge list, so ids follow sorted token order:
 import numpy as np
 import pytest
 
+from taxrewire import corpus
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import SimilarPairSet
 from taxrewire.taxonomy import parse_taxonomy
@@ -37,6 +38,14 @@ def pair_set(*pairs: tuple[int, int], tau: float = 0.5) -> SimilarPairSet:
     """Build a pair set from (a, b) tuples; scores descend from 0.9."""
     scores = [round(0.9 - 0.01 * i, 6) for i in range(len(pairs))]
     return SimilarPairSet([min(p) for p in pairs], [max(p) for p in pairs], scores, tau)
+
+
+@pytest.fixture(params=[1, 3], ids=lambda n: f"chunk{n}")
+def parse_chunk(request, monkeypatch):
+    """Bulk row parsing in chunks of 1 or 3 entries: errors in later chunks,
+    lines longer than a chunk, and chunks of lines with no entries."""
+    monkeypatch.setattr(corpus, "_PARSE_CHUNK", request.param)
+    return request.param
 
 
 @pytest.fixture

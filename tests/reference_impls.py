@@ -10,12 +10,13 @@ through.
 import csv
 import json
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
 from scipy import sparse as sp
 
-from taxrewire.corpus import SparseVector, make_sparse
+from taxrewire.corpus import Dataset, DatasetFormatError, SparseVector, make_sparse
 from taxrewire.learner import LearnerError, ModelSet, NodeModel
 from taxrewire.simgraph import SimilarPairSet
 from taxrewire.synthbench import BenchError
@@ -470,3 +471,56 @@ def per_token_parse_model_set(text):
         node_c = c[node] if isinstance(c, dict) else c
         models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
     return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)
+
+
+def per_token_parse_row(lineno, line):
+    """The per-token row parser as it was before bulk parsing."""
+    parts = line.split()
+    try:
+        label = int(parts[0])
+    except ValueError:
+        raise DatasetFormatError(f"line {lineno}: non-numeric label {parts[0]!r}") from None
+    cols, vals, prev = [], [], 0
+    for tok in parts[1:]:
+        try:
+            i_str, v_str = tok.split(":", 1)
+            i, v = int(i_str), float(v_str)
+        except ValueError:
+            raise DatasetFormatError(f"line {lineno}: malformed entry {tok!r}") from None
+        if not math.isfinite(v):
+            raise DatasetFormatError(f"line {lineno}: non-finite value in {tok!r}")
+        if i <= prev:
+            raise DatasetFormatError(
+                f"line {lineno}: feature indices must be 1-based strictly increasing"
+            )
+        prev = i
+        cols.append(i - 1)
+        vals.append(v)
+    return label, cols, vals
+
+
+def per_line_parse_dataset(text):
+    """The dataset reader bulk parsing replaced: one row parse per line into
+    typed buffers.  An index beyond int64 raises OverflowError, and a label
+    beyond it is accepted."""
+    labels = []
+    indptr, cols, vals = array("q", [0]), array("q"), array("d")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        label, row_cols, row_vals = per_token_parse_row(lineno, stripped)
+        labels.append(label)
+        cols.extend(row_cols)
+        vals.extend(row_vals)
+        indptr.append(len(cols))
+    if not labels:
+        raise DatasetFormatError("dataset is empty")
+    matrix = sp.csr_matrix(
+        (np.asarray(vals, dtype=np.float64), np.asarray(cols, dtype=np.int64),
+         np.asarray(indptr, dtype=np.int64)),
+        shape=(len(labels), int(np.max(cols, initial=-1)) + 1),
+    )
+    matrix.eliminate_zeros()
+    matrix.resize(len(labels), int(np.max(matrix.indices, initial=-1)) + 1)
+    return Dataset._from_matrix(matrix, labels)

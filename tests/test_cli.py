@@ -472,6 +472,72 @@ class TestExitCodes:
         assert f"line {first + 1}: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "p" / "predictions.txt").exists()
 
+    @pytest.mark.parametrize("body,msg", [
+        ("1 1:1.0\n1 99999999999999999999:1.0\n",
+         "line 2: feature index out of the int64 range in '99999999999999999999:1.0'"),
+        ("99999999999999999999 1:1.0\n1 2:1.0\n",
+         "line 1: label '99999999999999999999' is out of the int64 range"),
+    ], ids=["index", "label"])
+    def test_dataset_beyond_int64(self, tmp_path, capsys, body, msg):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text(body)
+        assert run("similarity", "--data", data, "--hierarchy", tax,
+                   "--out", tmp_path / "s", "--no-tfidf") == 4
+        assert run("train", "--data", data, "--hierarchy", tax,
+                   "--out", tmp_path / "t", "--C", "1") == 4
+        assert capsys.readouterr().err == f"error: {msg}\n" * 2
+        assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
+
+    def test_idf_index_beyond_int64(self, tmp_path, capsys):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:2.0 3:1.0\n1 1:3.0 3:2.0\n2 2:2.0 3:1.0\n2 2:1.0 3:3.0\n")
+        assert run("train", "--data", data, "--hierarchy", tax, "--out", tmp_path / "t",
+                   "--method", "flat", "--C", "5") == 0
+        idf = tmp_path / "t" / "idf.txt"
+        lines = idf.read_text().splitlines() + ["99999999999999999999 0.5"]
+        idf.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
+                   "--idf", idf, "--out", tmp_path / "p") == 4
+        assert capsys.readouterr().err == (f"error: line {len(lines)}: idf index"
+                                           " '99999999999999999999' is out of the int64 range\n")
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("token,msg", [
+        ("99999999999999999999:1.0", "feature index out of the int64 range"),
+        ("node", "label '99999999999999999999' is out of the int64 range"),
+    ], ids=["index", "node"])
+    def test_model_line_beyond_int64(self, pipeline, tmp_path, capsys, token, msg):
+        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        if token == "node":
+            lines[first] = "99999999999999999999 " + lines[first].split(" ", 1)[1]
+        else:
+            lines[first] += " " + token
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert f"error: line {first + 1}: {msg}" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("similarity", []),
+        ("train", ["--C", "10"]),
+    ], ids=["similarity", "train"])
+    def test_all_zero_tfidf(self, pipeline, tmp_path, capsys, command, flags):
+        # Every bench feature occurs in every instance, so every idf is 0.
+        b = pipeline["bench"]
+        assert run(command, "--data", b / "data.txt", "--hierarchy", b / "true.edges",
+                   *flags, "--out", tmp_path / "o") == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: tf-idf leaves no nonzero feature") and "--no-tfidf" in err
+        assert not (tmp_path / "o").exists()
+
     def test_per_node_c_map_missing_a_node(self, pipeline, tmp_path, capsys):
         b, r = pipeline["bench"], pipeline["rewire"]
         assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",

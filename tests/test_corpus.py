@@ -18,15 +18,18 @@ from taxrewire.corpus import (
     parse_dataset,
     parse_idf,
     parse_row,
+    parse_rows,
     serialize_dataset,
     serialize_idf,
     split_train_validation,
     tfidf_normalize,
     with_constant_feature,
 )
+from taxrewire import corpus
 from taxrewire.simgraph import class_centroids
 
 from reference_impls import (
+    per_line_parse_dataset,
     per_row_apply_tfidf,
     per_row_class_centroids,
     per_row_compute_idf,
@@ -140,6 +143,13 @@ class TestParsing:
             ("1 1:nan\n", "line 1: non-finite"),
             ("1 1:1.0\n2 1:0.5 3:-inf\n", "line 2: non-finite"),
             ("", "empty"),
+            # One entry with two ':' and one with none hold one ':' each on average.
+            ("1 1:2:3 7\n", "line 1: malformed entry '1:2:3'"),
+            ("1 2:1\n1 1:2:3\n2 7\n", "line 2: malformed entry '1:2:3'"),
+            ("1 1:2.0 3\n4 5:6:7\n", "line 1: malformed entry '3'"),
+            ("99999999999999999999 1:1.0\n", "line 1: label '99999999999999999999' is out"),
+            ("1 1:1.0\n1 2:1.0 99999999999999999999:1.0\n",
+             "line 2: feature index out of the int64 range in '99999999999999999999:1.0'"),
         ],
     )
     def test_malformed(self, text, fragment):
@@ -149,6 +159,41 @@ class TestParsing:
     def test_error_line_numbers(self):
         with pytest.raises(DatasetFormatError, match="line 2"):
             parse_dataset("1 1:1.0\n1 bad\n")
+
+    @pytest.mark.parametrize("line,ok", [
+        ("9223372036854775807 9223372036854775807:1.0", True),
+        ("-9223372036854775808 1:1.0", True),
+        ("9223372036854775808 1:1.0", False),
+        ("-9223372036854775809 1:1.0", False),
+        ("1 9223372036854775808:1.0", False),
+    ], ids=["max", "min", "label-above", "label-below", "index-above"])
+    def test_int64_bounds(self, line, ok):
+        # The bulk pass and parse_row agree at the edges.
+        label = int(line.split()[0])
+        if ok:
+            assert parse_row(3, line)[0] == label
+            assert parse_rows([(3, line)])[0] == [label]
+            return
+        for parse in (parse_row, lambda lineno, text: parse_rows([(lineno, text)])):
+            with pytest.raises(DatasetFormatError, match="line 3: .* int64 range"):
+                parse(3, line)
+
+    def test_parse_rows_arrays(self):
+        labels, indptr, cols, vals = parse_rows(
+            [(1, "4 2:0.5 7:-1"), (2, "-2"), (5, "3 1:0.0 2:1e3")]
+        )
+        assert labels == [4, -2, 3]
+        assert indptr.tolist() == [0, 2, 2, 4]
+        assert cols.tolist() == [1, 6, 0, 1]
+        assert vals.tolist() == [0.5, -1.0, 0.0, 1000.0]
+
+    def test_chunks_hold_at_most_the_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_PARSE_CHUNK", 3)
+        sizes = [2, 1, 1, 5, 0, 0, 3]
+        records = [(i, " ".join(["1", *(f"{j}:1" for j in range(1, k + 1))]))
+                   for i, k in enumerate(sizes)]
+        runs = [[len(parts) - 1 for parts in rows] for _, rows in corpus._chunks(records)]
+        assert runs == [[2, 1], [1], [5], [0, 0, 3]]
 
 
 class TestTfidf:
@@ -191,7 +236,9 @@ class TestTfidf:
         ("1 0.5\n0 1.0\n", "line 2: idf index must be at least 1, got 0"),
         ("# idf\n-3 1.0\n", "line 2: idf index must be at least 1, got -3"),
         ("1 0.5\n2 0.25\n\n2 0.75\n", "line 4: idf index 2 is listed twice"),
-    ], ids=["zero", "negative", "repeated"])
+        ("1 0.5\n99999999999999999999 0.5\n",
+         "line 2: idf index '99999999999999999999' is out of the int64 range"),
+    ], ids=["zero", "negative", "repeated", "beyond-int64"])
     def test_parse_idf_rejects_bad_index(self, text, msg):
         with pytest.raises(DatasetFormatError, match=msg):
             parse_idf(text)
@@ -400,3 +447,110 @@ class TestMatchesPerRowReference:
                     got = class_centroids(source, leaves)
                 assert got.labels == list(want)
                 assert_rows_bitwise_equal(got.vectors, list(want.values()))
+
+
+def dataset_outcome(parse, text):
+    """What a reader makes of ``text``: the dataset's content, its error, or
+    ``("int64",)`` where the per-line reader overflowed or kept a label
+    outside int64."""
+    try:
+        data = parse(text)
+    except DatasetFormatError as exc:
+        return ("error", str(exc))
+    except OverflowError:
+        return ("int64",)
+    if not all(-(2**63) <= label < 2**63 for label in data.labels):
+        return ("int64",)
+    m = data.to_csr()
+    return ("ok", data.labels, m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.tobytes())
+
+
+def random_dataset_text(rng):
+    """Rows of 0-8 entries with tricky but valid values, blank and comment
+    lines, and stray whitespace."""
+    values = ["1", "2.5", "-0.0", "0", "0.0", "1e-3", "5e-324", "1e308", "1_0", "+2", ".5"]
+    lines = []
+    for _ in range(int(rng.integers(0, 12))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append(" " * int(rng.integers(3)))
+        elif kind < 0.14:
+            lines.append("# 1:x")
+        else:
+            idx = np.sort(rng.choice(np.arange(1, 40), size=int(rng.integers(0, 9)), replace=False))
+            vals = [str(rng.choice(values)) if rng.random() < 0.4 else repr(float(rng.normal()))
+                    for _ in idx]
+            sep = "\t" if rng.random() < 0.1 else " "
+            label = str(int(rng.integers(-3, 50)))
+            row = sep.join([label, *(f"{i}:{v}" for i, v in zip(idx, vals))])
+            lines.append(" " * int(rng.integers(2)) + row)
+    return "\n".join(lines) + "\n"
+
+
+def mutate_dataset_text(rng, text):
+    """One random edit of a dataset text: a character, a token or a line."""
+    lines = text.splitlines() or [""]
+    i = int(rng.integers(len(lines)))
+    line = lines[i]
+    kind = int(rng.integers(5))
+    if kind == 0 and line:
+        k = int(rng.integers(len(line)))
+        line = line[:k] + str(rng.choice(list(" :0129.-+_eanif#x"))) + line[k + 1:]
+    elif kind == 1 and line:
+        k = int(rng.integers(len(line)))
+        line = line[:k] + line[k + 1:]
+    elif kind == 2:
+        toks = line.split()
+        extra = ["1:2:3", "1:", ":1", ":", "nan", "1_0:1", "+1:1", "1e3:1", "1:1..2", "0:1",
+                 "99999999999999999999:1.0", "1:nan", "2:-inf", "3:1e400", "x:1", "7"]
+        toks.insert(int(rng.integers(len(toks) + 1)), str(rng.choice(extra)))
+        line = " ".join(toks)
+    elif kind == 3:
+        toks = line.split()
+        if len(toks) > 1:
+            a, b = rng.choice(len(toks), size=2, replace=False)
+            toks[a], toks[b] = toks[b], toks[a]
+        line = " ".join(toks)
+    else:
+        extra = ["", "#", "  # 1:x", "5 1:2:3", "7", "99999999999999999999 1:1.0",
+                 "-99999999999999999999", "8 99999999999999999999:1", line]
+        line = str(rng.choice(extra))
+        i = int(rng.integers(len(lines) + 1))
+        lines.insert(i, "")
+    lines[i] = line
+    return "\n".join(lines) + "\n"
+
+
+class TestMatchesPerLineDatasetReader:
+    """The bulk dataset reader against the per-line reader it replaced."""
+
+    def test_accepts_the_same_texts_with_the_same_numbers(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            text = random_dataset_text(rng)
+            want = dataset_outcome(per_line_parse_dataset, text)
+            assert dataset_outcome(parse_dataset, text) == want, text
+        empty = dataset_outcome(parse_dataset, "# only a comment\n\n")
+        assert empty == ("error", "dataset is empty")
+
+    def test_rejects_the_same_texts_on_the_same_line(self):
+        rng = np.random.default_rng(22)
+        seen = {"ok": 0, "error": 0, "int64": 0}
+        for _ in range(300):
+            text = random_dataset_text(rng)
+            for _ in range(8):
+                mutated = mutate_dataset_text(rng, text)
+                want = dataset_outcome(per_line_parse_dataset, mutated)
+                got = dataset_outcome(parse_dataset, mutated)
+                seen[want[0]] += 1
+                if want[0] == "int64":
+                    # The per-line reader crashed, or kept a label numpy
+                    # cannot hold; the bulk one names the line.
+                    assert got[0] == "error" and "out of the int64 range" in got[1], mutated
+                else:
+                    assert got == want, mutated
+        assert all(seen.values())  # accepted, rejected and int64 cases all occurred
+
+    def test_in_small_parse_chunks(self, parse_chunk):
+        self.test_accepts_the_same_texts_with_the_same_numbers()
+        self.test_rejects_the_same_texts_on_the_same_line()

@@ -649,3 +649,7 @@ class TestMatchesPerEntryCodec:
                 else:
                     assert got == want, mutated
         assert all(seen.values())  # accepted, rejected and per-node C misses all occurred
+
+    def test_in_small_parse_chunks(self, parse_chunk):
+        self.test_writer_text_and_parsed_weights_match()
+        self.test_parser_rejects_the_same_texts_on_the_same_line()

@@ -40,7 +40,6 @@ from .metrics import (
     micro_f1,
     per_class_stats,
     rare_category_report,
-    rare_win_percentage,
 )
 from .rewire import (
     RewireError,

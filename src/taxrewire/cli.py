@@ -25,9 +25,9 @@ Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
 which is not a class leaf, tf-idf features that are all zero, a tf-idf
-model given no --idf or a raw-feature model given one, an --out that is
-a file, lies under one or is a non-empty directory, and an artifact
-that cannot be written).
+model given no --idf or a raw-feature model given one, an input too
+large to allocate, an --out that is a file, lies under one or is a
+non-empty directory, and an artifact that cannot be written).
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def cmd_rewire(args: argparse.Namespace) -> dict:
     before_leaves = tax.leaves
     modified, log = rewire.rewire_hierarchy(tax, selected)
     if args.collapse_chains:
-        modified, collapse_ops = rewire.collapse_chains(modified, before_leaves)
+        modified, collapse_ops = rewire.collapse_chains(modified)
         log.ops.extend(collapse_ops)
     if modified.leaves != before_leaves:  # pragma: no cover - structural guarantee
         raise RewireError("rewiring changed the class leaves")
@@ -230,21 +230,9 @@ def cmd_train(args: argparse.Namespace) -> dict:
         model_set = trainer(tax, data, args.C, costs, **kwargs)
         summary["c_selected"] = args.C
     else:
-        grid = _parse_grid(args.grid)
-        if costs is None:
-            train_part, val_part = corpus.split_train_validation(data, args.split, args.seed)
-            train_costs = None
-            val_costs = None
-        else:
-            train_part, val_part, train_idx, val_idx = corpus.split_train_validation(
-                data, args.split, args.seed, return_indices=True
-            )
-            train_costs = costs[train_idx]
-            val_costs = costs[val_idx]
         tuned = learner.tune_c(
-            tax, train_part, val_part, grid, mode=args.method,
-            costs=train_costs, validation_costs=val_costs,
-            per_node=args.per_node_C, **kwargs,
+            tax, data, _parse_grid(args.grid), mode=args.method, costs=costs,
+            split=args.split, seed=args.seed, per_node=args.per_node_C, **kwargs,
         )
         model_set = tuned.model_set
         summary["c_selected"] = (
@@ -253,7 +241,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
         )
         summary["grid"] = tuned.grid
         summary["grid_scores"] = {repr(k): v for k, v in sorted(tuned.scores.items())}
-        summary["split"] = {"train": train_part.n, "validation": val_part.n}
+        summary["split"] = dict(zip(("train", "validation"), tuned.split))
 
     summary["n_models"] = len(model_set.models)
     summary["n_unconverged"] = sum(1 for m in model_set.models.values() if not m.converged)
@@ -489,6 +477,10 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 6
+    except MemoryError:
+        print("error: the input is too large to allocate; a vector is as long as the largest"
+              " feature index, or a model's #dimensionality", file=sys.stderr)
         return 6
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
@@ -22,8 +21,13 @@ class DatasetFormatError(ValueError):
     """Raised for malformed dataset text or inconsistent construction."""
 
 
-# Labels and indices are stored as int64.
+# Labels are stored as int64.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+# The largest feature index, and so the largest width: every stage
+# allocates float64 vectors of the width, and numpy addresses at most
+# 2^63 - 1 bytes.
+MAX_WIDTH = 2**60 - 1
 
 # Entries per bulk pass of :func:`parse_rows`: larger chunks raise the
 # peak memory of a parse, smaller ones pay numpy's per-call overhead.
@@ -184,8 +188,8 @@ def parse_row(lineno: int, line: str) -> tuple[int, list[int], list[float]]:
     """One ``label idx:val ...`` line as (label, 0-based columns, values).
 
     Errors name ``lineno``.  Zeros are returned too, to be range-checked.
-    A label or index outside int64 is rejected once the line passes every
-    other check.
+    A label outside int64, or an index above ``MAX_WIDTH``, is rejected
+    once the line passes every other check.
     """
     parts = line.split()
     try:
@@ -210,10 +214,8 @@ def parse_row(lineno: int, line: str) -> tuple[int, list[int], list[float]]:
         vals.append(v)
     if not _INT64_MIN <= label <= _INT64_MAX:
         raise DatasetFormatError(f"line {lineno}: label {parts[0]!r} is out of the int64 range")
-    if prev > _INT64_MAX:
-        raise DatasetFormatError(
-            f"line {lineno}: feature index out of the int64 range in {parts[-1]!r}"
-        )
+    if prev > MAX_WIDTH:
+        raise DatasetFormatError(f"line {lineno}: feature index above 2^60 - 1 in {parts[-1]!r}")
     return label, cols, vals
 
 
@@ -270,7 +272,7 @@ def _bulk_parse(
     prev = np.empty_like(idx)  # the index before each entry in its row, 0 at a row start
     prev[1:] = idx[:-1]
     prev[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0
-    if not (np.isfinite(vals).all() and (idx > prev).all()):
+    if not (np.isfinite(vals).all() and (idx > prev).all() and idx.max() <= MAX_WIDTH):
         return None
     return labels, lengths, idx - 1, vals
 
@@ -316,9 +318,10 @@ def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
 def parse_dataset(text: str) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
-    Values must be finite, and labels and indices fit in int64: anything
-    else is rejected with the line number.  Stored zeros are dropped on
-    input so the no-zero invariant holds for data regardless of origin.
+    Values must be finite, labels fit in int64 and indices be at most
+    ``MAX_WIDTH``: anything else is rejected with the line number.
+    Stored zeros are dropped on input so the no-zero invariant holds for
+    data regardless of origin.
     """
     labels, indptr, cols, vals = parse_rows(
         (lineno, stripped)
@@ -420,30 +423,20 @@ def tfidf_normalize(data: Dataset) -> Dataset:
 
 
 def split_train_validation(
-    data: Dataset, ratio: float, seed: int, return_indices: bool = False
-):
-    """Seeded uniform shuffle, then an exact head/tail split.
+    data: Dataset, ratio: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform shuffle, then an exact head/tail split of the row positions.
 
-    The training part gets ``ceil(ratio * n)`` instances.  Instances keep
-    the shuffled order inside each part.  With ``return_indices`` the
-    original positions of each part are returned as well, so per-instance
-    side data (e.g. costs) can be sliced consistently.
+    Returns the (train, validation) positions of ``data``'s rows, each in
+    shuffled order; the training part gets ``ceil(ratio * n)`` of them.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     if data.n < 2:
         raise DatasetFormatError("need at least 2 instances to split")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(data.n)
+    perm = np.random.default_rng(seed).permutation(data.n)
     n_train = math.ceil(ratio * data.n)
-    train_idx = [int(i) for i in perm[:n_train]]
-    val_idx = [int(i) for i in perm[n_train:]]
-    train, val = data.subset(train_idx), data.subset(val_idx)
-    if not val_idx:
-        warnings.warn("validation part is empty at this ratio", stacklevel=2)
-    if return_indices:
-        return train, val, train_idx, val_idx
-    return train, val
+    return perm[:n_train], perm[n_train:]
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from .corpus import Dataset, DatasetFormatError, format_row, parse_rows
+from .corpus import MAX_WIDTH, Dataset, DatasetFormatError, format_row, parse_rows
 from .solver import minimize_lbfgs
 from .taxonomy import Taxonomy
 
@@ -379,69 +379,67 @@ class TuneResult:
     grid: list[float]
     scores: dict[float, float]
     model_set: ModelSet
+    split: tuple[int, int]
 
 
 def tune_c(
     tax: Taxonomy,
-    train: Dataset,
-    validation: Dataset,
+    data: Dataset,
     grid: Iterable[float] = DEFAULT_C_GRID,
     mode: str = "td-lr",
     costs: np.ndarray | None = None,
-    validation_costs: np.ndarray | None = None,
     *,
+    split: float = 0.9,
+    seed: int = 0,
     per_node: bool = False,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> TuneResult:
-    """Grid-search C on a held-out part, then retrain on everything.
+    """Grid-search C on a seeded held-out part, then fit ``data`` at the winner.
 
-    One classifier is trained per grid value; the value with the best
-    validation micro-F1 wins, ties going to the smaller C.  The returned
-    model set is retrained on train + validation at the winning value.
-    With ``per_node`` each node independently keeps the C with the best
-    validation accuracy on its own binary task.
+    ``data`` (and ``costs``) are split by :func:`split_train_validation`;
+    one classifier is trained on the training part per grid value, and
+    the value with the best validation micro-F1 wins, ties going to the
+    smaller C.  With ``per_node`` each node independently keeps the C
+    with the best validation accuracy on its own binary task.  The
+    returned model set is the fixed-C fit of all of ``data``, in its row
+    order, at the chosen C (or per-node map).
     """
-    from .corpus import concat_datasets
+    # The split and the trainers are looked up at call time, so wrappers on
+    # the module attributes see every call.
+    from .corpus import split_train_validation
     from .metrics import micro_f1
 
     grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise LearnerError("C grid is empty")
     _check_solver_settings(grid, grad_tol, max_iter)
-    # Looked up at call time, so wrappers on the module attributes see every fit.
     if mode == "td-lr":
         trainer, tree = train_topdown, tax
     elif mode == "flat":
         trainer, tree = train_flat, _one_level(tax)
     else:
         raise LearnerError(f"unknown mode {mode!r}")
-
-    merged = concat_datasets(train, validation) if validation.n else train
-    merged_costs = None
-    if costs is not None:
-        vcosts = (
-            validation_costs
-            if validation_costs is not None
-            else np.ones(validation.n, dtype=np.float64)
-        )
-        merged_costs = np.concatenate([costs, vcosts])
-
     kwargs = dict(grad_tol=grad_tol, max_iter=max_iter)
 
-    if validation.n == 0:
+    train_idx, val_idx = split_train_validation(data, split, seed)
+    sizes = (len(train_idx), len(val_idx))
+    if not len(val_idx):
         warnings.warn(
             "validation set is empty; falling back to C=1 without a grid search",
             stacklevel=2,
         )
-        final = trainer(tax, merged, 1.0, merged_costs, **kwargs)
-        return TuneResult(1.0, grid, {}, final)
+        return TuneResult(1.0, grid, {}, trainer(tax, data, 1.0, costs, **kwargs), sizes)
 
-    candidates = {g: trainer(tax, train, g, costs, **kwargs) for g in grid}
+    train, validation = data.subset(train_idx), data.subset(val_idx)
+    train_costs = None if costs is None else costs[train_idx]
+    candidates = {g: trainer(tax, train, g, train_costs, **kwargs) for g in grid}
 
+    scores: dict[float, float] = {}
+    best: float | dict[int, float]
     if per_node:
         features = validation.to_csr()
-        best_per_node: dict[int, float] = {}
+        best = {}
         for node in tree.non_root_nodes():
             y = _binary_labels(validation, tree.subtree_leaves(node))
             node_best, node_hits = grid[0], -1
@@ -451,21 +449,16 @@ def tune_c(
                 hits = int(np.count_nonzero((margins >= 0.0) == (y > 0.0)))
                 if hits > node_hits:
                     node_best, node_hits = g, hits
-            best_per_node[node] = node_best
-        scores: dict[float, float] = {}
-        final = trainer(tax, merged, best_per_node, merged_costs, **kwargs)
-        return TuneResult(best_per_node, grid, scores, final)
-
-    scores = {}
-    best_c, best_mu = grid[0], -1.0
-    for g in grid:
-        preds = predict_dataset(candidates[g], validation, tax)
-        mu = micro_f1(list(zip(validation.labels, preds)))
-        scores[g] = mu
-        if mu > best_mu:
-            best_c, best_mu = g, mu
-    final = trainer(tax, merged, best_c, merged_costs, **kwargs)
-    return TuneResult(best_c, grid, scores, final)
+            best[node] = node_best
+    else:
+        best, best_mu = grid[0], -1.0
+        for g in grid:
+            preds = predict_dataset(candidates[g], validation, tax)
+            mu = micro_f1(list(zip(validation.labels, preds)))
+            scores[g] = mu
+            if mu > best_mu:
+                best, best_mu = g, mu
+    return TuneResult(best, grid, scores, trainer(tax, data, best, costs, **kwargs), sizes)
 
 
 # ----------------------------------------------------------------------
@@ -537,6 +530,20 @@ def serialize_model_set(model_set: ModelSet, workers: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_c_header(text: str) -> float | dict[int, float]:
+    """The ``#C`` header: a float, or a JSON object of node -> number."""
+    try:
+        if not text.startswith("{"):
+            return float(text)
+        c = json.loads(text)
+        if all(type(v) in (int, float) for v in c.values()):
+            return {int(k): float(v) for k, v in c.items()}
+    except (ValueError, OverflowError):
+        pass
+    raise LearnerError(f"the C header is neither a number nor a JSON object of node -> number: "
+                       f"{text!r}")
+
+
 def parse_model_set(text: str) -> ModelSet:
     """Inverse of :func:`serialize_model_set`.
 
@@ -565,12 +572,9 @@ def parse_model_set(text: str) -> ModelSet:
         raise LearnerError("dimensionality header is not an integer") from None
     if dim < 0:
         raise LearnerError(f"dimensionality header must not be negative, got {dim}")
-    c_text = headers.pop("C")
-    c: float | dict[int, float]
-    if c_text.startswith("{"):
-        c = {int(k): float(v) for k, v in json.loads(c_text).items()}
-    else:
-        c = float(c_text)
+    if dim > MAX_WIDTH:
+        raise LearnerError(f"dimensionality header must be at most 2^60 - 1, got {dim}")
+    c = _parse_c_header(headers.pop("C"))
 
     models: dict[int, NodeModel] = {}
     # One line per call, so that each line's checks fire in line order.

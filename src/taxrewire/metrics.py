@@ -155,26 +155,6 @@ def rare_category_report(
     return {c: stats[c] for c in rare}
 
 
-def rare_win_percentage(
-    pairs_a: Sequence[Pair],
-    pairs_b: Sequence[Pair],
-    train_counts: dict[int, int],
-    threshold: int = 10,
-) -> float:
-    """Percentage of rare classes where system A's F1 strictly exceeds B's.
-
-    Identical systems score 0.0 (nothing is strictly better), as does an
-    empty rare slice.
-    """
-    rare = rare_classes(train_counts, threshold)
-    if not rare:
-        return 0.0
-    stats_a = per_class_stats(pairs_a, rare)
-    stats_b = per_class_stats(pairs_b, rare)
-    wins = sum(1 for c in rare if stats_a[c].f1 > stats_b[c].f1)
-    return 100.0 * wins / len(rare)
-
-
 @dataclass
 class MetricsReport:
     micro_f1: float

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 from .simgraph import SimilarPairSet
 from .taxonomy import Taxonomy
@@ -177,21 +177,18 @@ def _delete_sweep(work: Taxonomy, keep: frozenset[int]) -> list[DeleteOp]:
             candidates.append(op.parent)
 
 
-def collapse_chains(
-    tax: Taxonomy, class_leaves: Iterable[int] | None = None
-) -> tuple[Taxonomy, list[CollapseOp]]:
+def collapse_chains(tax: Taxonomy) -> tuple[Taxonomy, list[CollapseOp]]:
     """Splice out internal non-root nodes with exactly one child, in id order.
 
     Optional cosmetic pass: the single child is attached to its
-    grandparent and the spliced node removed.  Class leaves are never
-    spliced even when structurally childless.  Splicing a node leaves
-    every other node's child count as it was, so one pass finds them all.
+    grandparent and the spliced node removed.  A leaf has no child, so
+    the class leaves are never spliced.  Splicing a node leaves every
+    other node's child count as it was, so one pass finds them all.
     """
-    keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
     work = tax.copy()
     ops: list[CollapseOp] = []
     for node in work.nodes:
-        if node != work.root and node not in keep and len(work.children(node)) == 1:
+        if node != work.root and len(work.children(node)) == 1:
             op = CollapseOp(node=node, child=work.children(node)[0], parent=work.parent(node))
             _apply(work, op)
             ops.append(op)

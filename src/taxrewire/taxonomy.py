@@ -117,9 +117,6 @@ class Taxonomy:
             and self.names == other.names
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - only for set membership in tests
-        return hash((self.root, frozenset(self._parent.items())))
-
     def __repr__(self) -> str:
         return f"Taxonomy(root={self.root}, nodes={len(self)}, leaves={len(self.leaves)})"
 

@@ -175,18 +175,16 @@ def round_by_round_delete_sweep(tax, class_leaves):
             tax = tax.remove_childless(node)
 
 
-def round_by_round_collapse(tax, class_leaves=None):
-    """Splice the smallest single-child non-root non-class node until none is left.
+def round_by_round_collapse(tax):
+    """Splice the smallest single-child non-root node until none is left.
 
     Every round rescans the whole tree.  Returns the tree and the
     ``(node, child, parent)`` of every splice.
     """
-    keep = frozenset(class_leaves) if class_leaves is not None else tax.leaves
     ops = []
     while True:
         chained = sorted(
-            n for n in tax.nodes
-            if n != tax.root and n not in keep and len(tax.children(n)) == 1
+            n for n in tax.nodes if n != tax.root and len(tax.children(n)) == 1
         )
         if not chained:
             return tax, ops

@@ -128,7 +128,7 @@ def test_planted_corruption_is_repaired():
             noise=0.1, n_misplaced=2, seed=seed, leaf_weight=0.25,
         )
         bench = gen_planted(config)
-        train, test = split_train_validation(bench.data, 0.9, seed)
+        train, test = map(bench.data.subset, split_train_validation(bench.data, 0.9, seed))
 
         centroids = class_centroids(train, bench.true_tree.leaves)
         pairs = select_pairs(all_pairs_scores(centroids), top_k=27)

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import taxrewire
 from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
+from taxrewire.learner import serialize_model_set, train_flat, train_topdown
 from taxrewire.metrics import build_report
 from taxrewire.rewire import RewireLog, replay_log
 from taxrewire.simgraph import class_centroids, parse_pair_set
@@ -29,6 +31,11 @@ BENCH_ARGS = [
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def model_lines(out: Path) -> list[str]:
+    """The node lines of ``out/model.txt``, without its ``#`` headers."""
+    return [l for l in (out / "model.txt").read_text().splitlines() if not l.startswith("#")]
 
 
 def _umask() -> int:
@@ -313,6 +320,44 @@ class TestTrainModes:
             "--out", out, "--C", "1", "--no-tfidf", "--cost-file", costs,
         ) == 0
 
+    @pytest.mark.parametrize("costs", [False, True], ids=["no-costs", "costs"])
+    @pytest.mark.parametrize("method", ["td-lr", "flat"])
+    def test_grid_ends_in_the_fixed_c_fit(self, pipeline, tmp_path, method, costs):
+        # The tuned model is the --C fit of every instance, in file order, at
+        # the chosen C.
+        b, r = pipeline["bench"], pipeline["rewire"]
+        cost_file = tmp_path / "costs.txt"
+        cost_file.write_text("".join(f"{1 + i % 3}.0\n" for i in range(54)))
+        common = ["train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
+                  "--method", method, "--no-tfidf", *(["--cost-file", cost_file] * costs)]
+        assert run(*common, "--grid", "0.1,10", "--split", "0.5", "--out", tmp_path / "g") == 0
+        chosen = json.loads((tmp_path / "g" / "train_summary.json").read_text())["c_selected"]
+        assert run(*common, "--C", chosen, "--out", tmp_path / "c") == 0
+        assert model_lines(tmp_path / "g") == model_lines(tmp_path / "c")
+
+    @pytest.mark.parametrize("costs", [False, True], ids=["no-costs", "costs"])
+    @pytest.mark.parametrize("method", ["td-lr", "flat"])
+    def test_per_node_grid_ends_in_the_fit_at_the_chosen_map(
+        self, pipeline, tmp_path, method, costs
+    ):
+        b, r = pipeline["bench"], pipeline["rewire"]
+        weights = [1.0 + i % 3 for i in range(54)]
+        cost_file = tmp_path / "costs.txt"
+        cost_file.write_text("".join(f"{w!r}\n" for w in weights))
+        assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
+                   "--method", method, "--no-tfidf", "--grid", "0.01,10", "--per-node-C",
+                   "--split", "0.5", *(["--cost-file", cost_file] * costs),
+                   "--out", tmp_path / "g") == 0
+        summary = json.loads((tmp_path / "g" / "train_summary.json").read_text())
+        chosen = {int(k): v for k, v in summary["c_selected"].items()}
+        trainer = train_topdown if method == "td-lr" else train_flat
+        fit = trainer(parse_taxonomy((r / "modified.edges").read_text()),
+                      parse_dataset((b / "data.txt").read_text()), chosen,
+                      np.asarray(weights) if costs else None)
+        assert model_lines(tmp_path / "g") == [
+            l for l in serialize_model_set(fit).splitlines() if not l.startswith("#")
+        ]
+
     def test_cost_length_mismatch(self, pipeline, tmp_path):
         b = pipeline["bench"]
         costs = tmp_path / "costs.txt"
@@ -474,7 +519,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("body,msg", [
         ("1 1:1.0\n1 99999999999999999999:1.0\n",
-         "line 2: feature index out of the int64 range in '99999999999999999999:1.0'"),
+         "line 2: feature index above 2^60 - 1 in '99999999999999999999:1.0'"),
         ("99999999999999999999 1:1.0\n1 2:1.0\n",
          "line 1: label '99999999999999999999' is out of the int64 range"),
     ], ids=["index", "label"])
@@ -489,6 +534,23 @@ class TestExitCodes:
                    "--out", tmp_path / "t", "--C", "1") == 4
         assert capsys.readouterr().err == f"error: {msg}\n" * 2
         assert not (tmp_path / "s").exists() and not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("index,code,msg", [
+        (2**59, 6, "error: the input is too large to allocate"),
+        (2**63 - 1, 4, "error: line 2: feature index above 2^60 - 1"),
+    ], ids=["2^59", "2^63-1"])
+    def test_dataset_too_wide(self, tmp_path, capsys, index, code, msg):
+        # The width is the largest index: at most 2^60 - 1, and an
+        # allocation that fails is an input error, not a crash.
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text(f"1 1:1.0\n2 {index}:1.0\n")
+        for command, flags in (("similarity", []), ("train", ["--C", "1"])):
+            assert run(command, "--data", data, "--hierarchy", tax, "--no-tfidf", *flags,
+                       "--out", tmp_path / command) == code
+            assert not (tmp_path / command).exists()
+        assert capsys.readouterr().err.count(msg) == 2
 
     def test_idf_index_beyond_int64(self, tmp_path, capsys):
         tax = tmp_path / "h.edges"
@@ -507,7 +569,7 @@ class TestExitCodes:
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("token,msg", [
-        ("99999999999999999999:1.0", "feature index out of the int64 range"),
+        ("99999999999999999999:1.0", "feature index above 2^60 - 1"),
         ("node", "label '99999999999999999999' is out of the int64 range"),
     ], ids=["index", "node"])
     def test_model_line_beyond_int64(self, pipeline, tmp_path, capsys, token, msg):
@@ -566,6 +628,25 @@ class TestExitCodes:
         assert run("predict", "--model", model, "--data", b / "data.txt",
                    "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
         assert "dimensionality header must not be negative, got -3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,msg", [
+        ("#dimensionality 99999999999999999", "the input is too large to allocate"),
+        ("#dimensionality 1152921504606846976",
+         "dimensionality header must be at most 2^60 - 1"),
+        ('#C {"1": null, "2": 1.0}', "the C header is neither a number nor a JSON object"),
+        ("#C [1]", "the C header is neither a number nor a JSON object"),
+    ], ids=["dimensionality-too-large-to-allocate", "dimensionality-above-2^60-1",
+            "C-map-with-null", "C-list"])
+    def test_bad_model_header(self, pipeline, tmp_path, capsys, header, msg):
+        text = (pipeline["train"] / "model.txt").read_text()
+        key = header.split(" ", 1)[0]
+        model = tmp_path / "model.txt"
+        model.write_text(re.sub(rf"(?m)^{key} .*$", lambda _: header, text))
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("split", ["0", "1", "1.5"])
     def test_split_outside_unit_interval(self, pipeline, tmp_path, capsys, split):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
-from taxrewire.corpus import Dataset, make_sparse
+from taxrewire.corpus import Dataset, make_sparse, split_train_validation
 from taxrewire.learner import (
     FingerprintMismatchError,
     LearnerError,
@@ -413,57 +413,73 @@ class TestMatchesPerInstanceOracles:
 class TestTuning:
     def test_grid_validation(self, letter_tree, tiny_dataset):
         with pytest.raises(LearnerError, match="empty"):
-            tune_c(letter_tree, tiny_dataset, tiny_dataset, grid=())
+            tune_c(letter_tree, tiny_dataset, grid=())
         with pytest.raises(LearnerError, match="positive"):
-            tune_c(letter_tree, tiny_dataset, tiny_dataset, grid=(1.0, -1.0))
+            tune_c(letter_tree, tiny_dataset, grid=(1.0, -1.0))
         with pytest.raises(LearnerError, match="unknown mode"):
-            tune_c(letter_tree, tiny_dataset, tiny_dataset, grid=(1.0,), mode="nope")
+            tune_c(letter_tree, tiny_dataset, grid=(1.0,), mode="nope")
 
     def test_ties_pick_smaller_c(self, letter_tree):
         # trivially separable, every C scores 1.0 on validation
-        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=4)
-        val = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
-        result = tune_c(letter_tree, train, val, grid=(0.5, 1.0, 10.0), mode="flat")
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5)
+        result = tune_c(letter_tree, data, grid=(0.5, 1.0, 10.0), mode="flat", split=0.8)
         assert result.best_c == 0.5
         assert result.grid == [0.5, 1.0, 10.0]
         assert set(result.scores) == {0.5, 1.0, 10.0}
         assert all(s == 1.0 for s in result.scores.values())
         assert result.model_set.mode == "flat"
+        assert result.split == (24, 6)
 
-    def test_final_model_retrained_on_everything(self, letter_tree):
-        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3)
-        val = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
-        result = tune_c(letter_tree, train, val, grid=(1.0,), mode="td-lr")
-        solo = train_topdown(letter_tree, train, 1.0)
-        merged_preds = predict_dataset(result.model_set, val, letter_tree)
-        assert merged_preds == list(val.labels)
-        # objective differs because the final fit saw five instances per leaf
-        assert result.model_set.models[0].final_objective != solo.models[0].final_objective
+    @pytest.mark.parametrize("mode,trainer", [("td-lr", train_topdown), ("flat", train_flat)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["no-costs", "costs"])
+    def test_final_model_is_the_fixed_c_fit_of_all_data(self, letter_tree, mode, trainer,
+                                                        weighted):
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.7, seed=3)
+        costs = np.linspace(0.5, 2.0, data.n) if weighted else None
+        result = tune_c(letter_tree, data, grid=(0.01, 1.0, 30.0), mode=mode, costs=costs,
+                        split=0.6, seed=4)
+        fit = trainer(letter_tree, data, result.best_c, costs)
+        assert result.model_set.c == fit.c
+        assert sorted(result.model_set.models) == sorted(fit.models)
+        for node, model in fit.models.items():
+            tuned = result.model_set.models[node]
+            assert np.array_equal(tuned.theta, model.theta)
+            assert tuned.final_objective == model.final_objective
 
     def test_empty_validation_falls_back(self, letter_tree):
-        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
-        empty = Dataset((), (), dimensionality=train.dimensionality)
-        with pytest.warns(UserWarning, match="validation set is empty"):
-            result = tune_c(letter_tree, train, empty, grid=(0.1, 10.0), mode="flat")
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = tune_c(letter_tree, data, grid=(0.1, 10.0), mode="flat", split=0.99)
+        # One event, one warning.
+        assert [str(w.message) for w in caught] == [
+            "validation set is empty; falling back to C=1 without a grid search"
+        ]
         assert result.best_c == 1.0 and result.scores == {}
+        assert result.split == (12, 0)
+        fit = train_flat(letter_tree, data, 1.0)
+        for node, model in fit.models.items():
+            assert np.array_equal(result.model_set.models[node].theta, model.theta)
 
     def test_per_node_returns_mapping(self, letter_tree):
-        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=4)
-        val = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
-        result = tune_c(
-            letter_tree, train, val, grid=(0.5, 2.0), mode="td-lr", per_node=True
-        )
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5)
+        result = tune_c(letter_tree, data, grid=(0.5, 2.0), mode="td-lr", per_node=True)
         assert isinstance(result.best_c, dict)
         assert sorted(result.best_c) == [0, 1, 2, 3, 4, 5, 7, 8]
         assert set(result.best_c.values()) <= {0.5, 2.0}
         assert isinstance(result.model_set.c, dict)
 
-    def test_per_node_choice_matches_per_instance_decisions(self, letter_tree):
-        train = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.6, seed=2)
-        val = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2, jitter=0.9, seed=5)
+    @pytest.mark.parametrize("weighted", [False, True], ids=["no-costs", "costs"])
+    def test_per_node_choice_matches_per_instance_decisions(self, letter_tree, weighted):
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.8, seed=2)
+        costs = np.linspace(2.0, 0.5, data.n) if weighted else None
         grid = (0.01, 0.3, 30.0)
-        result = tune_c(letter_tree, train, val, grid=grid, mode="td-lr", per_node=True)
-        candidates = {g: train_topdown(letter_tree, train, g) for g in grid}
+        result = tune_c(letter_tree, data, grid=grid, mode="td-lr", costs=costs,
+                        split=0.6, seed=5, per_node=True)
+        train_idx, val_idx = split_train_validation(data, 0.6, 5)
+        train, val = data.subset(train_idx), data.subset(val_idx)
+        train_costs = None if costs is None else costs[train_idx]
+        candidates = {g: train_topdown(letter_tree, train, g, train_costs) for g in grid}
         for node, chosen in result.best_c.items():
             positives = letter_tree.subtree_leaves(node)
             hits = {
@@ -474,6 +490,9 @@ class TestTuning:
                 for g in grid
             }
             assert chosen == min(g for g in grid if hits[g] == max(hits.values()))
+        fit = train_topdown(letter_tree, data, result.best_c, costs)
+        for node, model in fit.models.items():
+            assert np.array_equal(result.model_set.models[node].theta, model.theta)
 
 
 class TestSerialization:
@@ -534,6 +553,12 @@ class TestSerialization:
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5\n0 2:0.5\n", "duplicate"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1=0.5\n", "malformed"),
             ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
+            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"1": null, "2": 1.0}\n',
+             "the C header is neither a number nor a JSON object"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C [1]\n",
+             "the C header is neither a number nor a JSON object"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846976\n#C 1.0\n",
+             "must be at most 2\\^60 - 1"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 2:nan\n",
              "line 5: non-finite value"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:-inf\n",

@@ -15,7 +15,6 @@ from taxrewire.metrics import (
     per_class_stats,
     rare_category_report,
     rare_classes,
-    rare_win_percentage,
     report_as_dict,
     write_per_class_csv,
 )
@@ -162,15 +161,6 @@ class TestRare:
         assert rare_macro(10) == 0.5
         assert rare_macro(1) == 0.0
         assert rare_category_report(pairs, self.COUNTS, 1) == {}
-
-    def test_win_percentage(self):
-        pairs_good = [(1, 1), (3, 3)]
-        pairs_bad = [(1, 2), (3, 2)]
-        assert rare_win_percentage(pairs_good, pairs_bad, self.COUNTS, 10) == 100.0
-        assert rare_win_percentage(pairs_good, pairs_good, self.COUNTS, 10) == 0.0
-        half = [(1, 1), (3, 2)]
-        assert rare_win_percentage(half, pairs_bad, self.COUNTS, 10) == 50.0
-        assert rare_win_percentage(pairs_good, pairs_bad, self.COUNTS, 1) == 0.0
 
 
 class TestReport:

@@ -156,7 +156,7 @@ class TestElementaryOps:
 
     def test_collapse_never_touches_class_leaves(self):
         tax = parse_taxonomy("0 1\n1 2\n")
-        out, ops = collapse_chains(tax, class_leaves=[2])
+        out, ops = collapse_chains(tax)
         # node 1 has one child (class leaf 2): spliced; 2 survives under 0
         assert out.nodes == [0, 2] and out.parent(2) == 0
         assert len(ops) == 1
@@ -341,11 +341,10 @@ def test_sweep_and_collapse_match_round_by_round_reference(names):
         ref, ref_ops = round_by_round_delete_sweep(tax, keep)
         assert out == ref and [astuple(op) for op in ops] == ref_ops
 
-        for class_leaves in (keep, None):
-            out, ops = collapse_chains(tax, class_leaves)
-            ref, ref_ops = round_by_round_collapse(tax, class_leaves)
-            assert out == ref and [astuple(op) for op in ops] == ref_ops
-            assert replay_log(tax, RewireLog(list(ops))) == out
+        out, ops = collapse_chains(tax)
+        ref, ref_ops = round_by_round_collapse(tax)
+        assert out == ref and [astuple(op) for op in ops] == ref_ops
+        assert replay_log(tax, RewireLog(list(ops))) == out
 
 
 def test_random_inputs_keep_invariants():

@@ -251,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
         model_set.extra_headers["bias"] = "1"
     if not args.no_tfidf:
         model_set.extra_headers["tfidf"] = "1"
-    artifacts["model.txt"] = learner.serialize_model_set(model_set, workers=args.workers)
+    artifacts["model.txt"] = learner.serialize_model_set(model_set)
     artifacts["train_summary.json"] = summary
     return artifacts
 
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--no-tfidf", action="store_true")
     tr.add_argument("--grad-tol", type=float, default=1e-6)
     tr.add_argument("--max-iter", type=int, default=1000)
-    tr.add_argument("--workers", type=int, default=1)
+    tr.add_argument("--workers", type=int, default=1, help="changes nothing; kept for old scripts")
     tr.set_defaults(func=cmd_train)
 
     pr = subs.add_parser("predict", help="label instances with a trained model")

@@ -21,17 +21,18 @@ overflow.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy import sparse as sp
 from scipy.special import expit
 
-from .corpus import MAX_WIDTH, Dataset, DatasetFormatError, format_row, parse_rows
+from .corpus import MAX_WIDTH, Dataset
 from .solver import minimize_lbfgs
 from .taxonomy import Taxonomy
 
@@ -325,9 +326,9 @@ def predict_dataset(
     """Predict a leaf per instance, verifying the hierarchy fingerprint first.
 
     Each instance descends from the start node, at each level entering
-    the highest-scoring child (ties: the smallest id), so top-down only
-    evaluates the models along one root-leaf path while flat evaluates
-    every leaf model.  Top-down prediction requires the hierarchy; flat
+    the highest-scoring child, where NaN and -inf rank lowest and ties go
+    to the smallest id, so top-down only evaluates the models along one
+    root-leaf path while flat evaluates every leaf model.  Top-down prediction requires the hierarchy; flat
     prediction only checks it when one is supplied.  Features beyond the
     model's dimensionality contribute nothing.  With ``return_evals`` the
     total number of model evaluations is returned too.
@@ -359,7 +360,7 @@ def predict_dataset(
         while node in children:
             kids = children[node]
             total_evals += len(kids)
-            best_child, best_score = -1, -math.inf
+            best_child, best_score = kids[0], -math.inf
             for child, row in zip(kids, blocks[node].take(cols, axis=1)):
                 score = float(np.dot(row, vals))
                 if score > best_score:
@@ -464,49 +465,20 @@ def tune_c(
 # ----------------------------------------------------------------------
 # model set (de)serialization
 
-# (fn, items) of the pool this worker process was forked for.
-_POOL_TASK: tuple[Callable, Sequence] | None = None
+
+def _b64(values: np.ndarray, dtype: str) -> str:
+    """Standard padded base64 of ``values`` as the little-endian ``dtype``."""
+    return base64.b64encode(values.astype(dtype, copy=False).tobytes()).decode("ascii")
 
 
-def _set_pool_task(fn: Callable, items: Sequence) -> None:
-    global _POOL_TASK
-    _POOL_TASK = (fn, items)
+def serialize_model_set(model_set: ModelSet) -> str:
+    """Text form: ``#key value`` headers, then one ``node indices weights`` line per model.
 
-
-def _run_pool_task(i: int) -> object:
-    fn, items = _POOL_TASK
-    return fn(items[i])
-
-
-def _pool_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(x) for x in items]``, in ``min(workers, len(items))`` forked processes.
-
-    The workers are forked from this process, so ``fn`` may be a closure
-    and sees this process's state as of the fork; results come back in
-    item order.  The pool forks every worker before it starts its own
-    threads.  A task's exception is re-raised here with its type and
-    message, and the workers are then stopped.  With one worker, or where
-    ``fork`` is not available, the same list comprehension runs here.
-    """
-    # Imported here, so that commands which write no model do not load it.
-    import multiprocessing
-
-    workers = min(workers, len(items))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
-    # fork, not spawn: the initializer's arguments reach the workers unpickled.
-    with multiprocessing.get_context("fork").Pool(workers, _set_pool_task, (fn, items)) as pool:
-        return pool.map(_run_pool_task, range(len(items)))
-
-
-def serialize_model_set(model_set: ModelSet, workers: int = 1) -> str:
-    """Text form: ``#key value`` headers, then one ``node idx:w ...`` line per model.
-
-    Each line is a dataset row of the nonzero weights, indices 1-based
-    ascending and weights in ``repr``, so loading is bitwise exact.  The
-    per-node C mapping, when present, is stored as JSON in the C header.
-    With ``workers`` > 1 the model lines are formatted in that many forked
-    processes; the text does not depend on ``workers``.
+    ``indices`` is the base64 of the nonzero weights' 1-based ascending
+    indices as little-endian int64, ``weights`` the base64 of their
+    values as little-endian float64, so loading is bitwise exact.  A
+    model with no nonzero weight is its node id alone.  The per-node C
+    mapping, when present, is stored as JSON in the C header.
     """
     if isinstance(model_set.c, dict):
         c_text = json.dumps({str(k): model_set.c[k] for k in sorted(model_set.c)}, sort_keys=True)
@@ -520,13 +492,10 @@ def serialize_model_set(model_set: ModelSet, workers: int = 1) -> str:
     ]
     for key in sorted(model_set.extra_headers):
         lines.append(f"#{key} {model_set.extra_headers[key]}")
-
-    def model_line(node: int) -> str:
+    for node in sorted(model_set.models):
         theta = model_set.models[node].theta
         nz = np.flatnonzero(theta)
-        return format_row(node, nz, theta[nz])
-
-    lines += _pool_map(model_line, sorted(model_set.models), workers)
+        lines.append(f"{node} {_b64(nz + 1, '<i8')} {_b64(theta[nz], '<f8')}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -544,11 +513,24 @@ def _parse_c_header(text: str) -> float | dict[int, float]:
                        f"{text!r}")
 
 
+def _decode(lineno: int, token: str, dtype: str) -> np.ndarray:
+    """The 8-byte little-endian ``dtype`` values whose base64 is ``token``."""
+    try:
+        raw = base64.b64decode(token, validate=True)
+    except ValueError:
+        raw = None
+    if raw is None or len(raw) % 8:
+        raise LearnerError(f"line {lineno}: malformed token: not the base64 of 8-byte values")
+    return np.frombuffer(raw, dtype)
+
+
 def parse_model_set(text: str) -> ModelSet:
     """Inverse of :func:`serialize_model_set`.
 
     Unknown headers are ignored.  Loaded models carry no objective value
-    (it is not part of the format) and are marked converged.
+    (it is not part of the format) and are marked converged.  A model
+    line that breaks the format, or one in the older ``idx:weight`` text
+    form, raises :class:`LearnerError` naming its line.
     """
     headers: dict[str, str] = {}
     records: list[tuple[int, str]] = []
@@ -577,20 +559,33 @@ def parse_model_set(text: str) -> ModelSet:
     c = _parse_c_header(headers.pop("C"))
 
     models: dict[int, NodeModel] = {}
-    # One line per call, so that each line's checks fire in line order.
     for lineno, record in records:
+        if ":" in record:
+            raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
+        node_text, *codes = record.split()
         try:
-            (node,), _, cols, weights = parse_rows([(lineno, record)])
-        except DatasetFormatError as exc:
-            raise LearnerError(str(exc)) from None
+            node = int(node_text)
+        except ValueError:
+            raise LearnerError(f"line {lineno}: non-numeric node id {node_text!r}") from None
+        if not -(2**63) <= node < 2**63:
+            raise LearnerError(f"line {lineno}: node id {node_text!r} is out of the int64 range")
+        if len(codes) not in (0, 2):
+            raise LearnerError(f"line {lineno}: expected 'node indices weights', "
+                               f"got {len(codes) + 1} tokens")
+        idx = _decode(lineno, codes[0], "<i8") if codes else np.zeros(0, np.int64)
+        weights = _decode(lineno, codes[1], "<f8") if codes else np.zeros(0)
+        if idx.size != weights.size:
+            raise LearnerError(f"line {lineno}: {idx.size} indices but {weights.size} weights")
+        if idx.size and (idx[0] < 1 or idx[-1] > dim or np.any(idx[1:] <= idx[:-1])):
+            raise LearnerError(f"line {lineno}: weight indices must ascend strictly in 1..{dim}")
+        if not np.isfinite(weights).all():
+            raise LearnerError(f"line {lineno}: non-finite weight")
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        if cols.size and cols[-1] >= dim:
-            raise LearnerError(f"line {lineno}: bad weight index {cols[-1] + 1}")
         if isinstance(c, dict) and node not in c:
             raise LearnerError(f"line {lineno}: the C header has no value for node {node}")
         theta = np.zeros(dim, dtype=np.float64)
-        theta[cols] = weights
+        theta[idx - 1] = weights
         node_c = c[node] if isinstance(c, dict) else c
         models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
     return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)

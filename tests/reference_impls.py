@@ -8,7 +8,6 @@ through.
 """
 
 import csv
-import json
 import math
 from array import array
 from collections import Counter
@@ -17,7 +16,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from taxrewire.corpus import Dataset, DatasetFormatError, SparseVector, make_sparse
-from taxrewire.learner import LearnerError, ModelSet, NodeModel
+from taxrewire.learner import LearnerError
 from taxrewire.simgraph import SimilarPairSet
 from taxrewire.synthbench import BenchError
 from taxrewire.taxonomy import Taxonomy
@@ -359,8 +358,9 @@ def predict_topdown(model_set, tax, x, return_evals=False):
     node = tax.root
     evals = 0
     while not tax.is_leaf(node):
-        best_child, best_score = -1, -math.inf
-        for child in tax.children(node):
+        kids = tax.children(node)
+        best_child, best_score = kids[0], -math.inf  # NaN and -inf rank lowest
+        for child in kids:
             model = model_set.models.get(child)
             if model is None:
                 raise LearnerError(f"model set has no model for node {child}")
@@ -378,9 +378,10 @@ def predict_flat(model_set, x, return_evals=False):
         raise LearnerError(f"flat prediction needs a flat model set, got {model_set.mode!r}")
     if not model_set.models:
         raise LearnerError("model set is empty")
-    best_leaf, best_score = -1, -math.inf
+    leaves = sorted(model_set.models)
+    best_leaf, best_score = leaves[0], -math.inf  # NaN and -inf rank lowest
     evals = 0
-    for leaf in sorted(model_set.models):
+    for leaf in leaves:
         score = sparse_score(model_set.models[leaf].theta, x)
         evals += 1
         if score > best_score:
@@ -391,84 +392,6 @@ def predict_flat(model_set, x, return_evals=False):
 def node_decision(model, x):
     """Binary decision of one node model: +1 on the boundary and above, else -1."""
     return 1 if sparse_score(model.theta, x) >= 0.0 else -1
-
-
-def per_entry_serialize_model_set(model_set):
-    """The model writer the shared row formatter replaced: one ``repr`` per entry."""
-    if isinstance(model_set.c, dict):
-        c_text = json.dumps({str(k): model_set.c[k] for k in sorted(model_set.c)}, sort_keys=True)
-    else:
-        c_text = repr(float(model_set.c))
-    lines = [
-        f"#mode {model_set.mode}",
-        f"#fingerprint {model_set.fingerprint}",
-        f"#dimensionality {model_set.dimensionality}",
-        f"#C {c_text}",
-    ]
-    for key in sorted(model_set.extra_headers):
-        lines.append(f"#{key} {model_set.extra_headers[key]}")
-    for node in sorted(model_set.models):
-        theta = model_set.models[node].theta
-        nz = np.nonzero(theta)[0]
-        entries = " ".join(f"{int(i) + 1}:{float(theta[i])!r}" for i in nz)
-        lines.append(f"{node} {entries}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def per_token_parse_model_set(text):
-    """The model reader the shared row parser replaced: its own per-token loop."""
-    headers = {}
-    records = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            key, _, value = stripped[1:].partition(" ")
-            headers[key] = value
-            continue
-        records.append((lineno, stripped))
-    for required in ("mode", "fingerprint", "dimensionality", "C"):
-        if required not in headers:
-            raise LearnerError(f"model file is missing the {required!r} header")
-    mode = headers.pop("mode")
-    fingerprint = headers.pop("fingerprint")
-    try:
-        dim = int(headers.pop("dimensionality"))
-    except ValueError:
-        raise LearnerError("dimensionality header is not an integer") from None
-    c_text = headers.pop("C")
-    if c_text.startswith("{"):
-        c = {int(k): float(v) for k, v in json.loads(c_text).items()}
-    else:
-        c = float(c_text)
-
-    models = {}
-    for lineno, record in records:
-        parts = record.split()
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise LearnerError(f"line {lineno}: non-numeric node id {parts[0]!r}") from None
-        if node in models:
-            raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        theta = np.zeros(dim, dtype=np.float64)
-        prev = 0
-        for tok in parts[1:]:
-            try:
-                i_str, w_str = tok.split(":", 1)
-                i, w = int(i_str), float(w_str)
-            except ValueError:
-                raise LearnerError(f"line {lineno}: malformed entry {tok!r}") from None
-            if not math.isfinite(w):
-                raise LearnerError(f"line {lineno}: non-finite weight in {tok!r}")
-            if i <= prev or i > dim:
-                raise LearnerError(f"line {lineno}: bad weight index {i}")
-            prev = i
-            theta[i - 1] = w
-        node_c = c[node] if isinstance(c, dict) else c
-        models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
-    return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)
 
 
 def per_token_parse_row(lineno, line):

@@ -1,8 +1,10 @@
 """End-to-end pipeline runs through the console entry point, in process."""
 
+import base64
 import filecmp
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -36,6 +38,15 @@ def run(*argv) -> int:
 def model_lines(out: Path) -> list[str]:
     """The node lines of ``out/model.txt``, without its ``#`` headers."""
     return [l for l in (out / "model.txt").read_text().splitlines() if not l.startswith("#")]
+
+
+def b64(values: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
+
+
+def node_line(node: str, idx: np.ndarray, weights: np.ndarray) -> str:
+    """A ``model.txt`` node line: the node, its indices and its weights."""
+    return f"{node} {b64(idx, '<i8')} {b64(weights, '<f8')}"
 
 
 def _umask() -> int:
@@ -503,19 +514,43 @@ class TestExitCodes:
         assert "line 2: non-finite idf" in capsys.readouterr().err
         assert not (tmp_path / "p" / "predictions.txt").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "-inf"])
-    def test_non_finite_model_weight(self, pipeline, tmp_path, capsys, value):
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda n, i, w: node_line(n, i, w).replace(" ", " !", 1), "line {at}: malformed token"),
+        (lambda n, i, w: f"{n} {b64(i, '<i8')} {base64.b64encode(w.tobytes()[:-1]).decode()}",
+         "line {at}: malformed token"),
+        (lambda n, i, w: f"{n} {b64(i, '<i8')}",
+         "line {at}: expected 'node indices weights', got 2 tokens"),
+        (lambda n, i, w: node_line(n, i, w[1:]), "line {at}: 16 indices but 15 weights"),
+        (lambda n, i, w: node_line(n, i[::-1], w),
+         "line {at}: weight indices must ascend strictly in 1..16"),
+        (lambda n, i, w: node_line(n, i + 1, w),
+         "line {at}: weight indices must ascend strictly in 1..16"),
+        (lambda n, i, w: node_line(n, i, np.append(math.nan, w[1:])),
+         "line {at}: non-finite weight"),
+        (lambda n, i, w: node_line(n, i, np.append(w[1:], -math.inf)),
+         "line {at}: non-finite weight"),
+        (lambda n, i, w: node_line("99999999999999999999", i, w),
+         "line {at}: node id '99999999999999999999' is out of the int64 range"),
+        (lambda n, i, w: node_line(n, i, w) + "\n" + node_line(n, i, w),
+         "line {next}: duplicate model for node"),
+        (lambda n, i, w: " ".join([n, *(f"{k}:{x!r}" for k, x in zip(i.tolist(), w.tolist()))]),
+         "line {at}: an old 'idx:weight' model line; retrain the model"),
+    ], ids=["bad-base64", "not-8-byte-values", "missing-token", "count-mismatch", "descending",
+            "index-above-dimensionality", "nan-weight", "inf-weight", "node-beyond-int64",
+            "duplicate-node", "old-format"])
+    def test_malformed_model_line(self, pipeline, tmp_path, capsys, edit, msg):
         lines = (pipeline["train"] / "model.txt").read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        node, entry, *rest = lines[first].split()
-        lines[first] = " ".join([node, f"{entry.split(':')[0]}:{value}", *rest])
+        node, idx, weights = lines[first].split()
+        lines[first] = edit(node, np.frombuffer(base64.b64decode(idx), "<i8"),
+                            np.frombuffer(base64.b64decode(weights), "<f8"))
         model = tmp_path / "model.txt"
         model.write_text("\n".join(lines) + "\n")
         b, r = pipeline["bench"], pipeline["rewire"]
         assert run("predict", "--model", model, "--data", b / "data.txt",
                    "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
-        assert f"line {first + 1}: non-finite value" in capsys.readouterr().err
-        assert not (tmp_path / "p" / "predictions.txt").exists()
+        assert f"error: {msg.format(at=first + 1, next=first + 2)}" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("body,msg", [
         ("1 1:1.0\n1 99999999999999999999:1.0\n",
@@ -566,25 +601,6 @@ class TestExitCodes:
                    "--idf", idf, "--out", tmp_path / "p") == 4
         assert capsys.readouterr().err == (f"error: line {len(lines)}: idf index"
                                            " '99999999999999999999' is out of the int64 range\n")
-        assert not (tmp_path / "p").exists()
-
-    @pytest.mark.parametrize("token,msg", [
-        ("99999999999999999999:1.0", "feature index above 2^60 - 1"),
-        ("node", "label '99999999999999999999' is out of the int64 range"),
-    ], ids=["index", "node"])
-    def test_model_line_beyond_int64(self, pipeline, tmp_path, capsys, token, msg):
-        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
-        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        if token == "node":
-            lines[first] = "99999999999999999999 " + lines[first].split(" ", 1)[1]
-        else:
-            lines[first] += " " + token
-        model = tmp_path / "model.txt"
-        model.write_text("\n".join(lines) + "\n")
-        b, r = pipeline["bench"], pipeline["rewire"]
-        assert run("predict", "--model", model, "--data", b / "data.txt",
-                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
-        assert f"error: line {first + 1}: {msg}" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("command,flags", [

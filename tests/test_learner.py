@@ -1,11 +1,19 @@
+import base64
+import json
 import math
-import re
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
+import taxrewire
 from taxrewire.corpus import Dataset, make_sparse, split_train_validation
 from taxrewire.learner import (
     FingerprintMismatchError,
@@ -29,8 +37,6 @@ from conftest import one_hot_dataset
 from reference_impls import (
     fd_gradient,
     node_decision,
-    per_entry_serialize_model_set,
-    per_token_parse_model_set,
     predict_flat,
     predict_topdown,
     random_taxonomy,
@@ -171,28 +177,6 @@ class TestTraining:
         assert any("leaf classes have no training instances" in t for t in texts)
         assert any("node 5 has no positive" in t for t in texts)
 
-    @pytest.mark.parametrize("trainer", [train_topdown, train_flat])
-    def test_workers_do_not_change_model_text(self, letter_tree, trainer):
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.05, seed=3)
-        model_set = trainer(letter_tree, data, c=2.0)
-        text = serialize_model_set(model_set)
-        for workers in (2, 3, 8):
-            assert serialize_model_set(model_set, workers=workers) == text
-
-    def test_worker_error_surfaces_unchanged(self, letter_tree, monkeypatch):
-        import taxrewire.learner as learner
-
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
-        model_set = train_flat(letter_tree, data, c=1.0)
-
-        def broken(label, cols, values):
-            raise FloatingPointError("cannot format")
-
-        # The forked workers inherit the patched module attribute.
-        monkeypatch.setattr(learner, "format_row", broken)
-        with pytest.raises(FloatingPointError, match="^cannot format$"):
-            serialize_model_set(model_set, workers=2)
-
     def test_separable_data_is_fit_perfectly(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=6)
         for ms in (
@@ -248,6 +232,24 @@ def zero_model_set(tax: Taxonomy, mode: str, dims: int) -> ModelSet:
     return ModelSet(mode, tax.fingerprint(), dims, 1.0, models)
 
 
+# Predicts the row 1:1e308 2:1 on the tree 0 -> {1, 2}, for a mode and
+# a JSON list of (theta of node 1, theta of node 2) cases.
+NO_SCORE_SCRIPT = """
+import json, sys
+import numpy as np
+from taxrewire.corpus import parse_dataset
+from taxrewire.learner import ModelSet, NodeModel, predict_dataset
+from taxrewire.taxonomy import parse_taxonomy
+tax = parse_taxonomy("0 1\\n0 2\\n")
+data = parse_dataset("1 1:1e308 2:1\\n")
+preds = []
+for thetas in json.loads(sys.argv[2]):
+    models = {n: NodeModel(n, np.array(t), 1.0) for n, t in zip((1, 2), thetas)}
+    preds += predict_dataset(ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, models), data, tax)
+print(json.dumps(preds))
+"""
+
+
 class TestPrediction:
     def test_unseen_dimensions_contribute_nothing(self):
         # Leaf 1 wins only when its score beats leaf 0's constant 0.0.
@@ -278,6 +280,24 @@ class TestPrediction:
         ms = zero_model_set(letter_tree, "flat", 6)
         one = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1).subset([3])
         assert predict_dataset(ms, one, return_evals=True) == ([0], 6)
+
+    @pytest.mark.parametrize("mode", ["flat", "td-lr"])
+    def test_no_child_scores_above_minus_inf(self, mode):
+        # On the row 1:1e308 2:1, the finite weights (-1e308, 0) score -inf,
+        # and a NaN weight, which only a model set built in Python can hold,
+        # scores NaN.  Such scores rank lowest, and ties go to the smallest
+        # child; a finite score still wins.  Flat prediction once looped
+        # forever here, so the cases run in a child with a timeout.
+        minus_inf, nan, finite = [-1e308, 0.0], [math.nan, 0.0], [0.0, -1.0]
+        cases = [(minus_inf, minus_inf), (nan, nan), (nan, minus_inf), (minus_inf, nan),
+                 (nan, finite), (minus_inf, finite)]
+        src = str(Path(taxrewire.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", NO_SCORE_SCRIPT, mode, json.dumps(cases)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [1, 1, 1, 1, 2, 2]
 
     def test_missing_child_model_rejected_before_any_instance(self, letter_tree):
         ms = zero_model_set(letter_tree, "td-lr", 6)
@@ -495,6 +515,18 @@ class TestTuning:
             assert np.array_equal(result.model_set.models[node].theta, model.theta)
 
 
+HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n"
+
+
+def b64(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def model_line(node: int, idx, weights) -> str:
+    """One model-file line: the node, then its indices and weights in base64."""
+    return f"{node} {b64(idx, '<i8')} {b64(weights, '<f8')}\n"
+
+
 class TestSerialization:
     def test_round_trip_is_bitwise(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.1, seed=9)
@@ -522,13 +554,21 @@ class TestSerialization:
 
     def test_zero_weights_are_dropped(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 4)
+        ms.models[2].theta[1] = -0.0
         text = serialize_model_set(ms)
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert body == ["0", "1", "2", "3", "4", "5"]
 
+    def test_model_line_encoding(self):
+        ms = ModelSet("flat", "f", 3, 1.0, {7: NodeModel(7, np.array([0.0, 1.5, -2.0]), 1.0)})
+        node, idx, weights = serialize_model_set(ms).splitlines()[-1].split()
+        assert node == "7"
+        assert base64.b64decode(idx) == np.array([2, 3], "<i8").tobytes()
+        assert base64.b64decode(weights) == np.array([1.5, -2.0], "<f8").tobytes()
+
     def test_unknown_headers_survive(self):
-        text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#note kept verbatim\n0 1:0.5\n"
-        ms = parse_model_set(text)
+        text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#note kept verbatim\n"
+        ms = parse_model_set(text + model_line(0, [1], [0.5]))
         assert ms.extra_headers == {"note": "kept verbatim"}
         assert np.array_equal(ms.models[0].theta, [0.5, 0.0])
 
@@ -537,32 +577,43 @@ class TestSerialization:
         [
             ("#mode flat\n#dimensionality 2\n#C 1.0\n", "fingerprint"),
             ("#mode flat\n#fingerprint a\n#dimensionality two\n#C 1.0\n", "not an integer"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\nx 1:0.5\n",
-             "line 5: non-numeric label"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 0:0.5\n",
-             "line 5: .*1-based strictly increasing"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 3:0.5\n",
-             "line 5: bad weight index 3"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 3:0.0 4:0.0\n",
-             "line 5: bad weight index 4"),
             ("#mode flat\n#fingerprint a\n#dimensionality -1\n#C 1.0\n", "must not be negative"),
-            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0}\n0 1:0.5\n1 2:0.5\n',
-             "line 6: the C header has no value for node 1"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 2:0.5 1:0.5\n",
-             "line 5: .*1-based strictly increasing"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5\n0 2:0.5\n", "duplicate"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1=0.5\n", "malformed"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846976\n#C 1.0\n",
+             "must be at most 2\\^60 - 1"),
             ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
             ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"1": null, "2": 1.0}\n',
              "the C header is neither a number nor a JSON object"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C [1]\n",
              "the C header is neither a number nor a JSON object"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846976\n#C 1.0\n",
-             "must be at most 2\\^60 - 1"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:0.5 2:nan\n",
-             "line 5: non-finite value"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n0 1:-inf\n",
-             "line 5: non-finite value"),
+            (HEAD + "0 1:0.5 2:0.25\n",
+             "line 5: an old 'idx:weight' model line; retrain the model"),
+            (HEAD + "0 1:0.5\n", "line 5: an old 'idx:weight' model line"),
+            (HEAD + "x " + model_line(0, [1], [0.5]).split(" ", 1)[1],
+             "line 5: non-numeric node id 'x'"),
+            (HEAD + "9223372036854775808 " + model_line(0, [1], [0.5]).split(" ", 1)[1],
+             "line 5: node id '9223372036854775808' is out of the int64 range"),
+            (HEAD + "0 " + b64([1], "<i8") + "\n",
+             "line 5: expected 'node indices weights', got 2 tokens"),
+            (HEAD + model_line(0, [1], [0.5]).rstrip() + " AAAAAAAAAAA=\n",
+             "line 5: expected 'node indices weights', got 4 tokens"),
+            (HEAD + "0 AQAAAAAAAA!= " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
+            (HEAD + "0 AQAAAAAAAA " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
+            (HEAD + "0 " + b64([1], "<i8") + " " + b64([1], "<i4") + "\n",
+             "line 5: malformed token"),
+            (HEAD + model_line(0, [1, 2], [0.5]), "line 5: 2 indices but 1 weights"),
+            (HEAD + model_line(0, [0], [0.5]),
+             "line 5: weight indices must ascend strictly in 1..2"),
+            (HEAD + model_line(0, [3], [0.5]), "line 5: weight indices must ascend strictly"),
+            (HEAD + model_line(0, [-2**63], [0.5]), "line 5: weight indices must ascend strictly"),
+            (HEAD + model_line(0, [2, 1], [0.5, 0.5]), "line 5: weight indices must ascend"),
+            (HEAD + model_line(0, [1, 1], [0.5, 0.5]), "line 5: weight indices must ascend"),
+            (HEAD + model_line(0, [1, 2], [0.5, math.nan]), "line 5: non-finite weight"),
+            (HEAD + model_line(0, [1], [-math.inf]), "line 5: non-finite weight"),
+            (HEAD + model_line(0, [1], [0.5]) + model_line(0, [2], [0.5]),
+             "line 6: duplicate model for node 0"),
+            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0}\n'
+             + model_line(0, [1], [0.5]) + model_line(1, [2], [0.5]),
+             "line 6: the C header has no value for node 1"),
         ],
     )
     def test_parse_rejects(self, text, msg):
@@ -570,111 +621,61 @@ class TestSerialization:
             parse_model_set(text)
 
 
-def random_model_set(rng: np.random.Generator) -> ModelSet:
-    """A model set with the weights a writer must render exactly.
-
-    Weights include -0.0 (never written), subnormals, the smallest
-    subnormal and +-1e308; some rows are all zero, and the
-    dimensionality header may exceed the largest weight index.
-    """
-    special = [-0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.0, 0.1]
-    dim = int(rng.integers(0, 10))
-    width = dim + int(rng.integers(0, 3))  # trailing columns stay zero
-    nodes = sorted(int(n) for n in rng.choice(40, size=int(rng.integers(0, 6)), replace=False))
-    models = {}
-    for node in nodes:
-        theta = np.zeros(width)
-        if dim and rng.random() < 0.8:
-            picks = rng.random(dim) < 0.6
-            values = rng.normal(size=dim) * 10.0 ** rng.integers(-300, 300, size=dim)
-            values = np.where(rng.random(dim) < 0.3, rng.choice(special, size=dim), values)
-            theta[:dim] = np.where(picks, values, 0.0)
-        models[node] = NodeModel(node, theta, 1.0)
-    if rng.random() < 0.4:
-        c = {node: float(10.0 ** rng.uniform(-3, 3)) for node in nodes}
-    else:
-        c = float(rng.choice([0.001, 1.0, 10.0, 1 / 3]))
-    headers = {k: v for k, v in [("config", '{"a": 1, "b": [2, 3]}'), ("bias", "1"),
-                                 ("note", "kept  as  written")] if rng.random() < 0.5}
-    mode = "flat" if rng.random() < 0.5 else "td-lr"
-    return ModelSet(mode, "f" * 8, width, c, models, extra_headers=headers)
+# Weights a writer must keep bit for bit: -0.0 (never written), subnormals
+# and the largest finite floats.
+SPECIAL_WEIGHTS = [-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.float_info.max,
+                   1e308, 0.1]
 
 
-def parse_outcome(parse, text):
-    """What a parser makes of ``text``: the model set's content, or where it failed."""
+def one_model(*weights: float) -> ModelSet:
+    return ModelSet("flat", "f", len(weights), 1.0, {3: NodeModel(3, np.array(weights), 1.0)})
+
+
+@st.composite
+def model_sets(draw) -> ModelSet:
+    """Model sets of up to 5 nodes, some all zero, with scalar or per-node C."""
+    dim = draw(st.integers(min_value=0, max_value=8))
+    weight = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_WEIGHTS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    nodes = draw(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                          max_size=5, unique=True))
+    models = {n: NodeModel(n, np.array(draw(st.lists(weight, min_size=dim, max_size=dim)),
+                                       dtype=np.float64), 1.0) for n in nodes}
+    positive = st.floats(min_value=1e-3, max_value=1e3)
+    c = draw(st.one_of(positive, st.fixed_dictionaries({n: positive for n in nodes})))
+    values = st.sampled_from(['{"a": 1, "b": [2, 3]}', "1", "kept  as  it is"])
+    headers = draw(st.dictionaries(st.sampled_from(["config", "bias", "note"]), values))
+    mode = draw(st.sampled_from(["flat", "td-lr"]))
+    return ModelSet(mode, "f" * 8, dim, c, models, extra_headers=headers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_sets())
+@example(ModelSet("td-lr", "f", 0, 1.0, {}))  # no models
+@example(ModelSet("flat", "f", 0, 1.0, {0: NodeModel(0, np.zeros(0), 1.0)}))  # dimensionality 0
+@example(one_model(-0.0))  # dimensionality 1, the one weight never written
+@example(one_model(*SPECIAL_WEIGHTS))
+def test_model_set_round_trip_is_bitwise(ms):
+    text = serialize_model_set(ms)
+    back = parse_model_set(text)
+    assert (back.mode, back.fingerprint, back.dimensionality, back.c, back.extra_headers) == (
+        ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers)
+    assert sorted(back.models) == sorted(ms.models)
+    for node, model in ms.models.items():
+        # -0.0 is a zero weight: it is not written, and loads as 0.0.
+        want = np.where(model.theta == 0.0, 0.0, model.theta)
+        assert back.models[node].theta.tobytes() == want.tobytes()
+        assert back.models[node].c_used == (ms.c[node] if isinstance(ms.c, dict) else ms.c)
+    assert serialize_model_set(back) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789AQgw+/=:- x", max_size=30), max_size=3))
+def test_any_model_line_loads_or_names_its_line(lines):
+    # Whatever the node lines hold, the load either succeeds or raises a
+    # LearnerError that names a line: it never fails in another way.
+    text = HEAD + "".join(line + "\n" for line in lines)
     try:
-        ms = parse(text)
+        parse_model_set(text)
     except LearnerError as exc:
-        at = re.match(r"line (\d+):", str(exc))
-        return ("error", at.group(1) if at else str(exc))
-    except KeyError:
-        return ("key error",)
-    return ("ok", ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
-            {n: (m.theta.tobytes(), m.c_used) for n, m in ms.models.items()})
-
-
-def mutate(rng: np.random.Generator, text: str) -> str:
-    """One random edit of a model text: a character, a token or a line."""
-    lines = text.splitlines()
-    body = [i for i, line in enumerate(lines) if not line.startswith("#")] or [0]
-    i = int(rng.choice(body))
-    line = lines[i]
-    kind = int(rng.integers(5))
-    if kind == 0 and line:
-        k = int(rng.integers(len(line)))
-        line = line[:k] + str(rng.choice(list(" :0129.-+eanif#x"))) + line[k + 1:]
-    elif kind == 1 and line:
-        k = int(rng.integers(len(line)))
-        line = line[:k] + line[k + 1:]
-    elif kind == 2:
-        toks = line.split()
-        extra = ["1:0.0", "1:-0.0", "40:0.0", "40:2.5", "0:1.0", "nan", "2:inf", ":", "1:",
-                 ":1", "x:1", "1:2:3", "0.5", "3:1e400", "2:5e-324"]
-        toks.insert(int(rng.integers(len(toks) + 1)), str(rng.choice(extra)))
-        line = " ".join(toks)
-    elif kind == 3:
-        toks = line.split()
-        if len(toks) > 1:
-            a, b = rng.choice(len(toks), size=2, replace=False)
-            toks[a], toks[b] = toks[b], toks[a]
-        line = " ".join(toks)
-    else:
-        lines.insert(i, line)  # a duplicate model line
-    lines[i] = line
-    return "\n".join(lines) + "\n"
-
-
-class TestMatchesPerEntryCodec:
-    """The model-file codec against the per-token reader and writer it replaced."""
-
-    def test_writer_text_and_parsed_weights_match(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            ms = random_model_set(rng)
-            text = serialize_model_set(ms)
-            assert text == per_entry_serialize_model_set(ms)
-            got = parse_outcome(parse_model_set, text)
-            assert got[0] == "ok"
-            assert got == parse_outcome(per_token_parse_model_set, text)
-
-    def test_parser_rejects_the_same_texts_on_the_same_line(self):
-        rng = np.random.default_rng(12)
-        seen = {"ok": 0, "error": 0, "key error": 0}
-        for _ in range(300):
-            text = serialize_model_set(random_model_set(rng))
-            for _ in range(8):
-                mutated = mutate(rng, text)
-                want = parse_outcome(per_token_parse_model_set, mutated)
-                got = parse_outcome(parse_model_set, mutated)
-                seen[want[0]] += 1
-                if want[0] == "key error":
-                    # The old reader crashed on a node missing from a per-node
-                    # C map; the new one names the line.
-                    assert got[0] == "error" and got[1].isdigit()
-                else:
-                    assert got == want, mutated
-        assert all(seen.values())  # accepted, rejected and per-node C misses all occurred
-
-    def test_in_small_parse_chunks(self, parse_chunk):
-        self.test_writer_text_and_parsed_weights_match()
-        self.test_parser_rejects_the_same_texts_on_the_same_line()
+        assert str(exc).startswith("line ")

@@ -13,6 +13,7 @@ from .corpus import (
     apply_tfidf,
     compute_idf,
     parse_dataset,
+    parse_labels,
     serialize_dataset,
     split_train_validation,
     tfidf_normalize,

@@ -24,15 +24,17 @@ inputs and flags are byte-identical.
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
-which is not a class leaf, tf-idf features that are all zero, a tf-idf
-model given no --idf or a raw-feature model given one, an input too
-large to allocate, an --out that is a file, lies under one or is a
-non-empty directory, and an artifact that cannot be written).
+which is not a class leaf, an evaluated label that is not a leaf of
+--hierarchy, a --rare-threshold below 1, tf-idf features that are all
+zero, a tf-idf model given no --idf or a raw-feature model given one,
+an input too large to allocate, an --out that is a file, lies under one
+or is a non-empty directory, and an artifact that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import os
@@ -309,22 +311,22 @@ def _parse_predictions(text: str, expected: int) -> list[int]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> dict:
-    data = corpus.parse_dataset(_read(args.data))
-    preds = _parse_predictions(_read(args.predictions), data.n)
+    labels = corpus.parse_labels(_read(args.data))
+    preds = _parse_predictions(_read(args.predictions), len(labels))
     tax = _load_hierarchy(args.hierarchy)
 
     train_counts = None
     if args.train_data is not None:
-        train_counts = corpus.parse_dataset(_read(args.train_data)).label_counts()
+        train_counts = collections.Counter(corpus.parse_labels(_read(args.train_data)))
 
-    pairs = list(zip(data.labels, preds))
+    pairs = list(zip(labels, preds))
     class_set = sorted(tax.leaves) if args.macro_classes == "all" else None
     report = metrics.build_report(
         pairs, tax, train_counts,
         rare_threshold=args.rare_threshold, class_set=class_set,
     )
     payload = metrics.report_as_dict(report)
-    payload["n_instances"] = data.n
+    payload["n_instances"] = len(labels)
     return {
         "metrics.json": payload,
         "per_class.csv": lambda fh: metrics.write_per_class_csv(report, fh, train_counts),

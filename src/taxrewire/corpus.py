@@ -145,10 +145,6 @@ class Dataset:
         """The stored matrix itself, not a copy: callers must not modify it."""
         return self._matrix
 
-    def label_counts(self) -> dict[int, int]:
-        labels, counts = np.unique(np.asarray(self.labels, dtype=np.int64), return_counts=True)
-        return dict(zip(labels.tolist(), counts.tolist()))
-
     def subset(self, indices: Sequence[int]) -> "Dataset":
         rows = np.asarray(indices, dtype=np.intp)
         return Dataset._from_matrix(
@@ -315,6 +311,30 @@ def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
     return " ".join([str(label), *(f"{i}:{x!r}" for i, x in entries)])
 
 
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` of the stripped lines of a dataset text that are
+    neither blank nor ``#`` comments."""
+    return (
+        (lineno, stripped)
+        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
+        if stripped and not stripped.startswith("#")
+    )
+
+
+def parse_labels(text: str) -> list[int]:
+    """The labels of the lines :func:`parse_dataset` reads, in order.
+
+    Only the first token of each line is read, and it goes through
+    :func:`parse_row`'s label rule: a non-numeric label, or one outside
+    int64, is rejected with its line number, as is a text with no line.
+    The feature entries are not read, so they are not checked either.
+    """
+    labels = [parse_row(lineno, line.split(None, 1)[0])[0] for lineno, line in _records(text)]
+    if not labels:
+        raise DatasetFormatError("dataset is empty")
+    return labels
+
+
 def parse_dataset(text: str) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
@@ -323,11 +343,7 @@ def parse_dataset(text: str) -> Dataset:
     Stored zeros are dropped on input so the no-zero invariant holds for
     data regardless of origin.
     """
-    labels, indptr, cols, vals = parse_rows(
-        (lineno, stripped)
-        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
-        if stripped and not stripped.startswith("#")
-    )
+    labels, indptr, cols, vals = parse_rows(_records(text))
     if not labels:
         raise DatasetFormatError("dataset is empty")
     # Wide enough for every index read; the width shrinks to the nonzero ones.

@@ -120,7 +120,7 @@ def lr_objective_gradient(
         raise LearnerError(f"theta has shape {theta.shape}, expected ({d},)")
     if labels.shape != (n,):
         raise LearnerError(f"labels have shape {labels.shape}, expected ({n},)")
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+    if not np.all((labels == 1.0) | (labels == -1.0)):
         raise LearnerError("labels must be -1 or +1")
     if c <= 0.0:
         raise LearnerError(f"C must be positive, got {c}")
@@ -362,7 +362,7 @@ def predict_dataset(
             total_evals += len(kids)
             best_child, best_score = kids[0], -math.inf
             for child, row in zip(kids, blocks[node].take(cols, axis=1)):
-                score = float(np.dot(row, vals))
+                score = row.dot(vals)  # a numpy scalar: NaN compares false too
                 if score > best_score:
                     best_child, best_score = child, score
             node = best_child

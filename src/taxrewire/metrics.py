@@ -17,7 +17,8 @@ from .taxonomy import Taxonomy
 
 
 class MetricsError(ValueError):
-    """Raised for empty inputs or labels outside the hierarchy."""
+    """Raised for empty inputs, labels that are not leaves of the hierarchy,
+    and a rare threshold below 1."""
 
 
 class ClassStats(NamedTuple):
@@ -107,16 +108,18 @@ def macro_f1(pairs: Sequence[Pair], class_set: Iterable[int] | None = None) -> f
 def _ancestor_set(tax: Taxonomy, node: int) -> frozenset[int]:
     if node not in tax:
         raise MetricsError(f"label {node} is not in the hierarchy")
+    if node not in tax.leaves:
+        raise MetricsError(f"label {node} is not a leaf of the hierarchy")
     return frozenset(n for n in tax.path_to_root(node) if n != tax.root)
 
 
 def hier_f1(pairs: Sequence[Pair], tax: Taxonomy) -> float:
     """Ancestor-overlap F1.
 
-    Each label contributes its ancestor set (itself included, root
-    excluded); precision pools overlap over predicted-set sizes, recall
-    over true-set sizes.  Mistakes between nearby leaves therefore cost
-    less than mistakes across the tree.
+    Each label, which must be a leaf of ``tax``, contributes its ancestor
+    set (itself included, root excluded); precision pools overlap over
+    predicted-set sizes, recall over true-set sizes.  Mistakes between
+    nearby leaves therefore cost less than mistakes across the tree.
     """
     _check_pairs(pairs)
     overlap = 0
@@ -178,11 +181,9 @@ def build_report(
         macro_f1=macro_f1(pairs, class_set),
         hier_f1=hier_f1(pairs, tax) if tax is not None else None,
         per_class=per_class_stats(pairs, class_set),
-        rare_slice=(
-            rare_category_report(pairs, train_counts, rare_threshold)
-            if train_counts is not None
-            else {}
-        ),
+        # Without training counts no class is rare, but the threshold is
+        # still checked.
+        rare_slice=rare_category_report(pairs, train_counts or {}, rare_threshold),
         rare_threshold=rare_threshold,
     )
 

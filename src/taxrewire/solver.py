@@ -113,16 +113,17 @@ def _two_loop_direction(
     rho_list: deque[float],
 ) -> np.ndarray:
     q = g.copy()
+    tmp = np.empty_like(q)  # scratch for each update; rounds as ``q -= a * y`` does
     alphas: list[float] = []
     for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
         a = rho * float(np.dot(s, q))
         alphas.append(a)
-        q -= a * y
+        q -= np.multiply(a, y, out=tmp)
     if s_list:
         s, y = s_list[-1], y_list[-1]
         gamma = float(np.dot(s, y)) / float(np.dot(y, y))
         q *= gamma
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
         b = rho * float(np.dot(y, q))
-        q += (a - b) * s
+        q += np.multiply(a - b, s, out=tmp)
     return -q

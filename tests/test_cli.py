@@ -1,6 +1,7 @@
 """End-to-end pipeline runs through the console entry point, in process."""
 
 import base64
+import collections
 import filecmp
 import io
 import json
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 import taxrewire
+from taxrewire import corpus
 from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
 from taxrewire.learner import serialize_model_set, train_flat, train_topdown
-from taxrewire.metrics import build_report
+from taxrewire.metrics import build_report, report_as_dict, write_per_class_csv
 from taxrewire.rewire import RewireLog, replay_log
 from taxrewire.simgraph import class_centroids, parse_pair_set
 from taxrewire.taxonomy import parse_taxonomy, serialize_taxonomy
@@ -435,6 +437,83 @@ class TestEvaluateModes:
             assert payload["hier_f1"] == want.hier_f1
             hier[tree.stem] = payload["hier_f1"]
         assert hier["corrupted"] != hier["modified"]
+
+
+class TestEvaluateReadsLabels:
+    """evaluate reads the label column of --data and --train-data only."""
+
+    @pytest.mark.parametrize("train", [False, True], ids=["data", "train_data"])
+    def test_writes_the_report_without_parsing_features(
+        self, pipeline, tmp_path, monkeypatch, train
+    ):
+        b, p, r = pipeline["bench"], pipeline["predict"], pipeline["rewire"]
+        labels = parse_dataset((b / "data.txt").read_text()).labels
+        preds = [int(l.split()[1]) for l in (p / "predictions.txt").read_text().splitlines()]
+        tax = parse_taxonomy((r / "modified.edges").read_text())
+        counts = collections.Counter(labels) if train else None
+
+        def no_parse(text):
+            raise AssertionError("evaluate parsed the feature entries")
+
+        monkeypatch.setattr(corpus, "parse_dataset", no_parse)
+        extra = ["--train-data", b / "data.txt"] if train else []
+        out = tmp_path / "e"
+        assert run("evaluate", "--predictions", p / "predictions.txt", "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", *extra, "--out", out) == 0
+        report = build_report(list(zip(labels, preds)), tax, counts)
+        payload = json.loads((out / "metrics.json").read_text())
+        del payload["config"]
+        assert payload == {**report_as_dict(report), "n_instances": len(labels)}
+        assert payload["n_rare_classes"] == (9 if train else 0)
+        want = io.StringIO()
+        write_per_class_csv(report, want, counts)
+        assert (out / "per_class.csv").read_text() == want.getvalue()
+
+    def test_malformed_feature_entries_are_scored(self, pipeline, tmp_path):
+        b, p, r = pipeline["bench"], pipeline["predict"], pipeline["rewire"]
+        lines = (b / "data.txt").read_text().splitlines()
+        lines[0] = lines[0].split()[0] + " 1:2:3"
+        data = tmp_path / "data.txt"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "e"
+        assert run("evaluate", "--predictions", p / "predictions.txt", "--data", data,
+                   "--hierarchy", r / "modified.edges", "--train-data", data, "--out", out) == 0
+        assert filecmp.cmp(out / "metrics.json", pipeline["eval"] / "metrics.json", shallow=False)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["data", "train_data"])
+    def test_rare_threshold_below_one(self, pipeline, tmp_path, capsys, train):
+        b, p = pipeline["bench"], pipeline["predict"]
+        extra = ["--train-data", b / "data.txt"] if train else []
+        out = tmp_path / "e"
+        assert run("evaluate", "--predictions", p / "predictions.txt", "--data", b / "data.txt",
+                   "--hierarchy", b / "true.edges", *extra, "--rare-threshold", "0",
+                   "--out", out) == 6
+        assert "rare threshold must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("node", ["root", "internal"])
+    @pytest.mark.parametrize("side", ["predicted", "true"])
+    def test_label_not_a_leaf(self, pipeline, tmp_path, capsys, side, node):
+        b, p, r = pipeline["bench"], pipeline["predict"], pipeline["rewire"]
+        tax = parse_taxonomy((r / "modified.edges").read_text())
+        label = tax.root if node == "root" else next(
+            n for n in tax.internal_nodes if n != tax.root)
+        preds, data = p / "predictions.txt", b / "data.txt"
+        if side == "predicted":
+            lines = preds.read_text().splitlines()
+            lines[0] = f"0 {label}"
+            preds = tmp_path / "predictions.txt"
+            preds.write_text("\n".join(lines) + "\n")
+        else:
+            lines = data.read_text().splitlines()
+            lines[0] = f"{label} " + lines[0].split(None, 1)[1]
+            data = tmp_path / "data.txt"
+            data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "e"
+        assert run("evaluate", "--predictions", preds, "--data", data,
+                   "--hierarchy", r / "modified.edges", "--out", out) == 6
+        assert f"label {label} is not a leaf of the hierarchy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRewireModes:

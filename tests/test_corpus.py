@@ -17,6 +17,7 @@ from taxrewire.corpus import (
     make_sparse,
     parse_dataset,
     parse_idf,
+    parse_labels,
     parse_row,
     parse_rows,
     serialize_dataset,
@@ -84,10 +85,6 @@ class TestDataset:
         sub = data.subset([1])
         assert sub.dimensionality == 9
         assert sub.labels == [1]
-
-    def test_label_counts(self):
-        data = Dataset([sv((1, 1.0))] * 3, [5, 5, 2])
-        assert data.label_counts() == {5: 2, 2: 1}
 
     def test_to_csr(self):
         data = Dataset([sv((1, 1.0), (3, 2.0)), sv((2, 5.0))], [0, 1])
@@ -516,21 +513,50 @@ def mutate_dataset_text(rng, text):
     return "\n".join(lines) + "\n"
 
 
+def is_label_error(message: str) -> bool:
+    """Whether ``message`` is parse_dataset's error for a bad label or an empty text."""
+    return ("non-numeric label" in message or message == "dataset is empty"
+            or (": label " in message and message.endswith("out of the int64 range")))
+
+
+def labels_agree(text, outcome) -> str | None:
+    """Check :func:`parse_labels` on ``text`` against what :func:`parse_dataset`
+    made of it (``outcome``, from :func:`dataset_outcome`).
+
+    Where the dataset reader accepts, the labels are equal; where it rejects
+    a label or an empty text, the label reader raises the same message.
+    Returns which of the two was checked, or None.
+    """
+    if outcome[0] == "ok":
+        assert parse_labels(text) == outcome[1], text
+        return "ok"
+    if outcome[0] == "error" and is_label_error(outcome[1]):
+        with pytest.raises(DatasetFormatError) as exc:
+            parse_labels(text)
+        assert str(exc.value) == outcome[1], text
+        return "label error"
+    return None
+
+
 class TestMatchesPerLineDatasetReader:
-    """The bulk dataset reader against the per-line reader it replaced."""
+    """The bulk dataset reader against the per-line reader it replaced, and
+    the label reader against the dataset reader."""
 
     def test_accepts_the_same_texts_with_the_same_numbers(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
             text = random_dataset_text(rng)
             want = dataset_outcome(per_line_parse_dataset, text)
-            assert dataset_outcome(parse_dataset, text) == want, text
+            got = dataset_outcome(parse_dataset, text)
+            assert got == want, text
+            labels_agree(text, got)
         empty = dataset_outcome(parse_dataset, "# only a comment\n\n")
         assert empty == ("error", "dataset is empty")
+        assert labels_agree("# only a comment\n\n", empty) == "label error"
 
     def test_rejects_the_same_texts_on_the_same_line(self):
         rng = np.random.default_rng(22)
-        seen = {"ok": 0, "error": 0, "int64": 0}
+        seen = {"ok": 0, "error": 0, "int64": 0, "labels ok": 0, "labels label error": 0}
         for _ in range(300):
             text = random_dataset_text(rng)
             for _ in range(8):
@@ -538,6 +564,9 @@ class TestMatchesPerLineDatasetReader:
                 want = dataset_outcome(per_line_parse_dataset, mutated)
                 got = dataset_outcome(parse_dataset, mutated)
                 seen[want[0]] += 1
+                checked = labels_agree(mutated, got)
+                if checked:
+                    seen[f"labels {checked}"] += 1
                 if want[0] == "int64":
                     # The per-line reader crashed, or kept a label numpy
                     # cannot hold; the bulk one names the line.
@@ -545,7 +574,9 @@ class TestMatchesPerLineDatasetReader:
                     assert "out of the int64 range" in got[1] or "above 2^60 - 1" in got[1]
                 else:
                     assert got == want, mutated
-        assert all(seen.values())  # accepted, rejected and int64 cases all occurred
+        # Accepted, rejected and int64 cases all occurred, and the label
+        # reader met accepted texts and rejected labels.
+        assert all(seen.values()), seen
 
     def test_in_small_parse_chunks(self, parse_chunk):
         self.test_accepts_the_same_texts_with_the_same_numbers()

@@ -40,6 +40,7 @@ from reference_impls import (
     predict_flat,
     predict_topdown,
     random_taxonomy,
+    sparse_score,
 )
 
 
@@ -355,18 +356,24 @@ def random_rows(rng: np.random.Generator, n: int, width: int) -> list:
     return rows
 
 
+# Weights whose scores overflow to +-inf or turn NaN (inf - inf, nan * x).
+EXTREME_WEIGHTS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1.0]
+
+
 def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeModel]:
-    """Node models with all-zero, small-integer or normal weights, in
-    shuffled insertion order."""
+    """Node models with all-zero (tying), small-integer (often tying),
+    normal or extreme weights, in shuffled insertion order."""
     models = {}
     for node in rng.permutation(np.asarray(nodes, dtype=np.int64)).tolist():
         kind = rng.random()
-        if kind < 0.3:
+        if kind < 0.25:
             theta = np.zeros(dim)
-        elif kind < 0.6:
+        elif kind < 0.5:
             theta = rng.integers(-1, 2, size=dim).astype(np.float64)
-        else:
+        elif kind < 0.75:
             theta = rng.standard_normal(dim)
+        else:
+            theta = rng.choice(EXTREME_WEIGHTS, size=dim)
         models[node] = NodeModel(node, theta, 1.0)
     return models
 
@@ -374,9 +381,13 @@ def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeMo
 class TestMatchesPerInstanceOracles:
     """Prediction and flat training against the per-instance code they replaced."""
 
+    # Extreme weights overflow, and inf - inf is NaN, in both descents.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
+                                "ignore:invalid value encountered in dot:RuntimeWarning")
     def test_descent_matches_per_instance_prediction(self):
         rng = np.random.default_rng(21)
         checked = {"td-lr": 0, "flat": 0}
+        ranked = {"NaN": 0, "-inf": 0, "tie": 0}  # instances whose flat children scored so
         for _ in range(150):
             tax = random_taxonomy(rng, int(rng.integers(2, 25)))
             dim = int(rng.integers(0, 8))
@@ -397,7 +408,14 @@ class TestMatchesPerInstanceOracles:
             assert predict_dataset(flat, data, tax, return_evals=True) == expected
             checked["td-lr"] += len(vectors)
             checked["flat"] += len(vectors)
+            for x in vectors:
+                scores = [sparse_score(flat.models[leaf].theta, x) for leaf in sorted(flat.models)]
+                numbers = [v for v in scores if not math.isnan(v)]
+                ranked["NaN"] += len(numbers) < len(scores)
+                ranked["-inf"] += -math.inf in numbers
+                ranked["tie"] += len(set(numbers)) < len(numbers)
         assert min(checked.values()) > 500
+        assert min(ranked.values()) > 100, ranked
 
     @pytest.mark.parametrize("per_node", [False, True])
     def test_flat_thetas_match_per_leaf_fits(self, per_node):

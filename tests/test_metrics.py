@@ -121,6 +121,12 @@ class TestHier:
         with pytest.raises(MetricsError, match="not in the hierarchy"):
             hier_f1([(1, 99)], tax)
 
+    def test_internal_label_rejected(self):
+        tax = parse_taxonomy("0 1\n0 2\n1 3\n1 4\n")
+        for pairs, label in (([(3, 1)], 1), ([(0, 3)], 0)):
+            with pytest.raises(MetricsError, match=f"label {label} is not a leaf of the hierarchy"):
+                hier_f1(pairs, tax)
+
     def test_matches_brute_route_on_random_trees(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
@@ -144,6 +150,8 @@ class TestRare:
     def test_threshold_validated(self):
         with pytest.raises(MetricsError, match=">= 1"):
             rare_classes(self.COUNTS, 0)
+        with pytest.raises(MetricsError, match=">= 1"):
+            build_report([(1, 1)], rare_threshold=0)  # also without training counts
 
     def test_report_restricted_to_rare(self):
         pairs = [(1, 1), (2, 2), (3, 2), (4, 4)]

@@ -203,8 +203,6 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_train(args: argparse.Namespace) -> dict:
-    if args.per_node_C and args.grid is None:
-        raise LearnerError("--per-node-C needs --grid")
     artifacts: dict = {}
     tax = _load_hierarchy(args.hierarchy)
     raw = corpus.parse_dataset(_read(args.data))
@@ -234,13 +232,10 @@ def cmd_train(args: argparse.Namespace) -> dict:
     else:
         tuned = learner.tune_c(
             tax, data, _parse_grid(args.grid), mode=args.method, costs=costs,
-            split=args.split, seed=args.seed, per_node=args.per_node_C, **kwargs,
+            split=args.split, seed=args.seed, **kwargs,
         )
         model_set = tuned.model_set
-        summary["c_selected"] = (
-            {str(k): v for k, v in sorted(tuned.best_c.items())}
-            if isinstance(tuned.best_c, dict) else tuned.best_c
-        )
+        summary["c_selected"] = tuned.best_c
         summary["grid"] = tuned.grid
         summary["grid_scores"] = {repr(k): v for k, v in sorted(tuned.scores.items())}
         summary["split"] = dict(zip(("train", "validation"), tuned.split))
@@ -411,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="train fraction of the tuning split")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--cost-file", default=None, help="one positive weight per instance")
-    tr.add_argument("--per-node-C", action="store_true",
-                    help="tune C independently per node")
     tr.add_argument("--bias", action="store_true",
                     help="append a constant feature (off by default)")
     tr.add_argument("--no-tfidf", action="store_true")

@@ -22,11 +22,10 @@ overflow.
 from __future__ import annotations
 
 import base64
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse as sp
@@ -53,7 +52,6 @@ class NodeModel:
 
     node: int
     theta: np.ndarray
-    c_used: float
     final_objective: float = math.nan
     converged: bool = True
 
@@ -63,8 +61,8 @@ class ModelSet:
     """All node models of one trained classifier plus its provenance.
 
     ``fingerprint`` identifies the hierarchy the models were trained
-    against; applying the set with any other tree is refused.  ``c`` is a
-    single float, or a node -> float mapping when tuned per node.
+    against; applying the set with any other tree is refused.  ``c`` is
+    the one regularization weight every node model was fit with.
     ``extra_headers`` carries auxiliary key/value pairs (e.g. pipeline
     config) through the file format untouched.
     """
@@ -72,7 +70,7 @@ class ModelSet:
     mode: str
     fingerprint: str
     dimensionality: int
-    c: float | dict[int, float]
+    c: float
     models: dict[int, NodeModel] = field(default_factory=dict)
     extra_headers: dict[str, str] = field(default_factory=dict)
 
@@ -196,7 +194,6 @@ def train_node(
     return NodeModel(
         node=node,
         theta=result.x,
-        c_used=c,
         final_objective=result.fun,
         converged=result.converged,
     )
@@ -205,7 +202,7 @@ def train_node(
 def _fit_tree(
     tree: Taxonomy,
     train: Dataset,
-    c: float | Mapping[int, float],
+    c: float,
     costs: np.ndarray | None,
     grad_tol: float,
     max_iter: int,
@@ -215,16 +212,10 @@ def _fit_tree(
     Every setting is checked before the first node is fit.
     """
     _check_labels(tree, train)
-    nodes = tree.non_root_nodes()
-    try:
-        c_of = {n: c[n] if isinstance(c, Mapping) else c for n in nodes}
-    except KeyError as exc:
-        raise LearnerError(f"no C value for node {exc.args[0]}") from None
-    _check_solver_settings(c_of.values(), grad_tol, max_iter)
-
+    _check_solver_settings((c,), grad_tol, max_iter)
     return {
-        n: train_node(tree, n, train, c_of[n], costs, grad_tol=grad_tol, max_iter=max_iter)
-        for n in nodes
+        n: train_node(tree, n, train, c, costs, grad_tol=grad_tol, max_iter=max_iter)
+        for n in tree.non_root_nodes()
     }
 
 
@@ -252,7 +243,7 @@ def _one_level(tax: Taxonomy) -> Taxonomy:
 def train_topdown(
     tax: Taxonomy,
     train: Dataset,
-    c: float | Mapping[int, float],
+    c: float,
     costs: np.ndarray | None = None,
     *,
     grad_tol: float = 1e-6,
@@ -265,14 +256,13 @@ def train_topdown(
     :class:`LearnerError`.
     """
     models = _fit_tree(tax, train, c, costs, grad_tol, max_iter)
-    c_used = dict(c) if isinstance(c, Mapping) else float(c)
-    return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, c_used, models)
+    return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, float(c), models)
 
 
 def train_flat(
     tax: Taxonomy,
     train: Dataset,
-    c: float | Mapping[int, float],
+    c: float,
     costs: np.ndarray | None = None,
     *,
     grad_tol: float = 1e-6,
@@ -286,8 +276,7 @@ def train_flat(
     :class:`LearnerError`.
     """
     models = _fit_tree(_one_level(tax), train, c, costs, grad_tol, max_iter)
-    c_used = dict(c) if isinstance(c, Mapping) else float(c)
-    return ModelSet("flat", tax.fingerprint(), train.dimensionality, c_used, models)
+    return ModelSet("flat", tax.fingerprint(), train.dimensionality, float(c), models)
 
 
 # ----------------------------------------------------------------------
@@ -354,19 +343,22 @@ def predict_dataset(
     ptr = x.indptr.tolist()
     preds: list[int] = []
     total_evals = 0
-    for s, e in zip(ptr, ptr[1:]):
-        cols, vals = x.indices[s:e], x.data[s:e]
-        node = start
-        while node in children:
-            kids = children[node]
-            total_evals += len(kids)
-            best_child, best_score = kids[0], -math.inf
-            for child, row in zip(kids, blocks[node].take(cols, axis=1)):
-                score = row.dot(vals)  # a numpy scalar: NaN compares false too
-                if score > best_score:
-                    best_child, best_score = child, score
-            node = best_child
-        preds.append(node)
+    # A score that overflows to +-inf or NaN (inf - inf) still ranks, so
+    # numpy's warnings about it say nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, e in zip(ptr, ptr[1:]):
+            cols, vals = x.indices[s:e], x.data[s:e]
+            node = start
+            while node in children:
+                kids = children[node]
+                total_evals += len(kids)
+                best_child, best_score = kids[0], -math.inf
+                for child, row in zip(kids, blocks[node].take(cols, axis=1)):
+                    score = row.dot(vals)  # a numpy scalar: NaN compares false too
+                    if score > best_score:
+                        best_child, best_score = child, score
+                node = best_child
+            preds.append(node)
     return (preds, total_evals) if return_evals else preds
 
 
@@ -376,7 +368,7 @@ def predict_dataset(
 
 @dataclass
 class TuneResult:
-    best_c: float | dict[int, float]
+    best_c: float
     grid: list[float]
     scores: dict[float, float]
     model_set: ModelSet
@@ -392,7 +384,6 @@ def tune_c(
     *,
     split: float = 0.9,
     seed: int = 0,
-    per_node: bool = False,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
 ) -> TuneResult:
@@ -401,10 +392,8 @@ def tune_c(
     ``data`` (and ``costs``) are split by :func:`split_train_validation`;
     one classifier is trained on the training part per grid value, and
     the value with the best validation micro-F1 wins, ties going to the
-    smaller C.  With ``per_node`` each node independently keeps the C
-    with the best validation accuracy on its own binary task.  The
-    returned model set is the fixed-C fit of all of ``data``, in its row
-    order, at the chosen C (or per-node map).
+    smaller C.  The returned model set is the fixed-C fit of all of
+    ``data``, in its row order, at the chosen C.
     """
     # The split and the trainers are looked up at call time, so wrappers on
     # the module attributes see every call.
@@ -416,9 +405,9 @@ def tune_c(
         raise LearnerError("C grid is empty")
     _check_solver_settings(grid, grad_tol, max_iter)
     if mode == "td-lr":
-        trainer, tree = train_topdown, tax
+        trainer = train_topdown
     elif mode == "flat":
-        trainer, tree = train_flat, _one_level(tax)
+        trainer = train_flat
     else:
         raise LearnerError(f"unknown mode {mode!r}")
     kwargs = dict(grad_tol=grad_tol, max_iter=max_iter)
@@ -437,28 +426,13 @@ def tune_c(
     candidates = {g: trainer(tax, train, g, train_costs, **kwargs) for g in grid}
 
     scores: dict[float, float] = {}
-    best: float | dict[int, float]
-    if per_node:
-        features = validation.to_csr()
-        best = {}
-        for node in tree.non_root_nodes():
-            y = _binary_labels(validation, tree.subtree_leaves(node))
-            node_best, node_hits = grid[0], -1
-            for g in grid:
-                # Decision +1 on the boundary and above.
-                margins = features @ candidates[g].models[node].theta
-                hits = int(np.count_nonzero((margins >= 0.0) == (y > 0.0)))
-                if hits > node_hits:
-                    node_best, node_hits = g, hits
-            best[node] = node_best
-    else:
-        best, best_mu = grid[0], -1.0
-        for g in grid:
-            preds = predict_dataset(candidates[g], validation, tax)
-            mu = micro_f1(list(zip(validation.labels, preds)))
-            scores[g] = mu
-            if mu > best_mu:
-                best, best_mu = g, mu
+    best, best_mu = grid[0], -1.0
+    for g in grid:
+        preds = predict_dataset(candidates[g], validation, tax)
+        mu = micro_f1(list(zip(validation.labels, preds)))
+        scores[g] = mu
+        if mu > best_mu:
+            best, best_mu = g, mu
     return TuneResult(best, grid, scores, trainer(tax, data, best, costs, **kwargs), sizes)
 
 
@@ -477,18 +451,14 @@ def serialize_model_set(model_set: ModelSet) -> str:
     ``indices`` is the base64 of the nonzero weights' 1-based ascending
     indices as little-endian int64, ``weights`` the base64 of their
     values as little-endian float64, so loading is bitwise exact.  A
-    model with no nonzero weight is its node id alone.  The per-node C
-    mapping, when present, is stored as JSON in the C header.
+    model with no nonzero weight is its node id alone.  ``#C`` is the one
+    C every node model was fit with.
     """
-    if isinstance(model_set.c, dict):
-        c_text = json.dumps({str(k): model_set.c[k] for k in sorted(model_set.c)}, sort_keys=True)
-    else:
-        c_text = repr(float(model_set.c))
     lines = [
         f"#mode {model_set.mode}",
         f"#fingerprint {model_set.fingerprint}",
         f"#dimensionality {model_set.dimensionality}",
-        f"#C {c_text}",
+        f"#C {float(model_set.c)!r}",
     ]
     for key in sorted(model_set.extra_headers):
         lines.append(f"#{key} {model_set.extra_headers[key]}")
@@ -497,20 +467,6 @@ def serialize_model_set(model_set: ModelSet) -> str:
         nz = np.flatnonzero(theta)
         lines.append(f"{node} {_b64(nz + 1, '<i8')} {_b64(theta[nz], '<f8')}".rstrip())
     return "\n".join(lines) + "\n"
-
-
-def _parse_c_header(text: str) -> float | dict[int, float]:
-    """The ``#C`` header: a float, or a JSON object of node -> number."""
-    try:
-        if not text.startswith("{"):
-            return float(text)
-        c = json.loads(text)
-        if all(type(v) in (int, float) for v in c.values()):
-            return {int(k): float(v) for k, v in c.items()}
-    except (ValueError, OverflowError):
-        pass
-    raise LearnerError(f"the C header is neither a number nor a JSON object of node -> number: "
-                       f"{text!r}")
 
 
 def _decode(lineno: int, token: str, dtype: str) -> np.ndarray:
@@ -556,7 +512,11 @@ def parse_model_set(text: str) -> ModelSet:
         raise LearnerError(f"dimensionality header must not be negative, got {dim}")
     if dim > MAX_WIDTH:
         raise LearnerError(f"dimensionality header must be at most 2^60 - 1, got {dim}")
-    c = _parse_c_header(headers.pop("C"))
+    c_text = headers.pop("C")
+    try:
+        c = float(c_text)
+    except ValueError:
+        raise LearnerError(f"the C header is not a number: {c_text!r}; retrain the model") from None
 
     models: dict[int, NodeModel] = {}
     for lineno, record in records:
@@ -582,10 +542,7 @@ def parse_model_set(text: str) -> ModelSet:
             raise LearnerError(f"line {lineno}: non-finite weight")
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        if isinstance(c, dict) and node not in c:
-            raise LearnerError(f"line {lineno}: the C header has no value for node {node}")
         theta = np.zeros(dim, dtype=np.float64)
         theta[idx - 1] = weights
-        node_c = c[node] if isinstance(c, dict) else c
-        models[node] = NodeModel(node=node, theta=theta, c_used=node_c)
+        models[node] = NodeModel(node=node, theta=theta)
     return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)

@@ -124,11 +124,20 @@ def _check_leaf(tax: Taxonomy, node: int) -> None:
         raise RewireError(f"node {node} is not a leaf")
 
 
+def _check_parent(work: Taxonomy, node: int, recorded: int) -> None:
+    if work.parent(node) != recorded:
+        raise RewireError(f"node {node} is under {work.parent(node)}, not under {recorded}")
+
+
 def _apply(work: Taxonomy, op: RewireOp) -> None:
     """Apply one logged edit to ``work`` in place, checking its preconditions.
 
-    A leaf moves only under a node that already has children, or the root:
-    turning a sibling class leaf into a parent is not a rewiring move.
+    Every node the edit records must be what ``work`` gives: a created
+    node's parent is the pair's lowest common ancestor, a moved leaf's old
+    parent and a deleted or collapsed node's parent are their parents,
+    and a collapsed node's child is its only child.  A leaf moves only
+    under a node that already has children, or the root: turning a
+    sibling class leaf into a parent is not a rewiring move.
     """
     if isinstance(op, CreateOp):
         first, second = op.pair
@@ -136,12 +145,17 @@ def _apply(work: Taxonomy, op: RewireOp) -> None:
         _check_leaf(work, second)
         if work.parent(first) == work.parent(second):
             raise RewireError(f"leaves {first} and {second} already share a parent")
+        lca = work.lca(first, second)
+        if op.parent != lca:
+            raise RewireError(f"the lowest common ancestor of {first} and {second} is {lca}, "
+                              f"not {op.parent}")
         work._add(op.parent, op.new_node)
         work._reparent(first, op.new_node)
         work._reparent(second, op.new_node)
     elif isinstance(op, MoveOp):
         leaf, new_parent = op.leaf, op.new_parent
         _check_leaf(work, leaf)
+        _check_parent(work, leaf, op.old_parent)
         if new_parent not in work:
             raise RewireError(f"node {new_parent} is not in the tree")
         if new_parent != work.root and work.is_leaf(new_parent):
@@ -150,9 +164,13 @@ def _apply(work: Taxonomy, op: RewireOp) -> None:
             raise RewireError(f"leaf {leaf} is already under {new_parent}")
         work._reparent(leaf, new_parent)
     elif isinstance(op, CollapseOp):
+        _check_parent(work, op.node, op.parent)
+        if work.children(op.node) != (op.child,):
+            raise RewireError(f"node {op.node} does not have {op.child} as its only child")
         work._reparent(op.child, op.parent)
         work._remove(op.node)
     else:
+        _check_parent(work, op.node, op.parent)
         work._remove(op.node)
 
 
@@ -242,10 +260,13 @@ def rewire_hierarchy(
 def replay_log(tax: Taxonomy, log: RewireLog) -> Taxonomy:
     """Re-apply a recorded run mechanically to its original input tree.
 
-    A log that does not fit the tree raises RewireError or TaxonomyError.
+    A log that does not fit the tree, or that deletes one of its leaves
+    (a class), raises RewireError or TaxonomyError.
     """
     work = tax.copy()
     for op in log.ops:
+        if isinstance(op, DeleteOp) and op.node in tax.leaves:
+            raise RewireError(f"node {op.node} is a class leaf of the input tree")
         _apply(work, op)
     work.validate()
     return work

@@ -389,11 +389,6 @@ def predict_flat(model_set, x, return_evals=False):
     return (best_leaf, evals) if return_evals else best_leaf
 
 
-def node_decision(model, x):
-    """Binary decision of one node model: +1 on the boundary and above, else -1."""
-    return 1 if sparse_score(model.theta, x) >= 0.0 else -1
-
-
 def per_token_parse_row(lineno, line):
     """The per-token row parser as it was before bulk parsing."""
     parts = line.split()

@@ -2,6 +2,7 @@
 
 import base64
 import collections
+import csv
 import filecmp
 import io
 import json
@@ -19,7 +20,6 @@ import taxrewire
 from taxrewire import corpus
 from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
-from taxrewire.learner import serialize_model_set, train_flat, train_topdown
 from taxrewire.metrics import build_report, report_as_dict, write_per_class_csv
 from taxrewire.rewire import RewireLog, replay_log
 from taxrewire.simgraph import class_centroids, parse_pair_set
@@ -348,29 +348,6 @@ class TestTrainModes:
         assert run(*common, "--C", chosen, "--out", tmp_path / "c") == 0
         assert model_lines(tmp_path / "g") == model_lines(tmp_path / "c")
 
-    @pytest.mark.parametrize("costs", [False, True], ids=["no-costs", "costs"])
-    @pytest.mark.parametrize("method", ["td-lr", "flat"])
-    def test_per_node_grid_ends_in_the_fit_at_the_chosen_map(
-        self, pipeline, tmp_path, method, costs
-    ):
-        b, r = pipeline["bench"], pipeline["rewire"]
-        weights = [1.0 + i % 3 for i in range(54)]
-        cost_file = tmp_path / "costs.txt"
-        cost_file.write_text("".join(f"{w!r}\n" for w in weights))
-        assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
-                   "--method", method, "--no-tfidf", "--grid", "0.01,10", "--per-node-C",
-                   "--split", "0.5", *(["--cost-file", cost_file] * costs),
-                   "--out", tmp_path / "g") == 0
-        summary = json.loads((tmp_path / "g" / "train_summary.json").read_text())
-        chosen = {int(k): v for k, v in summary["c_selected"].items()}
-        trainer = train_topdown if method == "td-lr" else train_flat
-        fit = trainer(parse_taxonomy((r / "modified.edges").read_text()),
-                      parse_dataset((b / "data.txt").read_text()), chosen,
-                      np.asarray(weights) if costs else None)
-        assert model_lines(tmp_path / "g") == [
-            l for l in serialize_model_set(fit).splitlines() if not l.startswith("#")
-        ]
-
     def test_cost_length_mismatch(self, pipeline, tmp_path):
         b = pipeline["bench"]
         costs = tmp_path / "costs.txt"
@@ -384,26 +361,40 @@ class TestTrainModes:
 class TestEvaluateModes:
     def test_macro_classes_all_extends_denominator(self, pipeline, tmp_path):
         b, p = pipeline["bench"], pipeline["predict"]
-        # drop class coverage by scoring against the 27-leaf default tree?
-        # simpler: compare test vs all on a truncated prediction set
-        preds = tmp_path / "preds.txt"
-        lines = (p / "predictions.txt").read_text().splitlines()
-        # rewrite predictions so one class is never predicted correctly
-        rewritten = []
-        for line in lines:
-            idx, label = line.split()
-            rewritten.append(f"{idx} {label}")
-        preds.write_text("\n".join(rewritten) + "\n")
+        rows = [l for l in (b / "data.txt").read_text().splitlines()
+                if l.strip() and not l.startswith("#")]
+        truth = [int(l.split()[0]) for l in rows]
+        preds = [int(l.split()[1]) for l in (p / "predictions.txt").read_text().splitlines()]
+        # Drop every instance of the first leaf that no other instance is
+        # predicted as, renumbering the rest: that leaf leaves the test set.
+        leaves = sorted(parse_taxonomy((b / "true.edges").read_text()).leaves)
+        dropped = next(leaf for leaf in leaves
+                       if all(y != leaf for t, y in zip(truth, preds) if t != leaf))
+        keep = [i for i, t in enumerate(truth) if t != dropped]
+        data, pred_file = tmp_path / "data.txt", tmp_path / "preds.txt"
+        data.write_text("".join(rows[i] + "\n" for i in keep))
+        pred_file.write_text("".join(f"{k} {preds[i]}\n" for k, i in enumerate(keep)))
         out_test, out_all = tmp_path / "etest", tmp_path / "eall"
-        common = ["evaluate", "--predictions", preds, "--data", b / "data.txt",
+        common = ["evaluate", "--predictions", pred_file, "--data", data,
                   "--hierarchy", b / "true.edges"]
         assert run(*common, "--out", out_test, "--macro-classes", "test") == 0
         assert run(*common, "--out", out_all, "--macro-classes", "all") == 0
         m_test = json.loads((out_test / "metrics.json").read_text())
         m_all = json.loads((out_all / "metrics.json").read_text())
-        # all 9 classes appear in this test set, so the two views agree here
-        assert m_test["macro_f1"] == m_all["macro_f1"]
         assert m_test["config"]["macro_classes"] == "test"
+
+        def f1s(out):
+            with (out / "per_class.csv").open() as fh:
+                return {int(r["class"]): float(r["f1"]) for r in csv.DictReader(fh)}
+
+        f1_test, f1_all = f1s(out_test), f1s(out_all)
+        assert sorted(f1_all) == leaves and len(leaves) == 9
+        assert sorted(f1_test) == [leaf for leaf in leaves if leaf != dropped]
+        # The missing leaf scores F1 0 and only widens the denominator.
+        assert f1_all == {**f1_test, dropped: 0.0}
+        assert m_test["macro_f1"] == sum(f1_test.values()) / 8
+        assert m_all["macro_f1"] == sum(f1_all.values()) / 9
+        assert m_all["macro_f1"] < m_test["macro_f1"]
 
     def test_rare_fields_need_train_data(self, pipeline, tmp_path):
         b, p = pipeline["bench"], pipeline["predict"]
@@ -695,26 +686,6 @@ class TestExitCodes:
         assert err.startswith("error: tf-idf leaves no nonzero feature") and "--no-tfidf" in err
         assert not (tmp_path / "o").exists()
 
-    def test_per_node_c_map_missing_a_node(self, pipeline, tmp_path, capsys):
-        b, r = pipeline["bench"], pipeline["rewire"]
-        assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
-                   "--out", tmp_path / "t", "--method", "td-lr", "--grid", "0.1,10",
-                   "--per-node-C", "--no-tfidf") == 0
-        lines = (tmp_path / "t" / "model.txt").read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith("#C "))
-        c = json.loads(lines[at][3:])
-        dropped = sorted(c, key=int)[1]
-        del c[dropped]
-        lines[at] = "#C " + json.dumps(c, sort_keys=True)
-        row = next(i for i, line in enumerate(lines) if line.split()[0] == dropped)
-        model = tmp_path / "model.txt"
-        model.write_text("\n".join(lines) + "\n")
-        assert run("predict", "--model", model, "--data", b / "data.txt",
-                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
-        err = capsys.readouterr().err
-        assert f"line {row + 1}: the C header has no value for node {dropped}" in err
-        assert not (tmp_path / "p" / "predictions.txt").exists()
-
     def test_negative_model_dimensionality(self, pipeline, tmp_path, capsys):
         text = (pipeline["train"] / "model.txt").read_text()
         model = tmp_path / "model.txt"
@@ -728,10 +699,11 @@ class TestExitCodes:
         ("#dimensionality 99999999999999999", "the input is too large to allocate"),
         ("#dimensionality 1152921504606846976",
          "dimensionality header must be at most 2^60 - 1"),
-        ('#C {"1": null, "2": 1.0}', "the C header is neither a number nor a JSON object"),
-        ("#C [1]", "the C header is neither a number nor a JSON object"),
+        ('#C {"1": null, "2": 1.0}', "the C header is not a number"),
+        ("#C [1]", "the C header is not a number"),
+        ('#C {"1": 0.5}', """the C header is not a number: '{"1": 0.5}'; retrain the model"""),
     ], ids=["dimensionality-too-large-to-allocate", "dimensionality-above-2^60-1",
-            "C-map-with-null", "C-list"])
+            "C-map-with-null", "C-list", "C-per-node-map"])
     def test_bad_model_header(self, pipeline, tmp_path, capsys, header, msg):
         text = (pipeline["train"] / "model.txt").read_text()
         key = header.split(" ", 1)[0]
@@ -787,8 +759,7 @@ class TestExitCodes:
         (["--C", "nan"], "C must be finite and positive, got nan"),
         (["--C", "inf"], "C must be finite and positive, got inf"),
         (["--grid", "nan,1"], "C must be finite and positive, got nan"),
-        (["--grid", "1", "--per-node-C", "--max-iter", "0"], "max_iter must be at least 1"),
-        (["--C", "10", "--per-node-C"], "--per-node-C needs --grid"),
+        (["--grid", "1", "--max-iter", "0"], "max_iter must be at least 1"),
     ])
     def test_bad_solver_settings(self, pipeline, tmp_path, capsys, method, flags, msg):
         b = pipeline["bench"]
@@ -958,7 +929,9 @@ class TestExitCodes:
         ("similarity", ["--workers", "2"]),
         ("evaluate --predictions p", ["--eval-hierarchy", "modified"]),
         ("evaluate --predictions p", ["--modified-hierarchy", "m.edges"]),
-    ], ids=["auto-tau", "similarity-workers", "eval-hierarchy", "modified-hierarchy"])
+        ("train --grid 10", ["--per-node-C"]),
+    ], ids=["auto-tau", "similarity-workers", "eval-hierarchy", "modified-hierarchy",
+            "per-node-C"])
     def test_removed_flags_are_usage_errors(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             run(*command.split(), "--data", "d", "--hierarchy", "h", "--out", "o", *flag)

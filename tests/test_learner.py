@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 import taxrewire
-from taxrewire.corpus import Dataset, make_sparse, split_train_validation
+from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.learner import (
     FingerprintMismatchError,
     LearnerError,
@@ -36,7 +36,6 @@ from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 from conftest import one_hot_dataset
 from reference_impls import (
     fd_gradient,
-    node_decision,
     predict_flat,
     predict_topdown,
     random_taxonomy,
@@ -187,16 +186,6 @@ class TestTraining:
             preds = predict_dataset(ms, data, letter_tree)
             assert preds == list(data.labels)
 
-    def test_per_node_c_mapping(self, letter_tree):
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
-        c_map = {n: 1.0 for n in [0, 1, 2, 3, 4, 5, 7, 8]}
-        c_map[7] = 0.01
-        ms = train_topdown(letter_tree, data, c=c_map)
-        assert ms.models[7].c_used == 0.01 and ms.models[0].c_used == 1.0
-        with pytest.raises(LearnerError, match="no C value"):
-            train_flat(letter_tree, data, c={0: 1.0})
-
-
     @pytest.mark.parametrize("c,grad_tol,max_iter,msg", [
         (math.nan, 1e-6, 10, "C must be finite and positive, got nan"),
         (math.inf, 1e-6, 10, "C must be finite and positive, got inf"),
@@ -215,9 +204,7 @@ class TestTraining:
         monkeypatch.setattr(learner, "minimize_lbfgs", no_fit)
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
         settings = dict(grad_tol=grad_tol, max_iter=max_iter)
-        # the bad C sits on the last node of a per-node map
-        c_map = {n: 1.0 for n in letter_tree.non_root_nodes()} | {8: c}
-        for fit in (lambda: train_topdown(letter_tree, data, c_map, **settings),
+        for fit in (lambda: train_topdown(letter_tree, data, c, **settings),
                     lambda: train_flat(letter_tree, data, c, **settings),
                     lambda: train_node(letter_tree, 8, data, c, **settings)):
             with pytest.raises(LearnerError, match=msg):
@@ -229,7 +216,7 @@ def zero_model_set(tax: Taxonomy, mode: str, dims: int) -> ModelSet:
         nodes = tax.non_root_nodes()
     else:
         nodes = sorted(tax.leaves)
-    models = {n: NodeModel(n, np.zeros(dims), 1.0) for n in nodes}
+    models = {n: NodeModel(n, np.zeros(dims)) for n in nodes}
     return ModelSet(mode, tax.fingerprint(), dims, 1.0, models)
 
 
@@ -245,7 +232,7 @@ tax = parse_taxonomy("0 1\\n0 2\\n")
 data = parse_dataset("1 1:1e308 2:1\\n")
 preds = []
 for thetas in json.loads(sys.argv[2]):
-    models = {n: NodeModel(n, np.array(t), 1.0) for n, t in zip((1, 2), thetas)}
+    models = {n: NodeModel(n, np.array(t)) for n, t in zip((1, 2), thetas)}
     preds += predict_dataset(ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, models), data, tax)
 print(json.dumps(preds))
 """
@@ -254,22 +241,11 @@ print(json.dumps(preds))
 class TestPrediction:
     def test_unseen_dimensions_contribute_nothing(self):
         # Leaf 1 wins only when its score beats leaf 0's constant 0.0.
-        models = {0: NodeModel(0, np.zeros(3), 1.0), 1: NodeModel(1, np.array([1.0, 2.0, 3.0]), 1.0)}
+        models = {0: NodeModel(0, np.zeros(3)), 1: NodeModel(1, np.array([1.0, 2.0, 3.0]))}
         ms = ModelSet("flat", "f", 3, 1.0, models)
         rows = [{2: 0.5}, {5: 9.0}, {2: 0.5, 5: 9.0}, {}, {1: -1.0, 5: 9.0}]
         data = Dataset([sv(r) for r in rows], [0] * len(rows), dimensionality=5)
         assert predict_dataset(ms, data) == [1, 0, 1, 0, 0]
-
-    def test_proba_and_decision(self):
-        # The per-instance decision rule that tune_c's per-node choice is
-        # checked against (reference_impls.node_decision).
-        model = NodeModel(0, np.array([math.log(3.0)]), 1.0)
-        x = sv({1: 1.0})
-        assert node_decision(model, x) == 1
-        zero = NodeModel(0, np.zeros(1), 1.0)
-        assert node_decision(zero, x) == 1  # boundary counts as positive
-        neg = NodeModel(0, np.array([-1.0]), 1.0)
-        assert node_decision(neg, x) == -1
 
     def test_topdown_ties_take_smallest_child(self, letter_tree):
         ms = zero_model_set(letter_tree, "td-lr", 6)
@@ -374,14 +350,15 @@ def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeMo
             theta = rng.standard_normal(dim)
         else:
             theta = rng.choice(EXTREME_WEIGHTS, size=dim)
-        models[node] = NodeModel(node, theta, 1.0)
+        models[node] = NodeModel(node, theta)
     return models
 
 
 class TestMatchesPerInstanceOracles:
     """Prediction and flat training against the per-instance code they replaced."""
 
-    # Extreme weights overflow, and inf - inf is NaN, in both descents.
+    # Extreme weights overflow, and inf - inf is NaN, in both descents; the
+    # oracle's numpy warnings are filtered, while predict_dataset emits none.
     @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
                                 "ignore:invalid value encountered in dot:RuntimeWarning")
     def test_descent_matches_per_instance_prediction(self):
@@ -398,14 +375,18 @@ class TestMatchesPerInstanceOracles:
 
             td = ModelSet("td-lr", fp, dim, 1.0, random_thetas(rng, tax.non_root_nodes(), dim))
             want = [predict_topdown(td, tax, x, return_evals=True) for x in vectors]
-            got = predict_dataset(td, data, tax, return_evals=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = predict_dataset(td, data, tax, return_evals=True)
             assert got == ([leaf for leaf, _ in want], sum(n for _, n in want))
 
             flat = ModelSet("flat", fp, dim, 1.0, random_thetas(rng, sorted(tax.leaves), dim))
             want = [predict_flat(flat, x, return_evals=True) for x in vectors]
             expected = ([leaf for leaf, _ in want], sum(n for _, n in want))
-            assert predict_dataset(flat, data, return_evals=True) == expected
-            assert predict_dataset(flat, data, tax, return_evals=True) == expected
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert predict_dataset(flat, data, return_evals=True) == expected
+                assert predict_dataset(flat, data, tax, return_evals=True) == expected
             checked["td-lr"] += len(vectors)
             checked["flat"] += len(vectors)
             for x in vectors:
@@ -417,8 +398,7 @@ class TestMatchesPerInstanceOracles:
         assert min(checked.values()) > 500
         assert min(ranked.values()) > 100, ranked
 
-    @pytest.mark.parametrize("per_node", [False, True])
-    def test_flat_thetas_match_per_leaf_fits(self, per_node):
+    def test_flat_thetas_match_per_leaf_fits(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
             tax = random_taxonomy(rng, int(rng.integers(4, 12)))
@@ -428,24 +408,21 @@ class TestMatchesPerInstanceOracles:
             labels = [int(l) for l in rng.choice(leaves, size=len(vectors))]
             data = Dataset(vectors, labels, dimensionality=dim)
             costs = rng.uniform(0.5, 2.0, size=data.n)
-            c = ({leaf: float(rng.choice([0.1, 1.0, 10.0])) for leaf in leaves}
-                 if per_node else 3.0)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # leaves without instances
-                ms = train_flat(tax, data, c, costs, max_iter=40)
-            assert ms.mode == "flat" and ms.fingerprint == tax.fingerprint()
+                ms = train_flat(tax, data, 3.0, costs, max_iter=40)
+            assert ms.mode == "flat" and ms.fingerprint == tax.fingerprint() and ms.c == 3.0
             assert sorted(ms.models) == leaves
             features = data.to_csr()
             for leaf in leaves:
                 y = np.where(np.asarray(labels) == leaf, 1.0, -1.0)
-                c_leaf = c[leaf] if per_node else c
                 want = minimize_lbfgs(
-                    lambda th: lr_objective_gradient(th, features, y, c_leaf, costs),
+                    lambda th: lr_objective_gradient(th, features, y, 3.0, costs),
                     np.zeros(dim), grad_tol=1e-6, max_iter=40,
                 )
                 model = ms.models[leaf]
                 assert np.array_equal(model.theta, want.x)
-                assert model.c_used == c_leaf and model.final_objective == want.fun
+                assert model.final_objective == want.fun
 
 
 class TestTuning:
@@ -499,39 +476,6 @@ class TestTuning:
         for node, model in fit.models.items():
             assert np.array_equal(result.model_set.models[node].theta, model.theta)
 
-    def test_per_node_returns_mapping(self, letter_tree):
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5)
-        result = tune_c(letter_tree, data, grid=(0.5, 2.0), mode="td-lr", per_node=True)
-        assert isinstance(result.best_c, dict)
-        assert sorted(result.best_c) == [0, 1, 2, 3, 4, 5, 7, 8]
-        assert set(result.best_c.values()) <= {0.5, 2.0}
-        assert isinstance(result.model_set.c, dict)
-
-    @pytest.mark.parametrize("weighted", [False, True], ids=["no-costs", "costs"])
-    def test_per_node_choice_matches_per_instance_decisions(self, letter_tree, weighted):
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.8, seed=2)
-        costs = np.linspace(2.0, 0.5, data.n) if weighted else None
-        grid = (0.01, 0.3, 30.0)
-        result = tune_c(letter_tree, data, grid=grid, mode="td-lr", costs=costs,
-                        split=0.6, seed=5, per_node=True)
-        train_idx, val_idx = split_train_validation(data, 0.6, 5)
-        train, val = data.subset(train_idx), data.subset(val_idx)
-        train_costs = None if costs is None else costs[train_idx]
-        candidates = {g: train_topdown(letter_tree, train, g, train_costs) for g in grid}
-        for node, chosen in result.best_c.items():
-            positives = letter_tree.subtree_leaves(node)
-            hits = {
-                g: sum(
-                    node_decision(candidates[g].models[node], x) == (1 if y in positives else -1)
-                    for x, y in zip(val.vectors, val.labels)
-                )
-                for g in grid
-            }
-            assert chosen == min(g for g in grid if hits[g] == max(hits.values()))
-        fit = train_topdown(letter_tree, data, result.best_c, costs)
-        for node, model in fit.models.items():
-            assert np.array_equal(result.model_set.models[node].theta, model.theta)
-
 
 HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n"
 
@@ -560,16 +504,6 @@ class TestSerialization:
         for node in ms.models:
             assert np.array_equal(back.models[node].theta, ms.models[node].theta)
 
-    def test_per_node_c_round_trips_as_json(self, letter_tree):
-        ms = zero_model_set(letter_tree, "flat", 4)
-        ms.c = {n: 0.5 if n < 3 else 2.0 for n in ms.models}
-        for n, model in ms.models.items():
-            model.theta = np.array([0.0, float(n), 0.0, -1.5])
-        back = parse_model_set(serialize_model_set(ms))
-        assert back.c == ms.c
-        assert back.models[4].c_used == 2.0
-        assert np.array_equal(back.models[2].theta, [0.0, 2.0, 0.0, -1.5])
-
     def test_zero_weights_are_dropped(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 4)
         ms.models[2].theta[1] = -0.0
@@ -578,7 +512,7 @@ class TestSerialization:
         assert body == ["0", "1", "2", "3", "4", "5"]
 
     def test_model_line_encoding(self):
-        ms = ModelSet("flat", "f", 3, 1.0, {7: NodeModel(7, np.array([0.0, 1.5, -2.0]), 1.0)})
+        ms = ModelSet("flat", "f", 3, 1.0, {7: NodeModel(7, np.array([0.0, 1.5, -2.0]))})
         node, idx, weights = serialize_model_set(ms).splitlines()[-1].split()
         assert node == "7"
         assert base64.b64decode(idx) == np.array([2, 3], "<i8").tobytes()
@@ -600,9 +534,9 @@ class TestSerialization:
              "must be at most 2\\^60 - 1"),
             ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
             ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"1": null, "2": 1.0}\n',
-             "the C header is neither a number nor a JSON object"),
+             "the C header is not a number: .*; retrain the model"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C [1]\n",
-             "the C header is neither a number nor a JSON object"),
+             "the C header is not a number"),
             (HEAD + "0 1:0.5 2:0.25\n",
              "line 5: an old 'idx:weight' model line; retrain the model"),
             (HEAD + "0 1:0.5\n", "line 5: an old 'idx:weight' model line"),
@@ -629,9 +563,10 @@ class TestSerialization:
             (HEAD + model_line(0, [1], [-math.inf]), "line 5: non-finite weight"),
             (HEAD + model_line(0, [1], [0.5]) + model_line(0, [2], [0.5]),
              "line 6: duplicate model for node 0"),
-            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0}\n'
+            # a per-node C map, as older versions wrote it
+            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0, "1": 2.0}\n'
              + model_line(0, [1], [0.5]) + model_line(1, [2], [0.5]),
-             "line 6: the C header has no value for node 1"),
+             "the C header is not a number: .*; retrain the model"),
         ],
     )
     def test_parse_rejects(self, text, msg):
@@ -646,21 +581,20 @@ SPECIAL_WEIGHTS = [-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.flo
 
 
 def one_model(*weights: float) -> ModelSet:
-    return ModelSet("flat", "f", len(weights), 1.0, {3: NodeModel(3, np.array(weights), 1.0)})
+    return ModelSet("flat", "f", len(weights), 1.0, {3: NodeModel(3, np.array(weights))})
 
 
 @st.composite
 def model_sets(draw) -> ModelSet:
-    """Model sets of up to 5 nodes, some all zero, with scalar or per-node C."""
+    """Model sets of up to 5 nodes, some all zero."""
     dim = draw(st.integers(min_value=0, max_value=8))
     weight = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_WEIGHTS),
                        st.floats(allow_nan=False, allow_infinity=False))
     nodes = draw(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1),
                           max_size=5, unique=True))
     models = {n: NodeModel(n, np.array(draw(st.lists(weight, min_size=dim, max_size=dim)),
-                                       dtype=np.float64), 1.0) for n in nodes}
-    positive = st.floats(min_value=1e-3, max_value=1e3)
-    c = draw(st.one_of(positive, st.fixed_dictionaries({n: positive for n in nodes})))
+                                       dtype=np.float64)) for n in nodes}
+    c = draw(st.floats(min_value=1e-3, max_value=1e3))
     values = st.sampled_from(['{"a": 1, "b": [2, 3]}', "1", "kept  as  it is"])
     headers = draw(st.dictionaries(st.sampled_from(["config", "bias", "note"]), values))
     mode = draw(st.sampled_from(["flat", "td-lr"]))
@@ -670,7 +604,7 @@ def model_sets(draw) -> ModelSet:
 @settings(max_examples=200, deadline=None)
 @given(model_sets())
 @example(ModelSet("td-lr", "f", 0, 1.0, {}))  # no models
-@example(ModelSet("flat", "f", 0, 1.0, {0: NodeModel(0, np.zeros(0), 1.0)}))  # dimensionality 0
+@example(ModelSet("flat", "f", 0, 1.0, {0: NodeModel(0, np.zeros(0))}))  # dimensionality 0
 @example(one_model(-0.0))  # dimensionality 1, the one weight never written
 @example(one_model(*SPECIAL_WEIGHTS))
 def test_model_set_round_trip_is_bitwise(ms):
@@ -683,7 +617,6 @@ def test_model_set_round_trip_is_bitwise(ms):
         # -0.0 is a zero weight: it is not written, and loads as 0.0.
         want = np.where(model.theta == 0.0, 0.0, model.theta)
         assert back.models[node].theta.tobytes() == want.tobytes()
-        assert back.models[node].c_used == (ms.c[node] if isinstance(ms.c, dict) else ms.c)
     assert serialize_model_set(back) == text
 
 

@@ -303,22 +303,41 @@ class TestUntrustedReplay:
             pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
                          '"new_node": 8}', TaxonomyError, "already exists", id="create-clash"),
             pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 0, '
-                         '"new_node": 9}', TaxonomyError, "cycle", id="create-cycle"),
+                         '"new_node": 9}', RewireError, "ancestor of 0 and 3 is 6, not 0",
+                         id="create-cycle"),
             pytest.param('{"op": "node_delete", "node": 7, "parent": 6}',
                          TaxonomyError, "children", id="delete-parent"),
             pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 6, '
                          '"new_node": 9}\n{"op": "node_delete", "node": 9, "parent": 6}',
                          TaxonomyError, "children", id="delete-created-parent"),
             pytest.param('{"op": "collapse", "node": 8, "child": 7, "parent": 0}',
-                         TaxonomyError, "cycle", id="collapse-cycle"),
+                         RewireError, "node 8 is under 6, not under 0", id="collapse-cycle"),
             pytest.param('{"op": "collapse", "node": 7, "child": 6, "parent": 8}',
-                         TaxonomyError, "root", id="collapse-root"),
+                         RewireError, "node 7 is under 6, not under 8", id="collapse-root"),
+            pytest.param('{"op": "collapse", "node": 7, "child": 0, "parent": 6}',
+                         RewireError, "node 7 does not have 0 as its only child",
+                         id="collapse-not-only-child"),
             pytest.param('{"op": "pc_rewire", "iteration": 1, "pair": [0, 3], "leaf": 7, '
                          '"old_parent": 6, "new_parent": 0}', RewireError, "not a leaf",
                          id="move-cycle"),
             pytest.param('{"op": "pc_rewire", "iteration": 1, "pair": [0, 3], "leaf": 0, '
                          '"old_parent": 7, "new_parent": 0}', RewireError,
                          "cannot receive children", id="move-self"),
+            # Logs whose recorded nodes are not what the tree gives, or that
+            # delete a class.
+            pytest.param('{"op": "pc_rewire", "iteration": 1, "pair": [0, 3], "leaf": 0, '
+                         '"old_parent": 8, "new_parent": 8}', RewireError,
+                         "node 0 is under 7, not under 8", id="move-wrong-old-parent"),
+            pytest.param('{"op": "node_create", "iteration": 1, "pair": [0, 3], "parent": 7, '
+                         '"new_node": 9}', RewireError, "ancestor of 0 and 3 is 6, not 7",
+                         id="create-not-at-lca"),
+            pytest.param("\n".join(
+                '{"op": "pc_rewire", "iteration": 1, "pair": [%d, 3], "leaf": %d, '
+                '"old_parent": 7, "new_parent": 8}' % (leaf, leaf) for leaf in (0, 1, 2)
+            ) + '\n{"op": "node_delete", "node": 7, "parent": 8}', RewireError,
+                         "node 7 is under 6, not under 8", id="delete-wrong-parent"),
+            pytest.param('{"op": "node_delete", "node": 0, "parent": 7}', RewireError,
+                         "node 0 is a class leaf of the input tree", id="delete-class-leaf"),
         ],
     )
     def test_bad_op_raises(self, letter_tree, jsonl, error, fragment):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 import taxrewire
-from taxrewire.corpus import Dataset, make_sparse
+from taxrewire.corpus import Dataset, make_sparse, split_train_validation
 from taxrewire.learner import (
     FingerprintMismatchError,
     LearnerError,
@@ -185,6 +185,17 @@ class TestTraining:
         ):
             preds = predict_dataset(ms, data, letter_tree)
             assert preds == list(data.labels)
+
+    @pytest.mark.parametrize("trainer", [train_topdown, train_flat])
+    def test_every_node_is_fit_at_the_one_c(self, letter_tree, trainer):
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.5, seed=1)
+        ms = trainer(letter_tree, data, 2)
+        assert type(ms.c) is float and ms.c == 2.0
+        # Each node model is train_node's fit at that C on the tree trained.
+        tree = letter_tree if trainer is train_topdown else parse_taxonomy(
+            "".join(f"{letter_tree.root} {leaf}\n" for leaf in sorted(letter_tree.leaves)))
+        for node, model in ms.models.items():
+            assert np.array_equal(model.theta, train_node(tree, node, data, 2.0).theta)
 
     @pytest.mark.parametrize("c,grad_tol,max_iter,msg", [
         (math.nan, 1e-6, 10, "C must be finite and positive, got nan"),
@@ -461,6 +472,29 @@ class TestTuning:
             assert np.array_equal(tuned.theta, model.theta)
             assert tuned.final_objective == model.final_objective
 
+    @pytest.mark.parametrize("mode,trainer", [("td-lr", train_topdown), ("flat", train_flat)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["no-costs", "costs"])
+    def test_choice_matches_per_instance_accuracy(self, letter_tree, mode, trainer, weighted):
+        # Each grid value scores the validation accuracy of its fit on the
+        # training part, predicted one instance at a time; the most accurate
+        # value wins, ties going to the smaller C.
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=5, jitter=0.8, seed=2)
+        costs = np.linspace(2.0, 0.5, data.n) if weighted else None
+        grid = (0.01, 0.3, 30.0)
+        result = tune_c(letter_tree, data, grid=grid, mode=mode, costs=costs,
+                        split=0.6, seed=5)
+        train_idx, val_idx = split_train_validation(data, 0.6, 5)
+        train, val = data.subset(train_idx), data.subset(val_idx)
+        train_costs = None if costs is None else costs[train_idx]
+        hits = {}
+        for g in grid:
+            candidate = trainer(letter_tree, train, g, train_costs)
+            preds = [predict_topdown(candidate, letter_tree, x) if mode == "td-lr"
+                     else predict_flat(candidate, x) for x in val.vectors]
+            hits[g] = sum(p == y for p, y in zip(preds, val.labels))
+        assert result.scores == {g: hits[g] / val.n for g in grid}
+        assert result.best_c == min(g for g in grid if hits[g] == max(hits.values()))
+
     def test_empty_validation_falls_back(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
         with warnings.catch_warnings(record=True) as caught:
@@ -503,6 +537,15 @@ class TestSerialization:
         assert sorted(back.models) == sorted(ms.models)
         for node in ms.models:
             assert np.array_equal(back.models[node].theta, ms.models[node].theta)
+
+    @pytest.mark.parametrize("c", [0.1, 1 / 3, 1e-3, 1e3])
+    def test_c_header_is_the_float_repr(self, letter_tree, c):
+        ms = zero_model_set(letter_tree, "flat", 4)
+        ms.c = c
+        text = serialize_model_set(ms)
+        assert f"\n#C {c!r}\n" in text
+        back = parse_model_set(text)
+        assert type(back.c) is float and back.c == c
 
     def test_zero_weights_are_dropped(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 4)

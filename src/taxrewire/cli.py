@@ -24,8 +24,10 @@ inputs and flags are byte-identical.
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
-which is not a class leaf, an evaluated label that is not a leaf of
---hierarchy, a --rare-threshold below 1, tf-idf features that are all
+which is not a class leaf, a training or similarity label that is not a
+class leaf, an evaluated label that is not a leaf of --hierarchy, a
+model #C that is not finite and positive, a tuning split with no
+validation instance, a --rare-threshold below 1, tf-idf features that are all
 zero, a tf-idf model given no --idf or a raw-feature model given one,
 an input too large to allocate, an --out that is a file, lies under one
 or is a non-empty directory, and an artifact that cannot be written).
@@ -141,6 +143,7 @@ def _check_tfidf(data: corpus.Dataset) -> corpus.Dataset:
 def cmd_similarity(args: argparse.Namespace) -> dict:
     tax = _load_hierarchy(args.hierarchy)
     data = corpus.parse_dataset(_read(args.data))
+    learner.check_leaf_labels(tax, data)
     if not args.no_tfidf:
         data = _check_tfidf(corpus.tfidf_normalize(data))
     centroids = simgraph.class_centroids(data, tax.leaves)
@@ -265,10 +268,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
         data = corpus.apply_tfidf(data, corpus.parse_idf(_read(args.idf)))
     if model_set.extra_headers.get("bias") == "1":
         data = corpus.with_constant_feature(data, model_set.dimensionality)
-    tax = _load_hierarchy(args.hierarchy) if args.hierarchy else None
-    if model_set.mode == "td-lr" and tax is None:
-        raise LearnerError("--hierarchy is required for td-lr models")
-    preds, n_evals = learner.predict_dataset(model_set, data, tax, return_evals=True)
+    preds, n_evals = learner.predict_dataset(model_set, data, _load_hierarchy(args.hierarchy))
 
     # one line per instance, nothing else: downstream tools count lines
     lines = [f"{i} {label}" for i, label in enumerate(preds)]
@@ -418,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--model", required=True)
     pr.add_argument("--data", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--hierarchy", default=None,
-                    help="taxonomy the model was trained on (required for td-lr)")
+    pr.add_argument("--hierarchy", required=True, help="taxonomy the model was trained on")
     pr.add_argument("--idf", default=None,
                     help="idf table from the train step, for tf-idf data")
     pr.set_defaults(func=cmd_predict)

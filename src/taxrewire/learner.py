@@ -219,15 +219,19 @@ def _fit_tree(
     }
 
 
-def _check_labels(tax: Taxonomy, train: Dataset) -> None:
-    """Reject labels that are not leaves; warn about leaves without instances."""
-    present = set(train.labels)
-    unknown = sorted(present - tax.leaves)
+def check_leaf_labels(tax: Taxonomy, train: Dataset) -> None:
+    """Reject training labels that are not leaves of ``tax``."""
+    unknown = sorted(set(train.labels) - tax.leaves)
     if unknown:
         raise LearnerError(
             f"{len(unknown)} training labels are not leaves of the hierarchy: {unknown[:10]}"
         )
-    empty = sorted(tax.leaves - present)
+
+
+def _check_labels(tax: Taxonomy, train: Dataset) -> None:
+    """Reject labels that are not leaves; warn about leaves without instances."""
+    check_leaf_labels(tax, train)
+    empty = sorted(tax.leaves - set(train.labels))
     if empty:
         warnings.warn(
             f"{len(empty)} leaf classes have no training instances: {empty[:10]}",
@@ -282,51 +286,29 @@ def train_flat(
 # ----------------------------------------------------------------------
 # prediction
 
-# Start of the flat descent: ids are non-negative, so -1 names no node.
-_FLAT_START = -1
-
-
-def _descent_map(
-    model_set: ModelSet, tax: Taxonomy | None
-) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """(start node, node -> children) of the tree prediction descends.
-
-    Flat prediction descends one level over every model; top-down over
-    ``tax``, whose every non-root node must have a model.
-    """
-    if model_set.mode == "flat":
-        if not model_set.models:
-            raise LearnerError("model set is empty")
-        return _FLAT_START, {_FLAT_START: tuple(sorted(model_set.models))}
-    if tax is None:
-        raise LearnerError("top-down prediction requires the training hierarchy")
-    missing = [n for n in tax.non_root_nodes() if n not in model_set.models]
-    if missing:
-        raise LearnerError(f"model set has no model for node {missing[0]}")
-    return tax.root, {n: tax.children(n) for n in tax.internal_nodes}
-
 
 def predict_dataset(
-    model_set: ModelSet,
-    data: Dataset,
-    tax: Taxonomy | None = None,
-    return_evals: bool = False,
-):
-    """Predict a leaf per instance, verifying the hierarchy fingerprint first.
+    model_set: ModelSet, data: Dataset, tax: Taxonomy
+) -> tuple[list[int], int]:
+    """(leaf per instance, model evaluations in all), checking the fingerprint first.
 
-    Each instance descends from the start node, at each level entering
-    the highest-scoring child, where NaN and -inf rank lowest and ties go
-    to the smallest id, so top-down only evaluates the models along one
-    root-leaf path while flat evaluates every leaf model.  Top-down prediction requires the hierarchy; flat
-    prediction only checks it when one is supplied.  Features beyond the
-    model's dimensionality contribute nothing.  With ``return_evals`` the
-    total number of model evaluations is returned too.
+    Prediction descends the tree the models were fit over: ``tax`` for
+    top-down, its one-level tree for flat, whose every non-root node must
+    have a model.  Each instance starts at the root and at each level
+    enters the highest-scoring child, where NaN and -inf rank lowest and
+    ties go to the smallest id, so top-down only evaluates the models
+    along one root-leaf path while flat evaluates every leaf model.
+    Features beyond the model's dimensionality contribute nothing.
     """
-    if tax is not None and tax.fingerprint() != model_set.fingerprint:
+    if tax.fingerprint() != model_set.fingerprint:
         raise FingerprintMismatchError(
             "hierarchy does not match the one the model set was trained on"
         )
-    start, children = _descent_map(model_set, tax)
+    tree = tax if model_set.mode == "td-lr" else _one_level(tax)
+    missing = [n for n in tree.non_root_nodes() if n not in model_set.models]
+    if missing:
+        raise LearnerError(f"model set has no model for node {missing[0]}")
+    children = {n: tree.children(n) for n in tree.internal_nodes}
     dim = model_set.dimensionality
     if any(m.theta.shape != (dim,) for m in model_set.models.values()):
         raise LearnerError(f"every model must have {dim} weights")
@@ -348,7 +330,7 @@ def predict_dataset(
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in zip(ptr, ptr[1:]):
             cols, vals = x.indices[s:e], x.data[s:e]
-            node = start
+            node = tree.root
             while node in children:
                 kids = children[node]
                 total_evals += len(kids)
@@ -359,7 +341,7 @@ def predict_dataset(
                         best_child, best_score = child, score
                 node = best_child
             preds.append(node)
-    return (preds, total_evals) if return_evals else preds
+    return preds, total_evals
 
 
 # ----------------------------------------------------------------------
@@ -415,11 +397,10 @@ def tune_c(
     train_idx, val_idx = split_train_validation(data, split, seed)
     sizes = (len(train_idx), len(val_idx))
     if not len(val_idx):
-        warnings.warn(
-            "validation set is empty; falling back to C=1 without a grid search",
-            stacklevel=2,
+        raise LearnerError(
+            f"the tuning split of {data.n} instances at --split {split} leaves "
+            f"{sizes[0]} for training and none for validation; lower --split or pass --C"
         )
-        return TuneResult(1.0, grid, {}, trainer(tax, data, 1.0, costs, **kwargs), sizes)
 
     train, validation = data.subset(train_idx), data.subset(val_idx)
     train_costs = None if costs is None else costs[train_idx]
@@ -428,7 +409,7 @@ def tune_c(
     scores: dict[float, float] = {}
     best, best_mu = grid[0], -1.0
     for g in grid:
-        preds = predict_dataset(candidates[g], validation, tax)
+        preds, _ = predict_dataset(candidates[g], validation, tax)
         mu = micro_f1(list(zip(validation.labels, preds)))
         scores[g] = mu
         if mu > best_mu:
@@ -517,6 +498,8 @@ def parse_model_set(text: str) -> ModelSet:
         c = float(c_text)
     except ValueError:
         raise LearnerError(f"the C header is not a number: {c_text!r}; retrain the model") from None
+    if not (math.isfinite(c) and c > 0.0):
+        raise LearnerError(f"C must be finite and positive, got the C header {c_text!r}")
 
     models: dict[int, NodeModel] = {}
     for lineno, record in records:

@@ -141,10 +141,10 @@ def test_planted_corruption_is_repaired():
         repaired = train_topdown(modified, train, 1.0)
         corrupted = train_topdown(bench.corrupted_tree, train, 1.0)
         mu_repaired = micro_f1(
-            list(zip(test.labels, predict_dataset(repaired, test, modified)))
+            list(zip(test.labels, predict_dataset(repaired, test, modified)[0]))
         )
         mu_corrupted = micro_f1(
-            list(zip(test.labels, predict_dataset(corrupted, test, bench.corrupted_tree)))
+            list(zip(test.labels, predict_dataset(corrupted, test, bench.corrupted_tree)[0]))
         )
         f1_wins += mu_repaired > mu_corrupted
     elapsed = time.perf_counter() - t0
@@ -256,8 +256,8 @@ def test_one_level_tree_makes_topdown_and_flat_identical():
     flat = train_flat(tree, data, 1.0)
     for leaf in sorted(tree.leaves):
         assert np.array_equal(td.models[leaf].theta, flat.models[leaf].theta)
-    td_preds = predict_dataset(td, data, tree)
-    assert td_preds == predict_dataset(flat, data)
+    td_preds, _ = predict_dataset(td, data, tree)
+    assert td_preds == predict_dataset(flat, data, tree)[0]
     agreements = len(td_preds)
     return (
         f"one-level 5-leaf tree: per-leaf weights bitwise equal, predictions "
@@ -289,8 +289,8 @@ def test_topdown_prediction_cost_on_thousand_leaves():
     test = Dataset(vectors[:200], leaves[:200], dims)
     for i in range(5):
         one = test.subset([i])
-        assert predict_dataset(td, one, tree, return_evals=True)[1] == 30
-        assert predict_dataset(flat, one, return_evals=True)[1] == 1000
+        assert predict_dataset(td, one, tree)[1] == 30
+        assert predict_dataset(flat, one, tree)[1] == 1000
 
     def timed(fn):
         best = math.inf
@@ -301,10 +301,10 @@ def test_topdown_prediction_cost_on_thousand_leaves():
         return result, best
 
     (_, td_evals), td_time = timed(
-        lambda: predict_dataset(td, test, tree, return_evals=True)
+        lambda: predict_dataset(td, test, tree)
     )
     (_, flat_evals), flat_time = timed(
-        lambda: predict_dataset(flat, test, return_evals=True)
+        lambda: predict_dataset(flat, test, tree)
     )
     assert td_evals == 30 * test.n, f"top-down used {td_evals} evaluations"
     assert flat_evals == 1000 * test.n, f"flat used {flat_evals} evaluations"
@@ -381,9 +381,9 @@ def test_newsgroups_rewire_improves_topdown():
 
     expert = train_topdown(tax, train, 1.0)
     repaired = train_topdown(modified, train, 1.0)
-    mu_expert = micro_f1(list(zip(test.labels, predict_dataset(expert, test, tax))))
+    mu_expert = micro_f1(list(zip(test.labels, predict_dataset(expert, test, tax)[0])))
     mu_repaired = micro_f1(
-        list(zip(test.labels, predict_dataset(repaired, test, modified)))
+        list(zip(test.labels, predict_dataset(repaired, test, modified)[0]))
     )
     elapsed = time.perf_counter() - t0
     assert mu_repaired - mu_expert >= 0.02, (

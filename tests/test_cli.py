@@ -285,7 +285,7 @@ class TestTrainModes:
         assert (t_out / "idf.txt").exists()
         assert "#tfidf 1\n" in (t_out / "model.txt").read_text()
         assert run("predict", "--model", t_out / "model.txt", "--data", train,
-                   "--idf", t_out / "idf.txt", "--out", p_out) == 0
+                   "--hierarchy", tax, "--idf", t_out / "idf.txt", "--out", p_out) == 0
         preds = [int(l.split()[1]) for l in (p_out / "predictions.txt").read_text().splitlines()]
         assert preds == [1, 1, 2, 2]
 
@@ -303,7 +303,7 @@ class TestTrainModes:
         assert run(*common, "--no-tfidf", "--out", tmp_path / "raw") == 0
         model = tmp_path / ("tfidf" if tfidf else "raw") / "model.txt"
         idf = [] if tfidf else ["--idf", tmp_path / "tfidf" / "idf.txt"]
-        assert run("predict", "--model", model, "--data", train, *idf,
+        assert run("predict", "--model", model, "--data", train, "--hierarchy", tax, *idf,
                    "--out", tmp_path / "p") == 6
         assert capsys.readouterr().err == f"error: {msg}\n"
         assert not (tmp_path / "p").exists()
@@ -319,7 +319,7 @@ class TestTrainModes:
                    "--method", "flat", "--C", "100", "--no-tfidf", "--bias") == 0
         assert "#bias 1\n" in (t_out / "model.txt").read_text()
         assert run("predict", "--model", t_out / "model.txt", "--data", data,
-                   "--out", p_out) == 0
+                   "--hierarchy", tax, "--out", p_out) == 0
         preds = [int(l.split()[1]) for l in (p_out / "predictions.txt").read_text().splitlines()]
         assert preds == [1, 1, 2, 2]
 
@@ -580,7 +580,7 @@ class TestExitCodes:
         lines[1] = f"{lines[1].split()[0]} {value}"
         idf.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
-                   "--idf", idf, "--out", tmp_path / "p") == 4
+                   "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "p") == 4
         assert "line 2: non-finite idf" in capsys.readouterr().err
         assert not (tmp_path / "p" / "predictions.txt").exists()
 
@@ -668,7 +668,7 @@ class TestExitCodes:
         lines = idf.read_text().splitlines() + ["99999999999999999999 0.5"]
         idf.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
-                   "--idf", idf, "--out", tmp_path / "p") == 4
+                   "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "p") == 4
         assert capsys.readouterr().err == (f"error: line {len(lines)}: idf index"
                                            " '99999999999999999999' is out of the int64 range\n")
         assert not (tmp_path / "p").exists()
@@ -702,8 +702,11 @@ class TestExitCodes:
         ('#C {"1": null, "2": 1.0}', "the C header is not a number"),
         ("#C [1]", "the C header is not a number"),
         ('#C {"1": 0.5}', """the C header is not a number: '{"1": 0.5}'; retrain the model"""),
+        *[(f"#C {c}", f"C must be finite and positive, got the C header '{c}'")
+          for c in ("nan", "-1", "inf", "0")],
     ], ids=["dimensionality-too-large-to-allocate", "dimensionality-above-2^60-1",
-            "C-map-with-null", "C-list", "C-per-node-map"])
+            "C-map-with-null", "C-list", "C-per-node-map", "C-nan", "C-negative", "C-inf",
+            "C-zero"])
     def test_bad_model_header(self, pipeline, tmp_path, capsys, header, msg):
         text = (pipeline["train"] / "model.txt").read_text()
         key = header.split(" ", 1)[0]
@@ -724,17 +727,35 @@ class TestExitCodes:
         assert "split ratio must be in (0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "o" / "model.txt").exists()
 
-    @pytest.mark.parametrize("method", ["td-lr", "flat"])
-    def test_training_label_not_a_leaf(self, tmp_path, capsys, method):
+    # similarity fails on such a label too, rather than drop its instances.
+    @pytest.mark.parametrize("command", [
+        ["train", "--method", "td-lr", "--C", "1"],
+        ["train", "--method", "flat", "--C", "1"],
+        ["similarity"],
+    ], ids=["td-lr", "flat", "similarity"])
+    def test_training_label_not_a_leaf(self, tmp_path, capsys, command):
         tax = tmp_path / "h.edges"
         tax.write_text("0 1\n0 2\n")
         data = tmp_path / "d.txt"
         data.write_text("1 1:1.0\n2 2:1.0\n7 1:0.5\n0 2:0.5\n7 2:0.5\n")
-        assert run("train", "--data", data, "--hierarchy", tax, "--method", method,
-                   "--out", tmp_path / "o", "--C", "1", "--no-tfidf") == 6
+        assert run(*command, "--data", data, "--hierarchy", tax,
+                   "--out", tmp_path / "o", "--no-tfidf") == 6
         err = capsys.readouterr().err
         assert "2 training labels are not leaves of the hierarchy: [0, 7]" in err
-        assert not (tmp_path / "o" / "model.txt").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_tuning_split_without_validation(self, tmp_path, capsys):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n0 3\n")
+        data = tmp_path / "d.txt"
+        data.write_text("".join(f"{1 + i % 3} {1 + i % 3}:1.0\n" for i in range(9)))
+        assert run("train", "--data", data, "--hierarchy", tax, "--grid", "100",
+                   "--split", "0.9", "--no-tfidf", "--out", tmp_path / "t") == 6
+        assert capsys.readouterr().err == (
+            "error: the tuning split of 9 instances at --split 0.9 leaves 9 for training"
+            " and none for validation; lower --split or pass --C\n"
+        )
+        assert not (tmp_path / "t").exists()
 
     def test_fingerprint_mismatch(self, pipeline, tmp_path):
         b, t = pipeline["bench"], pipeline["train"]
@@ -922,6 +943,10 @@ class TestExitCodes:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             run("rewire", "--hierarchy", "h", "--out", "o")  # --pairs is required
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            # every model, flat too, is applied over the tree it was trained on
+            run("predict", "--model", "m", "--data", "d", "--out", "o")
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("command,flag", [

@@ -183,7 +183,7 @@ class TestTraining:
             train_topdown(letter_tree, data, c=10.0),
             train_flat(letter_tree, data, c=10.0),
         ):
-            preds = predict_dataset(ms, data, letter_tree)
+            preds, _ = predict_dataset(ms, data, letter_tree)
             assert preds == list(data.labels)
 
     @pytest.mark.parametrize("trainer", [train_topdown, train_flat])
@@ -244,7 +244,7 @@ data = parse_dataset("1 1:1e308 2:1\\n")
 preds = []
 for thetas in json.loads(sys.argv[2]):
     models = {n: NodeModel(n, np.array(t)) for n, t in zip((1, 2), thetas)}
-    preds += predict_dataset(ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, models), data, tax)
+    preds += predict_dataset(ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, models), data, tax)[0]
 print(json.dumps(preds))
 """
 
@@ -252,22 +252,23 @@ print(json.dumps(preds))
 class TestPrediction:
     def test_unseen_dimensions_contribute_nothing(self):
         # Leaf 1 wins only when its score beats leaf 0's constant 0.0.
+        tax = parse_taxonomy("2 0\n2 1\n")
         models = {0: NodeModel(0, np.zeros(3)), 1: NodeModel(1, np.array([1.0, 2.0, 3.0]))}
-        ms = ModelSet("flat", "f", 3, 1.0, models)
+        ms = ModelSet("flat", tax.fingerprint(), 3, 1.0, models)
         rows = [{2: 0.5}, {5: 9.0}, {2: 0.5, 5: 9.0}, {}, {1: -1.0, 5: 9.0}]
         data = Dataset([sv(r) for r in rows], [0] * len(rows), dimensionality=5)
-        assert predict_dataset(ms, data) == [1, 0, 1, 0, 0]
+        assert predict_dataset(ms, data, tax) == ([1, 0, 1, 0, 0], 10)
 
     def test_topdown_ties_take_smallest_child(self, letter_tree):
         ms = zero_model_set(letter_tree, "td-lr", 6)
         one = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1).subset([3])
-        assert predict_dataset(ms, one, letter_tree, return_evals=True) == ([0], 5)
+        assert predict_dataset(ms, one, letter_tree) == ([0], 5)
         # two root children, then three under the winner
 
     def test_flat_ties_take_smallest_leaf(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
         one = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1).subset([3])
-        assert predict_dataset(ms, one, return_evals=True) == ([0], 6)
+        assert predict_dataset(ms, one, letter_tree) == ([0], 6)
 
     @pytest.mark.parametrize("mode", ["flat", "td-lr"])
     def test_no_child_scores_above_minus_inf(self, mode):
@@ -296,16 +297,17 @@ class TestPrediction:
                 predict_dataset(ms, data.subset(rows), letter_tree)
 
     def test_empty_flat_model_set_rejected(self):
-        ms = ModelSet("flat", "f", 2, 1.0, {})
-        with pytest.raises(LearnerError, match="model set is empty"):
-            predict_dataset(ms, Dataset((), (), dimensionality=2))
+        tax = parse_taxonomy("0 1\n0 2\n")
+        ms = ModelSet("flat", tax.fingerprint(), 2, 1.0, {})
+        with pytest.raises(LearnerError, match="no model for node 1"):
+            predict_dataset(ms, Dataset((), (), dimensionality=2), tax)
 
     def test_model_width_must_match_dimensionality(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
         ms.models[3].theta = np.zeros(4)
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
         with pytest.raises(LearnerError, match="6 weights"):
-            predict_dataset(ms, data)
+            predict_dataset(ms, data, letter_tree)
 
     def test_dataset_fingerprint_checked(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
@@ -313,21 +315,21 @@ class TestPrediction:
         data = one_hot_dataset([0, 1], per_leaf=1, dims=6)
         with pytest.raises(FingerprintMismatchError):
             predict_dataset(ms, data, other)
-        # flat prediction works without a hierarchy at all
-        assert predict_dataset(ms, data) == [0, 0]
+        assert predict_dataset(ms, data, letter_tree) == ([0, 0], 12)
 
-    def test_topdown_requires_hierarchy(self, letter_tree):
-        ms = zero_model_set(letter_tree, "td-lr", 6)
+    @pytest.mark.parametrize("mode", ["td-lr", "flat"])
+    def test_every_mode_requires_hierarchy(self, letter_tree, mode):
+        ms = zero_model_set(letter_tree, mode, 6)
         data = one_hot_dataset([0], per_leaf=1, dims=6)
-        with pytest.raises(LearnerError, match="requires the training hierarchy"):
+        with pytest.raises(TypeError, match="tax"):
             predict_dataset(ms, data)
 
     def test_dataset_eval_totals(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
         td = zero_model_set(letter_tree, "td-lr", 6)
         flat = zero_model_set(letter_tree, "flat", 6)
-        _, n_td = predict_dataset(td, data, letter_tree, return_evals=True)
-        _, n_flat = predict_dataset(flat, data, return_evals=True)
+        _, n_td = predict_dataset(td, data, letter_tree)
+        _, n_flat = predict_dataset(flat, data, letter_tree)
         assert n_td == 6 * 5
         assert n_flat == 6 * 6
 
@@ -388,7 +390,7 @@ class TestMatchesPerInstanceOracles:
             want = [predict_topdown(td, tax, x, return_evals=True) for x in vectors]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = predict_dataset(td, data, tax, return_evals=True)
+                got = predict_dataset(td, data, tax)
             assert got == ([leaf for leaf, _ in want], sum(n for _, n in want))
 
             flat = ModelSet("flat", fp, dim, 1.0, random_thetas(rng, sorted(tax.leaves), dim))
@@ -396,8 +398,7 @@ class TestMatchesPerInstanceOracles:
             expected = ([leaf for leaf, _ in want], sum(n for _, n in want))
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert predict_dataset(flat, data, return_evals=True) == expected
-                assert predict_dataset(flat, data, tax, return_evals=True) == expected
+                assert predict_dataset(flat, data, tax) == expected
             checked["td-lr"] += len(vectors)
             checked["flat"] += len(vectors)
             for x in vectors:
@@ -495,20 +496,17 @@ class TestTuning:
         assert result.scores == {g: hits[g] / val.n for g in grid}
         assert result.best_c == min(g for g in grid if hits[g] == max(hits.values()))
 
-    def test_empty_validation_falls_back(self, letter_tree):
+    def test_empty_validation_rejected_before_any_fit(self, letter_tree, monkeypatch):
+        import taxrewire.learner as learner
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a node was fit")
+
+        monkeypatch.setattr(learner, "minimize_lbfgs", no_fit)
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = tune_c(letter_tree, data, grid=(0.1, 10.0), mode="flat", split=0.99)
-        # One event, one warning.
-        assert [str(w.message) for w in caught] == [
-            "validation set is empty; falling back to C=1 without a grid search"
-        ]
-        assert result.best_c == 1.0 and result.scores == {}
-        assert result.split == (12, 0)
-        fit = train_flat(letter_tree, data, 1.0)
-        for node, model in fit.models.items():
-            assert np.array_equal(result.model_set.models[node].theta, model.theta)
+        with pytest.raises(LearnerError, match=r"the tuning split of 12 instances at --split "
+                           r"0\.99 leaves 12 for training and none for validation"):
+            tune_c(letter_tree, data, grid=(0.1, 10.0), mode="flat", split=0.99)
 
 
 HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n"
@@ -580,6 +578,9 @@ class TestSerialization:
              "the C header is not a number: .*; retrain the model"),
             ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C [1]\n",
              "the C header is not a number"),
+            *[(f"#mode flat\n#fingerprint a\n#dimensionality 2\n#C {c}\n",
+               f"C must be finite and positive, got the C header '{c}'")
+              for c in ("nan", "-1", "inf", "0")],
             (HEAD + "0 1:0.5 2:0.25\n",
              "line 5: an old 'idx:weight' model line; retrain the model"),
             (HEAD + "0 1:0.5\n", "line 5: an old 'idx:weight' model line"),

@@ -22,15 +22,18 @@ train's --workers) and contain no timestamps, so reruns with the same
 inputs and flags are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
-hierarchy/dataset file, 5 model/hierarchy fingerprint mismatch, 6 other
+hierarchy/dataset file (including a hierarchy token that is not a node
+id in 0..2^63 - 1), 5 model/hierarchy fingerprint mismatch, 6 other
 invalid input or configuration (including a pair that names a node
-which is not a class leaf, a training or similarity label that is not a
-class leaf, an evaluated label that is not a leaf of --hierarchy, a
-model #C that is not finite and positive, a tuning split with no
-validation instance, a --rare-threshold below 1, tf-idf features that are all
-zero, a tf-idf model given no --idf or a raw-feature model given one,
-an input too large to allocate, an --out that is a file, lies under one
-or is a non-empty directory, and an artifact that cannot be written).
+which is not a class leaf, a training, similarity or evaluate
+--train-data label that is not a class leaf, an evaluated label that is
+not a leaf of --hierarchy, a model line for a node that prediction over
+--hierarchy never uses, a model #C that is not finite and positive, a
+tuning split with no validation instance, a --rare-threshold below 1,
+tf-idf features that are all zero, a tf-idf model given no --idf or a
+raw-feature model given one, an input too large to allocate, an --out
+that is a file, lies under one or is a non-empty directory, and an
+artifact that cannot be written).
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def _check_tfidf(data: corpus.Dataset) -> corpus.Dataset:
 def cmd_similarity(args: argparse.Namespace) -> dict:
     tax = _load_hierarchy(args.hierarchy)
     data = corpus.parse_dataset(_read(args.data))
-    learner.check_leaf_labels(tax, data)
+    learner.check_leaf_labels(tax, data.labels)
     if not args.no_tfidf:
         data = _check_tfidf(corpus.tfidf_normalize(data))
     centroids = simgraph.class_centroids(data, tax.leaves)
@@ -312,7 +315,9 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 
     train_counts = None
     if args.train_data is not None:
-        train_counts = collections.Counter(corpus.parse_labels(_read(args.train_data)))
+        train_labels = corpus.parse_labels(_read(args.train_data))
+        learner.check_leaf_labels(tax, train_labels)
+        train_counts = collections.Counter(train_labels)
 
     pairs = list(zip(labels, preds))
     class_set = sorted(tax.leaves) if args.macro_classes == "all" else None

@@ -219,9 +219,9 @@ def _fit_tree(
     }
 
 
-def check_leaf_labels(tax: Taxonomy, train: Dataset) -> None:
+def check_leaf_labels(tax: Taxonomy, labels: Iterable[int]) -> None:
     """Reject training labels that are not leaves of ``tax``."""
-    unknown = sorted(set(train.labels) - tax.leaves)
+    unknown = sorted(set(labels) - tax.leaves)
     if unknown:
         raise LearnerError(
             f"{len(unknown)} training labels are not leaves of the hierarchy: {unknown[:10]}"
@@ -230,7 +230,7 @@ def check_leaf_labels(tax: Taxonomy, train: Dataset) -> None:
 
 def _check_labels(tax: Taxonomy, train: Dataset) -> None:
     """Reject labels that are not leaves; warn about leaves without instances."""
-    check_leaf_labels(tax, train)
+    check_leaf_labels(tax, train.labels)
     empty = sorted(tax.leaves - set(train.labels))
     if empty:
         warnings.warn(
@@ -293,11 +293,12 @@ def predict_dataset(
     """(leaf per instance, model evaluations in all), checking the fingerprint first.
 
     Prediction descends the tree the models were fit over: ``tax`` for
-    top-down, its one-level tree for flat, whose every non-root node must
-    have a model.  Each instance starts at the root and at each level
-    enters the highest-scoring child, where NaN and -inf rank lowest and
-    ties go to the smallest id, so top-down only evaluates the models
-    along one root-leaf path while flat evaluates every leaf model.
+    top-down, its one-level tree for flat, whose non-root nodes must be
+    the nodes of the model set, no more and no fewer.  Each instance
+    starts at the root and at each level enters the highest-scoring
+    child, where NaN and -inf rank lowest and ties go to the smallest id,
+    so top-down only evaluates the models along one root-leaf path while
+    flat evaluates every leaf model.
     Features beyond the model's dimensionality contribute nothing.
     """
     if tax.fingerprint() != model_set.fingerprint:
@@ -305,9 +306,16 @@ def predict_dataset(
             "hierarchy does not match the one the model set was trained on"
         )
     tree = tax if model_set.mode == "td-lr" else _one_level(tax)
-    missing = [n for n in tree.non_root_nodes() if n not in model_set.models]
+    nodes = set(tree.non_root_nodes())
+    missing = sorted(nodes - model_set.models.keys())
     if missing:
         raise LearnerError(f"model set has no model for node {missing[0]}")
+    extra = sorted(model_set.models.keys() - nodes)
+    if extra:
+        raise LearnerError(
+            f"model set has a model for node {extra[0]}, which {model_set.mode}"
+            " prediction over the hierarchy never uses"
+        )
     children = {n: tree.children(n) for n in tree.internal_nodes}
     dim = model_set.dimensionality
     if any(m.theta.shape != (dim,) for m in model_set.models.values()):

@@ -1,8 +1,9 @@
 """Rooted class taxonomies over integer node ids.
 
 A taxonomy is a rooted tree whose leaves are the target classes of a
-hierarchical classifier.  Node ids are non-negative integers; an optional
-name table maps ids back to the string labels they were parsed from.
+hierarchical classifier.  Node ids are integers in 0..2^63 - 1, the
+range of the data labels and of the model node ids, and a hierarchy file
+spells them in decimal: the ids of its leaves are the labels of the data.
 Children lists are kept sorted ascending so that every traversal of the
 tree is deterministic.
 
@@ -32,20 +33,12 @@ class Taxonomy:
         Id of the root node.
     parent_of:
         Mapping child id -> parent id for every non-root node.
-    names:
-        Optional mapping id -> display name, used when the tree was parsed
-        from a non-numeric edge list.  Purely cosmetic; all structural
-        operations work on ids.
     """
 
-    __slots__ = ("root", "_parent", "_children", "names", "_leaves", "_name_to_id")
+    __slots__ = ("root", "_parent", "_children", "_leaves")
 
     def __init__(
-        self,
-        root: int,
-        parent_of: Mapping[int, int],
-        names: Mapping[int, str] | None = None,
-        _validate: bool = True,
+        self, root: int, parent_of: Mapping[int, int], _validate: bool = True
     ) -> None:
         self.root = root
         self._parent = dict(parent_of)
@@ -56,9 +49,7 @@ class Taxonomy:
         for kids in children.values():
             kids.sort()
         self._children = children
-        self.names = dict(names) if names is not None else None
         self._leaves: frozenset[int] | None = None
-        self._name_to_id: dict[str, int] | None = None
         if _validate:
             self.validate()
 
@@ -68,13 +59,12 @@ class Taxonomy:
     def validate(self) -> None:
         """Check the tree invariants, raising :class:`TaxonomyError` on failure.
 
-        Verified: ids are non-negative integers, the root has no parent,
+        Verified: ids are integers in 0..2^63 - 1, the root has no parent,
         every other node has exactly one, and every node is reachable from
         the root (which rules out cycles and disconnected components).
         """
         for node in self._children:
-            if not isinstance(node, int) or isinstance(node, bool) or node < 0:
-                raise TaxonomyError(f"node ids must be non-negative integers, got {node!r}")
+            _check_id(node)
         if self.root in self._parent:
             raise TaxonomyError(f"root {self.root} must not have a parent")
         for node in self._children:
@@ -111,11 +101,7 @@ class Taxonomy:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Taxonomy):
             return NotImplemented
-        return (
-            self.root == other.root
-            and self._parent == other._parent
-            and self.names == other.names
-        )
+        return self.root == other.root and self._parent == other._parent
 
     def __repr__(self) -> str:
         return f"Taxonomy(root={self.root}, nodes={len(self)}, leaves={len(self.leaves)})"
@@ -199,23 +185,6 @@ class Taxonomy:
     def subtree_leaves(self, node: int) -> frozenset[int]:
         return frozenset(n for n in self.subtree_nodes(node) if not self._children[n])
 
-    def id_of(self, name: str) -> int:
-        """Resolve a display name to a node id (name-table trees only)."""
-        if self.names is None:
-            raise TaxonomyError("taxonomy has no name table")
-        if self._name_to_id is None:
-            self._name_to_id = {v: k for k, v in self.names.items()}
-        try:
-            return self._name_to_id[name]
-        except KeyError:
-            raise TaxonomyError(f"unknown node name {name!r}") from None
-
-    def name_of(self, node: int) -> str:
-        self._require(node)
-        if self.names is None:
-            return str(node)
-        return self.names[node]
-
     def _require(self, node: int) -> None:
         if node not in self._children:
             raise TaxonomyError(f"unknown node {node}")
@@ -224,7 +193,7 @@ class Taxonomy:
     # copy-returning edits
 
     def copy(self) -> "Taxonomy":
-        return Taxonomy(self.root, self._parent, self.names, _validate=False)
+        return Taxonomy(self.root, self._parent, _validate=False)
 
     def add_node(self, parent: int, node_id: int | None = None) -> tuple["Taxonomy", int]:
         """Return a new tree with a fresh childless node attached under ``parent``.
@@ -259,17 +228,14 @@ class Taxonomy:
     # in-place edits, for a working copy no one else holds
 
     def _add(self, parent: int, node: int) -> None:
-        if not isinstance(node, int) or isinstance(node, bool) or node < 0:
-            raise TaxonomyError(f"node ids must be non-negative integers, got {node!r}")
+        _check_id(node)
         if node in self._children:
             raise TaxonomyError(f"node {node} already exists")
         self._require(parent)
         self._parent[node] = parent
         self._children[node] = []
         insort(self._children[parent], node)
-        if self.names is not None:
-            self.names[node] = _fresh_name(set(self.names.values()), node)
-        self._leaves = self._name_to_id = None
+        self._leaves = None
 
     def _reparent(self, node: int, new_parent: int) -> None:
         self._require(node)
@@ -296,42 +262,52 @@ class Taxonomy:
             raise TaxonomyError(f"node {node} still has children")
         self._children[self._parent.pop(node)].remove(node)
         del self._children[node]
-        if self.names is not None:
-            self.names.pop(node, None)
-        self._leaves = self._name_to_id = None
+        self._leaves = None
 
     # ------------------------------------------------------------------
     # fingerprints
 
     def fingerprint(self) -> str:
-        """Hex sha256 of the canonical numeric edge list.
+        """Hex sha256 of the canonical edge list.
 
-        Stable across name tables and child orderings; used to verify that
-        a model file is applied to the hierarchy it was trained on.
+        Stable across child orderings; used to verify that a model file is
+        applied to the hierarchy it was trained on.
         """
         edges = sorted((p, c) for c, p in self._parent.items())
         payload = "\n".join(f"{p} {c}" for p, c in edges).encode("ascii")
         return hashlib.sha256(payload).hexdigest()
 
 
-def _fresh_name(taken: set[str], node_id: int) -> str:
-    name = f"new{node_id}"
-    i = node_id
-    while name in taken:
-        i += 1
-        name = f"new{i}"
-    return name
+_MAX_ID = 2**63 - 1  # the int64 range of data labels and model node ids
+
+
+def _check_id(node: object, where: str = "") -> None:
+    """Raise :class:`TaxonomyError` unless ``node`` is an int in 0..2^63 - 1."""
+    if not isinstance(node, int) or isinstance(node, bool) or not 0 <= node <= _MAX_ID:
+        raise TaxonomyError(
+            f"{where}node ids must be non-negative integers below 2^63, got {node!r}"
+        )
+
+
+def _parse_id(token: str, lineno: int) -> int:
+    """The node id that ``token`` spells in ASCII decimal with no leading zero."""
+    # The length check comes before int(), which refuses over 4,300 digits.
+    if not (token.isascii() and token.isdigit() and len(token) <= 19
+            and (token == "0" or token[0] != "0")):
+        raise TaxonomyError(f"line {lineno}: node {token!r} is not a decimal integer id")
+    node = int(token)
+    _check_id(node, f"line {lineno}: ")
+    return node
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
-    """Parse an edge list with one ``parent child`` pair per line.
+    """Parse an edge list with one ``parent child`` pair of node ids per line.
 
-    Blank lines and lines starting with ``#`` are skipped.  If every token
-    is a canonical non-negative decimal integer, tokens are used as node
-    ids directly; otherwise ids are assigned by sorted token order and the
-    original strings are kept in the name table.
+    Blank lines and lines starting with ``#`` are skipped.  A token that
+    is not a node id (see :func:`_parse_id`) raises :class:`TaxonomyError`
+    naming its line.
     """
-    rows: list[tuple[int, str, str]] = []
+    parent_of: dict[int, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -341,36 +317,21 @@ def parse_taxonomy(text: str) -> Taxonomy:
             raise TaxonomyError(
                 f"line {lineno}: expected 'parent child', got {stripped!r}"
             )
-        rows.append((lineno, parts[0], parts[1]))
-    if not rows:
+        parent, child = (_parse_id(t, lineno) for t in parts)
+        if parent == child:
+            raise TaxonomyError(f"line {lineno}: self-loop on node {parent}")
+        if child in parent_of:
+            raise TaxonomyError(f"line {lineno}: node {child} has more than one parent")
+        parent_of[child] = parent
+    if not parent_of:
         raise TaxonomyError("edge list is empty")
 
-    tokens = {t for _, a, b in rows for t in (a, b)}
-    numeric = all(t.isdigit() and str(int(t)) == t for t in tokens)
-    if numeric:
-        ids = {t: int(t) for t in tokens}
-        names = None
-    else:
-        ids = {t: i for i, t in enumerate(sorted(tokens))}
-        names = {i: t for t, i in ids.items()}
-
-    parent_of: dict[int, int] = {}
-    for lineno, a, b in rows:
-        parent, child = ids[a], ids[b]
-        if parent == child:
-            raise TaxonomyError(f"line {lineno}: self-loop on node {a!r}")
-        if child in parent_of:
-            raise TaxonomyError(f"line {lineno}: node {b!r} has more than one parent")
-        parent_of[child] = parent
-
-    all_ids = set(ids.values())
-    roots = sorted(all_ids - set(parent_of))
+    roots = sorted(set(parent_of.values()) - set(parent_of))
     if not roots:
         raise TaxonomyError("cycle detected: every node has a parent")
     if len(roots) > 1:
-        shown = roots if names is None else [names[r] for r in roots]
-        raise TaxonomyError(f"multiple root candidates: {shown}")
-    return Taxonomy(roots[0], parent_of, names)
+        raise TaxonomyError(f"multiple root candidates: {roots}")
+    return Taxonomy(roots[0], parent_of)
 
 
 def serialize_taxonomy(tax: Taxonomy) -> str:
@@ -382,5 +343,4 @@ def serialize_taxonomy(tax: Taxonomy) -> str:
     edges = sorted((p, c) for c, p in tax._parent.items())
     if not edges:
         return ""
-    lines = [f"{tax.name_of(p)} {tax.name_of(c)}" for p, c in edges]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{p} {c}\n" for p, c in edges)

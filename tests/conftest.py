@@ -1,15 +1,14 @@
 r"""Shared fixtures.
 
-The letter tree used throughout:
+The letter tree used throughout, with its node ids:
 
-        A
-       / \
-      B   C
-     /|\  /|\
-    3 4 5 6 7 8
+            A=6
+          /     \
+       B=7       C=8
+      / | \     / | \
+   3=0 4=1 5=2 6=3 7=4 8=5
 
-Parsed from a name-table edge list, so ids follow sorted token order:
-"3".."8" -> 0..5, "A" -> 6 (root), "B" -> 7, "C" -> 8.
+``letter_ids`` maps each letter to its id.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import SimilarPairSet
 from taxrewire.taxonomy import parse_taxonomy
 
-LETTER_EDGES = "A B\nA C\nB 3\nB 4\nB 5\nC 6\nC 7\nC 8\n"
+LETTER_EDGES = "6 7\n6 8\n7 0\n7 1\n7 2\n8 3\n8 4\n8 5\n"
 
 
 @pytest.fixture
@@ -29,9 +28,9 @@ def letter_tree():
 
 
 @pytest.fixture
-def letter_ids(letter_tree):
+def letter_ids():
     """name -> id shortcut for readable rewiring tests."""
-    return {name: letter_tree.id_of(name) for name in "345678ABC"}
+    return {"3": 0, "4": 1, "5": 2, "6": 3, "7": 4, "8": 5, "A": 6, "B": 7, "C": 8}
 
 
 def pair_set(*pairs: tuple[int, int], tau: float = 0.5) -> SimilarPairSet:

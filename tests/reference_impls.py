@@ -227,13 +227,12 @@ def oracle_hier_f1(pairs, tax: Taxonomy) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def random_taxonomy(rng: np.random.Generator, n_nodes: int, names: bool = False) -> Taxonomy:
+def random_taxonomy(rng: np.random.Generator, n_nodes: int) -> Taxonomy:
     """Random rooted tree on ids 0..n_nodes-1 (0 is the root); test fodder."""
     if n_nodes < 1:
         raise BenchError("need at least one node")
     parent_of = {v: int(rng.integers(0, v)) for v in range(1, n_nodes)}
-    table = {v: f"n{v}" for v in range(n_nodes)} if names else None
-    return Taxonomy(0, parent_of, table)
+    return Taxonomy(0, parent_of)
 
 
 def random_pair_set(

@@ -757,6 +757,57 @@ class TestExitCodes:
         )
         assert not (tmp_path / "t").exists()
 
+    # A hierarchy token is an id the data labels could use; anything else
+    # fails the first stage that reads the hierarchy, naming the line.
+    @pytest.mark.parametrize("token", ["root", "01", "-1", "\u00b2", "9223372036854775808"],
+                             ids=["name", "leading-zero", "minus", "superscript-two", "2^63"])
+    @pytest.mark.parametrize("command", [["similarity"], ["train", "--C", "1"]],
+                             ids=["similarity", "train"])
+    def test_hierarchy_token_not_an_id(self, tmp_path, capsys, command, token):
+        tax = tmp_path / "h.edges"
+        tax.write_text(f"0 1\n0 {token}\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:1.0\n1 2:1.0\n")
+        assert run(*command, "--data", data, "--hierarchy", tax,
+                   "--out", tmp_path / "o", "--no-tfidf") == 4
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_train_data_label_not_a_leaf(self, tmp_path, capsys):
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:1.0\n2 2:1.0\n")
+        preds = tmp_path / "p.txt"
+        preds.write_text("0 1\n1 2\n")
+        train = tmp_path / "train.txt"
+        train.write_text("1 1:1.0\n99 2:1.0\n")
+        assert run("evaluate", "--predictions", preds, "--data", data, "--hierarchy", tax,
+                   "--train-data", train, "--out", tmp_path / "e") == 6
+        err = capsys.readouterr().err
+        assert "1 training labels are not leaves of the hierarchy: [99]" in err
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("method", ["td-lr", "flat"])
+    def test_model_for_a_node_not_in_the_tree(self, pipeline, tmp_path, capsys, method):
+        b, r = pipeline["bench"], pipeline["rewire"]
+        model = pipeline["train"] / "model.txt"
+        if method == "flat":
+            assert run("train", "--data", b / "data.txt", "--hierarchy", r / "modified.edges",
+                       "--out", tmp_path / "t", "--method", "flat", "--C", "10",
+                       "--no-tfidf") == 0
+            model = tmp_path / "t" / "model.txt"
+        extra = tmp_path / "model.txt"
+        extra.write_text(model.read_text() + "999\n")
+        capsys.readouterr()
+        assert run("predict", "--model", extra, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert capsys.readouterr().err == (
+            f"error: model set has a model for node 999, which {method} prediction over the"
+            " hierarchy never uses\n"
+        )
+        assert not (tmp_path / "p").exists()
+
     def test_fingerprint_mismatch(self, pipeline, tmp_path):
         b, t = pipeline["bench"], pipeline["train"]
         assert run(

@@ -296,6 +296,15 @@ class TestPrediction:
             with pytest.raises(LearnerError, match="no model for node 8"):
                 predict_dataset(ms, data.subset(rows), letter_tree)
 
+    # 7 is an internal node, which a flat model set has no use for.
+    @pytest.mark.parametrize("mode,node", [("td-lr", 999), ("flat", 999), ("flat", 7)])
+    def test_model_for_a_node_outside_the_descended_tree_rejected(self, letter_tree, mode, node):
+        ms = zero_model_set(letter_tree, mode, 6)
+        ms.models[node] = NodeModel(node, np.zeros(6))
+        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
+        with pytest.raises(LearnerError, match=f"a model for node {node}, which {mode} pre"):
+            predict_dataset(ms, data, letter_tree)
+
     def test_empty_flat_model_set_rejected(self):
         tax = parse_taxonomy("0 1\n0 2\n")
         ms = ModelSet("flat", tax.fingerprint(), 2, 1.0, {})

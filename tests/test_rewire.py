@@ -102,7 +102,12 @@ class TestElementaryOps:
         assert out.parent(9) == i["A"]
         assert out.parent(i["3"]) == 9 and out.parent(i["6"]) == 9
         assert sorted(out.children(9)) == sorted([i["3"], i["6"]])
-        assert out.name_of(9) == "new9"
+
+    def test_node_create_never_takes_an_id_above_int64(self):
+        top = 2**63 - 1
+        tax = parse_taxonomy(f"0 1\n0 2\n1 3\n1 4\n1 5\n2 6\n2 7\n2 {top}\n")
+        with pytest.raises(TaxonomyError, match="below 2\\^63, got 9223372036854775808"):
+            rewire_hierarchy(tax, pair_set((3, top)))
 
     def test_node_create_rejects_same_parent_or_internal(self, letter_tree, letter_ids):
         i = letter_ids
@@ -229,7 +234,7 @@ class TestFullPass:
 
     def test_input_tree_never_mutated(self, letter_tree, letter_ids):
         i = letter_ids
-        before = parse_taxonomy("A B\nA C\nB 3\nB 4\nB 5\nC 6\nC 7\nC 8\n")
+        before = parse_taxonomy("6 7\n6 8\n7 0\n7 1\n7 2\n8 3\n8 4\n8 5\n")
         rewire_hierarchy(letter_tree, pair_set((i["3"], i["6"])))
         assert letter_tree == before
 
@@ -347,12 +352,11 @@ class TestUntrustedReplay:
         assert letter_tree == parse_taxonomy(LETTER_EDGES)
 
 
-@pytest.mark.parametrize("names", [False, True])
-def test_sweep_and_collapse_match_round_by_round_reference(names):
+def test_sweep_and_collapse_match_round_by_round_reference():
     """One-pass sweep and collapse against the round-by-round loops."""
-    rng = np.random.default_rng(7 + names)
+    rng = np.random.default_rng(7)
     for _ in range(250):
-        tax = random_taxonomy(rng, int(rng.integers(1, 40)), names=names)
+        tax = random_taxonomy(rng, int(rng.integers(1, 40)))
         leaves = sorted(tax.leaves)
         keep = [leaf for leaf in leaves if rng.random() < 0.6]
 

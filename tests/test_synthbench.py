@@ -190,10 +190,6 @@ class TestRandomFodder:
             tax.validate()
             assert tax.root == 0
 
-    def test_random_taxonomy_names(self):
-        tax = random_taxonomy(np.random.default_rng(0), 4, names=True)
-        assert tax.name_of(0) == "n0"
-
     def test_random_pair_set_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

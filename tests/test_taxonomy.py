@@ -10,7 +10,6 @@ from taxrewire.taxonomy import (
     serialize_taxonomy,
 )
 
-from conftest import LETTER_EDGES
 from reference_impls import oracle_lca, random_taxonomy
 
 
@@ -19,27 +18,31 @@ class TestParsing:
         tax = parse_taxonomy("0 1\n0 2\n2 3\n")
         assert tax.root == 0
         assert tax.nodes == [0, 1, 2, 3]
-        assert tax.names is None
         assert tax.parent(3) == 2
-
-    def test_name_table_ids_follow_sorted_token_order(self, letter_tree):
-        # sorted tokens: 3 4 5 6 7 8 A B C -> ids 0..8
-        assert letter_tree.id_of("A") == 6
-        assert letter_tree.id_of("B") == 7
-        assert letter_tree.id_of("3") == 0
-        assert letter_tree.id_of("8") == 5
-        assert letter_tree.root == 6
-        assert letter_tree.name_of(7) == "B"
 
     def test_comments_and_blank_lines_skipped(self):
         tax = parse_taxonomy("# a comment\n\n0 1\n  \n0 2\n")
         assert tax.nodes == [0, 1, 2]
 
-    def test_mixed_tokens_force_name_mode(self):
-        # "01" is not canonical decimal, so everything gets table ids.
-        tax = parse_taxonomy("root 01\nroot 1\n")
-        assert tax.names is not None
-        assert tax.id_of("01") != tax.id_of("1")
+    def test_a_name_token_is_rejected(self):
+        # A token that is not an id fails; no table renumbers the tree.
+        with pytest.raises(TaxonomyError, match="line 1: node 'root' is not a decimal"):
+            parse_taxonomy("root 01\nroot 1\n")
+
+    @pytest.mark.parametrize(
+        "token",
+        ["root", "01", "+1", "-1", "\u00b2", "\u0661", "9223372036854775808", "9" * 5000],
+        ids=["name", "leading-zero", "plus", "minus", "superscript-two", "arabic-indic-one",
+             "2^63", "5000-digits"],
+    )
+    def test_token_that_is_not_an_id_names_its_line(self, token):
+        with pytest.raises(TaxonomyError, match="^line 3: node"):
+            parse_taxonomy(f"0 1\n# a comment\n1 {token}\n")
+
+    def test_largest_id_accepted(self):
+        tax = parse_taxonomy("0 9223372036854775807\n")
+        assert tax.leaves == frozenset({2**63 - 1})
+        assert serialize_taxonomy(tax) == "0 9223372036854775807\n"
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -66,6 +69,13 @@ class TestValidation:
     def test_negative_id_rejected(self):
         with pytest.raises(TaxonomyError, match="non-negative"):
             Taxonomy(0, {-1: 0})
+
+    def test_id_above_int64_rejected(self):
+        with pytest.raises(TaxonomyError, match="below 2\\^63, got 9223372036854775808"):
+            Taxonomy(0, {2**63: 0})
+        top = Taxonomy(0, {2**63 - 1: 0})
+        with pytest.raises(TaxonomyError, match="below 2\\^63, got 9223372036854775808"):
+            top.add_node(0)
 
     def test_bool_id_rejected(self):
         with pytest.raises(TaxonomyError):
@@ -127,13 +137,6 @@ class TestQueries:
         with pytest.raises(TaxonomyError, match="no parent"):
             letter_tree.parent(letter_tree.root)
 
-    def test_id_of_errors(self, letter_tree):
-        with pytest.raises(TaxonomyError, match="unknown node name"):
-            letter_tree.id_of("Z")
-        numeric = parse_taxonomy("0 1\n")
-        with pytest.raises(TaxonomyError, match="no name table"):
-            numeric.id_of("0")
-
 
 class TestEdits:
     def test_add_node_defaults_to_max_plus_one(self, letter_tree, letter_ids):
@@ -141,8 +144,6 @@ class TestEdits:
         assert nid == 9
         assert out.parent(9) == letter_ids["B"]
         assert out.is_leaf(9)
-        # fresh name registered for name-table trees
-        assert out.name_of(9) == "new9"
         assert 9 not in letter_tree  # original untouched
 
     def test_add_node_id_clash(self, letter_tree):
@@ -181,13 +182,6 @@ class TestSerialization:
         tax = parse_taxonomy(text)
         assert serialize_taxonomy(tax) == text
 
-    def test_round_trip_names(self, letter_tree):
-        text = serialize_taxonomy(letter_tree)
-        again = parse_taxonomy(text)
-        assert again == letter_tree
-        # edges sorted by (parent, child) ids
-        assert text == LETTER_EDGES
-
     def test_single_node_serializes_empty(self):
         assert serialize_taxonomy(Taxonomy(0, {})) == ""
 
@@ -198,11 +192,6 @@ class TestSerialization:
 
 
 class TestFingerprint:
-    def test_name_table_does_not_matter(self):
-        numeric = parse_taxonomy("6 7\n6 8\n7 0\n7 1\n7 2\n8 3\n8 4\n8 5\n")
-        lettered = parse_taxonomy(LETTER_EDGES)
-        assert numeric.fingerprint() == lettered.fingerprint()
-
     def test_edge_order_does_not_matter(self):
         a = parse_taxonomy("0 1\n0 2\n")
         b = parse_taxonomy("0 2\n0 1\n")

@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse as sp
 
+from .taxonomy import records
+
 
 class DatasetFormatError(ValueError):
     """Raised for malformed dataset text or inconsistent construction."""
@@ -311,16 +313,6 @@ def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
     return " ".join([str(label), *(f"{i}:{x!r}" for i, x in entries)])
 
 
-def _records(text: str) -> Iterator[tuple[int, str]]:
-    """``(lineno, line)`` of the stripped lines of a dataset text that are
-    neither blank nor ``#`` comments."""
-    return (
-        (lineno, stripped)
-        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
-        if stripped and not stripped.startswith("#")
-    )
-
-
 def parse_labels(text: str) -> list[int]:
     """The labels of the lines :func:`parse_dataset` reads, in order.
 
@@ -329,7 +321,7 @@ def parse_labels(text: str) -> list[int]:
     int64, is rejected with its line number, as is a text with no line.
     The feature entries are not read, so they are not checked either.
     """
-    labels = [parse_row(lineno, line.split(None, 1)[0])[0] for lineno, line in _records(text)]
+    labels = [parse_row(lineno, line.split(None, 1)[0])[0] for lineno, line in records(text)]
     if not labels:
         raise DatasetFormatError("dataset is empty")
     return labels
@@ -343,7 +335,7 @@ def parse_dataset(text: str) -> Dataset:
     Stored zeros are dropped on input so the no-zero invariant holds for
     data regardless of origin.
     """
-    labels, indptr, cols, vals = parse_rows(_records(text))
+    labels, indptr, cols, vals = parse_rows(records(text))
     if not labels:
         raise DatasetFormatError("dataset is empty")
     # Wide enough for every index read; the width shrinks to the nonzero ones.
@@ -384,24 +376,19 @@ def parse_idf(text: str) -> dict[int, float]:
     indices are rejected with their line number.
     """
     out: dict[int, float] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    for lineno, line in records(text):
         try:
-            if len(parts) != 2:
-                raise ValueError
-            index, weight = int(parts[0]), float(parts[1])
+            index_text, weight_text = line.split()
+            index, weight = int(index_text), float(weight_text)
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: expected 'index idf'") from None
         if not math.isfinite(weight):
-            raise DatasetFormatError(f"line {lineno}: non-finite idf {parts[1]!r}")
+            raise DatasetFormatError(f"line {lineno}: non-finite idf {weight_text!r}")
         if index < 1:
             raise DatasetFormatError(f"line {lineno}: idf index must be at least 1, got {index}")
         if index > _INT64_MAX:
             raise DatasetFormatError(
-                f"line {lineno}: idf index {parts[0]!r} is out of the int64 range"
+                f"line {lineno}: idf index {index_text!r} is out of the int64 range"
             )
         if index in out:
             raise DatasetFormatError(f"line {lineno}: idf index {index} is listed twice")

@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .corpus import MAX_WIDTH, Dataset
 from .solver import minimize_lbfgs
-from .taxonomy import Taxonomy
+from .taxonomy import Taxonomy, parse_id, records
 
 DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -82,14 +82,11 @@ class ModelSet:
 def parse_costs(text: str) -> np.ndarray:
     """Per-instance positive weights, one per line; blank/# lines skipped."""
     vals = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in records(text):
         try:
-            v = float(stripped)
+            v = float(line)
         except ValueError:
-            raise LearnerError(f"line {lineno}: non-numeric cost {stripped!r}") from None
+            raise LearnerError(f"line {lineno}: non-numeric cost {line!r}") from None
         if not (v > 0.0 and math.isfinite(v)):
             raise LearnerError(f"line {lineno}: costs must be positive and finite")
         vals.append(v)
@@ -474,11 +471,11 @@ def parse_model_set(text: str) -> ModelSet:
 
     Unknown headers are ignored.  Loaded models carry no objective value
     (it is not part of the format) and are marked converged.  A model
-    line that breaks the format, or one in the older ``idx:weight`` text
-    form, raises :class:`LearnerError` naming its line.
+    line that breaks the format, one in the older ``idx:weight`` text form,
+    or one whose node is not a node id raises :class:`LearnerError` naming it.
     """
     headers: dict[str, str] = {}
-    records: list[tuple[int, str]] = []
+    body: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped:
@@ -487,7 +484,7 @@ def parse_model_set(text: str) -> ModelSet:
             key, _, value = stripped[1:].partition(" ")
             headers[key] = value
             continue
-        records.append((lineno, stripped))
+        body.append((lineno, stripped))
     for required in ("mode", "fingerprint", "dimensionality", "C"):
         if required not in headers:
             raise LearnerError(f"model file is missing the {required!r} header")
@@ -510,16 +507,11 @@ def parse_model_set(text: str) -> ModelSet:
         raise LearnerError(f"C must be finite and positive, got the C header {c_text!r}")
 
     models: dict[int, NodeModel] = {}
-    for lineno, record in records:
+    for lineno, record in body:
         if ":" in record:
             raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
         node_text, *codes = record.split()
-        try:
-            node = int(node_text)
-        except ValueError:
-            raise LearnerError(f"line {lineno}: non-numeric node id {node_text!r}") from None
-        if not -(2**63) <= node < 2**63:
-            raise LearnerError(f"line {lineno}: node id {node_text!r} is out of the int64 range")
+        node = parse_id(node_text, lineno, LearnerError)
         if len(codes) not in (0, 2):
             raise LearnerError(f"line {lineno}: expected 'node indices weights', "
                                f"got {len(codes) + 1} tokens")

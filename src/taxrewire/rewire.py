@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .simgraph import SimilarPairSet
-from .taxonomy import Taxonomy
+from .taxonomy import _MAX_ID, Taxonomy, _check_id
 
 
 class RewireError(ValueError):
@@ -112,8 +112,17 @@ class RewireLog:
                 if cls is None:
                     raise ValueError(f"unknown op {kind!r}")
                 if cls in (CreateOp, MoveOp):
-                    record["pair"] = tuple(record["pair"])
-                ops.append(cls(**record))
+                    first, second = record["pair"]
+                    record["pair"] = (first, second)
+                op = cls(**record)
+                # Node fields hold node ids (True is not node 1), iteration a positive int.
+                for key, value in vars(op).items():
+                    if key != "iteration":
+                        for node in value if key == "pair" else (value,):
+                            _check_id(node, f"{key}: ")
+                    elif type(value) is not int or value < 1:
+                        raise ValueError(f"iteration must be a positive integer, got {value!r}")
+                ops.append(op)
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise RewireError(f"log line {lineno}: {exc}") from None
         return RewireLog(ops)
@@ -246,6 +255,8 @@ def rewire_hierarchy(
         elif all((j, second) in pairs for j in work.children(parent_first) if j in class_leaves):
             op = MoveOp(iteration, (first, second), second, parent_second, parent_first)
         else:
+            if next_id > _MAX_ID:
+                raise RewireError(f"pair ({first}, {second}): no node id is left for a new parent")
             op = CreateOp(iteration, (first, second), work.lca(first, second), next_id)
             next_id += 1
         _apply(work, op)

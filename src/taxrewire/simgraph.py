@@ -27,6 +27,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .corpus import Dataset, SparseVector
+from .taxonomy import parse_id
 
 
 class SimilarityError(ValueError):
@@ -302,8 +303,9 @@ def serialize_pair_set(pair_set: SimilarPairSet) -> str:
 def parse_pair_set(text: str) -> SimilarPairSet:
     """Inverse of :func:`serialize_pair_set`.
 
-    Each pair line names two distinct classes, in either order, and a
-    finite score in [-1, 1]; no pair may be listed twice.  Errors name
+    Each pair line names two distinct classes by their node ids (see
+    :func:`~taxrewire.taxonomy.parse_id`), in either order, and a finite
+    score in [-1, 1]; no pair may be listed twice.  Errors name
     the line.  Without a ``# tau`` header the last score is the threshold.
     """
     tau: float | None = None
@@ -326,16 +328,18 @@ def parse_pair_set(text: str) -> SimilarPairSet:
         parts = stripped.split()
         if len(parts) != 3:
             raise SimilarityError(f"line {lineno}: expected 'a b score', got {stripped!r}")
+        a = parse_id(parts[0], lineno, SimilarityError)
+        b = parse_id(parts[1], lineno, SimilarityError)
         try:
-            a, b, s = int(parts[0]), int(parts[1]), float(parts[2])
-            lo.append(a if a < b else b)
-            hi.append(b if a < b else a)
-        except (ValueError, OverflowError):
+            s = float(parts[2])
+        except ValueError:
             raise SimilarityError(f"line {lineno}: malformed pair line {stripped!r}") from None
         if a == b:
             raise SimilarityError(f"line {lineno}: pair ({a}, {b}) names one class twice")
         if not -1.0 <= s <= 1.0:
             raise SimilarityError(f"line {lineno}: cosine score out of range: {parts[2]}")
+        lo.append(a if a < b else b)
+        hi.append(b if a < b else a)
         linenos.append(lineno)
         score.append(s)
     if not score:

@@ -7,6 +7,10 @@ spells them in decimal: the ids of its leaves are the labels of the data.
 Children lists are kept sorted ascending so that every traversal of the
 tree is deterministic.
 
+Every file that names nodes (hierarchy, pairs, models, predictions) reads
+them with :func:`parse_id`, and every reader skips blank and ``#`` lines
+with :func:`records`; this module imports neither numpy nor scipy.
+
 The editing helpers (:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`,
 :meth:`Taxonomy.remove_childless`) return an edited copy and never touch
 the receiver.  An edit checks only the invariants it can break; code that
@@ -289,35 +293,43 @@ def _check_id(node: object, where: str = "") -> None:
         )
 
 
-def _parse_id(token: str, lineno: int) -> int:
-    """The node id that ``token`` spells in ASCII decimal with no leading zero."""
+def parse_id(token: str, lineno: int, error: type[ValueError] = TaxonomyError) -> int:
+    """The id ``token`` spells in ASCII decimal with no sign and no leading zero.
+
+    Any other token, or one above 2^63 - 1, raises ``error`` (each file's
+    own exit code) naming ``lineno``; the message cuts a long token.
+    """
+    digits = token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
     # The length check comes before int(), which refuses over 4,300 digits.
-    if not (token.isascii() and token.isdigit() and len(token) <= 19
-            and (token == "0" or token[0] != "0")):
-        raise TaxonomyError(f"line {lineno}: node {token!r} is not a decimal integer id")
-    node = int(token)
-    _check_id(node, f"line {lineno}: ")
-    return node
+    if digits and len(token) <= 19 and (node := int(token)) <= _MAX_ID:
+        return node
+    shown = token if len(token) <= 20 else token[:17] + "..."
+    what = "is above 2^63 - 1" if digits else "is not a decimal integer id"
+    raise error(f"line {lineno}: node {shown!r} {what}")
+
+
+def records(text: str) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` of the stripped lines of ``text`` that are not blank or ``#``."""
+    return (
+        (lineno, stripped)
+        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
+        if stripped and not stripped.startswith("#")
+    )
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
     """Parse an edge list with one ``parent child`` pair of node ids per line.
 
     Blank lines and lines starting with ``#`` are skipped.  A token that
-    is not a node id (see :func:`_parse_id`) raises :class:`TaxonomyError`
+    is not a node id (see :func:`parse_id`) raises :class:`TaxonomyError`
     naming its line.
     """
     parent_of: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
+    for lineno, line in records(text):
+        parts = line.split()
         if len(parts) != 2:
-            raise TaxonomyError(
-                f"line {lineno}: expected 'parent child', got {stripped!r}"
-            )
-        parent, child = (_parse_id(t, lineno) for t in parts)
+            raise TaxonomyError(f"line {lineno}: expected 'parent child', got {line!r}")
+        parent, child = parse_id(parts[0], lineno), parse_id(parts[1], lineno)
         if parent == child:
             raise TaxonomyError(f"line {lineno}: self-loop on node {parent}")
         if child in parent_of:

@@ -600,7 +600,7 @@ class TestExitCodes:
         (lambda n, i, w: node_line(n, i, np.append(w[1:], -math.inf)),
          "line {at}: non-finite weight"),
         (lambda n, i, w: node_line("99999999999999999999", i, w),
-         "line {at}: node id '99999999999999999999' is out of the int64 range"),
+         "line {at}: node '99999999999999999999' is above 2^63 - 1"),
         (lambda n, i, w: node_line(n, i, w) + "\n" + node_line(n, i, w),
          "line {next}: duplicate model for node"),
         (lambda n, i, w: " ".join([n, *(f"{k}:{x!r}" for k, x in zip(i.tolist(), w.tolist()))]),
@@ -1013,3 +1013,96 @@ class TestExitCodes:
             run(*command.split(), "--data", "d", "--hierarchy", "h", "--out", "o", *flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}\n" in capsys.readouterr().err
+
+
+TOP = 2**63 - 1
+
+# Tokens that are not node ids, with the end of the message that names them.
+BAD_IDS = [
+    ("1_0", "'1_0' is not a decimal integer id"),
+    ("+4", "'+4' is not a decimal integer id"),
+    ("-1", "'-1' is not a decimal integer id"),
+    ("03", "'03' is not a decimal integer id"),
+    ("٣", "'٣' is not a decimal integer id"),
+    ("²", "'²' is not a decimal integer id"),
+    (str(2**63), "'9223372036854775808' is above 2^63 - 1"),
+    ("9" * 5000, "'99999999999999999...' is above 2^63 - 1"),
+]
+BAD_ID_NAMES = ["underscore", "plus", "minus", "leading-zero", "arabic-indic-three",
+                "superscript-two", "2^63", "5000-digits"]
+
+
+class TestNodeIds:
+    """The pair list, the model file and the predictions name nodes by the
+    hierarchy's id rule; a token that breaks it fails with the file's exit
+    code, naming its line, and no --out is written."""
+
+    @pytest.mark.parametrize("token,what", BAD_IDS, ids=BAD_ID_NAMES)
+    def test_pair_list(self, pipeline, tmp_path, capsys, token, what):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# tau 0.5\n4 5 0.95\n4 {token} 0.9\n")
+        assert run("rewire", "--hierarchy", pipeline["bench"] / "corrupted.edges",
+                   "--pairs", pairs, "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == f"error: line 3: node {what}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("token,what", BAD_IDS, ids=BAD_ID_NAMES)
+    def test_model_node(self, pipeline, tmp_path, capsys, token, what):
+        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[at] = f"{token} {lines[at].split(' ', 1)[1]}"
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", model, "--data", pipeline["bench"] / "data.txt",
+                   "--hierarchy", pipeline["rewire"] / "modified.edges",
+                   "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == f"error: line {at + 1}: node {what}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("column", ["index", "label"])
+    @pytest.mark.parametrize("token,what", BAD_IDS, ids=BAD_ID_NAMES)
+    def test_prediction(self, pipeline, tmp_path, capsys, token, what, column):
+        lines = (pipeline["predict"] / "predictions.txt").read_text().splitlines()
+        index, label = lines[1].split()
+        lines[1] = f"{token} {label}" if column == "index" else f"{index} {token}"
+        preds = tmp_path / "predictions.txt"
+        preds.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--predictions", preds, "--data", pipeline["bench"] / "data.txt",
+                   "--hierarchy", pipeline["rewire"] / "modified.edges",
+                   "--out", tmp_path / "o") == 4
+        assert capsys.readouterr().err == f"error: line 2: node {what}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_id_in_every_file(self, tmp_path):
+        # Leaf 2^63 - 1 goes through rewire, train, predict and evaluate.
+        tax = tmp_path / "h.edges"
+        tax.write_text(f"0 1\n0 2\n1 3\n2 {TOP}\n")
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# tau 0.5\n3 {TOP} 0.9\n")
+        assert run("rewire", "--hierarchy", tax, "--pairs", pairs, "--out", tmp_path / "r") == 0
+        modified = parse_taxonomy((tmp_path / "r" / "modified.edges").read_text())
+        assert modified == parse_taxonomy(f"0 2\n2 3\n2 {TOP}\n")
+        data = tmp_path / "d.txt"
+        data.write_text(f"3 1:1.0\n3 1:0.9 2:0.1\n{TOP} 2:1.0\n{TOP} 1:0.1 2:0.9\n")
+        t, p = tmp_path / "t", tmp_path / "p"
+        assert run("train", "--data", data, "--hierarchy", tax, "--out", t,
+                   "--C", "10", "--no-tfidf") == 0
+        assert f"\n{TOP} " in (t / "model.txt").read_text()
+        assert run("predict", "--model", t / "model.txt", "--data", data,
+                   "--hierarchy", tax, "--out", p) == 0
+        assert (p / "predictions.txt").read_text() == f"0 3\n1 3\n2 {TOP}\n3 {TOP}\n"
+        assert run("evaluate", "--predictions", p / "predictions.txt", "--data", data,
+                   "--hierarchy", tax, "--out", tmp_path / "e") == 0
+        assert json.loads((tmp_path / "e" / "metrics.json").read_text())["micro_f1"] == 1.0
+
+    def test_rewire_create_beyond_the_largest_id(self, tmp_path, capsys):
+        # A created node takes max(ids) + 1, which here is 2^63: the pair is
+        # an input error (exit 6), not a malformed hierarchy.
+        tax = tmp_path / "h.edges"
+        tax.write_text(f"0 1\n0 2\n1 3\n1 4\n1 5\n2 6\n2 7\n2 {TOP}\n")
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# tau 0.5\n3 {TOP} 0.9\n")
+        assert run("rewire", "--hierarchy", tax, "--pairs", pairs, "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == (
+            f"error: pair (3, {TOP}): no node id is left for a new parent\n")
+        assert not (tmp_path / "o").exists()

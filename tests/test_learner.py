@@ -594,9 +594,9 @@ class TestSerialization:
              "line 5: an old 'idx:weight' model line; retrain the model"),
             (HEAD + "0 1:0.5\n", "line 5: an old 'idx:weight' model line"),
             (HEAD + "x " + model_line(0, [1], [0.5]).split(" ", 1)[1],
-             "line 5: non-numeric node id 'x'"),
+             "line 5: node 'x' is not a decimal integer id"),
             (HEAD + "9223372036854775808 " + model_line(0, [1], [0.5]).split(" ", 1)[1],
-             "line 5: node id '9223372036854775808' is out of the int64 range"),
+             "line 5: node '9223372036854775808' is above 2\\^63 - 1"),
             (HEAD + "0 " + b64([1], "<i8") + "\n",
              "line 5: expected 'node indices weights', got 2 tokens"),
             (HEAD + model_line(0, [1], [0.5]).rstrip() + " AAAAAAAAAAA=\n",
@@ -643,7 +643,8 @@ def model_sets(draw) -> ModelSet:
     dim = draw(st.integers(min_value=0, max_value=8))
     weight = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_WEIGHTS),
                        st.floats(allow_nan=False, allow_infinity=False))
-    nodes = draw(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1),
+    # Models are fit on tree nodes, so their ids are node ids.
+    nodes = draw(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
                           max_size=5, unique=True))
     models = {n: NodeModel(n, np.array(draw(st.lists(weight, min_size=dim, max_size=dim)),
                                        dtype=np.float64)) for n in nodes}

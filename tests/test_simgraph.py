@@ -429,6 +429,8 @@ class TestPairSetText:
         with pytest.raises(SimilarityError, match="empty"):
             parse_pair_set("# tau 0.5\n")
         with pytest.raises(SimilarityError, match="line 2: malformed pair line"):
+            parse_pair_set("1 2 0.9\n1 3 x\n")
+        with pytest.raises(SimilarityError, match="line 2: node '9223372036854775808' is above"):
             parse_pair_set(f"1 2 0.9\n1 {2 ** 63} 0.5\n")
 
     @pytest.mark.parametrize("text,msg", [

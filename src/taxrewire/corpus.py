@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from scipy import sparse as sp
 
-from .taxonomy import records
+from .taxonomy import parse_id, records
 
 
 class DatasetFormatError(ValueError):
@@ -372,24 +372,23 @@ def serialize_idf(idf: dict[int, float]) -> str:
 def parse_idf(text: str) -> dict[int, float]:
     """Inverse of :func:`serialize_idf`.
 
-    Non-finite weights, indices below 1 or outside int64 and repeated
-    indices are rejected with their line number.
+    An index is spelled by the node-id rule of
+    :func:`~taxrewire.taxonomy.parse_id` and must be at least 1.
+    Non-finite weights, other indices and repeated indices are rejected
+    with their line number.
     """
     out: dict[int, float] = {}
     for lineno, line in records(text):
         try:
             index_text, weight_text = line.split()
-            index, weight = int(index_text), float(weight_text)
+            weight = float(weight_text)
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: expected 'index idf'") from None
+        index = parse_id(index_text, lineno, DatasetFormatError)
         if not math.isfinite(weight):
             raise DatasetFormatError(f"line {lineno}: non-finite idf {weight_text!r}")
         if index < 1:
             raise DatasetFormatError(f"line {lineno}: idf index must be at least 1, got {index}")
-        if index > _INT64_MAX:
-            raise DatasetFormatError(
-                f"line {lineno}: idf index {index_text!r} is out of the int64 range"
-            )
         if index in out:
             raise DatasetFormatError(f"line {lineno}: idf index {index} is listed twice")
         out[index] = weight

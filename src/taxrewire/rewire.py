@@ -77,6 +77,25 @@ _OP_NAMES = {
 }
 _OP_TYPES = {name: cls for cls, name in _OP_NAMES.items()}
 
+# The line json.dumps({"op": name, **fields}, sort_keys=True) gives for each
+# op type: keys in sorted order, ", " and ": " separators.  Every field is
+# an int node id or iteration, whose decimal text is its JSON.
+_JSONL_LINE = {
+    CreateOp: lambda op: (
+        f'{{"iteration": {op.iteration}, "new_node": {op.new_node}, "op": "node_create", '
+        f'"pair": [{op.pair[0]}, {op.pair[1]}], "parent": {op.parent}}}\n'
+    ),
+    MoveOp: lambda op: (
+        f'{{"iteration": {op.iteration}, "leaf": {op.leaf}, "new_parent": {op.new_parent}, '
+        f'"old_parent": {op.old_parent}, "op": "pc_rewire", '
+        f'"pair": [{op.pair[0]}, {op.pair[1]}]}}\n'
+    ),
+    DeleteOp: lambda op: f'{{"node": {op.node}, "op": "node_delete", "parent": {op.parent}}}\n',
+    CollapseOp: lambda op: (
+        f'{{"child": {op.child}, "node": {op.node}, "op": "collapse", "parent": {op.parent}}}\n'
+    ),
+}
+
 
 @dataclass
 class RewireLog:
@@ -91,13 +110,8 @@ class RewireLog:
         return out
 
     def to_jsonl(self) -> str:
-        lines = []
-        for op in self.ops:
-            record = {"op": _OP_NAMES[type(op)]}
-            for key, value in vars(op).items():
-                record[key] = list(value) if isinstance(value, tuple) else value
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One JSON object per op and line, as ``json.dumps(record, sort_keys=True)`` writes it."""
+        return "".join(_JSONL_LINE[type(op)](op) for op in self.ops)
 
     @staticmethod
     def from_jsonl(text: str) -> "RewireLog":

@@ -8,6 +8,8 @@ through.
 """
 
 import csv
+import dataclasses
+import json
 import math
 from array import array
 from collections import Counter
@@ -191,6 +193,24 @@ def round_by_round_collapse(tax):
         child, parent = tax.children(node)[0], tax.parent(node)
         ops.append((node, child, parent))
         tax = tax.reparent(child, parent).remove_childless(node)
+
+
+def json_dumps_log(ops):
+    """Rewire log text: ``json.dumps(record, sort_keys=True)`` of each op, one per line.
+
+    The record is the op's name plus its dataclass fields, a tuple field
+    as a JSON list.
+    """
+    names = {"CreateOp": "node_create", "MoveOp": "pc_rewire",
+             "DeleteOp": "node_delete", "CollapseOp": "collapse"}
+    lines = []
+    for op in ops:
+        record = {"op": names[type(op).__name__]}
+        for field in dataclasses.fields(op):
+            value = getattr(op, field.name)
+            record[field.name] = list(value) if isinstance(value, tuple) else value
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 def oracle_lca(tax: Taxonomy, a: int, b: int) -> int:

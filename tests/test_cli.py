@@ -669,8 +669,8 @@ class TestExitCodes:
         idf.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
                    "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "p") == 4
-        assert capsys.readouterr().err == (f"error: line {len(lines)}: idf index"
-                                           " '99999999999999999999' is out of the int64 range\n")
+        assert capsys.readouterr().err == (f"error: line {len(lines)}: node"
+                                           " '99999999999999999999' is above 2^63 - 1\n")
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("command,flags", [
@@ -1070,6 +1070,24 @@ class TestNodeIds:
         assert run("evaluate", "--predictions", preds, "--data", pipeline["bench"] / "data.txt",
                    "--hierarchy", pipeline["rewire"] / "modified.edges",
                    "--out", tmp_path / "o") == 4
+        assert capsys.readouterr().err == f"error: line 2: node {what}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("token,what", BAD_IDS, ids=BAD_ID_NAMES)
+    def test_idf_index(self, tmp_path, capsys, token, what):
+        # The idf table is a dataset-side file: a bad index is exit 4.
+        tax = tmp_path / "h.edges"
+        tax.write_text("0 1\n0 2\n")
+        data = tmp_path / "d.txt"
+        data.write_text("1 1:2.0 3:1.0\n1 1:3.0 3:2.0\n2 2:2.0 3:1.0\n2 2:1.0 3:3.0\n")
+        assert run("train", "--data", data, "--hierarchy", tax, "--out", tmp_path / "t",
+                   "--method", "flat", "--C", "5") == 0
+        lines = (tmp_path / "t" / "idf.txt").read_text().splitlines()
+        lines[1] = f"{token} {lines[1].split()[1]}"
+        idf = tmp_path / "idf.txt"
+        idf.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
+                   "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "o") == 4
         assert capsys.readouterr().err == f"error: line 2: node {what}\n"
         assert not (tmp_path / "o").exists()
 

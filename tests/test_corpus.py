@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -233,16 +234,26 @@ class TestTfidf:
         with pytest.raises(DatasetFormatError, match="line 2: non-finite idf"):
             parse_idf(f"1 0.5\n2 {value}\n")
 
+    # An index is spelled by the node-id rule: int() would read 1_0, +3,
+    # ٣٤ and 010 as 10, 3, 34 and 10.
     @pytest.mark.parametrize("text,msg", [
         ("1 0.5\n0 1.0\n", "line 2: idf index must be at least 1, got 0"),
-        ("# idf\n-3 1.0\n", "line 2: idf index must be at least 1, got -3"),
+        ("# idf\n-3 1.0\n", "line 2: node '-3' is not a decimal integer id"),
         ("1 0.5\n2 0.25\n\n2 0.75\n", "line 4: idf index 2 is listed twice"),
         ("1 0.5\n99999999999999999999 0.5\n",
-         "line 2: idf index '99999999999999999999' is out of the int64 range"),
-    ], ids=["zero", "negative", "repeated", "beyond-int64"])
+         "line 2: node '99999999999999999999' is above 2^63 - 1"),
+        ("1 0.5\n1_0 0.25\n", "line 2: node '1_0' is not a decimal integer id"),
+        ("1 0.5\n+3 0.25\n", "line 2: node '+3' is not a decimal integer id"),
+        ("1 0.5\n٣٤ 0.25\n", "line 2: node '٣٤' is not a decimal integer id"),
+        ("1 0.5\n010 0.25\n", "line 2: node '010' is not a decimal integer id"),
+    ], ids=["zero", "negative", "repeated", "beyond-int64", "underscore", "plus",
+            "arabic-indic", "leading-zero"])
     def test_parse_idf_rejects_bad_index(self, text, msg):
-        with pytest.raises(DatasetFormatError, match=msg):
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(msg)}$"):
             parse_idf(text)
+
+    def test_parse_idf_reads_the_largest_index(self):
+        assert parse_idf(f"1 0.5\n{2**63 - 1} 0.25\n") == {1: 0.5, 2**63 - 1: 0.25}
 
 
 class TestSplit:

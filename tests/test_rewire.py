@@ -20,6 +20,7 @@ from taxrewire.taxonomy import TaxonomyError, parse_taxonomy
 
 from conftest import LETTER_EDGES, pair_set
 from reference_impls import (
+    json_dumps_log,
     random_pair_set,
     random_taxonomy,
     round_by_round_collapse,
@@ -300,6 +301,41 @@ class TestLog:
                 '"old_parent": true, "new_parent": 8}\n')
         with pytest.raises(RewireError, match="^log line 1: old_parent: .*got True$"):
             RewireLog.from_jsonl(line)
+
+    def assert_matches_json_dumps(self, log):
+        text = log.to_jsonl()
+        assert text == json_dumps_log(log.ops)
+        assert RewireLog.from_jsonl(text).ops == log.ops
+
+    def test_jsonl_matches_json_dumps_on_rewire_runs(self):
+        rng = np.random.default_rng(5)
+        kinds = set()
+        for _ in range(30):
+            tax = random_taxonomy(rng, int(rng.integers(2, 40)))
+            _, log = rewire_hierarchy(tax, random_pair_set(rng, tax, max_pairs=60))
+            self.assert_matches_json_dumps(log)
+            kinds.update(type(op) for op in log.ops)
+        assert kinds == {CreateOp, MoveOp, DeleteOp}
+
+    def test_jsonl_matches_json_dumps_on_collapse_chains(self):
+        rng = np.random.default_rng(6)
+        n_ops = 0
+        for _ in range(20):
+            _, ops = collapse_chains(random_taxonomy(rng, int(rng.integers(2, 40))))
+            self.assert_matches_json_dumps(RewireLog(list(ops)))
+            n_ops += len(ops)
+        assert n_ops
+
+    def test_jsonl_matches_json_dumps_up_to_the_largest_id(self):
+        top = 2**63 - 1
+        log = RewireLog([
+            CreateOp(top, (0, top - 1), top - 2, top),
+            MoveOp(top, (top - 1, top), top, 0, top - 2),
+            DeleteOp(top, top - 1),
+            CollapseOp(top, 0, top - 1),
+            CreateOp(1, (0, 1), 0, 2),
+        ])
+        self.assert_matches_json_dumps(log)
 
     def test_empty_log_serializes_empty(self):
         assert RewireLog([]).to_jsonl() == ""

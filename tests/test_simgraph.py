@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     _CURVE_CHUNK_ROWS,
+    _rank_descending,
     ScoreTable,
     SimilarityError,
     SimilarPairSet,
@@ -135,6 +138,69 @@ class TestAllPairs:
         cents = centroid_rows({4: sv(), 7: sv(), 9: sv()})
         assert cents.dimensionality == 0
         assert rows(all_pairs_scores(cents)) == [(4, 7, 0.0), (4, 9, 0.0), (7, 9, 0.0)]
+
+
+def stable_rank(values):
+    return np.argsort(-values, kind="stable")
+
+
+def assert_ranks_like_stable_sort(values):
+    got = _rank_descending(values)
+    want = stable_rank(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+# Ties, both zeros, the clip values and NaN: what a score table can hold.
+TIE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.25, math.nan]
+
+
+class TestRankDescending:
+    """The ranking is exactly numpy's stable argsort of the negated values,
+    whatever order the unstable sort leaves ties in."""
+
+    @pytest.mark.parametrize("values", [
+        [], [0.5], [math.nan], [0.5, 0.5], [0.25, 0.5], [-0.0, 0.0], [0.0, -0.0],
+        [math.nan, 0.5], [math.nan, math.nan], [0.5, math.nan],
+    ])
+    def test_smallest_arrays(self, values):
+        assert_ranks_like_stable_sort(np.array(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n", [3, 17, 1000])
+    def test_seeded_heavy_ties(self, seed, n):
+        rng = np.random.default_rng(seed)
+        assert_ranks_like_stable_sort(rng.choice(TIE_VALUES, size=n))
+        assert_ranks_like_stable_sort(rng.choice(TIE_VALUES[:-1], size=n))
+        assert_ranks_like_stable_sort(np.round(rng.uniform(-1.0, 1.0, size=n), 1))
+
+    @pytest.mark.parametrize("value", TIE_VALUES)
+    def test_all_values_equal(self, value):
+        assert_ranks_like_stable_sort(np.full(1001, value))
+
+    def test_signed_zeros_are_one_tie(self):
+        values = np.array([-0.0, 0.5, 0.0, -0.0, 0.0])
+        np.testing.assert_array_equal(_rank_descending(values), [1, 0, 2, 3, 4])
+
+    def test_nan_ranks_last_in_index_order(self):
+        values = np.array([math.nan, 0.5, math.nan, -1.0, math.nan, 1.0])
+        np.testing.assert_array_equal(_rank_descending(values), [5, 1, 3, 0, 2, 4])
+
+    @pytest.mark.parametrize("tied", [True, False], ids=["tied", "distinct"])
+    def test_large_array(self, tied):
+        rng = np.random.default_rng(7)
+        n = 300_007
+        values = (np.round(rng.uniform(-1.0, 1.0, size=n), 3) if tied
+                  else rng.uniform(-1.0, 1.0, size=n))
+        values[rng.integers(0, n, size=50)] = math.nan
+        values[rng.integers(0, n, size=50)] = -0.0
+        assert_ranks_like_stable_sort(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(TIE_VALUES) | st.floats(min_value=-1.0, max_value=1.0),
+                    max_size=300))
+    def test_matches_stable_sort(self, values):
+        assert_ranks_like_stable_sort(np.array(values, dtype=np.float64))
 
 
 class TestMatchesPerPairScorer:

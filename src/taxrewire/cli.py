@@ -289,7 +289,7 @@ def _parse_predictions(text: str, expected: int) -> list[int]:
         parts = line.split()
         if len(parts) != 2:
             raise DatasetFormatError(f"line {lineno}: expected 'index label'")
-        idx = taxonomy.parse_id(parts[0], lineno, DatasetFormatError)
+        idx = taxonomy.parse_id(parts[0], lineno, DatasetFormatError, "instance index")
         label = taxonomy.parse_id(parts[1], lineno, DatasetFormatError)
         if idx in rows:
             raise DatasetFormatError(f"line {lineno}: duplicate index {idx}")

@@ -384,7 +384,7 @@ def parse_idf(text: str) -> dict[int, float]:
             weight = float(weight_text)
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: expected 'index idf'") from None
-        index = parse_id(index_text, lineno, DatasetFormatError)
+        index = parse_id(index_text, lineno, DatasetFormatError, "feature index")
         if not math.isfinite(weight):
             raise DatasetFormatError(f"line {lineno}: non-finite idf {weight_text!r}")
         if index < 1:

@@ -150,19 +150,27 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
         raise SimilarityError("need at least 2 class centroids to form pairs")
     if np.any(labels[1:] <= labels[:-1]):
         raise SimilarityError("centroid labels must be strictly ascending")
-    mat = centroids.to_csr()
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
-    scale = np.where(norms > 0.0, norms, 1.0)
-    unit = (sp.diags(1.0 / scale) @ mat).tocsr()
-
+    unit, zero = _unit_centroids(centroids)
     rows, cols = np.triu_indices(labels.size, k=1)
     scores = (unit @ unit.T).toarray()[rows, cols]
-    zero = norms == 0.0
     scores[zero[rows] | zero[cols]] = 0.0
     np.clip(scores, -1.0, 1.0, out=scores)
     # (rows, cols) is in (a, b) order, so a stable ranking leaves ties in it.
     order = _rank_descending(scores)
     return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
+
+
+def _unit_centroids(centroids: Dataset) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The centroid rows scaled to unit norm, and which rows have norm zero.
+
+    A zero row stays zero.  A score is a row of ``unit @ unit.T``, which
+    sums in the order of the left row alone, so a block of rows scores
+    bit for bit as in the whole product.
+    """
+    mat = centroids.to_csr()
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    scale = np.where(norms > 0.0, norms, 1.0)
+    return (sp.diags(1.0 / scale) @ mat).tocsr(), norms == 0.0
 
 
 def _rank_descending(values: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ tree whose repair can be checked against the planted truth.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,11 @@ class PlantConfig:
             raise BenchError(
                 f"n_misplaced={self.n_misplaced} must be < n_leaves={self.n_leaves}"
             )
+        if self.n_misplaced and depth == 1:
+            raise BenchError(
+                f"n_misplaced={self.n_misplaced} needs a tree of depth >= 2: at depth 1 "
+                f"every leaf hangs under the root, so no leaf has a wrong parent to move to"
+            )
 
     @property
     def depth(self) -> int:
@@ -104,9 +111,13 @@ def perfect_tree(fanout: int, depth: int) -> Taxonomy:
     return Taxonomy(0, parent_of)
 
 
-def _unit(rng: np.random.Generator, dims: int) -> np.ndarray:
-    v = rng.standard_normal(dims)
-    return v / np.linalg.norm(v)
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of ``m`` over its ``np.linalg.norm``, bit for bit.
+
+    The stacked ``(1, d) @ (d, 1)`` matmul runs the same dot kernel as
+    ``np.linalg.norm`` on one row (see ``corpus._row_norms``).
+    """
+    return m / np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0]
 
 
 def gen_planted(config: PlantConfig) -> PlantedBench:
@@ -114,41 +125,36 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
 
     Fully deterministic in the seed: node directions, instance counts,
     instance noise, the choice of misplaced leaves, and their wrong
-    parents are all drawn from one generator in a fixed order.
+    parents are all drawn from one generator in a fixed order.  A
+    Generator yields the same numbers for one ``(n, d)`` draw as for n
+    draws of ``d``, so each group of vectors is drawn in one call.
     """
     tree = perfect_tree(config.fanout, config.depth)
     leaves = sorted(tree.leaves)
     rng = np.random.default_rng(config.seed)
 
-    directions = {node: _unit(rng, config.dims) for node in tree.non_root_nodes()}
-
-    centroids: dict[int, np.ndarray] = {}
-    for leaf in leaves:
-        total = config.leaf_weight * directions[leaf]
-        for anc in tree.ancestors(leaf):
-            if anc != tree.root:
-                total = total + directions[anc]
-        centroids[leaf] = total / np.linalg.norm(total)
+    nodes = tree.non_root_nodes()
+    directions = _unit_rows(rng.standard_normal((len(nodes), config.dims)))
+    # Row of each leaf's path below the root, the leaf first; every leaf
+    # of a perfect tree has the same depth.
+    paths = np.searchsorted(nodes, [tree.path_to_root(leaf)[:-1] for leaf in leaves])
+    total = config.leaf_weight * directions[paths[:, 0]]
+    for k in range(1, paths.shape[1]):
+        total = total + directions[paths[:, k]]
+    centroids = _unit_rows(total)
 
     lo, hi = config.instance_range()
-    counts = {
-        leaf: (lo if lo == hi else int(rng.integers(lo, hi + 1))) for leaf in leaves
-    }
-
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    for leaf in leaves:
-        for _ in range(counts[leaf]):
-            x = centroids[leaf] + config.noise * _unit(rng, config.dims)
-            rows.append(x / np.linalg.norm(x))
-            labels.append(leaf)
-    dense = np.asarray(rows).reshape(len(labels), config.dims)
+    counts = [lo if lo == hi else int(rng.integers(lo, hi + 1)) for _ in leaves]
+    noise = _unit_rows(rng.standard_normal((sum(counts), config.dims)))
+    dense = _unit_rows(np.repeat(centroids, counts, axis=0) + config.noise * noise)
+    labels = np.repeat(leaves, counts).tolist()
     data = Dataset._from_matrix(sp.csr_matrix(dense), labels)
 
-    parents = sorted({tree.parent(leaf) for leaf in leaves})
-    remaining = {p: sum(1 for leaf in leaves if tree.parent(leaf) == p) for p in parents}
+    parent = {leaf: tree.parent(leaf) for leaf in leaves}
+    remaining = Counter(parent.values())
+    parents = sorted(remaining)
     misplaced: dict[int, tuple[int, int]] = {}
-    corrupted = tree
+    corrupted = tree.copy()
     if config.n_misplaced:
         order = [leaves[i] for i in rng.permutation(len(leaves))]
         # Prefer leaves whose parent keeps at least one leaf, so the planted
@@ -157,7 +163,7 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
         for leaf in order:
             if len(chosen) == config.n_misplaced:
                 break
-            p = tree.parent(leaf)
+            p = parent[leaf]
             if remaining[p] >= 2:
                 chosen.append(leaf)
                 remaining[p] -= 1
@@ -169,29 +175,51 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
                 if leaf not in taken:
                     chosen.append(leaf)
         for leaf in chosen:
-            true_parent = tree.parent(leaf)
-            targets = [p for p in parents if p != true_parent]
-            wrong = targets[int(rng.integers(len(targets)))]
-            corrupted = corrupted.reparent(leaf, wrong)
-            misplaced[leaf] = (true_parent, wrong)
+            # The k-th of the parents other than the true one.
+            k = int(rng.integers(len(parents) - 1))
+            wrong = parents[k + (k >= bisect_left(parents, parent[leaf]))]
+            corrupted._reparent(leaf, wrong)
+            misplaced[leaf] = (parent[leaf], wrong)
 
     if config.noise <= 0.1:
         _check_separability(tree, data)
     return PlantedBench(config, tree, corrupted, data, misplaced)
 
 
-def _check_separability(tree: Taxonomy, data: Dataset) -> None:
-    """Low-noise sanity check: same-parent leaf pairs must out-score cross pairs."""
-    from .simgraph import all_pairs_scores, class_centroids
+_CHECK_BLOCK_ENTRIES = 1 << 22  # score entries per row block of the separability check
+
+
+def _check_separability(tree: Taxonomy, data: Dataset) -> tuple[float, float]:
+    """Low-noise sanity check: same-parent leaf pairs must out-score cross pairs.
+
+    Scores every leaf pair as :func:`~taxrewire.simgraph.all_pairs_scores`
+    does, bit for bit, one block of rows of the Gram matrix at a time, and
+    returns the weakest within-group and the strongest cross-group score
+    (``inf`` and ``-inf`` when a side has no pair).
+    """
+    from .simgraph import _unit_centroids, class_centroids
 
     centroids = class_centroids(data, tree.leaves)
-    scores = all_pairs_scores(centroids)
-    ids = np.asarray(centroids.labels, dtype=np.int64)
-    parent = np.asarray([tree.parent(int(leaf)) for leaf in ids])
-    same = parent[np.searchsorted(ids, scores.a)] == parent[np.searchsorted(ids, scores.b)]
-    within, cross = scores.score[same], scores.score[~same]
-    if within.size and cross.size and within.min() <= cross.max():
+    unit, zero = _unit_centroids(centroids)
+    parent = np.asarray([tree.parent(leaf) for leaf in centroids.labels])
+    n = parent.size
+    step = max(1, _CHECK_BLOCK_ENTRIES // max(n, 1))
+    lows, highs = [], []
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        gram = (unit[start:start + step] @ unit.T).toarray()
+        gram[zero[rows]] = 0.0
+        gram[:, zero] = 0.0
+        np.clip(gram, -1.0, 1.0, out=gram)
+        upper = np.arange(n) > rows[:, None]
+        same = parent[rows, None] == parent
+        lows.append(np.min(gram[upper & same], initial=np.inf))
+        highs.append(np.max(gram[upper & ~same], initial=-np.inf))
+    # np.min and np.max carry a NaN through, as one min over the whole table does.
+    low, high = float(np.min(lows, initial=np.inf)), float(np.max(highs, initial=-np.inf))
+    if low <= high:
         raise BenchError(
             f"planted groups are not separable: weakest within-group score "
-            f"{within.min():.4f} <= strongest cross-group score {cross.max():.4f}"
+            f"{low:.4f} <= strongest cross-group score {high:.4f}"
         )
+    return low, high

@@ -293,11 +293,14 @@ def _check_id(node: object, where: str = "") -> None:
         )
 
 
-def parse_id(token: str, lineno: int, error: type[ValueError] = TaxonomyError) -> int:
+def parse_id(
+    token: str, lineno: int, error: type[ValueError] = TaxonomyError, field: str = "node"
+) -> int:
     """The id ``token`` spells in ASCII decimal with no sign and no leading zero.
 
     Any other token, or one above 2^63 - 1, raises ``error`` (each file's
-    own exit code) naming ``lineno``; the message cuts a long token.
+    own exit code) naming ``lineno`` and the ``field`` the token stands
+    for; the message cuts a long token.
     """
     digits = token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
     # The length check comes before int(), which refuses over 4,300 digits.
@@ -305,7 +308,7 @@ def parse_id(token: str, lineno: int, error: type[ValueError] = TaxonomyError) -
         return node
     shown = token if len(token) <= 20 else token[:17] + "..."
     what = "is above 2^63 - 1" if digits else "is not a decimal integer id"
-    raise error(f"line {lineno}: node {shown!r} {what}")
+    raise error(f"line {lineno}: {field} {shown!r} {what}")
 
 
 def records(text: str) -> Iterator[tuple[int, str]]:

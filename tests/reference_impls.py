@@ -459,3 +459,86 @@ def per_line_parse_dataset(text):
     matrix.eliminate_zeros()
     matrix.resize(len(labels), int(np.max(matrix.indices, initial=-1)) + 1)
     return Dataset._from_matrix(matrix, labels)
+
+
+# ----------------------------------------------------------------------
+# The planted-benchmark generator one instance at a time: a reparent copy
+# per misplaced leaf, one draw and one norm per row, and the separability
+# check on the whole ranked score table.
+
+
+def per_instance_gen_planted(config):
+    """``(true_tree, corrupted_tree, data, misplaced)`` for ``config``, or the
+    same BenchError the generator raises."""
+    from taxrewire.simgraph import all_pairs_scores, class_centroids
+    from taxrewire.synthbench import perfect_tree
+
+    def unit(rng, dims):
+        v = rng.standard_normal(dims)
+        return v / np.linalg.norm(v)
+
+    tree = perfect_tree(config.fanout, config.depth)
+    leaves = sorted(tree.leaves)
+    rng = np.random.default_rng(config.seed)
+
+    directions = {node: unit(rng, config.dims) for node in tree.non_root_nodes()}
+    centroids = {}
+    for leaf in leaves:
+        total = config.leaf_weight * directions[leaf]
+        for anc in tree.ancestors(leaf):
+            if anc != tree.root:
+                total = total + directions[anc]
+        centroids[leaf] = total / np.linalg.norm(total)
+
+    lo, hi = config.instance_range()
+    counts = {leaf: (lo if lo == hi else int(rng.integers(lo, hi + 1))) for leaf in leaves}
+    rows, labels = [], []
+    for leaf in leaves:
+        for _ in range(counts[leaf]):
+            x = centroids[leaf] + config.noise * unit(rng, config.dims)
+            rows.append(x / np.linalg.norm(x))
+            labels.append(leaf)
+    dense = np.asarray(rows).reshape(len(labels), config.dims)
+    data = Dataset._from_matrix(sp.csr_matrix(dense), labels)
+
+    parents = sorted({tree.parent(leaf) for leaf in leaves})
+    remaining = {p: sum(1 for leaf in leaves if tree.parent(leaf) == p) for p in parents}
+    misplaced = {}
+    corrupted = tree
+    if config.n_misplaced:
+        order = [leaves[i] for i in rng.permutation(len(leaves))]
+        chosen = []
+        for leaf in order:
+            if len(chosen) == config.n_misplaced:
+                break
+            p = tree.parent(leaf)
+            if remaining[p] >= 2:
+                chosen.append(leaf)
+                remaining[p] -= 1
+        if len(chosen) < config.n_misplaced:
+            taken = set(chosen)
+            for leaf in order:
+                if len(chosen) == config.n_misplaced:
+                    break
+                if leaf not in taken:
+                    chosen.append(leaf)
+        for leaf in chosen:
+            true_parent = tree.parent(leaf)
+            targets = [p for p in parents if p != true_parent]
+            wrong = targets[int(rng.integers(len(targets)))]
+            corrupted = corrupted.reparent(leaf, wrong)
+            misplaced[leaf] = (true_parent, wrong)
+
+    if config.noise <= 0.1:
+        cents = class_centroids(data, tree.leaves)
+        scores = all_pairs_scores(cents)
+        ids = np.asarray(cents.labels, dtype=np.int64)
+        parent = np.asarray([tree.parent(int(leaf)) for leaf in ids])
+        same = parent[np.searchsorted(ids, scores.a)] == parent[np.searchsorted(ids, scores.b)]
+        within, cross = scores.score[same], scores.score[~same]
+        if within.size and cross.size and within.min() <= cross.max():
+            raise BenchError(
+                f"planted groups are not separable: weakest within-group score "
+                f"{within.min():.4f} <= strongest cross-group score {cross.max():.4f}"
+            )
+    return tree, corrupted, data, misplaced

@@ -669,7 +669,7 @@ class TestExitCodes:
         idf.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
                    "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "p") == 4
-        assert capsys.readouterr().err == (f"error: line {len(lines)}: node"
+        assert capsys.readouterr().err == (f"error: line {len(lines)}: feature index"
                                            " '99999999999999999999' is above 2^63 - 1\n")
         assert not (tmp_path / "p").exists()
 
@@ -887,6 +887,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,code,msg", [
         (["bench", "--leaves", "10"], 6, "n_leaves=10 is not a positive power of fanout=3"),
+        (["bench", "--fanout", "2", "--leaves", "2", "--misplaced", "1"], 6,
+         "n_misplaced=1 needs a tree of depth >= 2"),
         (["similarity", "--data", "{b}/data.txt", "--hierarchy", "{b}/corrupted.edges",
           "--no-tfidf", "--tau", "0.99999"], 6, "no pair scores above tau 0.99999 (top score "),
         (["rewire", "--hierarchy", "{b}/corrupted.edges", "--pairs", "{tmp}/pairs.txt"],
@@ -897,7 +899,7 @@ class TestExitCodes:
           "--hierarchy", "{b}/corrupted.edges"], 5, "hierarchy does not match the one"),
         (["evaluate", "--predictions", "{tmp}/predictions.txt", "--data", "{b}/data.txt",
           "--hierarchy", "{b}/true.edges"], 4, "predictions cover 53 instances, expected 0..53"),
-    ], ids=["bench", "similarity", "rewire", "train", "predict", "evaluate"])
+    ], ids=["bench", "bench-depth-1", "similarity", "rewire", "train", "predict", "evaluate"])
     def test_failed_command_writes_nothing(self, pipeline, tmp_path, capsys, argv, code, msg):
         """Each command fails on its inputs, after reading them, and leaves no --out."""
         (tmp_path / "pairs.txt").write_text("# tau 0.5\n1 2 1.5\n")
@@ -1070,7 +1072,8 @@ class TestNodeIds:
         assert run("evaluate", "--predictions", preds, "--data", pipeline["bench"] / "data.txt",
                    "--hierarchy", pipeline["rewire"] / "modified.edges",
                    "--out", tmp_path / "o") == 4
-        assert capsys.readouterr().err == f"error: line 2: node {what}\n"
+        field = "instance index" if column == "index" else "node"
+        assert capsys.readouterr().err == f"error: line 2: {field} {what}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("token,what", BAD_IDS, ids=BAD_ID_NAMES)
@@ -1088,7 +1091,7 @@ class TestNodeIds:
         idf.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", tmp_path / "t" / "model.txt", "--data", data,
                    "--hierarchy", tax, "--idf", idf, "--out", tmp_path / "o") == 4
-        assert capsys.readouterr().err == f"error: line 2: node {what}\n"
+        assert capsys.readouterr().err == f"error: line 2: feature index {what}\n"
         assert not (tmp_path / "o").exists()
 
     def test_largest_id_in_every_file(self, tmp_path):

@@ -238,14 +238,14 @@ class TestTfidf:
     # ٣٤ and 010 as 10, 3, 34 and 10.
     @pytest.mark.parametrize("text,msg", [
         ("1 0.5\n0 1.0\n", "line 2: idf index must be at least 1, got 0"),
-        ("# idf\n-3 1.0\n", "line 2: node '-3' is not a decimal integer id"),
+        ("# idf\n-3 1.0\n", "line 2: feature index '-3' is not a decimal integer id"),
         ("1 0.5\n2 0.25\n\n2 0.75\n", "line 4: idf index 2 is listed twice"),
         ("1 0.5\n99999999999999999999 0.5\n",
-         "line 2: node '99999999999999999999' is above 2^63 - 1"),
-        ("1 0.5\n1_0 0.25\n", "line 2: node '1_0' is not a decimal integer id"),
-        ("1 0.5\n+3 0.25\n", "line 2: node '+3' is not a decimal integer id"),
-        ("1 0.5\n٣٤ 0.25\n", "line 2: node '٣٤' is not a decimal integer id"),
-        ("1 0.5\n010 0.25\n", "line 2: node '010' is not a decimal integer id"),
+         "line 2: feature index '99999999999999999999' is above 2^63 - 1"),
+        ("1 0.5\n1_0 0.25\n", "line 2: feature index '1_0' is not a decimal integer id"),
+        ("1 0.5\n+3 0.25\n", "line 2: feature index '+3' is not a decimal integer id"),
+        ("1 0.5\n٣٤ 0.25\n", "line 2: feature index '٣٤' is not a decimal integer id"),
+        ("1 0.5\n010 0.25\n", "line 2: feature index '010' is not a decimal integer id"),
     ], ids=["zero", "negative", "repeated", "beyond-int64", "underscore", "plus",
             "arabic-indic", "leading-zero"])
     def test_parse_idf_rejects_bad_index(self, text, msg):

@@ -3,12 +3,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from taxrewire.corpus import serialize_dataset
+from taxrewire import synthbench
+from taxrewire.corpus import Dataset, make_sparse, serialize_dataset
 from taxrewire.metrics import hier_f1
-from taxrewire.synthbench import BenchError, PlantConfig, gen_planted, perfect_tree
-from taxrewire.taxonomy import serialize_taxonomy
+from taxrewire.simgraph import all_pairs_scores, class_centroids
+from taxrewire.synthbench import (
+    BenchError, PlantConfig, _check_separability, gen_planted, perfect_tree,
+)
+from taxrewire.taxonomy import Taxonomy, serialize_taxonomy
 
-from reference_impls import oracle_hier_f1, oracle_lca, random_pair_set, random_taxonomy
+from reference_impls import (
+    oracle_hier_f1, oracle_lca, per_instance_gen_planted, random_pair_set, random_taxonomy,
+)
 
 
 def cfg(**overrides):
@@ -24,7 +30,7 @@ class TestConfig:
     def test_depth_derived(self):
         assert cfg().depth == 2
         assert cfg(n_leaves=27).depth == 3
-        assert cfg(n_leaves=2, fanout=2, n_misplaced=1).depth == 1
+        assert cfg(n_leaves=2, fanout=2, n_misplaced=0).depth == 1
 
     @pytest.mark.parametrize(
         "overrides,msg",
@@ -39,6 +45,8 @@ class TestConfig:
             (dict(leaf_weight=1.5), "leaf_weight"),
             (dict(n_misplaced=9), "n_misplaced"),
             (dict(n_misplaced=-1), "n_misplaced"),
+            # every leaf of a depth-1 tree hangs under the root: no wrong parent
+            (dict(n_leaves=3, n_misplaced=1), "depth >= 2"),
             (dict(instances_per_leaf=0), "instances_per_leaf"),
             (dict(instances_per_leaf=(5, 2)), "instances_per_leaf"),
         ],
@@ -128,8 +136,6 @@ class TestGenPlanted:
     def test_low_noise_clusters_are_separable(self):
         # would raise from the built-in check otherwise; assert the margin
         # directly as well
-        from taxrewire.simgraph import all_pairs_scores, class_centroids
-
         bench = gen_planted(cfg(noise=0.02))
         tree = bench.true_tree
         cents = class_centroids(bench.data, tree.leaves)
@@ -140,10 +146,6 @@ class TestGenPlanted:
         assert min(within) > max(cross)
 
     def test_separability_check_rejects_overlapping_groups(self):
-        from taxrewire.corpus import Dataset, make_sparse
-        from taxrewire.synthbench import _check_separability
-        from taxrewire.taxonomy import Taxonomy
-
         tree = Taxonomy(0, {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2})
         vec = {3: [1, 2], 4: [1, 3], 5: [4, 5], 6: [4, 6]}
         data = Dataset([make_sparse(i, [1.0, 0.5]) for i in vec.values()], list(vec))
@@ -152,6 +154,139 @@ class TestGenPlanted:
         data = Dataset([make_sparse(i, [1.0, 0.5]) for i in vec.values()], list(vec))
         with pytest.raises(BenchError, match="not separable"):
             _check_separability(tree, data)
+
+
+# Seeds 0-3 and 7, fanouts 2-5, fixed and ranged counts, quotas that need
+# the fallback (every leaf of some parent moved), noise 0.0-0.3; the shapes
+# at noise <= 0.1 run the separability check, some of them failing it.
+ORACLE_SHAPES = [
+    dict(n_leaves=9, fanout=3, dims=16, instances_per_leaf=6, noise=0.08, n_misplaced=1, seed=7),
+    dict(n_leaves=8, fanout=2, dims=32, instances_per_leaf=3, noise=0.0, n_misplaced=2, seed=0,
+         leaf_weight=0.3),
+    dict(n_leaves=27, fanout=3, dims=32, instances_per_leaf=(2, 16), noise=0.1, n_misplaced=20,
+         seed=3, leaf_weight=0.3),
+    dict(n_leaves=25, fanout=5, dims=32, instances_per_leaf=(2, 16), noise=0.02, n_misplaced=4,
+         seed=0, leaf_weight=0.3),
+    dict(n_leaves=16, fanout=4, dims=32, instances_per_leaf=(2, 16), noise=0.05, n_misplaced=15,
+         seed=1, leaf_weight=0.3),
+    dict(n_leaves=81, fanout=3, dims=32, instances_per_leaf=2, noise=0.08, n_misplaced=40, seed=2,
+         leaf_weight=0.3),
+    dict(n_leaves=8, fanout=2, dims=6, instances_per_leaf=3, noise=0.0, n_misplaced=2, seed=0),
+    dict(n_leaves=16, fanout=2, dims=6, instances_per_leaf=(2, 16), noise=0.3, n_misplaced=12,
+         seed=1),
+    dict(n_leaves=9, fanout=3, dims=8, instances_per_leaf=3, noise=0.05, n_misplaced=7, seed=2),
+    dict(n_leaves=27, fanout=3, dims=6, instances_per_leaf=(2, 16), noise=0.1, n_misplaced=20,
+         seed=3),
+    dict(n_leaves=16, fanout=4, dims=8, instances_per_leaf=3, noise=0.2, n_misplaced=15, seed=7),
+    dict(n_leaves=125, fanout=5, dims=8, instances_per_leaf=2, noise=0.3, n_misplaced=40, seed=1),
+    dict(n_leaves=4, fanout=4, dims=4, instances_per_leaf=2, noise=0.15, n_misplaced=0, seed=2),
+    dict(n_leaves=64, fanout=4, dims=4, instances_per_leaf=(2, 16), noise=0.1, n_misplaced=63,
+         seed=3),
+    dict(n_leaves=243, fanout=3, dims=32, instances_per_leaf=(2, 16), noise=0.25, n_misplaced=40,
+         seed=3),
+]
+
+
+def outcome(generate, config):
+    """The serialized trees, data text and misplacements, or the BenchError text."""
+    try:
+        got = generate(config)
+    except BenchError as exc:
+        return str(exc)
+    if isinstance(got, synthbench.PlantedBench):
+        got = got.true_tree, got.corrupted_tree, got.data, got.misplaced
+    true_tree, corrupted, data, misplaced = got
+    return (serialize_taxonomy(true_tree), serialize_taxonomy(corrupted),
+            serialize_dataset(data), misplaced)
+
+
+class TestMatchesPerInstanceGenerator:
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES)
+    def test_same_bytes(self, shape):
+        config = PlantConfig(**shape)
+        assert outcome(gen_planted, config) == outcome(per_instance_gen_planted, config)
+
+    def test_shapes_cover_both_check_outcomes(self):
+        checked = [
+            isinstance(outcome(gen_planted, PlantConfig(**shape)), str)
+            for shape in ORACLE_SHAPES if shape["noise"] <= 0.1
+        ]
+        assert any(checked) and not all(checked)
+
+    def test_work_is_linear_in_the_leaves(self, monkeypatch):
+        # A copy of the tree per misplaced leaf, or a pass over the leaves
+        # per parent, would break these bounds (40 copies and 20,008 parent
+        # calls for the quadratic generator at seed 7).
+        calls = Counter()
+        for name in ("copy", "parent"):
+            def counted(self, *args, _name=name, _method=getattr(Taxonomy, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(Taxonomy, name, counted)
+        for noise in (0.2, 0.05):
+            calls.clear()
+            bench = gen_planted(cfg(n_leaves=243, dims=32, instances_per_leaf=2, noise=noise,
+                                    n_misplaced=40, leaf_weight=0.3))
+            assert len(bench.misplaced) == 40
+            assert calls["copy"] <= 1
+            assert calls["parent"] <= 4 * 243
+
+
+def table_margin(tree, data):
+    """Weakest within-group and strongest cross-group score of the whole table."""
+    scores = all_pairs_scores(class_centroids(data, tree.leaves))
+    same = np.array([tree.parent(a) == tree.parent(b)
+                     for a, b in zip(scores.a.tolist(), scores.b.tolist())], dtype=bool)
+    return (float(scores.score[same].min(initial=np.inf)),
+            float(scores.score[~same].max(initial=-np.inf)))
+
+
+class TestBlockedSeparabilityCheck:
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("shape,separable", [
+        (dict(dims=32, noise=0.02, leaf_weight=0.3), True),
+        (dict(dims=6, noise=0.3), False),
+    ], ids=["separable", "overlapping"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_margin_matches_the_score_table(self, monkeypatch, rows, shape, separable, seed):
+        bench = gen_planted(cfg(n_leaves=27, n_misplaced=0, seed=seed, **shape))
+        tree, data = bench.true_tree, bench.data
+        monkeypatch.setattr(synthbench, "_CHECK_BLOCK_ENTRIES", rows * len(tree.leaves))
+        low, high = table_margin(tree, data)
+        assert (low > high) == separable
+        if separable:
+            assert _check_separability(tree, data) == (low, high)
+        else:
+            with pytest.raises(BenchError) as err:
+                _check_separability(tree, data)
+            assert str(err.value) == (
+                f"planted groups are not separable: weakest within-group score "
+                f"{low:.4f} <= strongest cross-group score {high:.4f}"
+            )
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_zero_centroid_scores_zero(self, monkeypatch, rows):
+        # Leaf 6's two instances cancel: its centroid is the zero row.
+        tree = Taxonomy(0, {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2})
+        instances = {3: [([1, 2], [1.0, 0.5])], 4: [([1, 3], [1.0, 0.5])],
+                     5: [([4, 5], [1.0, -0.5])], 7: [([4, 6], [1.0, 0.5])],
+                     6: [([4, 5], [1.0, 0.5]), ([4, 5], [-1.0, -0.5])]}
+        vectors, labels = [], []
+        for leaf, rows_of_leaf in instances.items():
+            for idx, val in rows_of_leaf:
+                vectors.append(make_sparse(idx, val))
+                labels.append(leaf)
+        data = Dataset(vectors, labels)
+        monkeypatch.setattr(synthbench, "_CHECK_BLOCK_ENTRIES", rows * len(tree.leaves))
+        low, high = table_margin(tree, data)
+        assert low == 0.0  # the zero centroid against its siblings
+        with pytest.raises(BenchError, match="not separable"):
+            _check_separability(tree, data)
+
+    def test_one_group_has_no_cross_pairs(self):
+        tree = Taxonomy(0, {1: 0, 2: 0})
+        data = Dataset([make_sparse([1], [1.0]), make_sparse([2], [1.0])], [1, 2])
+        assert _check_separability(tree, data) == (0.0, -np.inf)
 
 
 class TestOracles:

@@ -21,7 +21,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -143,7 +143,8 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
     Order: descending score, ties by (a, b) ascending.  Pairs with a
     zero-norm centroid score 0.0 and every score is clipped to [-1, 1].
-    Every score comes from one sparse Gram matrix of the unit centroids.
+    The scores come from the unit-centroid Gram matrix, one row block of
+    :func:`_gram_blocks` at a time; only the pair scores are kept whole.
     """
     labels = np.asarray(centroids.labels, dtype=np.int64)
     if labels.size < 2:
@@ -151,8 +152,16 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     if np.any(labels[1:] <= labels[:-1]):
         raise SimilarityError("centroid labels must be strictly ascending")
     unit, zero = _unit_centroids(centroids)
-    rows, cols = np.triu_indices(labels.size, k=1)
-    scores = (unit @ unit.T).toarray()[rows, cols]
+    n = labels.size
+    rows, cols = np.triu_indices(n, k=1)
+    scores = np.empty(rows.size)
+    filled = 0
+    for start, gram in _gram_blocks(unit):
+        # Row i's entries right of the diagonal are the next n - 1 - i of (rows, cols).
+        for i, row in enumerate(gram, start):
+            scores[filled:filled + n - 1 - i] = row[i + 1:]
+            filled += n - 1 - i
+    del gram, row  # the last block would otherwise live on through the ranking
     scores[zero[rows] | zero[cols]] = 0.0
     np.clip(scores, -1.0, 1.0, out=scores)
     # (rows, cols) is in (a, b) order, so a stable ranking leaves ties in it.
@@ -163,14 +172,41 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
 def _unit_centroids(centroids: Dataset) -> tuple[sp.csr_matrix, np.ndarray]:
     """The centroid rows scaled to unit norm, and which rows have norm zero.
 
-    A zero row stays zero.  A score is a row of ``unit @ unit.T``, which
-    sums in the order of the left row alone, so a block of rows scores
-    bit for bit as in the whole product.
+    A zero row stays zero.  Every row keeps its columns in descending
+    order, the order the ``sp.diags(...) @ mat`` product writes; sorting
+    them would change which way a score sums, and so its last bits.
+    Entry (i, j) of ``unit @ unit.T`` sums over row i's features in that
+    order, and :func:`_gram_blocks` sums it over row j's: the same order.
     """
     mat = centroids.to_csr()
     norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
     scale = np.where(norms > 0.0, norms, 1.0)
     return (sp.diags(1.0 / scale) @ mat).tocsr(), norms == 0.0
+
+
+# Dense floats held at once by _gram_blocks, in its operand and in its block.
+_GRAM_BLOCK_ENTRIES = 1 << 22
+
+
+def _gram_blocks(unit: sp.csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
+    """``unit @ unit.T`` one block of rows at a time, as ``(start, block)``.
+
+    ``block`` is rows ``start:start + len(block)``, a fresh float array
+    the caller may change.  It is the transpose of a CSR × dense product
+    with ``unit[start:stop].T`` made dense, so its columns, not its rows,
+    are contiguous.  The product adds the same products in the same
+    order as the sparse ``unit @ unit.T`` (see :func:`_unit_centroids`);
+    each column of the dense operand also adds a ±0 product per feature
+    its row lacks, and a sum that starts at +0.0 is not changed by one.
+    So every entry matches the sparse product bit for bit.  A block holds
+    ``_GRAM_BLOCK_ENTRIES // max(n, width)`` rows, at least one, so
+    neither it nor the dense operand outgrows the bound unless one row
+    does.
+    """
+    n, width = unit.shape
+    step = max(1, _GRAM_BLOCK_ENTRIES // max(n, width, 1))
+    for start in range(0, n, step):
+        yield start, (unit @ unit[start:start + step].T.toarray()).T
 
 
 def _rank_descending(values: np.ndarray) -> np.ndarray:
@@ -180,8 +216,8 @@ def _rank_descending(values: np.ndarray) -> np.ndarray:
     Numbering the runs and sorting ``run * n + index`` puts each run back
     in index order; NaN counts as equal to NaN, as in the stable sort.
     That key is below n**2, so it fits int64 up to n of about 3e9 values
-    (the dense Gram matrix behind a score table runs out of memory long
-    before).  Each temporary is dropped as soon as it is used.
+    (a score table of that many pairs runs out of memory long before).
+    Each temporary is dropped as soon as it is used.
     """
     n = values.size
     order = np.argsort(-values)

@@ -186,28 +186,25 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
     return PlantedBench(config, tree, corrupted, data, misplaced)
 
 
-_CHECK_BLOCK_ENTRIES = 1 << 22  # score entries per row block of the separability check
-
-
 def _check_separability(tree: Taxonomy, data: Dataset) -> tuple[float, float]:
     """Low-noise sanity check: same-parent leaf pairs must out-score cross pairs.
 
-    Scores every leaf pair as :func:`~taxrewire.simgraph.all_pairs_scores`
-    does, bit for bit, one block of rows of the Gram matrix at a time, and
-    returns the weakest within-group and the strongest cross-group score
-    (``inf`` and ``-inf`` when a side has no pair).
+    Scores every leaf pair through the Gram kernel that
+    :func:`~taxrewire.simgraph.all_pairs_scores` uses, one row block at a
+    time, with its zero-norm and clip rules, so every score matches the
+    score table bit for bit.  Returns the weakest within-group and the
+    strongest cross-group score (``inf`` and ``-inf`` when a side has no
+    pair).
     """
-    from .simgraph import _unit_centroids, class_centroids
+    from .simgraph import _gram_blocks, _unit_centroids, class_centroids
 
     centroids = class_centroids(data, tree.leaves)
     unit, zero = _unit_centroids(centroids)
     parent = np.asarray([tree.parent(leaf) for leaf in centroids.labels])
     n = parent.size
-    step = max(1, _CHECK_BLOCK_ENTRIES // max(n, 1))
     lows, highs = [], []
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        gram = (unit[start:start + step] @ unit.T).toarray()
+    for start, gram in _gram_blocks(unit):
+        rows = np.arange(start, start + len(gram))
         gram[zero[rows]] = 0.0
         gram[:, zero] = 0.0
         np.clip(gram, -1.0, 1.0, out=gram)

@@ -86,10 +86,11 @@ def brute_cosine_pairs(centroids):
 def per_pair_scores(centroids, workers=1):
     """The per-pair scorer the score table replaced, kept as its reference.
 
-    Same CSR build, norms, scaling and sparse product ``unit[rows] @ unit.T``
-    as the package, so every score must match bit for bit; then one Python
-    entry per pair, a zero-norm test and clip per pair, and a sort with a
-    Python key.  Returns ``(a, b, score)`` tuples, best first.
+    Same CSR build, norms and scaling as the package, and the sparse
+    product ``unit[rows] @ unit.T`` that the package's blocked sparse ×
+    dense Gram kernel must match bit for bit; then one Python entry per
+    pair, a zero-norm test and clip per pair, and a sort with a Python
+    key.  Returns ``(a, b, score)`` tuples, best first.
     """
     ids = sorted(centroids)
     dim = max((int(c.indices[-1]) for c in centroids.values() if c.nnz), default=1)

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
+from taxrewire import simgraph
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     _CURVE_CHUNK_ROWS,
+    _gram_blocks,
     _rank_descending,
+    _unit_centroids,
     ScoreTable,
     SimilarityError,
     SimilarPairSet,
@@ -203,29 +207,35 @@ class TestRankDescending:
         assert_ranks_like_stable_sort(np.array(values, dtype=np.float64))
 
 
+def random_centroids(rng, n, dims, max_nnz=None):
+    """n centroids over ``dims`` features, with ascending labels.
+
+    About a fifth each are zero rows, duplicates of an earlier row, and
+    rows of small integers (tied scores); the rest are uniform in
+    [-1, 1].  A row has at most ``max_nnz`` features (default ``dims``).
+    """
+    labels = rng.choice(10_000, size=n, replace=False).tolist()
+    made = []
+    for _ in labels:
+        kind = int(rng.integers(5))
+        if kind == 0:
+            vec = sv()  # zero norm
+        elif kind == 1 and made:
+            vec = made[int(rng.integers(len(made)))]  # duplicate: tied scores
+        else:
+            k = int(rng.integers(1, min(dims, max_nnz or dims) + 1))
+            idx = rng.choice(np.arange(1, dims + 1), size=k, replace=False)
+            if kind == 2:
+                vals = rng.integers(-3, 4, size=k).astype(np.float64)  # integer ties
+            else:
+                vals = rng.uniform(-1.0, 1.0, size=k)
+            vec = make_sparse(idx, vals)
+        made.append(vec)
+    return centroid_rows(dict(zip(labels, made)))
+
+
 class TestMatchesPerPairScorer:
     """The score table against the per-pair scorer it replaced."""
-
-    def centroid_set(self, rng, n):
-        dims = int(rng.integers(1, 9))
-        labels = rng.choice(10_000, size=n, replace=False).tolist()
-        made = []
-        for _ in labels:
-            kind = int(rng.integers(5))
-            if kind == 0:
-                vec = sv()  # zero norm
-            elif kind == 1 and made:
-                vec = made[int(rng.integers(len(made)))]  # duplicate: tied scores
-            else:
-                k = int(rng.integers(1, dims + 1))
-                idx = rng.choice(np.arange(1, dims + 1), size=k, replace=False)
-                if kind == 2:
-                    vals = rng.integers(-3, 4, size=k).astype(np.float64)  # integer ties
-                else:
-                    vals = rng.uniform(-1.0, 1.0, size=k)
-                vec = make_sparse(idx, vals)
-            made.append(vec)
-        return centroid_rows(dict(zip(labels, made)))
 
     def test_order_scores_and_curve_text_match(self):
         rng = np.random.default_rng(2024)
@@ -236,7 +246,7 @@ class TestMatchesPerPairScorer:
             if trial == 240:
                 n = math.isqrt(2 * _CURVE_CHUNK_ROWS) + 2
                 assert n * (n - 1) // 2 > _CURVE_CHUNK_ROWS
-            cents = self.centroid_set(rng, n)
+            cents = random_centroids(rng, n, int(rng.integers(1, 9)))
             table = all_pairs_scores(cents)
             want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))
             assert [(a, b) for a, b, _ in rows(table)] == [(a, b) for a, b, _ in want]
@@ -273,6 +283,72 @@ def check_sampled_curve(table, sample, full_text):
     if sample >= n:
         assert text == full_text
     return ranks
+
+
+def spy_dense_operands(monkeypatch):
+    """Record the shape of every dense array a CSR or CSC matrix makes."""
+    shapes = []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        def toarray(self, *args, _original=cls.toarray, **kwargs):
+            out = _original(self, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(cls, "toarray", toarray)
+    return shapes
+
+
+class TestGramBlocks:
+    """The blocked Gram kernel against the whole sparse product, bit for bit."""
+
+    def centroid_sets(self):
+        rng = np.random.default_rng(23)
+        narrow = [random_centroids(rng, int(rng.integers(2, 30)), int(rng.integers(1, 9)))
+                  for _ in range(40)]
+        # The text shape: far more features than classes, a few per row.
+        wide = [random_centroids(rng, int(rng.integers(5, 25)), 300, max_nnz=12)
+                for _ in range(20)]
+        assert all(c.dimensionality > c.n for c in wide)
+        return narrow + wide
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_blocks_match_the_sparse_product(self, monkeypatch, rows_per_block):
+        operands = spy_dense_operands(monkeypatch)
+        zeros = negatives = ties = 0
+        for cents in self.centroid_sets():
+            unit, zero = _unit_centroids(cents)
+            n, width = unit.shape
+            # The order every row shares, which both products sum in.
+            for i in range(n):
+                row = unit.indices[unit.indptr[i]:unit.indptr[i + 1]]
+                assert np.all(row[1:] < row[:-1])
+            want = (unit @ unit.T).toarray()
+            operands.clear()
+            bound = rows_per_block * max(n, width)
+            monkeypatch.setattr(simgraph, "_GRAM_BLOCK_ENTRIES", bound)
+            starts = []
+            for start, block in _gram_blocks(unit):
+                starts.append(start)
+                assert block.dtype == np.float64
+                assert block.shape == (min(rows_per_block, n - start), n)
+                # Through the integer view, so a sign bit counts too.
+                np.testing.assert_array_equal(
+                    block.view(np.int64), want[start:start + len(block)].view(np.int64))
+            assert starts == list(range(0, n, rows_per_block))
+            assert operands and all(math.prod(shape) <= bound for shape in operands)
+            zeros += int(np.count_nonzero(zero))
+            negatives += int(np.count_nonzero(want < 0.0))
+            ties += int(np.count_nonzero(np.diff(np.sort(want, axis=None)) == 0.0))
+        assert zeros and negatives and ties  # the sets reached every case
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3])
+    def test_score_table_matches_per_pair_scorer(self, monkeypatch, rows_per_block):
+        for cents in self.centroid_sets():
+            monkeypatch.setattr(simgraph, "_GRAM_BLOCK_ENTRIES",
+                                rows_per_block * max(cents.n, cents.dimensionality))
+            table = all_pairs_scores(cents)
+            want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))
+            assert [(a, b, s.hex()) for a, b, s in rows(table)] == [
+                (a, b, s.hex()) for a, b, s in want]
 
 
 class TestScoreCurve:

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from taxrewire import synthbench
+from taxrewire import simgraph, synthbench
 from taxrewire.corpus import Dataset, make_sparse, serialize_dataset
 from taxrewire.metrics import hier_f1
 from taxrewire.simgraph import all_pairs_scores, class_centroids
@@ -241,6 +241,11 @@ def table_margin(tree, data):
             float(scores.score[~same].max(initial=-np.inf)))
 
 
+def block_rows(monkeypatch, rows, n, dims):
+    """Patch the Gram kernel's bound so a block of n centroids holds ``rows`` rows."""
+    monkeypatch.setattr(simgraph, "_GRAM_BLOCK_ENTRIES", rows * max(n, dims))
+
+
 class TestBlockedSeparabilityCheck:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("shape,separable", [
@@ -251,7 +256,7 @@ class TestBlockedSeparabilityCheck:
     def test_margin_matches_the_score_table(self, monkeypatch, rows, shape, separable, seed):
         bench = gen_planted(cfg(n_leaves=27, n_misplaced=0, seed=seed, **shape))
         tree, data = bench.true_tree, bench.data
-        monkeypatch.setattr(synthbench, "_CHECK_BLOCK_ENTRIES", rows * len(tree.leaves))
+        block_rows(monkeypatch, rows, len(tree.leaves), data.dimensionality)
         low, high = table_margin(tree, data)
         assert (low > high) == separable
         if separable:
@@ -277,7 +282,7 @@ class TestBlockedSeparabilityCheck:
                 vectors.append(make_sparse(idx, val))
                 labels.append(leaf)
         data = Dataset(vectors, labels)
-        monkeypatch.setattr(synthbench, "_CHECK_BLOCK_ENTRIES", rows * len(tree.leaves))
+        block_rows(monkeypatch, rows, len(tree.leaves), data.dimensionality)
         low, high = table_margin(tree, data)
         assert low == 0.0  # the zero centroid against its siblings
         with pytest.raises(BenchError, match="not separable"):

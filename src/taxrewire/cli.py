@@ -31,7 +31,8 @@ a class leaf, a rewire that would create a node above 2^63 - 1, a
 training, similarity or evaluate --train-data label that is not a class
 leaf, an evaluated label that is not a leaf of --hierarchy, a model
 line for a node that prediction over --hierarchy never uses, a model #C
-that is not finite and positive, a tuning split with no validation
+that is not finite and positive, a model # header after the first
+model line, a tuning split with no validation
 instance, a --rare-threshold below 1, tf-idf features that are all
 zero, a tf-idf model given no --idf or a raw-feature model given one,
 an input too large to allocate, an --out that is a file, lies under one
@@ -209,12 +210,10 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_train(args: argparse.Namespace) -> dict:
     artifacts: dict = {}
     tax = _load_hierarchy(args.hierarchy)
-    raw = corpus.parse_dataset(_read(args.data))
-    if args.no_tfidf:
-        data = raw
-    else:
-        idf = corpus.compute_idf(raw)
-        data = _check_tfidf(corpus.apply_tfidf(raw, idf))
+    data = corpus.parse_dataset(_read(args.data))
+    if not args.no_tfidf:
+        idf = corpus.compute_idf(data)
+        data = _check_tfidf(corpus.apply_tfidf(data, idf))  # the raw features are freed
         artifacts["idf.txt"] = corpus.serialize_idf(idf)
     if args.bias:
         data = corpus.with_constant_feature(data, data.dimensionality + 1)
@@ -258,7 +257,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 
 def cmd_predict(args: argparse.Namespace) -> dict:
-    model_set = learner.parse_model_set(_read(args.model))
+    with open(args.model, encoding="utf-8") as fh:  # read a line at a time, never whole
+        model_set = learner.parse_model_set(fh)
     tfidf = model_set.extra_headers.get("tfidf") == "1"
     if tfidf and args.idf is None:
         raise LearnerError("the model was trained on tf-idf features; pass its --idf table")
@@ -272,9 +272,8 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     preds, n_evals = learner.predict_dataset(model_set, data, _load_hierarchy(args.hierarchy))
 
     # one line per instance, nothing else: downstream tools count lines
-    lines = [f"{i} {label}" for i, label in enumerate(preds)]
     return {
-        "predictions.txt": "\n".join(lines) + "\n",
+        "predictions.txt": "".join([f"{i} {label}\n" for i, label in enumerate(preds)]),
         "predict_summary.json": {
             "mode": model_set.mode,
             "n_instances": data.n,

@@ -353,7 +353,8 @@ def serialize_dataset(data: Dataset) -> str:
         format_row(label, m.indices[s:e], m.data[s:e])
         for label, s, e in zip(data.labels, ptr, ptr[1:])
     ]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
 def compute_idf(data: Dataset) -> dict[int, float]:

@@ -452,7 +452,8 @@ def serialize_model_set(model_set: ModelSet) -> str:
         theta = model_set.models[node].theta
         nz = np.flatnonzero(theta)
         lines.append(f"{node} {_b64(nz + 1, '<i8')} {_b64(theta[nz], '<f8')}".rstrip())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the joined text
+    return "\n".join(lines)
 
 
 def _decode(lineno: int, token: str, dtype: str) -> np.ndarray:
@@ -466,25 +467,11 @@ def _decode(lineno: int, token: str, dtype: str) -> np.ndarray:
     return np.frombuffer(raw, dtype)
 
 
-def parse_model_set(text: str) -> ModelSet:
-    """Inverse of :func:`serialize_model_set`.
+def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
+    """Mode, fingerprint, dimensionality and C of a model file's headers, checked.
 
-    Unknown headers are ignored.  Loaded models carry no objective value
-    (it is not part of the format) and are marked converged.  A model
-    line that breaks the format, one in the older ``idx:weight`` text form,
-    or one whose node is not a node id raises :class:`LearnerError` naming it.
+    The four are popped from ``headers``; what is left is the extra headers.
     """
-    headers: dict[str, str] = {}
-    body: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            key, _, value = stripped[1:].partition(" ")
-            headers[key] = value
-            continue
-        body.append((lineno, stripped))
     for required in ("mode", "fingerprint", "dimensionality", "C"):
         if required not in headers:
             raise LearnerError(f"model file is missing the {required!r} header")
@@ -505,27 +492,73 @@ def parse_model_set(text: str) -> ModelSet:
         raise LearnerError(f"the C header is not a number: {c_text!r}; retrain the model") from None
     if not (math.isfinite(c) and c > 0.0):
         raise LearnerError(f"C must be finite and positive, got the C header {c_text!r}")
+    return mode, fingerprint, dim, c
 
+
+def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
+    """The node and dense weights of the model line ``record``, checked."""
+    if ":" in record:
+        raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
+    node_text, *codes = record.split()
+    node = parse_id(node_text, lineno, LearnerError)
+    if len(codes) not in (0, 2):
+        raise LearnerError(f"line {lineno}: expected 'node indices weights', "
+                           f"got {len(codes) + 1} tokens")
+    idx = _decode(lineno, codes[0], "<i8") if codes else np.zeros(0, np.int64)
+    weights = _decode(lineno, codes[1], "<f8") if codes else np.zeros(0)
+    if idx.size != weights.size:
+        raise LearnerError(f"line {lineno}: {idx.size} indices but {weights.size} weights")
+    if idx.size and (idx[0] < 1 or idx[-1] > dim or np.any(idx[1:] <= idx[:-1])):
+        raise LearnerError(f"line {lineno}: weight indices must ascend strictly in 1..{dim}")
+    if not np.isfinite(weights).all():
+        raise LearnerError(f"line {lineno}: non-finite weight")
+    theta = np.zeros(dim, dtype=np.float64)
+    theta[idx - 1] = weights
+    return node, theta
+
+
+def parse_model_set(lines: Iterable[str]) -> ModelSet:
+    """Inverse of :func:`serialize_model_set`, read one line at a time.
+
+    ``lines`` is an iterable of text lines, such as a model file opened
+    in text mode or ``text.splitlines()``; each is split again with
+    ``str.splitlines``, so lines and line numbers are those of
+    ``text.splitlines()`` on the whole text.  A ``str`` raises TypeError.
+    Each model line is decoded into its dense weights as it is read, so
+    no copy of the text is kept.
+
+    Headers come before the first model line; a ``#`` line after it is
+    rejected.  Unknown headers are ignored.  Loaded models carry no
+    objective value (it is not part of the format) and are marked
+    converged.  A model line that breaks the format, one in the older
+    ``idx:weight`` text form, or one whose node is not a node id raises
+    :class:`LearnerError` naming it.
+    """
+    if isinstance(lines, str):
+        raise TypeError("parse_model_set reads an iterable of lines, such as an open model "
+                        "file, not a str; pass text.splitlines()")
+    headers: dict[str, str] = {}
+    settings: tuple[str, str, int, float] | None = None
     models: dict[int, NodeModel] = {}
-    for lineno, record in body:
-        if ":" in record:
-            raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
-        node_text, *codes = record.split()
-        node = parse_id(node_text, lineno, LearnerError)
-        if len(codes) not in (0, 2):
-            raise LearnerError(f"line {lineno}: expected 'node indices weights', "
-                               f"got {len(codes) + 1} tokens")
-        idx = _decode(lineno, codes[0], "<i8") if codes else np.zeros(0, np.int64)
-        weights = _decode(lineno, codes[1], "<f8") if codes else np.zeros(0)
-        if idx.size != weights.size:
-            raise LearnerError(f"line {lineno}: {idx.size} indices but {weights.size} weights")
-        if idx.size and (idx[0] < 1 or idx[-1] > dim or np.any(idx[1:] <= idx[:-1])):
-            raise LearnerError(f"line {lineno}: weight indices must ascend strictly in 1..{dim}")
-        if not np.isfinite(weights).all():
-            raise LearnerError(f"line {lineno}: non-finite weight")
+    # An empty item is an empty line (from text.splitlines()); a file yields none.
+    split = (line for physical in lines for line in physical.splitlines() or [""])
+    for lineno, line in enumerate(split, 1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if settings is not None:
+                raise LearnerError(f"line {lineno}: a '#' header after the first model line;"
+                                   " headers come first")
+            key, _, value = stripped[1:].partition(" ")
+            headers[key] = value
+            continue
+        if settings is None:
+            settings = _model_settings(headers)
+        node, theta = _model_theta(lineno, stripped, settings[2])  # at #dimensionality
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        theta = np.zeros(dim, dtype=np.float64)
-        theta[idx - 1] = weights
         models[node] = NodeModel(node=node, theta=theta)
-    return ModelSet(mode, fingerprint, dim, c, models, extra_headers=headers)
+    if settings is None:
+        settings = _model_settings(headers)
+    return ModelSet(*settings, models, extra_headers=headers)

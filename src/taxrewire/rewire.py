@@ -35,12 +35,43 @@ class RewireError(ValueError):
     """Raised when an edit's preconditions do not hold."""
 
 
+def _reject_field(key: str, value: object) -> None:
+    """Raise the ValueError that says why ``value`` cannot be an op's ``key`` field."""
+    if key == "iteration":
+        raise RewireError(f"iteration must be a positive integer, got {value!r}")
+    if key == "pair" and (type(value) is not tuple or len(value) != 2):
+        raise RewireError(f"pair must be a tuple of two node ids, got {value!r}")
+    for node in value if key == "pair" else (value,):
+        _check_id(node, f"{key}: ")
+
+
+def _check_fields(op: object) -> None:
+    """Raise ValueError unless ``op``'s node fields hold node ids and its iteration is positive.
+
+    A field must be a plain ``int``: True, a numpy integer or a float
+    would serialize as something other than its JSON id.  Every op a run
+    makes is checked, so a good field passes inline.
+    """
+    for key, value in vars(op).items():
+        if key == "pair":
+            if type(value) is tuple and len(value) == 2:
+                first, second = value
+                if (type(first) is int and type(second) is int
+                        and 0 <= first <= _MAX_ID and 0 <= second <= _MAX_ID):
+                    continue
+        elif type(value) is int and 0 <= value <= _MAX_ID and (value or key != "iteration"):
+            continue
+        _reject_field(key, value)
+
+
 @dataclass(frozen=True)
 class CreateOp:
     iteration: int
     pair: tuple[int, int]
     parent: int
     new_node: int
+
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -51,11 +82,15 @@ class MoveOp:
     old_parent: int
     new_parent: int
 
+    __post_init__ = _check_fields
+
 
 @dataclass(frozen=True)
 class DeleteOp:
     node: int
     parent: int
+
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
@@ -65,6 +100,8 @@ class CollapseOp:
     node: int
     child: int
     parent: int
+
+    __post_init__ = _check_fields
 
 
 RewireOp = Union[CreateOp, MoveOp, DeleteOp, CollapseOp]
@@ -128,15 +165,7 @@ class RewireLog:
                 if cls in (CreateOp, MoveOp):
                     first, second = record["pair"]
                     record["pair"] = (first, second)
-                op = cls(**record)
-                # Node fields hold node ids (True is not node 1), iteration a positive int.
-                for key, value in vars(op).items():
-                    if key != "iteration":
-                        for node in value if key == "pair" else (value,):
-                            _check_id(node, f"{key}: ")
-                    elif type(value) is not int or value < 1:
-                        raise ValueError(f"iteration must be a positive integer, got {value!r}")
-                ops.append(op)
+                ops.append(cls(**record))  # an op checks its own fields
             except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise RewireError(f"log line {lineno}: {exc}") from None
         return RewireLog(ops)

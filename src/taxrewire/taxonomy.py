@@ -286,8 +286,11 @@ _MAX_ID = 2**63 - 1  # the int64 range of data labels and model node ids
 
 
 def _check_id(node: object, where: str = "") -> None:
-    """Raise :class:`TaxonomyError` unless ``node`` is an int in 0..2^63 - 1."""
-    if not isinstance(node, int) or isinstance(node, bool) or not 0 <= node <= _MAX_ID:
+    """Raise :class:`TaxonomyError` unless ``node`` is a plain int in 0..2^63 - 1.
+
+    A bool, a numpy integer or another int subclass is not a node id.
+    """
+    if type(node) is not int or not 0 <= node <= _MAX_ID:
         raise TaxonomyError(
             f"{where}node ids must be non-negative integers below 2^63, got {node!r}"
         )

@@ -214,6 +214,34 @@ def json_dumps_log(ops):
     return "".join(lines)
 
 
+def whole_text_parse_model_set(text):
+    """The model file reader as it was before it read a line at a time.
+
+    It splits the whole text with ``splitlines()``, collects every
+    header wherever it stands, then decodes the model lines.  The header
+    checks and the per-line decoder are the package's, so an agreement
+    pins the line splitting and numbering of the streaming reader.
+    """
+    from taxrewire.learner import ModelSet, NodeModel, _model_settings, _model_theta
+
+    headers, body = {}, []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            key, _, value = stripped[1:].partition(" ")
+            headers[key] = value
+        elif stripped:
+            body.append((lineno, stripped))
+    settings = _model_settings(headers)
+    models = {}
+    for lineno, record in body:
+        node, theta = _model_theta(lineno, record, settings[2])
+        if node in models:
+            raise LearnerError(f"line {lineno}: duplicate model for node {node}")
+        models[node] = NodeModel(node, theta)
+    return ModelSet(*settings, models, extra_headers=headers)
+
+
 def oracle_lca(tax: Taxonomy, a: int, b: int) -> int:
     """Reference lowest common ancestor: intersect full root paths, take the deepest.
 

@@ -153,6 +153,18 @@ class TestArtifacts:
         assert summary["n_instances"] == 54
         assert summary["n_model_evaluations"] == 54 * 6  # 3 + 3 per instance
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_predict_reads_any_line_ending(self, pipeline, tmp_path, newline):
+        # predict reads model.txt a line at a time, with universal newlines
+        model = tmp_path / "model.txt"
+        model.write_bytes((pipeline["train"] / "model.txt").read_bytes().replace(
+            b"\n", newline.encode()))
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 0
+        for name in ("predictions.txt", "predict_summary.json"):
+            assert (tmp_path / "p" / name).read_bytes() == (pipeline["predict"] / name).read_bytes()
+
     def test_evaluate_outputs(self, pipeline):
         e = pipeline["eval"]
         payload = json.loads((e / "metrics.json").read_text())
@@ -716,6 +728,21 @@ class TestExitCodes:
         assert run("predict", "--model", model, "--data", b / "data.txt",
                    "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
         assert msg in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_header_after_a_model_line(self, pipeline, tmp_path, capsys):
+        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
+        config = next(line for line in lines if line.startswith("#config "))
+        lines.remove(config)
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines.insert(first + 1, config)
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert capsys.readouterr().err == (f"error: line {first + 2}: a '#' header after the"
+                                           " first model line; headers come first\n")
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("split", ["0", "1", "1.5"])

@@ -1,9 +1,12 @@
 import base64
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from reference_impls import (
     predict_topdown,
     random_taxonomy,
     sparse_score,
+    whole_text_parse_model_set,
 )
 
 
@@ -535,7 +539,7 @@ class TestSerialization:
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.1, seed=9)
         ms = train_topdown(letter_tree, data, c=3.0)
         ms.extra_headers["config"] = '{"seed": 4}'
-        back = parse_model_set(serialize_model_set(ms))
+        back = parse_model_set(io.StringIO(serialize_model_set(ms)))
         assert back.mode == ms.mode
         assert back.fingerprint == ms.fingerprint
         assert back.dimensionality == ms.dimensionality
@@ -551,7 +555,7 @@ class TestSerialization:
         ms.c = c
         text = serialize_model_set(ms)
         assert f"\n#C {c!r}\n" in text
-        back = parse_model_set(text)
+        back = parse_model_set(io.StringIO(text))
         assert type(back.c) is float and back.c == c
 
     def test_zero_weights_are_dropped(self, letter_tree):
@@ -570,7 +574,7 @@ class TestSerialization:
 
     def test_unknown_headers_survive(self):
         text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#note kept verbatim\n"
-        ms = parse_model_set(text + model_line(0, [1], [0.5]))
+        ms = parse_model_set(io.StringIO(text + model_line(0, [1], [0.5])))
         assert ms.extra_headers == {"note": "kept verbatim"}
         assert np.array_equal(ms.models[0].theta, [0.5, 0.0])
 
@@ -622,9 +626,146 @@ class TestSerialization:
              "the C header is not a number: .*; retrain the model"),
         ],
     )
-    def test_parse_rejects(self, text, msg):
+    def test_parse_rejects(self, tmp_path, text, msg):
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with path.open(encoding="utf-8") as fh, pytest.raises(LearnerError, match=msg):
+            parse_model_set(fh)
+
+
+# Every character str.splitlines() breaks a line at; "\r\n" is one break.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def read_model_file(path: Path) -> ModelSet:
+    with path.open(encoding="utf-8") as fh:
+        return parse_model_set(fh)
+
+
+def outcome(parse, arg):
+    """``parse(arg)``'s model set as comparable values, or its LearnerError's message."""
+    try:
+        ms = parse(arg)
+    except LearnerError as exc:
+        return str(exc)
+    return (ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
+            {node: m.theta.tobytes() for node, m in ms.models.items()})
+
+
+BODY = model_line(0, [1], [0.5]) + model_line(3, [1, 2], [0.25, -1.0])
+
+
+class TestLineReader:
+    """parse_model_set reads lines, numbered as the whole text's splitlines() numbers them."""
+
+    @pytest.mark.parametrize("text", [
+        (HEAD + BODY).replace("\n", "\r\n"),
+        (HEAD + BODY).replace("\n", "\r"),
+        HEAD + BODY.rstrip("\n"),
+        HEAD + "\n\n   \n" + BODY.replace("\n", "\n\n"),
+        *[HEAD + BODY.replace("\n", brk, 1) for brk in ("\x0c", "\x85", "\u2028")],
+        # a break inside a model line cuts it in two
+        *[HEAD + BODY.replace("AAAA", "AA" + brk + "AA", 1) for brk in ("\x0c", "\x85", "\u2028")],
+        HEAD.replace("\n", "\x1e") + BODY.replace("\n", "\u2029"),
+        "#mode flat\r\n#fingerprint a\n#dimensionality 2\r#C 1.0\x0c\x0c" + BODY,
+        HEAD + BODY + "x\r\n",
+        HEAD + BODY + model_line(0, [2], [1.0]).rstrip("\n"),
+    ], ids=["crlf", "lone-cr", "no-final-newline", "blank-lines", "form-feed", "next-line",
+            "line-separator", "form-feed-in-line", "next-line-in-line",
+            "line-separator-in-line", "record-and-paragraph-separators", "mixed",
+            "bad-last-line", "duplicate-last-line-without-newline"])
+    def test_file_reads_as_the_whole_text_did(self, tmp_path, text):
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = outcome(whole_text_parse_model_set, path.read_text(encoding="utf-8"))
+        assert outcome(read_model_file, path) == want
+        assert outcome(parse_model_set, text.splitlines()) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([
+        "", "  ", "x", "0 1:0.5", model_line(0, [1], [0.5]).rstrip(),
+        model_line(1, [2], [-0.5]).rstrip(), model_line(0, [2, 1], [1.0, 1.0]).rstrip(),
+        "0 AQAAAAAAAA", "7",
+    ]), max_size=6), st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
+        st.booleans())
+    def test_any_line_breaks_read_as_the_whole_text_did(self, body, breaks, final_break):
+        lines = HEAD.splitlines() + body
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        if not final_break:
+            text = text[:-len(breaks[len(lines) - 1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            want = outcome(whole_text_parse_model_set, path.read_text(encoding="utf-8"))
+            assert outcome(read_model_file, path) == want
+        assert outcome(parse_model_set, text.splitlines()) == want
+
+    def test_blank_items_count_as_lines(self):
+        # text.splitlines() gives "" for a blank line; it keeps its number.
+        lines = [*HEAD.splitlines(), "", "", model_line(0, [3], [0.5]).rstrip()]
+        with pytest.raises(LearnerError, match="^line 7: weight indices must ascend"):
+            parse_model_set(lines)
+
+    @pytest.mark.parametrize("late,msg", [
+        ("#note kept", "^line 6: a '#' header after the first model line; headers come first$"),
+        ("#C 2.0", "^line 6: a '#' header after the first model line"),
+    ])
+    def test_header_after_a_model_line(self, tmp_path, late, msg):
+        path = tmp_path / "model.txt"
+        path.write_text(HEAD + model_line(0, [1], [0.5]) + late + "\n"
+                        + model_line(1, [2], [0.5]), encoding="utf-8")
         with pytest.raises(LearnerError, match=msg):
+            read_model_file(path)
+
+    def test_required_header_after_a_model_line_is_missing(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(HEAD.replace("#C 1.0\n", "") + model_line(0, [1], [0.5]) + "#C 1.0\n",
+                        encoding="utf-8")
+        with pytest.raises(LearnerError, match="^model file is missing the 'C' header$"):
+            read_model_file(path)
+
+    def test_str_is_a_type_error(self):
+        text = HEAD + model_line(0, [1], [0.5])
+        with pytest.raises(TypeError, match="not a str"):
             parse_model_set(text)
+
+
+def dense_model_set(n_models: int = 64, dim: int = 10_000) -> ModelSet:
+    rng = np.random.default_rng(0)
+    return ModelSet("flat", "f" * 8, dim, 1.0,
+                    {n: NodeModel(n, rng.standard_normal(dim)) for n in range(n_models)})
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestModelFileMemory:
+    """The model text is held once while written and not at all while read."""
+
+    def test_writer_holds_the_text_at_most_twice(self):
+        ms = dense_model_set()
+        text, peak = traced_peak(lambda: serialize_model_set(ms))
+        # the line list and the joined text; the old "+ '\n'" made a third copy
+        assert peak <= 2.1 * len(text)
+
+    def test_reader_holds_the_dense_weights_and_a_few_lines(self, tmp_path):
+        ms = dense_model_set()
+        path = tmp_path / "model.txt"
+        path.write_text(serialize_model_set(ms), encoding="utf-8")
+        back, peak = traced_peak(lambda: read_model_file(path))
+        dense = sum(m.theta.nbytes for m in ms.models.values())
+        assert path.stat().st_size > 2 * dense
+        assert peak <= dense + 2**20
+        assert all(back.models[n].theta.tobytes() == m.theta.tobytes()
+                   for n, m in ms.models.items())
 
 
 # Weights a writer must keep bit for bit: -0.0 (never written), subnormals
@@ -663,7 +804,7 @@ def model_sets(draw) -> ModelSet:
 @example(one_model(*SPECIAL_WEIGHTS))
 def test_model_set_round_trip_is_bitwise(ms):
     text = serialize_model_set(ms)
-    back = parse_model_set(text)
+    back = parse_model_set(io.StringIO(text))
     assert (back.mode, back.fingerprint, back.dimensionality, back.c, back.extra_headers) == (
         ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers)
     assert sorted(back.models) == sorted(ms.models)
@@ -681,6 +822,6 @@ def test_any_model_line_loads_or_names_its_line(lines):
     # LearnerError that names a line: it never fails in another way.
     text = HEAD + "".join(line + "\n" for line in lines)
     try:
-        parse_model_set(text)
+        parse_model_set(io.StringIO(text))
     except LearnerError as exc:
         assert str(exc).startswith("line ")

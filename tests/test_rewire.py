@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -250,6 +251,10 @@ class TestFullPass:
         assert out.leaves == letter_tree.leaves
 
 
+class IntSubclass(int):
+    pass
+
+
 class TestLog:
     def test_jsonl_round_trip(self, letter_tree):
         from itertools import combinations
@@ -301,6 +306,29 @@ class TestLog:
                 '"old_parent": true, "new_parent": 8}\n')
         with pytest.raises(RewireError, match="^log line 1: old_parent: .*got True$"):
             RewireLog.from_jsonl(line)
+
+    # An op checks its fields when it is built, so a log never holds one
+    # that to_jsonl would write as something from_jsonl rejects.
+    @pytest.mark.parametrize("build,fragment", [
+        (lambda: DeleteOp(True, np.int64(3)), "node: .*got True$"),
+        (lambda: DeleteOp(3, np.int64(3)), f"parent: .*got {re.escape(repr(np.int64(3)))}$"),
+        (lambda: DeleteOp(2.0, 0), "node: .*got 2.0$"),
+        (lambda: DeleteOp(IntSubclass(2), 0), "node: .*got 2$"),
+        (lambda: DeleteOp(-1, 0), "node: node ids must be non-negative integers below 2\\^63, "
+                                  "got -1$"),
+        (lambda: CollapseOp(1, 2**63, 0), "child: .*got 9223372036854775808$"),
+        (lambda: CreateOp(1, (0, np.int64(3)), 6, 9),
+         f"pair: .*got {re.escape(repr(np.int64(3)))}$"),
+        (lambda: CreateOp(1, (0, 3, 4), 6, 9), "pair must be a tuple of two node ids"),
+        (lambda: CreateOp(1, [0, 3], 6, 9), "pair must be a tuple of two node ids"),
+        (lambda: MoveOp(1, (0, 3), 0, False, 8), "old_parent: .*got False$"),
+        (lambda: MoveOp(np.int64(1), (0, 3), 0, 2, 8), "iteration must be a positive integer"),
+        (lambda: MoveOp(0, (0, 3), 0, 2, 8), "iteration must be a positive integer, got 0$"),
+    ], ids=["bool", "numpy-int", "float", "int-subclass", "negative", "2^63", "numpy-int-in-pair",
+            "three-in-pair", "list-pair", "bool-old-parent", "numpy-iteration", "iteration-zero"])
+    def test_op_rejects_a_field_that_is_not_an_id(self, build, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build()
 
     def assert_matches_json_dumps(self, log):
         text = log.to_jsonl()

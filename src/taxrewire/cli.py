@@ -56,9 +56,6 @@ from .learner import FingerprintMismatchError, LearnerError
 from .taxonomy import TaxonomyError
 from .corpus import DatasetFormatError
 
-# Ranks of the sorted pair table that similarity writes to pairs.csv.
-_CURVE_SAMPLE_ROWS = 1_024
-
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
@@ -163,7 +160,7 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
         simgraph.write_pair_set(selected, fh)
 
     return {
-        "pairs.csv": lambda fh: simgraph.write_score_curve(scores, fh, sample=_CURVE_SAMPLE_ROWS),
+        "pairs.csv": lambda fh: simgraph.write_score_curve(scores, fh),
         "pairs.txt": write_pairs,
         "similarity_summary.json": {
             "n_classes": centroids.n,
@@ -326,10 +323,13 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 
 
 def _parse_count(text: str) -> int | tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    return int(text)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return int(lo), int(hi)
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--instances-per-leaf must be N or LO:HI, got {text!r}") from None
 
 
 def cmd_bench(args: argparse.Namespace) -> dict:

@@ -39,7 +39,8 @@ class ScoreTable:
     """Scored class pairs as three parallel arrays, in descending score order.
 
     Row ``i`` is the pair ``(a[i], b[i])`` with ``a[i] < b[i]`` and cosine
-    ``score[i]``; ties are in (a, b) order.  ``len()`` is the pair count.
+    ``score[i]``; ties are in (a, b) order.  The order is checked on
+    construction.  ``len()`` is the pair count.
     """
 
     a: np.ndarray
@@ -52,6 +53,8 @@ class ScoreTable:
         object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
         if self.a.ndim != 1 or not self.a.shape == self.b.shape == self.score.shape:
             raise SimilarityError("a, b and score must be 1-d arrays of equal length")
+        if np.any(self.score[1:] > self.score[:-1]):
+            raise SimilarityError("pairs must be sorted by descending score")
 
     def __len__(self) -> int:
         return int(self.score.size)
@@ -61,10 +64,10 @@ class ScoreTable:
 class SimilarPairSet(ScoreTable):
     """Selected pairs in descending score order, plus the threshold they passed.
 
-    The rows are checked on construction: ``a < b``, scores in [-1, 1],
-    non-increasing and at least ``tau``.  Membership tests normalize pair
-    orientation, so ``(a, b)`` and ``(b, a)`` are the same pair; the first
-    test builds the set of member tuples.
+    The rows are checked on construction: ``a < b``, scores in [-1, 1]
+    and at least ``tau``, besides the table's order.  Membership tests
+    normalize pair orientation, so ``(a, b)`` and ``(b, a)`` are the same
+    pair; the first test builds the set of member tuples.
     """
 
     tau: float
@@ -79,8 +82,6 @@ class SimilarPairSet(ScoreTable):
         bad = np.flatnonzero(~((self.score >= -1.0) & (self.score <= 1.0)))
         if bad.size:
             raise SimilarityError(f"cosine score out of range: {self.score[bad[0]]}")
-        if np.any(self.score[1:] > self.score[:-1]):
-            raise SimilarityError("pairs must be sorted by descending score")
         if np.any(self.score < self.tau):
             raise SimilarityError("every stored score must be >= tau")
 
@@ -141,72 +142,75 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
 
     ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
-    Order: descending score, ties by (a, b) ascending.  Pairs with a
-    zero-norm centroid score 0.0 and every score is clipped to [-1, 1].
-    The scores come from the unit-centroid Gram matrix, one row block of
-    :func:`_gram_blocks` at a time; only the pair scores are kept whole.
+    Order: descending score, ties by (a, b) ascending.  The scores come
+    from :func:`_score_blocks`, one row block at a time, so a pair with a
+    zero-norm centroid scores 0.0 and every score lies in [-1, 1]; only
+    the pair scores are kept whole.
     """
     labels = np.asarray(centroids.labels, dtype=np.int64)
     if labels.size < 2:
         raise SimilarityError("need at least 2 class centroids to form pairs")
     if np.any(labels[1:] <= labels[:-1]):
         raise SimilarityError("centroid labels must be strictly ascending")
-    unit, zero = _unit_centroids(centroids)
     n = labels.size
     rows, cols = np.triu_indices(n, k=1)
     scores = np.empty(rows.size)
     filled = 0
-    for start, gram in _gram_blocks(unit):
+    for start, block in _score_blocks(centroids):
         # Row i's entries right of the diagonal are the next n - 1 - i of (rows, cols).
-        for i, row in enumerate(gram, start):
+        for i, row in enumerate(block, start):
             scores[filled:filled + n - 1 - i] = row[i + 1:]
             filled += n - 1 - i
-    del gram, row  # the last block would otherwise live on through the ranking
-    scores[zero[rows] | zero[cols]] = 0.0
-    np.clip(scores, -1.0, 1.0, out=scores)
+    del block, row  # the last block would otherwise live on through the ranking
     # (rows, cols) is in (a, b) order, so a stable ranking leaves ties in it.
     order = _rank_descending(scores)
     return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
 
 
-def _unit_centroids(centroids: Dataset) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The centroid rows scaled to unit norm, and which rows have norm zero.
+def _unit_centroids(centroids: Dataset) -> sp.csr_matrix:
+    """The centroid rows scaled to unit norm.
 
-    A zero row stays zero.  Every row keeps its columns in descending
-    order, the order the ``sp.diags(...) @ mat`` product writes; sorting
-    them would change which way a score sums, and so its last bits.
-    Entry (i, j) of ``unit @ unit.T`` sums over row i's features in that
-    order, and :func:`_gram_blocks` sums it over row j's: the same order.
+    A row whose norm is zero, or underflows to zero, is scaled by 0, so
+    every product with it is a ±0 and every Gram entry it takes part in
+    sums to +0.0: a zero-norm centroid scores 0.  Every row keeps its
+    columns in descending order, the order the ``sp.diags(...) @ mat``
+    product writes; sorting them would change which way a score sums,
+    and so its last bits.  Entry (i, j) of ``unit @ unit.T`` sums over
+    row i's features in that order, and :func:`_score_blocks` sums it
+    over row j's: the same order.
     """
     mat = centroids.to_csr()
     norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
-    scale = np.where(norms > 0.0, norms, 1.0)
-    return (sp.diags(1.0 / scale) @ mat).tocsr(), norms == 0.0
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    return (sp.diags(scale) @ mat).tocsr()
 
 
-# Dense floats held at once by _gram_blocks, in its operand and in its block.
+# Dense floats held at once by _score_blocks, in its operand and in its block.
 _GRAM_BLOCK_ENTRIES = 1 << 22
 
 
-def _gram_blocks(unit: sp.csr_matrix) -> Iterator[tuple[int, np.ndarray]]:
-    """``unit @ unit.T`` one block of rows at a time, as ``(start, block)``.
+def _score_blocks(centroids: Dataset) -> Iterator[tuple[int, np.ndarray]]:
+    """Cosine scores of all centroid pairs, one block of rows at a time: ``(start, block)``.
 
-    ``block`` is rows ``start:start + len(block)``, a fresh float array
-    the caller may change.  It is the transpose of a CSR × dense product
-    with ``unit[start:stop].T`` made dense, so its columns, not its rows,
-    are contiguous.  The product adds the same products in the same
-    order as the sparse ``unit @ unit.T`` (see :func:`_unit_centroids`);
-    each column of the dense operand also adds a ±0 product per feature
-    its row lacks, and a sum that starts at +0.0 is not changed by one.
-    So every entry matches the sparse product bit for bit.  A block holds
-    ``_GRAM_BLOCK_ENTRIES // max(n, width)`` rows, at least one, so
-    neither it nor the dense operand outgrows the bound unless one row
-    does.
+    ``block`` is rows ``start:start + len(block)`` of the unit-centroid
+    Gram ``unit @ unit.T`` (see :func:`_unit_centroids`), clipped to
+    [-1, 1], a fresh float array the caller may change.  It is the
+    transpose of a CSR × dense product with ``unit[start:stop].T`` made
+    dense, so its columns, not its rows, are contiguous.  The product
+    adds the same products in the same order as the sparse
+    ``unit @ unit.T``; each column of the dense operand also adds a ±0
+    product per feature its row lacks, and a sum that starts at +0.0 is
+    not changed by one.  So every entry matches the sparse product bit
+    for bit.  A block holds ``_GRAM_BLOCK_ENTRIES // max(n, width)``
+    rows, at least one, so neither it nor the dense operand outgrows the
+    bound unless one row does.
     """
+    unit = _unit_centroids(centroids)
     n, width = unit.shape
     step = max(1, _GRAM_BLOCK_ENTRIES // max(n, width, 1))
     for start in range(0, n, step):
-        yield start, (unit @ unit[start:start + step].T.toarray()).T
+        block = (unit @ unit[start:start + step].T.toarray()).T
+        yield start, np.clip(block, -1.0, 1.0, out=block)
 
 
 def _rank_descending(values: np.ndarray) -> np.ndarray:
@@ -253,8 +257,6 @@ def select_pairs(
         raise SimilarityError("exactly one of tau and top_k must be given")
     if not len(scores):
         raise SimilarityError("cannot select from an empty score table")
-    if np.any(scores.score[1:] > scores.score[:-1]):
-        raise SimilarityError("scores must be sorted descending")
     if tau is not None:
         if not -1.0 <= tau <= 1.0:
             raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
@@ -326,33 +328,30 @@ def auto_threshold(scores: ScoreTable) -> float:
     return float(scores.score[rank - 1])
 
 
-# Rows formatted per write by write_score_curve and write_pair_set: bounds
-# the text and the per-row Python objects held in memory.
+# Ranks of the sorted table that write_score_curve writes: pairs.csv.
+_CURVE_SAMPLE_ROWS = 1_024
+
+# Rows formatted per write by write_pair_set: bounds the text and the
+# per-row Python objects held in memory.
 _CURVE_CHUNK_ROWS = 65_536
 
 
-def write_score_curve(scores: ScoreTable, out: IO[str], sample: int | None = None) -> None:
-    """CSV dump of a score table: rank, class ids, score (``repr``), in chunks of rows.
+def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
+    """CSV sample of a score table: rank, class ids, score (``repr``).
 
-    ``sample=None`` writes every rank.  ``sample=t`` writes ``T = min(t, n)``
-    ranks spread evenly over the curve, ``1 + floor(j * (n - 1) / (T - 1))``
-    for ``j = 0..T-1``: the first and the last rank, and every rank when
-    ``t >= n``.  A written line is the same as that rank's line in the
-    full curve.
+    Writes ``T = min(_CURVE_SAMPLE_ROWS, n)`` ranks spread evenly over
+    the curve, ``1 + floor(j * (n - 1) / (T - 1))`` for ``j = 0..T-1``:
+    the first and the last rank, and every rank when ``n <= T``.
     """
-    if sample is not None and sample < 1:
-        raise SimilarityError(f"sample must be at least 1, got {sample}")
     n = len(scores)
-    t = n if sample is None else min(sample, n)
+    t = min(_CURVE_SAMPLE_ROWS, n)
+    rows = np.arange(t, dtype=np.int64) * (n - 1) // max(t - 1, 1)  # 0-based
+    lines = zip(
+        (rows + 1).tolist(), scores.a[rows].tolist(),
+        scores.b[rows].tolist(), scores.score[rows].tolist(),
+    )
     out.write("rank,class_a,class_b,score\n")
-    for start in range(0, t, _CURVE_CHUNK_ROWS):
-        j = np.arange(start, min(start + _CURVE_CHUNK_ROWS, t), dtype=np.int64)
-        rows = j * (n - 1) // max(t - 1, 1)  # 0-based; j itself when t == n
-        lines = zip(
-            (rows + 1).tolist(), scores.a[rows].tolist(),
-            scores.b[rows].tolist(), scores.score[rows].tolist(),
-        )
-        out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in lines))
+    out.write("".join(f"{r},{a},{b},{s!r}\n" for r, a, b, s in lines))
 
 
 def write_pair_set(pair_set: SimilarPairSet, out: IO[str]) -> None:

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 ARMIJO_C1 = 1e-4
+MEMORY = 10  # curvature pairs kept by the two-loop recursion
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 60
 
@@ -36,7 +37,6 @@ def minimize_lbfgs(
     x0: np.ndarray,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
-    memory: int = 10,
     record_history: bool = False,
 ) -> SolveResult:
     """Minimize ``fun_grad`` starting at ``x0``.
@@ -55,9 +55,9 @@ def minimize_lbfgs(
     tol = grad_tol * max(1.0, g0_norm)
     history = [f] if record_history else None
 
-    s_list: deque[np.ndarray] = deque(maxlen=memory)
-    y_list: deque[np.ndarray] = deque(maxlen=memory)
-    rho_list: deque[float] = deque(maxlen=memory)
+    s_list: deque[np.ndarray] = deque(maxlen=MEMORY)
+    y_list: deque[np.ndarray] = deque(maxlen=MEMORY)
+    rho_list: deque[float] = deque(maxlen=MEMORY)
 
     n_iter = 0
     converged = float(np.linalg.norm(g)) <= tol

@@ -189,29 +189,24 @@ def gen_planted(config: PlantConfig) -> PlantedBench:
 def _check_separability(tree: Taxonomy, data: Dataset) -> tuple[float, float]:
     """Low-noise sanity check: same-parent leaf pairs must out-score cross pairs.
 
-    Scores every leaf pair through the Gram kernel that
-    :func:`~taxrewire.simgraph.all_pairs_scores` uses, one row block at a
-    time, with its zero-norm and clip rules, so every score matches the
-    score table bit for bit.  Returns the weakest within-group and the
-    strongest cross-group score (``inf`` and ``-inf`` when a side has no
-    pair).
+    Scores every leaf pair through the blocks that
+    :func:`~taxrewire.simgraph.all_pairs_scores` reads, one row block at a
+    time, so every score matches the score table bit for bit.  Returns
+    the weakest within-group and the strongest cross-group score (``inf``
+    and ``-inf`` when a side has no pair).
     """
-    from .simgraph import _gram_blocks, _unit_centroids, class_centroids
+    from .simgraph import _score_blocks, class_centroids
 
     centroids = class_centroids(data, tree.leaves)
-    unit, zero = _unit_centroids(centroids)
     parent = np.asarray([tree.parent(leaf) for leaf in centroids.labels])
     n = parent.size
     lows, highs = [], []
-    for start, gram in _gram_blocks(unit):
-        rows = np.arange(start, start + len(gram))
-        gram[zero[rows]] = 0.0
-        gram[:, zero] = 0.0
-        np.clip(gram, -1.0, 1.0, out=gram)
+    for start, block in _score_blocks(centroids):
+        rows = np.arange(start, start + len(block))
         upper = np.arange(n) > rows[:, None]
         same = parent[rows, None] == parent
-        lows.append(np.min(gram[upper & same], initial=np.inf))
-        highs.append(np.max(gram[upper & ~same], initial=-np.inf))
+        lows.append(np.min(block[upper & same], initial=np.inf))
+        highs.append(np.max(block[upper & ~same], initial=-np.inf))
     # np.min and np.max carry a NaN through, as one min over the whole table does.
     low, high = float(np.min(lows, initial=np.inf)), float(np.max(highs, initial=-np.inf))
     if low <= high:

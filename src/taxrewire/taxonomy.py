@@ -11,10 +11,10 @@ Every file that names nodes (hierarchy, pairs, models, predictions) reads
 them with :func:`parse_id`, and every reader skips blank and ``#`` lines
 with :func:`records`; this module imports neither numpy nor scipy.
 
-The editing helpers (:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`,
-:meth:`Taxonomy.remove_childless`) return an edited copy and never touch
-the receiver.  An edit checks only the invariants it can break; code that
-edits a private copy in place validates the whole tree once when done.
+The editing helpers (:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`)
+return an edited copy and never touch the receiver.  An edit checks only
+the invariants it can break; code that edits a private copy in place
+validates the whole tree once when done.
 """
 
 from __future__ import annotations
@@ -220,12 +220,6 @@ class Taxonomy:
         """
         out = self.copy()
         out._reparent(node, new_parent)
-        return out
-
-    def remove_childless(self, node: int) -> "Taxonomy":
-        """Return a new tree without ``node``, which must be childless and not the root."""
-        out = self.copy()
-        out._remove(node)
         return out
 
     # ------------------------------------------------------------------

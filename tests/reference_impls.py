@@ -157,11 +157,16 @@ def brute_macro_f1(pairs, classes):
     return total / len(classes)
 
 
+def without(tax, node):
+    """A new tree without the childless non-root ``node``, rebuilt and validated whole."""
+    return Taxonomy(tax.root, {c: tax.parent(c) for c in tax.non_root_nodes() if c != node})
+
+
 def round_by_round_delete_sweep(tax, class_leaves):
     """Delete childless non-root non-class nodes in rounds over the whole tree.
 
     Each round rescans every node and removes the doomed ones in ascending
-    id order through the copy-returning edit.  Returns the tree and the
+    id order, each into a freshly built tree.  Returns the tree and the
     ``(node, parent)`` of every deletion.
     """
     keep = frozenset(class_leaves)
@@ -174,7 +179,7 @@ def round_by_round_delete_sweep(tax, class_leaves):
             return tax, ops
         for node in doomed:
             ops.append((node, tax.parent(node)))
-            tax = tax.remove_childless(node)
+            tax = without(tax, node)
 
 
 def round_by_round_collapse(tax):
@@ -193,7 +198,7 @@ def round_by_round_collapse(tax):
         node = chained[0]
         child, parent = tax.children(node)[0], tax.parent(node)
         ops.append((node, child, parent))
-        tax = tax.reparent(child, parent).remove_childless(node)
+        tax = without(tax.reparent(child, parent), node)
 
 
 def json_dumps_log(ops):

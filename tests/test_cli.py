@@ -904,6 +904,13 @@ class TestExitCodes:
             "--out", tmp_path / "o", "--grid", "abc",
         ) == 6
 
+    @pytest.mark.parametrize("count", ["3:", "abc", "1:2:3"])
+    def test_bad_instances_per_leaf(self, tmp_path, capsys, count):
+        assert run("bench", "--instances-per-leaf", count, "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == (
+            f"error: --instances-per-leaf must be N or LO:HI, got {count!r}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("workers", ["-4", "0"])
     def test_workers_below_one(self, pipeline, tmp_path, capsys, workers):
         argv = ["train", "--data", pipeline["bench"] / "data.txt", "--hierarchy",

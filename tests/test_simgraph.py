@@ -12,8 +12,9 @@ from taxrewire import simgraph
 from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     _CURVE_CHUNK_ROWS,
-    _gram_blocks,
+    _CURVE_SAMPLE_ROWS,
     _rank_descending,
+    _score_blocks,
     _unit_centroids,
     ScoreTable,
     SimilarityError,
@@ -143,6 +144,28 @@ class TestAllPairs:
         assert cents.dimensionality == 0
         assert rows(all_pairs_scores(cents)) == [(4, 7, 0.0), (4, 9, 0.0), (7, 9, 0.0)]
 
+    def test_underflowing_norm_scores_positive_zero(self):
+        # 1e-170 squared underflows to 0.0, so centroid 2's norm is zero.
+        cents = centroid_rows({1: sv((1, 1.0), (2, -1.0)), 2: sv((1, -1e-170), (2, 1e-170)),
+                               3: sv((1, -2.0), (2, 1.0))})
+        unit = _unit_centroids(cents)
+        assert np.all(unit[1].toarray() == 0.0)
+        got = rows(all_pairs_scores(cents))
+        assert [(a, b, s.hex()) for a, b, s in got[:2]] == [(1, 2, "0x0.0p+0"), (2, 3, "0x0.0p+0")]
+        assert got[2][:2] == (1, 3) and got[2][2] == pytest.approx(-3 / math.sqrt(10))
+
+    def test_underflowing_norms_match_per_pair_scorer(self):
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            cents = random_centroids(rng, int(rng.integers(2, 12)), int(rng.integers(1, 6)))
+            csr = cents.to_csr()
+            tiny = rng.random(cents.n) < 0.3
+            csr.data[np.repeat(tiny, np.diff(csr.indptr))] *= 1e-170
+            cents = Dataset._from_matrix(csr, cents.labels)
+            want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))
+            assert [(a, b, s.hex()) for a, b, s in rows(all_pairs_scores(cents))] == [
+                (a, b, s.hex()) for a, b, s in want]
+
 
 def stable_rank(values):
     return np.argsort(-values, kind="stable")
@@ -240,22 +263,20 @@ class TestMatchesPerPairScorer:
     def test_order_scores_and_curve_text_match(self):
         rng = np.random.default_rng(2024)
         ties = zeros = negatives = 0
-        # The last set has more pairs than write_score_curve formats per chunk.
+        # The last set is large: 66,066 pairs, far more than pairs.csv samples.
         for trial in range(241):
             n = 2 if trial % 8 == 0 else int(rng.integers(3, 30))
             if trial == 240:
                 n = math.isqrt(2 * _CURVE_CHUNK_ROWS) + 2
-                assert n * (n - 1) // 2 > _CURVE_CHUNK_ROWS
+                assert n * (n - 1) // 2 > _CURVE_SAMPLE_ROWS
             cents = random_centroids(rng, n, int(rng.integers(1, 9)))
             table = all_pairs_scores(cents)
             want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))
             assert [(a, b) for a, b, _ in rows(table)] == [(a, b) for a, b, _ in want]
             assert [s.hex() for s in table.score.tolist()] == [s.hex() for _, _, s in want]
-            got_csv, want_csv = io.StringIO(), io.StringIO()
-            write_score_curve(table, got_csv)
+            want_csv = io.StringIO()
             csv_score_curve(want, want_csv)
-            assert got_csv.getvalue() == want_csv.getvalue()
-            check_sampled_curve(table, int(rng.integers(1, len(want) + 2)), want_csv.getvalue())
+            check_sampled_curve(table, want_csv.getvalue())
             scores = table.score
             ties += int(np.count_nonzero(scores[1:] == scores[:-1]))
             zeros += int(np.count_nonzero(scores == 0.0))
@@ -263,15 +284,15 @@ class TestMatchesPerPairScorer:
         assert ties and zeros and negatives  # the generator reached every case
 
 
-def check_sampled_curve(table, sample, full_text):
-    """``write_score_curve(table, sample=sample)`` against the full curve text."""
+def check_sampled_curve(table, full_text):
+    """``write_score_curve(table)`` against the full curve text."""
     buf = io.StringIO()
-    write_score_curve(table, buf, sample=sample)
+    write_score_curve(table, buf)
     text = buf.getvalue()
     full = full_text.splitlines()
     lines = text.splitlines()
     n = len(table)
-    t = min(sample, n)
+    t = min(_CURVE_SAMPLE_ROWS, n)
     assert text.endswith("\n") and lines[0] == full[0]
     ranks = [int(line.split(",", 1)[0]) for line in lines[1:]]
     assert [full[r] for r in ranks] == lines[1:]  # the full curve's lines, by rank
@@ -280,7 +301,7 @@ def check_sampled_curve(table, sample, full_text):
     assert len(lines) == 1 + t
     if n:
         assert ranks[0] == 1 and (t == 1 or ranks[-1] == n)
-    if sample >= n:
+    if n <= _CURVE_SAMPLE_ROWS:
         assert text == full_text
     return ranks
 
@@ -297,8 +318,8 @@ def spy_dense_operands(monkeypatch):
     return shapes
 
 
-class TestGramBlocks:
-    """The blocked Gram kernel against the whole sparse product, bit for bit."""
+class TestScoreBlocks:
+    """The blocked score kernel against the whole sparse product, clipped, bit for bit."""
 
     def centroid_sets(self):
         rng = np.random.default_rng(23)
@@ -315,18 +336,18 @@ class TestGramBlocks:
         operands = spy_dense_operands(monkeypatch)
         zeros = negatives = ties = 0
         for cents in self.centroid_sets():
-            unit, zero = _unit_centroids(cents)
+            unit = _unit_centroids(cents)
             n, width = unit.shape
             # The order every row shares, which both products sum in.
             for i in range(n):
                 row = unit.indices[unit.indptr[i]:unit.indptr[i + 1]]
                 assert np.all(row[1:] < row[:-1])
-            want = (unit @ unit.T).toarray()
+            want = np.clip((unit @ unit.T).toarray(), -1.0, 1.0)
             operands.clear()
             bound = rows_per_block * max(n, width)
             monkeypatch.setattr(simgraph, "_GRAM_BLOCK_ENTRIES", bound)
             starts = []
-            for start, block in _gram_blocks(unit):
+            for start, block in _score_blocks(cents):
                 starts.append(start)
                 assert block.dtype == np.float64
                 assert block.shape == (min(rows_per_block, n - start), n)
@@ -335,7 +356,7 @@ class TestGramBlocks:
                     block.view(np.int64), want[start:start + len(block)].view(np.int64))
             assert starts == list(range(0, n, rows_per_block))
             assert operands and all(math.prod(shape) <= bound for shape in operands)
-            zeros += int(np.count_nonzero(zero))
+            zeros += int(np.count_nonzero(abs(unit).sum(axis=1) == 0.0))
             negatives += int(np.count_nonzero(want < 0.0))
             ties += int(np.count_nonzero(np.diff(np.sort(want, axis=None)) == 0.0))
         assert zeros and negatives and ties  # the sets reached every case
@@ -352,7 +373,7 @@ class TestGramBlocks:
 
 
 class TestScoreCurve:
-    """pairs.csv: every rank of the sorted table, or an even sample of them."""
+    """pairs.csv: an even sample of the sorted table's ranks, every rank of a small table."""
 
     @staticmethod
     def table(n, seed=0):
@@ -367,36 +388,24 @@ class TestScoreCurve:
         csv_score_curve(rows(table), buf)
         return buf.getvalue()
 
-    def test_writes_every_row_by_default(self):
+    def test_small_table_writes_every_row(self):
         buf = io.StringIO()
         write_score_curve(descending(1.0, 0.9, 0.1), buf)
         assert buf.getvalue() == (
             "rank,class_a,class_b,score\n1,0,100,1.0\n2,1,101,0.9\n3,2,102,0.1\n"
         )
 
-    @pytest.mark.parametrize("n,sample", [
-        (3000, 1024), (3000, 1), (3000, 2), (3000, 2999), (3000, 3000), (3000, 5000),
-        (1024, 1024), (1025, 1024), (5, 2), (1, 1), (1, 1024), (0, 1024),
-    ])
-    def test_even_sample_of_the_full_curve(self, n, sample):
+    @pytest.mark.parametrize(
+        "n", [0, 1, 2, 5, 1023, 1024, 1025, 2047, 3000, _CURVE_CHUNK_ROWS + 3000])
+    def test_even_sample_of_the_full_curve(self, n):
         table = self.table(n)
-        check_sampled_curve(table, sample, self.full_text(table))
+        check_sampled_curve(table, self.full_text(table))
 
     def test_sample_spans_the_curve(self):
         table = self.table(3000)
-        ranks = check_sampled_curve(table, 1024, self.full_text(table))
+        ranks = check_sampled_curve(table, self.full_text(table))
         assert ranks[:4] == [1, 3, 6, 9]  # 1 + floor(j * 2999 / 1023)
         assert ranks[-2:] == [2997, 3000]
-
-    @pytest.mark.parametrize("sample", [1024, _CURVE_CHUNK_ROWS + 5])
-    def test_table_larger_than_a_chunk(self, sample):
-        table = self.table(_CURVE_CHUNK_ROWS + 3000, seed=1)
-        check_sampled_curve(table, sample, self.full_text(table))
-
-    @pytest.mark.parametrize("sample", [0, -1])
-    def test_sample_below_one_rejected(self, sample):
-        with pytest.raises(SimilarityError, match="sample must be at least 1"):
-            write_score_curve(descending(1.0, 0.9, 0.1), io.StringIO(), sample=sample)
 
 
 def descending(*vals):
@@ -452,11 +461,6 @@ class TestSelectPairs:
             select_pairs(descending(0.9), top_k=0)
         with pytest.raises(SimilarityError, match="empty"):
             select_pairs(descending(), top_k=1)
-
-    def test_unsorted_scores_rejected(self):
-        bad = ScoreTable([1, 3], [2, 4], [0.1, 0.9])
-        with pytest.raises(SimilarityError, match="descending"):
-            select_pairs(bad, tau=0.0)
 
 
 class TestSimilarPairSet:
@@ -603,3 +607,8 @@ class TestScoreTable:
         with pytest.raises(SimilarityError, match="equal length"):
             SimilarPairSet([1], [2, 3], [0.5], tau=0.0)
         assert len(ScoreTable([1, 1], [2, 3], [0.5, 0.25])) == 2
+
+    def test_unsorted_scores_rejected(self):
+        with pytest.raises(SimilarityError, match="pairs must be sorted by descending score"):
+            ScoreTable([1, 3], [2, 4], [0.1, 0.9])
+        assert len(ScoreTable([1, 3], [2, 4], [0.5, 0.5])) == 2  # ties are in order

@@ -288,6 +288,23 @@ class TestBlockedSeparabilityCheck:
         with pytest.raises(BenchError, match="not separable"):
             _check_separability(tree, data)
 
+    @pytest.mark.parametrize("edges,side", [
+        ({1: 0, 2: 0, 5: 0}, 0),  # one group: leaf 5 gives the weakest within-group score
+        ({1: 0, 2: 0, 3: 1, 4: 1, 5: 2}, 1),  # leaf 5 an only child: the strongest cross score
+    ], ids=["within", "cross"])
+    def test_underflowing_centroid_scores_positive_zero(self, edges, side):
+        # 1e-170 squared underflows to 0.0: leaf 5's centroid has norm zero,
+        # and its raw products with the other leaves are negative.
+        tree = Taxonomy(0, edges)
+        others = sorted(tree.leaves - {5})
+        vectors = [make_sparse([1, 2], [1.0, 0.5 - 0.1 * i]) for i in range(len(others))]
+        data = Dataset(vectors + [make_sparse([1, 2], [-1e-170, -1e-170])], others + [5])
+        scores = all_pairs_scores(class_centroids(data, tree.leaves))
+        with_5 = scores.score[scores.b == 5]
+        assert with_5.size == len(others)
+        assert [s.hex() for s in with_5.tolist()] == ["0x0.0p+0"] * len(others)
+        assert _check_separability(tree, data)[side].hex() == "0x0.0p+0"
+
     def test_one_group_has_no_cross_pairs(self):
         tree = Taxonomy(0, {1: 0, 2: 0})
         data = Dataset([make_sparse([1], [1.0]), make_sparse([2], [1.0])], [1, 2])

@@ -176,15 +176,6 @@ class TestEdits:
         with pytest.raises(TaxonomyError, match="cycle"):
             letter_tree.reparent(letter_ids["B"], letter_ids["3"])
 
-    def test_remove_childless(self, letter_tree, letter_ids):
-        out = letter_tree.remove_childless(letter_ids["3"])
-        assert letter_ids["3"] not in out
-        assert len(out) == len(letter_tree) - 1
-        with pytest.raises(TaxonomyError, match="children"):
-            letter_tree.remove_childless(letter_ids["B"])
-        with pytest.raises(TaxonomyError, match="root"):
-            letter_tree.remove_childless(letter_tree.root)
-
 
 class TestSerialization:
     def test_round_trip_numeric(self):

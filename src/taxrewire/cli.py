@@ -323,11 +323,13 @@ def cmd_evaluate(args: argparse.Namespace) -> dict:
 
 
 def _parse_count(text: str) -> int | tuple[int, int]:
+    """``N`` or ``LO:HI``, each count spelled as a node id (see :func:`taxonomy.parse_id`)."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            return int(lo), int(hi)
-        return int(text)
+        counts = [taxonomy.parse_id(part, 0, ValueError) for part in text.split(":")]
+        if len(counts) == 1:
+            return counts[0]
+        lo, hi = counts
+        return lo, hi
     except ValueError:
         raise ValueError(f"--instances-per-leaf must be N or LO:HI, got {text!r}") from None
 

@@ -138,14 +138,24 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> Dataset:
     return Dataset._from_matrix(sums, ids.tolist())
 
 
+# Ranked pairs whose classes all_pairs_scores names at once.
+_PAIR_CHUNK = 1 << 16
+
+
 def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
 
     ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
     Order: descending score, ties by (a, b) ascending.  The scores come
     from :func:`_score_blocks`, one row block at a time, so a pair with a
-    zero-norm centroid scores 0.0 and every score lies in [-1, 1]; only
-    the pair scores are kept whole.
+    zero-norm centroid scores 0.0 and every score lies in [-1, 1].  Pairs
+    are numbered in (a, b) order and scored into one vector by number;
+    a pair's classes are computed from its number only once the vector
+    is ranked, ``_PAIR_CHUNK`` ranks at a time.  Besides a score block,
+    the peak is about 27 bytes per pair: the scores, before and after
+    ranking, and the pair numbers in rank order, which become ``b``;
+    then ``a``, and a row per pair in the smallest unsigned dtype that
+    holds n - 1 (2 bytes up to 65,536 classes).
     """
     labels = np.asarray(centroids.labels, dtype=np.int64)
     if labels.size < 2:
@@ -153,18 +163,31 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     if np.any(labels[1:] <= labels[:-1]):
         raise SimilarityError("centroid labels must be strictly ascending")
     n = labels.size
-    rows, cols = np.triu_indices(n, k=1)
-    scores = np.empty(rows.size)
+    scores = np.empty(n * (n - 1) // 2)
     filled = 0
     for start, block in _score_blocks(centroids):
-        # Row i's entries right of the diagonal are the next n - 1 - i of (rows, cols).
+        # Row i's entries right of the diagonal are the next n - 1 - i pairs.
         for i, row in enumerate(block, start):
             scores[filled:filled + n - 1 - i] = row[i + 1:]
             filled += n - 1 - i
     del block, row  # the last block would otherwise live on through the ranking
-    # (rows, cols) is in (a, b) order, so a stable ranking leaves ties in it.
+    # Pair numbers are in (a, b) order, so a stable ranking leaves ties in it.
     order = _rank_descending(scores)
-    return ScoreTable(labels[rows[order]], labels[cols[order]], scores[order])
+    score = scores[order]
+    del scores
+    # Row i holds the n - 1 - i pairs numbered from firsts[i].
+    rows = np.arange(n)
+    firsts = rows * (2 * n - 1 - rows) // 2
+    row_of = np.repeat(rows.astype(np.min_scalar_type(n - 1)), n - 1 - rows)
+    col_shift = rows + 1 - firsts  # pair k of row i is (i, k + col_shift[i])
+    a = np.empty_like(order)
+    for start in range(0, order.size, _PAIR_CHUNK):
+        k = order[start:start + _PAIR_CHUNK]  # a view: b is written over the numbers it reads
+        i = row_of[k]
+        a[start:start + k.size] = labels[i]
+        k += col_shift[i]
+        k[:] = labels[k]
+    return ScoreTable(a, order, score)
 
 
 def _unit_centroids(centroids: Dataset) -> sp.csr_matrix:
@@ -216,29 +239,38 @@ def _score_blocks(centroids: Dataset) -> Iterator[tuple[int, np.ndarray]]:
 def _rank_descending(values: np.ndarray) -> np.ndarray:
     """Exactly ``np.argsort(-values, kind="stable")``, from numpy's faster unstable sort.
 
-    The unstable sort may leave a run of equal values in any order.
-    Numbering the runs and sorting ``run * n + index`` puts each run back
-    in index order; NaN counts as equal to NaN, as in the stable sort.
-    That key is below n**2, so it fits int64 up to n of about 3e9 values
-    (a score table of that many pairs runs out of memory long before).
-    Each temporary is dropped as soon as it is used.
+    The unstable sort may leave a run of equal values in any order.  Only
+    the ranks inside such runs are put back in index order, by numbering
+    the runs and sorting ``run * n + index``; NaN counts as equal to NaN,
+    as in the stable sort.  That key is below n**2, so it fits int64 up
+    to n of about 3e9 values (a score table of that many pairs runs out
+    of memory long before).  Besides the result it holds, one after the
+    other, the negated values, the values in rank order, two bools per
+    value, and three int64s per value in a run of ties.  Each temporary
+    is dropped as soon as it is used.
     """
     n = values.size
     order = np.argsort(-values)
     ranked = values[order]  # equal exactly where -values is
-    change = ranked[1:] != ranked[:-1]
+    tie = ranked[1:] == ranked[:-1]  # rank i + 1 ties rank i
     if n and np.isnan(ranked[-1]):  # NaN sorts last: the NaN run is the tail
-        change[np.flatnonzero(np.isnan(ranked))[0]:] = False
+        tie[np.flatnonzero(np.isnan(ranked))[0]:] = True
     del ranked
-    key = np.zeros(n, dtype=np.int64)
-    np.cumsum(change, out=key[1:])
-    del change
+    tied = np.zeros(n, dtype=bool)
+    tied[:-1] = tie
+    tied[1:] |= tie
+    ranks = np.flatnonzero(tied)  # every rank in a run of ties, ascending
+    del tied
+    # A rank that does not tie the tied rank before it starts the next run.
+    key = np.zeros(ranks.size, dtype=np.int64)
+    np.cumsum(~tie[ranks[:-1]], out=key[1:])
+    del tie
     key *= n
-    key += order
-    del order
+    key += order[ranks]
     key.sort()
     key %= n
-    return key
+    order[ranks] = key
+    return order
 
 
 def select_pairs(

@@ -11,6 +11,8 @@ The letter tree used throughout, with its node ids:
 ``letter_ids`` maps each letter to its id.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,13 @@ def one_hot_dataset(leaves, per_leaf, dims=None, seed=0, jitter=0.0):
             vectors.append(make_sparse(idx, val))
             labels.append(leaf)
     return Dataset(vectors, labels, dims)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -904,7 +904,7 @@ class TestExitCodes:
             "--out", tmp_path / "o", "--grid", "abc",
         ) == 6
 
-    @pytest.mark.parametrize("count", ["3:", "abc", "1:2:3"])
+    @pytest.mark.parametrize("count", ["3:", "abc", "1:2:3", "1_0", "+4", "\u0663:+4"])
     def test_bad_instances_per_leaf(self, tmp_path, capsys, count):
         assert run("bench", "--instances-per-leaf", count, "--out", tmp_path / "o") == 6
         assert capsys.readouterr().err == (

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from taxrewire.learner import (
 from taxrewire.solver import minimize_lbfgs
 from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
-from conftest import one_hot_dataset
+from conftest import one_hot_dataset, traced_peak
 from reference_impls import (
     fd_gradient,
     predict_flat,
@@ -735,16 +734,6 @@ def dense_model_set(n_models: int = 64, dim: int = 10_000) -> ModelSet:
     rng = np.random.default_rng(0)
     return ModelSet("flat", "f" * 8, dim, 1.0,
                     {n: NodeModel(n, rng.standard_normal(dim)) for n in range(n_models)})
-
-
-def traced_peak(fn):
-    """``fn()`` and the peak bytes tracemalloc saw allocated during the call."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestModelFileMemory:

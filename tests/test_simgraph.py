@@ -13,6 +13,7 @@ from taxrewire.corpus import Dataset, make_sparse
 from taxrewire.simgraph import (
     _CURVE_CHUNK_ROWS,
     _CURVE_SAMPLE_ROWS,
+    _PAIR_CHUNK,
     _rank_descending,
     _score_blocks,
     _unit_centroids,
@@ -32,6 +33,7 @@ from taxrewire.simgraph import (
     write_score_curve,
 )
 
+from conftest import traced_peak
 from reference_impls import brute_cosine_pairs, brute_knee, csv_score_curve, per_pair_scores
 
 
@@ -154,6 +156,15 @@ class TestAllPairs:
         assert [(a, b, s.hex()) for a, b, s in got[:2]] == [(1, 2, "0x0.0p+0"), (2, 3, "0x0.0p+0")]
         assert got[2][:2] == (1, 3) and got[2][2] == pytest.approx(-3 / math.sqrt(10))
 
+    def test_peak_is_at_most_36_bytes_per_pair(self):
+        rng = np.random.default_rng(27)
+        cents = Dataset._from_matrix(sp.csr_matrix(rng.standard_normal((729, 32))),
+                                     list(range(729)))
+        table, peak = traced_peak(lambda: all_pairs_scores(cents))
+        assert len(table) == 265_356
+        # The table itself is 24 bytes per pair; triangle index arrays were 16 more.
+        assert peak <= 36 * len(table)
+
     def test_underflowing_norms_match_per_pair_scorer(self):
         rng = np.random.default_rng(26)
         for _ in range(100):
@@ -263,12 +274,16 @@ class TestMatchesPerPairScorer:
     def test_order_scores_and_curve_text_match(self):
         rng = np.random.default_rng(2024)
         ties = zeros = negatives = 0
-        # The last set is large: 66,066 pairs, far more than pairs.csv samples.
-        for trial in range(241):
+        # Two sets are large.  258 centroids are the fewest whose pairs
+        # name a row above 255; 364 make 66,066 pairs, more than pairs.csv
+        # samples and more than all_pairs_scores names the classes of at once.
+        for trial in range(242):
             n = 2 if trial % 8 == 0 else int(rng.integers(3, 30))
             if trial == 240:
-                n = math.isqrt(2 * _CURVE_CHUNK_ROWS) + 2
-                assert n * (n - 1) // 2 > _CURVE_SAMPLE_ROWS
+                n = 258
+            if trial == 241:
+                n = math.isqrt(2 * max(_CURVE_CHUNK_ROWS, _PAIR_CHUNK)) + 2
+                assert n * (n - 1) // 2 > max(_CURVE_SAMPLE_ROWS, _PAIR_CHUNK)
             cents = random_centroids(rng, n, int(rng.integers(1, 9)))
             table = all_pairs_scores(cents)
             want = per_pair_scores(dict(zip(cents.labels, cents.vectors)))

@@ -32,9 +32,9 @@ training, similarity or evaluate --train-data label that is not a class
 leaf, an evaluated label that is not a leaf of --hierarchy, a model
 line for a node that prediction over --hierarchy never uses, a model #C
 that is not finite and positive, a model # header after the first
-model line, a tuning split with no validation
-instance, a --rare-threshold below 1, tf-idf features that are all
-zero, a tf-idf model given no --idf or a raw-feature model given one,
+model line, a tuning split with no validation instance, a
+--rare-threshold below 1, a negative --seed, tf-idf features that are
+all zero, a tf-idf model given no --idf or a raw-feature model given one,
 an input too large to allocate, an --out that is a file, lies under one
 or is a non-empty directory, and an artifact that cannot be written).
 """
@@ -456,6 +456,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
+            raise ValueError(f"--seed must not be negative, got {args.seed}")
         _check_out(Path(args.out))
         _write_artifacts(args, args.func(args))
         return 0

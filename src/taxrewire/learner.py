@@ -426,19 +426,21 @@ def tune_c(
 # model set (de)serialization
 
 
-def _b64(values: np.ndarray, dtype: str) -> str:
-    """Standard padded base64 of ``values`` as the little-endian ``dtype``."""
-    return base64.b64encode(values.astype(dtype, copy=False).tobytes()).decode("ascii")
+def _b64(raw: bytes) -> str:
+    """Standard padded base64 of ``raw``."""
+    return base64.b64encode(raw).decode("ascii")
 
 
 def serialize_model_set(model_set: ModelSet) -> str:
-    """Text form: ``#key value`` headers, then one ``node indices weights`` line per model.
+    """Text form: ``#key value`` headers, then one ``node mask weights`` line per model.
 
-    ``indices`` is the base64 of the nonzero weights' 1-based ascending
-    indices as little-endian int64, ``weights`` the base64 of their
-    values as little-endian float64, so loading is bitwise exact.  A
-    model with no nonzero weight is its node id alone.  ``#C`` is the one
-    C every node model was fit with.
+    ``mask`` is the base64 of ``np.packbits(theta != 0, bitorder="little")``:
+    ceil(dimensionality / 8) bytes, bit ``j % 8`` of byte ``j // 8``
+    standing for weight index ``j + 1``, the padding bits zero.
+    ``weights`` is the base64 of the nonzero weights in index order as
+    little-endian float64, so loading is bitwise exact.  A model with no
+    nonzero weight is its node id alone.  ``#C`` is the one C every node
+    model was fit with.
     """
     lines = [
         f"#mode {model_set.mode}",
@@ -450,21 +452,22 @@ def serialize_model_set(model_set: ModelSet) -> str:
         lines.append(f"#{key} {model_set.extra_headers[key]}")
     for node in sorted(model_set.models):
         theta = model_set.models[node].theta
-        nz = np.flatnonzero(theta)
-        lines.append(f"{node} {_b64(nz + 1, '<i8')} {_b64(theta[nz], '<f8')}".rstrip())
+        nonzero = theta != 0
+        if nonzero.any():
+            mask = np.packbits(nonzero, bitorder="little").tobytes()
+            weights = theta[nonzero].astype("<f8", copy=False).tobytes()
+            lines.append(f"{node} {_b64(mask)} {_b64(weights)}")
+        else:
+            lines.append(str(node))
     lines.append("")  # the final newline, without a second copy of the joined text
     return "\n".join(lines)
 
 
-def _decode(lineno: int, token: str, dtype: str) -> np.ndarray:
-    """The 8-byte little-endian ``dtype`` values whose base64 is ``token``."""
+def _b64decode(lineno: int, token: str) -> bytes:
     try:
-        raw = base64.b64decode(token, validate=True)
+        return base64.b64decode(token, validate=True)
     except ValueError:
-        raw = None
-    if raw is None or len(raw) % 8:
-        raise LearnerError(f"line {lineno}: malformed token: not the base64 of 8-byte values")
-    return np.frombuffer(raw, dtype)
+        raise LearnerError(f"line {lineno}: malformed token: not base64") from None
 
 
 def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
@@ -496,24 +499,42 @@ def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
 
 
 def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
-    """The node and dense weights of the model line ``record``, checked."""
+    """The node and dense weights of the model line ``record``, checked.
+
+    The mask and the weights are checked against ``dim`` before the dense
+    weights are allocated.
+    """
     if ":" in record:
         raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
     node_text, *codes = record.split()
     node = parse_id(node_text, lineno, LearnerError)
     if len(codes) not in (0, 2):
-        raise LearnerError(f"line {lineno}: expected 'node indices weights', "
+        raise LearnerError(f"line {lineno}: expected 'node mask weights', "
                            f"got {len(codes) + 1} tokens")
-    idx = _decode(lineno, codes[0], "<i8") if codes else np.zeros(0, np.int64)
-    weights = _decode(lineno, codes[1], "<f8") if codes else np.zeros(0)
-    if idx.size != weights.size:
-        raise LearnerError(f"line {lineno}: {idx.size} indices but {weights.size} weights")
-    if idx.size and (idx[0] < 1 or idx[-1] > dim or np.any(idx[1:] <= idx[:-1])):
-        raise LearnerError(f"line {lineno}: weight indices must ascend strictly in 1..{dim}")
+    if not codes:
+        return node, np.zeros(dim, dtype=np.float64)
+    mask, n_bytes = _b64decode(lineno, codes[0]), (dim + 7) // 8
+    if len(mask) != n_bytes:
+        raise LearnerError(
+            f"line {lineno}: the mask has {len(mask)} bytes, but #dimensionality {dim} needs "
+            f"{n_bytes}; the line may be in the previous index form: retrain the model"
+        )
+    if dim % 8 and mask[-1] >> (dim % 8):
+        raise LearnerError(f"line {lineno}: a mask bit past #dimensionality {dim} is set")
+    raw = _b64decode(lineno, codes[1])
+    if len(raw) % 8:
+        raise LearnerError(f"line {lineno}: malformed token: the weights are not whole "
+                           "8-byte values")
+    weights = np.frombuffer(raw, "<f8")
+    bits = np.unpackbits(np.frombuffer(mask, np.uint8), count=dim, bitorder="little").view(bool)
+    n_set = np.count_nonzero(bits)
+    if n_set != weights.size:
+        raise LearnerError(f"line {lineno}: the mask sets {n_set} bits but there are "
+                           f"{weights.size} weights")
     if not np.isfinite(weights).all():
         raise LearnerError(f"line {lineno}: non-finite weight")
     theta = np.zeros(dim, dtype=np.float64)
-    theta[idx - 1] = weights
+    theta[bits] = weights
     return node, theta
 
 
@@ -530,9 +551,9 @@ def parse_model_set(lines: Iterable[str]) -> ModelSet:
     Headers come before the first model line; a ``#`` line after it is
     rejected.  Unknown headers are ignored.  Loaded models carry no
     objective value (it is not part of the format) and are marked
-    converged.  A model line that breaks the format, one in the older
-    ``idx:weight`` text form, or one whose node is not a node id raises
-    :class:`LearnerError` naming it.
+    converged.  A model line that breaks the format, one in an older form
+    (``idx:weight`` text, or int64 indices in place of the mask), or one
+    whose node is not a node id raises :class:`LearnerError` naming it.
     """
     if isinstance(lines, str):
         raise TypeError("parse_model_set reads an iterable of lines, such as an open model "

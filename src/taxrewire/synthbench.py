@@ -69,7 +69,8 @@ class PlantConfig:
             raise BenchError(f"bad instances_per_leaf: {self.instances_per_leaf}")
         if not 0 <= self.n_misplaced < self.n_leaves:
             raise BenchError(
-                f"n_misplaced={self.n_misplaced} must be < n_leaves={self.n_leaves}"
+                f"n_misplaced={self.n_misplaced} must lie in 0..{self.n_leaves - 1}"
+                f" (n_leaves={self.n_leaves})"
             )
         if self.n_misplaced and depth == 1:
             raise BenchError(

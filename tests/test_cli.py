@@ -46,9 +46,16 @@ def b64(values: np.ndarray, dtype: str) -> str:
     return base64.b64encode(values.astype(dtype).tobytes()).decode("ascii")
 
 
-def node_line(node: str, idx: np.ndarray, weights: np.ndarray) -> str:
-    """A ``model.txt`` node line: the node, its indices and its weights."""
-    return f"{node} {b64(idx, '<i8')} {b64(weights, '<f8')}"
+def mask(idx: np.ndarray, dim: int = 16) -> str:
+    """The base64 mask of the 1-based ``idx`` over ``dim`` weights."""
+    bits = np.zeros(8 * -(-dim // 8), dtype=bool)
+    bits[idx - 1] = True
+    return b64(np.packbits(bits, bitorder="little"), "u1")
+
+
+def node_line(node: str, idx: np.ndarray, weights: np.ndarray, dim: int = 16) -> str:
+    """A ``model.txt`` node line: the node, its mask and its weights."""
+    return f"{node} {mask(idx, dim)} {b64(weights, '<f8')}"
 
 
 def _umask() -> int:
@@ -598,15 +605,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("edit,msg", [
         (lambda n, i, w: node_line(n, i, w).replace(" ", " !", 1), "line {at}: malformed token"),
-        (lambda n, i, w: f"{n} {b64(i, '<i8')} {base64.b64encode(w.tobytes()[:-1]).decode()}",
-         "line {at}: malformed token"),
-        (lambda n, i, w: f"{n} {b64(i, '<i8')}",
-         "line {at}: expected 'node indices weights', got 2 tokens"),
-        (lambda n, i, w: node_line(n, i, w[1:]), "line {at}: 16 indices but 15 weights"),
-        (lambda n, i, w: node_line(n, i[::-1], w),
-         "line {at}: weight indices must ascend strictly in 1..16"),
-        (lambda n, i, w: node_line(n, i + 1, w),
-         "line {at}: weight indices must ascend strictly in 1..16"),
+        (lambda n, i, w: f"{n} {mask(i)} {base64.b64encode(w.tobytes()[:-1]).decode()}",
+         "line {at}: malformed token: the weights are not whole 8-byte values"),
+        (lambda n, i, w: f"{n} {mask(i)}",
+         "line {at}: expected 'node mask weights', got 2 tokens"),
+        (lambda n, i, w: node_line(n, i, w[1:]),
+         "line {at}: the mask sets 16 bits but there are 15 weights"),
+        (lambda n, i, w: node_line(n, i[1:], w),
+         "line {at}: the mask sets 15 bits but there are 16 weights"),
+        (lambda n, i, w: node_line(n, i[:8], w[:8], dim=8),
+         "line {at}: the mask has 1 bytes, but #dimensionality 16 needs 2; the line may be in"
+         " the previous index form: retrain the model"),
+        (lambda n, i, w: node_line(n, i, w, dim=17),
+         "line {at}: the mask has 3 bytes, but #dimensionality 16 needs 2"),
+        (lambda n, i, w: f"{n} {b64(i, '<i8')} {b64(w, '<f8')}",
+         "line {at}: the mask has 128 bytes, but #dimensionality 16 needs 2; the line may be in"
+         " the previous index form: retrain the model"),
         (lambda n, i, w: node_line(n, i, np.append(math.nan, w[1:])),
          "line {at}: non-finite weight"),
         (lambda n, i, w: node_line(n, i, np.append(w[1:], -math.inf)),
@@ -617,14 +631,16 @@ class TestExitCodes:
          "line {next}: duplicate model for node"),
         (lambda n, i, w: " ".join([n, *(f"{k}:{x!r}" for k, x in zip(i.tolist(), w.tolist()))]),
          "line {at}: an old 'idx:weight' model line; retrain the model"),
-    ], ids=["bad-base64", "not-8-byte-values", "missing-token", "count-mismatch", "descending",
-            "index-above-dimensionality", "nan-weight", "inf-weight", "node-beyond-int64",
+    ], ids=["bad-base64", "not-8-byte-values", "missing-token", "more-bits-than-weights",
+            "fewer-bits-than-weights", "mask-one-byte-short", "mask-one-byte-long",
+            "previous-index-form", "nan-weight", "inf-weight", "node-beyond-int64",
             "duplicate-node", "old-format"])
     def test_malformed_model_line(self, pipeline, tmp_path, capsys, edit, msg):
         lines = (pipeline["train"] / "model.txt").read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        node, idx, weights = lines[first].split()
-        lines[first] = edit(node, np.frombuffer(base64.b64decode(idx), "<i8"),
+        node, bits, weights = lines[first].split()
+        packed = np.frombuffer(base64.b64decode(bits), np.uint8)
+        lines[first] = edit(node, np.flatnonzero(np.unpackbits(packed, bitorder="little")) + 1,
                             np.frombuffer(base64.b64decode(weights), "<f8"))
         model = tmp_path / "model.txt"
         model.write_text("\n".join(lines) + "\n")
@@ -708,7 +724,8 @@ class TestExitCodes:
         assert "dimensionality header must not be negative, got -3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("header,msg", [
-        ("#dimensionality 99999999999999999", "the input is too large to allocate"),
+        ("#dimensionality 99999999999999999",
+         "the mask has 2 bytes, but #dimensionality 99999999999999999 needs 12500000000000000"),
         ("#dimensionality 1152921504606846976",
          "dimensionality header must be at most 2^60 - 1"),
         ('#C {"1": null, "2": 1.0}', "the C header is not a number"),
@@ -716,7 +733,7 @@ class TestExitCodes:
         ('#C {"1": 0.5}', """the C header is not a number: '{"1": 0.5}'; retrain the model"""),
         *[(f"#C {c}", f"C must be finite and positive, got the C header '{c}'")
           for c in ("nan", "-1", "inf", "0")],
-    ], ids=["dimensionality-too-large-to-allocate", "dimensionality-above-2^60-1",
+    ], ids=["dimensionality-longer-than-the-masks", "dimensionality-above-2^60-1",
             "C-map-with-null", "C-list", "C-per-node-map", "C-nan", "C-negative", "C-inf",
             "C-zero"])
     def test_bad_model_header(self, pipeline, tmp_path, capsys, header, msg):
@@ -728,6 +745,20 @@ class TestExitCodes:
         assert run("predict", "--model", model, "--data", b / "data.txt",
                    "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
         assert msg in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    def test_model_dimensionality_too_large_to_allocate(self, pipeline, tmp_path, capsys):
+        # A model with no nonzero weight is its node alone: no mask to check,
+        # so its dense weights are allocated at #dimensionality.
+        lines = (pipeline["train"] / "model.txt").read_text().splitlines()
+        lines = [re.sub(r"^#dimensionality \d+$", "#dimensionality 99999999999999999", line)
+                 if line.startswith("#") else line.split()[0] for line in lines]
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        b, r = pipeline["bench"], pipeline["rewire"]
+        assert run("predict", "--model", model, "--data", b / "data.txt",
+                   "--hierarchy", r / "modified.edges", "--out", tmp_path / "p") == 6
+        assert "the input is too large to allocate" in capsys.readouterr().err
         assert not (tmp_path / "p").exists()
 
     def test_header_after_a_model_line(self, pipeline, tmp_path, capsys):
@@ -917,6 +948,23 @@ class TestExitCodes:
                 pipeline["bench"] / "true.edges", "--C", "1", "--no-tfidf", "--workers", workers]
         assert run(*argv, "--out", tmp_path / "o") == 6
         assert "--workers must be at least 1, got " + workers in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_misplaced_below_zero(self, tmp_path, capsys):
+        assert run("bench", "--misplaced", "-1", "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == (
+            "error: n_misplaced=-1 must lie in 0..26 (n_leaves=27)\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["bench"],
+        ["train", "--data", "{b}/data.txt", "--hierarchy", "{b}/true.edges", "--grid", "1,10",
+         "--no-tfidf"],
+    ], ids=["bench", "train"])
+    def test_seed_below_zero(self, pipeline, tmp_path, capsys, command):
+        argv = [a.format(b=pipeline["bench"]) for a in command]
+        assert run(*argv, "--seed", "-1", "--out", tmp_path / "o") == 6
+        assert capsys.readouterr().err == "error: --seed must not be negative, got -1\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv,code,msg", [

@@ -522,14 +522,27 @@ class TestTuning:
 
 
 HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n"
+HEAD9 = HEAD.replace("#dimensionality 2", "#dimensionality 9")
 
 
 def b64(values, dtype: str) -> str:
     return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def model_line(node: int, idx, weights) -> str:
-    """One model-file line: the node, then its indices and weights in base64."""
+def mask(idx, dim: int = 2) -> str:
+    """The base64 mask of the 1-based ``idx``; an index past ``dim`` sets a padding bit."""
+    bits = np.zeros(8 * -(-dim // 8), dtype=bool)
+    bits[np.asarray(idx, dtype=np.int64) - 1] = True
+    return b64(np.packbits(bits, bitorder="little"), "u1")
+
+
+def model_line(node: int, idx, weights, dim: int = 2) -> str:
+    """One model-file line: the node, then its mask and weights in base64."""
+    return f"{node} {mask(idx, dim)} {b64(weights, '<f8')}\n"
+
+
+def index_line(node: int, idx, weights) -> str:
+    """A model line in the previous form: int64 indices in place of the mask."""
     return f"{node} {b64(idx, '<i8')} {b64(weights, '<f8')}\n"
 
 
@@ -566,9 +579,9 @@ class TestSerialization:
 
     def test_model_line_encoding(self):
         ms = ModelSet("flat", "f", 3, 1.0, {7: NodeModel(7, np.array([0.0, 1.5, -2.0]))})
-        node, idx, weights = serialize_model_set(ms).splitlines()[-1].split()
+        node, bits, weights = serialize_model_set(ms).splitlines()[-1].split()
         assert node == "7"
-        assert base64.b64decode(idx) == np.array([2, 3], "<i8").tobytes()
+        assert base64.b64decode(bits) == bytes([0b110])  # indices 2 and 3, little bit order
         assert base64.b64decode(weights) == np.array([1.5, -2.0], "<f8").tobytes()
 
     def test_unknown_headers_survive(self):
@@ -600,21 +613,35 @@ class TestSerialization:
              "line 5: node 'x' is not a decimal integer id"),
             (HEAD + "9223372036854775808 " + model_line(0, [1], [0.5]).split(" ", 1)[1],
              "line 5: node '9223372036854775808' is above 2\\^63 - 1"),
-            (HEAD + "0 " + b64([1], "<i8") + "\n",
-             "line 5: expected 'node indices weights', got 2 tokens"),
+            (HEAD + "0 " + mask([1]) + "\n",
+             "line 5: expected 'node mask weights', got 2 tokens"),
             (HEAD + model_line(0, [1], [0.5]).rstrip() + " AAAAAAAAAAA=\n",
-             "line 5: expected 'node indices weights', got 4 tokens"),
+             "line 5: expected 'node mask weights', got 4 tokens"),
             (HEAD + "0 AQAAAAAAAA!= " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
             (HEAD + "0 AQAAAAAAAA " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
-            (HEAD + "0 " + b64([1], "<i8") + " " + b64([1], "<i4") + "\n",
-             "line 5: malformed token"),
-            (HEAD + model_line(0, [1, 2], [0.5]), "line 5: 2 indices but 1 weights"),
-            (HEAD + model_line(0, [0], [0.5]),
-             "line 5: weight indices must ascend strictly in 1..2"),
-            (HEAD + model_line(0, [3], [0.5]), "line 5: weight indices must ascend strictly"),
-            (HEAD + model_line(0, [-2**63], [0.5]), "line 5: weight indices must ascend strictly"),
-            (HEAD + model_line(0, [2, 1], [0.5, 0.5]), "line 5: weight indices must ascend"),
-            (HEAD + model_line(0, [1, 1], [0.5, 0.5]), "line 5: weight indices must ascend"),
+            (HEAD + "0 " + mask([1]) + " " + b64([1], "<i4") + "\n",
+             "line 5: malformed token: the weights are not whole 8-byte values"),
+            (HEAD9 + model_line(0, [1], [0.5], dim=1),
+             "^line 5: the mask has 1 bytes, but #dimensionality 9 needs 2; the line may be in "
+             "the previous index form: retrain the model$"),
+            (HEAD9 + model_line(0, [1], [0.5], dim=17),
+             "^line 5: the mask has 3 bytes, but #dimensionality 9 needs 2;"),
+            (HEAD + model_line(0, [1], [0.5], dim=9), "^line 5: the mask has 2 bytes"),
+            (HEAD + index_line(0, [1], [0.5]),
+             "^line 5: the mask has 8 bytes, but #dimensionality 2 needs 1; the line may be in "
+             "the previous index form: retrain the model$"),
+            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846975\n#C 1.0\n"
+             + model_line(0, [1], [0.5]),
+             "^line 5: the mask has 1 bytes, but #dimensionality 1152921504606846975 needs "
+             "144115188075855872;"),
+            (HEAD + model_line(0, [3], [0.5]),
+             "^line 5: a mask bit past #dimensionality 2 is set$"),
+            (HEAD + model_line(0, [1, 8], [0.5, 0.5]), "^line 5: a mask bit past"),
+            (HEAD9 + model_line(0, [16], [0.5], dim=9), "^line 5: a mask bit past"),
+            (HEAD + model_line(0, [1, 2], [0.5]),
+             "^line 5: the mask sets 2 bits but there are 1 weights$"),
+            (HEAD + model_line(0, [2], [0.5, 0.25]),
+             "^line 5: the mask sets 1 bits but there are 2 weights$"),
             (HEAD + model_line(0, [1, 2], [0.5, math.nan]), "line 5: non-finite weight"),
             (HEAD + model_line(0, [1], [-math.inf]), "line 5: non-finite weight"),
             (HEAD + model_line(0, [1], [0.5]) + model_line(0, [2], [0.5]),
@@ -684,7 +711,7 @@ class TestLineReader:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([
         "", "  ", "x", "0 1:0.5", model_line(0, [1], [0.5]).rstrip(),
-        model_line(1, [2], [-0.5]).rstrip(), model_line(0, [2, 1], [1.0, 1.0]).rstrip(),
+        model_line(1, [2], [-0.5]).rstrip(), model_line(0, [1, 2], [1.0]).rstrip(),
         "0 AQAAAAAAAA", "7",
     ]), max_size=6), st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
         st.booleans())
@@ -703,7 +730,7 @@ class TestLineReader:
     def test_blank_items_count_as_lines(self):
         # text.splitlines() gives "" for a blank line; it keeps its number.
         lines = [*HEAD.splitlines(), "", "", model_line(0, [3], [0.5]).rstrip()]
-        with pytest.raises(LearnerError, match="^line 7: weight indices must ascend"):
+        with pytest.raises(LearnerError, match="^line 7: a mask bit past #dimensionality 2"):
             parse_model_set(lines)
 
     @pytest.mark.parametrize("late,msg", [
@@ -745,13 +772,32 @@ class TestModelFileMemory:
         # the line list and the joined text; the old "+ '\n'" made a third copy
         assert peak <= 2.1 * len(text)
 
+    def test_lines_have_the_mask_and_weights_sizes(self):
+        # 85% support: each line is its node, two spaces, a ceil(d/8)-byte
+        # mask and k 8-byte weights, each in padded base64.
+        rng = np.random.default_rng(1)
+        n_models, d = 64, 10_000
+        ms = ModelSet("flat", "f" * 8, d, 1.0, {
+            n: NodeModel(n, rng.standard_normal(d) * (rng.random(d) < 0.85))
+            for n in range(n_models)})
+        text, peak = traced_peak(lambda: serialize_model_set(ms))
+        body = [line for line in text.splitlines() if not line.startswith("#")]
+        assert len(body) == n_models
+        for line, (node, model) in zip(body, sorted(ms.models.items())):
+            k = np.count_nonzero(model.theta)
+            assert 0.8 * d < k < 0.9 * d
+            assert len(line) == (len(str(node)) + 2 + 4 * math.ceil(math.ceil(d / 8) / 3)
+                                 + 4 * math.ceil(8 * k / 3))
+        assert peak <= 2.1 * len(text)
+
     def test_reader_holds_the_dense_weights_and_a_few_lines(self, tmp_path):
         ms = dense_model_set()
         path = tmp_path / "model.txt"
         path.write_text(serialize_model_set(ms), encoding="utf-8")
         back, peak = traced_peak(lambda: read_model_file(path))
         dense = sum(m.theta.nbytes for m in ms.models.values())
-        assert path.stat().st_size > 2 * dense
+        # a reader that held the whole text at any moment would break the bound
+        assert path.stat().st_size > dense + 2**20
         assert peak <= dense + 2**20
         assert all(back.models[n].theta.tobytes() == m.theta.tobytes()
                    for n, m in ms.models.items())
@@ -765,6 +811,14 @@ SPECIAL_WEIGHTS = [-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.flo
 
 def one_model(*weights: float) -> ModelSet:
     return ModelSet("flat", "f", len(weights), 1.0, {3: NodeModel(3, np.array(weights))})
+
+
+def spread_model(dim: int) -> ModelSet:
+    """Two models at ``dim``: every third weight zero, and only the last weight."""
+    theta = np.where(np.arange(dim) % 3 == 1, 0.0, np.arange(1, dim + 1) * -0.75)
+    last = np.zeros(dim)
+    last[-1] = 2.5
+    return ModelSet("flat", "f", dim, 1.0, {1: NodeModel(1, theta), 2: NodeModel(2, last)})
 
 
 @st.composite
@@ -791,6 +845,13 @@ def model_sets(draw) -> ModelSet:
 @example(ModelSet("flat", "f", 0, 1.0, {0: NodeModel(0, np.zeros(0))}))  # dimensionality 0
 @example(one_model(-0.0))  # dimensionality 1, the one weight never written
 @example(one_model(*SPECIAL_WEIGHTS))
+# around whole mask bytes and whole 64-bit words, the last weight nonzero
+@example(spread_model(7))
+@example(spread_model(8))
+@example(spread_model(9))
+@example(spread_model(63))
+@example(spread_model(64))
+@example(spread_model(65))
 def test_model_set_round_trip_is_bitwise(ms):
     text = serialize_model_set(ms)
     back = parse_model_set(io.StringIO(text))

@@ -11,6 +11,8 @@ Subcommands, in pipeline order:
   evaluate    score predictions against --hierarchy (micro/macro/hierarchical
               F1, rare slice); pass modified.edges to score on the repaired tree
 
+Each input file is handed open to its parser, which reads it a line at a
+time (:func:`taxonomy.numbered_lines`).
 Every command takes --out DIR, which must be new or an empty directory.
 Each ``cmd_*`` returns its fixed-named artifacts as ``{file name: text |
 JSON dict | writer function}``; :func:`main` writes them into a fresh
@@ -23,20 +25,21 @@ inputs and flags are byte-identical.
 
 Exit codes: 0 success, 2 usage, 3 missing input file, 4 malformed
 hierarchy/dataset/predictions file (including a node that breaks the id
-rule of :func:`taxonomy.parse_id`: ASCII decimal, no sign or leading
-zero, at most 2^63 - 1), 5 model/hierarchy fingerprint mismatch, 6
-other invalid input or configuration (including a pair list or model
-file node that breaks that rule, a pair that names a node which is not
-a class leaf, a rewire that would create a node above 2^63 - 1, a
-training, similarity or evaluate --train-data label that is not a class
-leaf, an evaluated label that is not a leaf of --hierarchy, a model
-line for a node that prediction over --hierarchy never uses, a model #C
-that is not finite and positive, a model # header after the first
-model line, a tuning split with no validation instance, a
---rare-threshold below 1, a negative --seed, tf-idf features that are
-all zero, a tf-idf model given no --idf or a raw-feature model given one,
-an input too large to allocate, an --out that is a file, lies under one
-or is a non-empty directory, and an artifact that cannot be written).
+rule of :func:`taxonomy.parse_id`: ASCII decimal, no sign or leading zero,
+at most 2^63 - 1), 5 model/hierarchy fingerprint mismatch, 6 other invalid
+input or configuration (including a pair list or model file node that
+breaks that rule, a pair that names a node which is not a class leaf, a
+rewire that would create a node above 2^63 - 1, a training, similarity or
+evaluate --train-data label that is not a class leaf, an evaluated label
+that is not a leaf of --hierarchy, a model line for a node that prediction
+over --hierarchy never uses, a model #C that is not finite and positive, a
+model # header after the first model line or missing #weights mask, a
+tuning split with no validation instance, a --rare-threshold below 1, a
+negative --seed, tf-idf features that are all zero, a tf-idf model given
+no --idf or a raw-feature model given one, an input too large to allocate,
+an input file that is not UTF-8 unless a malformed line comes first, an
+--out that is a file, lies under one or is a non-empty directory, and an
+artifact that cannot be written).
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import IO, Callable, Iterable, TypeVar
 
 from . import corpus, learner, metrics, rewire, simgraph, synthbench, taxonomy
 from .learner import FingerprintMismatchError, LearnerError
 from .taxonomy import TaxonomyError
 from .corpus import DatasetFormatError
 
+T = TypeVar("T")
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+
+def _parse(parse: Callable[[IO[str]], T], path: str) -> T:
+    """``parse`` of the file at ``path``, opened as UTF-8 text with universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh)
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -124,10 +132,6 @@ def _write_artifacts(args: argparse.Namespace, artifacts: dict) -> None:
         raise
 
 
-def _load_hierarchy(path: str) -> taxonomy.Taxonomy:
-    return taxonomy.parse_taxonomy(_read(path))
-
-
 def _check_tfidf(data: corpus.Dataset) -> corpus.Dataset:
     """``data``, the tf-idf features of a command, unless every one is zero."""
     if not data.to_csr().nnz:
@@ -143,8 +147,8 @@ def _check_tfidf(data: corpus.Dataset) -> corpus.Dataset:
 
 
 def cmd_similarity(args: argparse.Namespace) -> dict:
-    tax = _load_hierarchy(args.hierarchy)
-    data = corpus.parse_dataset(_read(args.data))
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
+    data = _parse(corpus.parse_dataset, args.data)
     learner.check_leaf_labels(tax, data.labels)
     if not args.no_tfidf:
         data = _check_tfidf(corpus.tfidf_normalize(data))
@@ -172,8 +176,8 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
 
 
 def cmd_rewire(args: argparse.Namespace) -> dict:
-    tax = _load_hierarchy(args.hierarchy)
-    selected = simgraph.parse_pair_set(_read(args.pairs))
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
+    selected = _parse(simgraph.parse_pair_set, args.pairs)
     modified, log = rewire.rewire_hierarchy(tax, selected)
     if args.collapse_chains:
         modified, collapse_ops = rewire.collapse_chains(modified)
@@ -206,8 +210,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_train(args: argparse.Namespace) -> dict:
     artifacts: dict = {}
-    tax = _load_hierarchy(args.hierarchy)
-    data = corpus.parse_dataset(_read(args.data))
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
+    data = _parse(corpus.parse_dataset, args.data)
     if not args.no_tfidf:
         idf = corpus.compute_idf(data)
         data = _check_tfidf(corpus.apply_tfidf(data, idf))  # the raw features are freed
@@ -217,7 +221,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
     costs = None
     if args.cost_file is not None:
-        costs = learner.parse_costs(_read(args.cost_file))
+        costs = _parse(learner.parse_costs, args.cost_file)
         if costs.shape[0] != data.n:
             raise LearnerError(
                 f"cost file has {costs.shape[0]} entries for {data.n} instances"
@@ -254,19 +258,19 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 
 def cmd_predict(args: argparse.Namespace) -> dict:
-    with open(args.model, encoding="utf-8") as fh:  # read a line at a time, never whole
-        model_set = learner.parse_model_set(fh)
+    model_set = _parse(learner.parse_model_set, args.model)
     tfidf = model_set.extra_headers.get("tfidf") == "1"
     if tfidf and args.idf is None:
         raise LearnerError("the model was trained on tf-idf features; pass its --idf table")
     if not tfidf and args.idf is not None:
         raise LearnerError("the model was trained on raw features (--no-tfidf); drop --idf")
-    data = corpus.parse_dataset(_read(args.data))
+    data = _parse(corpus.parse_dataset, args.data)
     if args.idf is not None:
-        data = corpus.apply_tfidf(data, corpus.parse_idf(_read(args.idf)))
+        data = corpus.apply_tfidf(data, _parse(corpus.parse_idf, args.idf))
     if model_set.extra_headers.get("bias") == "1":
         data = corpus.with_constant_feature(data, model_set.dimensionality)
-    preds, n_evals = learner.predict_dataset(model_set, data, _load_hierarchy(args.hierarchy))
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
+    preds, n_evals = learner.predict_dataset(model_set, data, tax)
 
     # one line per instance, nothing else: downstream tools count lines
     return {
@@ -279,7 +283,7 @@ def cmd_predict(args: argparse.Namespace) -> dict:
     }
 
 
-def _parse_predictions(text: str, expected: int) -> list[int]:
+def _parse_predictions(text: str | Iterable[str], expected: int) -> list[int]:
     rows: dict[int, int] = {}
     for lineno, line in taxonomy.records(text):
         parts = line.split()
@@ -298,13 +302,13 @@ def _parse_predictions(text: str, expected: int) -> list[int]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> dict:
-    labels = corpus.parse_labels(_read(args.data))
-    preds = _parse_predictions(_read(args.predictions), len(labels))
-    tax = _load_hierarchy(args.hierarchy)
+    labels = _parse(corpus.parse_labels, args.data)
+    preds = _parse(lambda fh: _parse_predictions(fh, len(labels)), args.predictions)
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
 
     train_counts = None
     if args.train_data is not None:
-        train_labels = corpus.parse_labels(_read(args.train_data))
+        train_labels = _parse(corpus.parse_labels, args.train_data)
         learner.check_leaf_labels(tax, train_labels)
         train_counts = collections.Counter(train_labels)
 

@@ -2,7 +2,7 @@
 
 Each line reads ``label idx:val idx:val ...`` with 1-based, strictly
 increasing feature indices.  Labels are integer leaf ids of the taxonomy
-the data is classified against.
+the data is classified against.  Readers take a text or an open file.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def format_row(label: int, cols: np.ndarray, values: np.ndarray) -> str:
     return " ".join([str(label), *(f"{i}:{x!r}" for i, x in entries)])
 
 
-def parse_labels(text: str) -> list[int]:
+def parse_labels(text: str | Iterable[str]) -> list[int]:
     """The labels of the lines :func:`parse_dataset` reads, in order.
 
     Only the first token of each line is read, and it goes through
@@ -327,7 +327,7 @@ def parse_labels(text: str) -> list[int]:
     return labels
 
 
-def parse_dataset(text: str) -> Dataset:
+def parse_dataset(text: str | Iterable[str]) -> Dataset:
     """Parse ``label idx:val ...`` lines; blank and ``#`` lines are skipped.
 
     Values must be finite, labels fit in int64 and indices be at most
@@ -370,7 +370,7 @@ def serialize_idf(idf: dict[int, float]) -> str:
     return "".join(f"{i} {v!r}\n" for i, v in sorted(idf.items()))
 
 
-def parse_idf(text: str) -> dict[int, float]:
+def parse_idf(text: str | Iterable[str]) -> dict[int, float]:
     """Inverse of :func:`serialize_idf`.
 
     An index is spelled by the node-id rule of

@@ -33,7 +33,7 @@ from scipy.special import expit
 
 from .corpus import MAX_WIDTH, Dataset
 from .solver import minimize_lbfgs
-from .taxonomy import Taxonomy, parse_id, records
+from .taxonomy import Taxonomy, numbered_lines, parse_id, records
 
 DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -79,7 +79,7 @@ class ModelSet:
             raise LearnerError(f"unknown mode {self.mode!r}")
 
 
-def parse_costs(text: str) -> np.ndarray:
+def parse_costs(text: str | Iterable[str]) -> np.ndarray:
     """Per-instance positive weights, one per line; blank/# lines skipped."""
     vals = []
     for lineno, line in records(text):
@@ -440,13 +440,14 @@ def serialize_model_set(model_set: ModelSet) -> str:
     ``weights`` is the base64 of the nonzero weights in index order as
     little-endian float64, so loading is bitwise exact.  A model with no
     nonzero weight is its node id alone.  ``#C`` is the one C every node
-    model was fit with.
+    model was fit with, and ``#weights mask`` names this line form.
     """
     lines = [
         f"#mode {model_set.mode}",
         f"#fingerprint {model_set.fingerprint}",
         f"#dimensionality {model_set.dimensionality}",
         f"#C {float(model_set.c)!r}",
+        "#weights mask",
     ]
     for key in sorted(model_set.extra_headers):
         lines.append(f"#{key} {model_set.extra_headers[key]}")
@@ -473,7 +474,7 @@ def _b64decode(lineno: int, token: str) -> bytes:
 def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
     """Mode, fingerprint, dimensionality and C of a model file's headers, checked.
 
-    The four are popped from ``headers``; what is left is the extra headers.
+    The four and ``#weights`` are popped from ``headers``; the rest are the extra headers.
     """
     for required in ("mode", "fingerprint", "dimensionality", "C"):
         if required not in headers:
@@ -495,6 +496,7 @@ def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
         raise LearnerError(f"the C header is not a number: {c_text!r}; retrain the model") from None
     if not (math.isfinite(c) and c > 0.0):
         raise LearnerError(f"C must be finite and positive, got the C header {c_text!r}")
+    headers.pop("weights", None)  # parse_model_set checks it at the first model line
     return mode, fingerprint, dim, c
 
 
@@ -538,45 +540,35 @@ def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
     return node, theta
 
 
-def parse_model_set(lines: Iterable[str]) -> ModelSet:
+def parse_model_set(lines: str | Iterable[str]) -> ModelSet:
     """Inverse of :func:`serialize_model_set`, read one line at a time.
 
-    ``lines`` is an iterable of text lines, such as a model file opened
-    in text mode or ``text.splitlines()``; each is split again with
-    ``str.splitlines``, so lines and line numbers are those of
-    ``text.splitlines()`` on the whole text.  A ``str`` raises TypeError.
-    Each model line is decoded into its dense weights as it is read, so
-    no copy of the text is kept.
+    ``lines`` is a text or an iterable of lines, such as an open model file;
+    each model line is decoded into its dense weights as it is read.
 
-    Headers come before the first model line; a ``#`` line after it is
-    rejected.  Unknown headers are ignored.  Loaded models carry no
-    objective value (it is not part of the format) and are marked
-    converged.  A model line that breaks the format, one in an older form
-    (``idx:weight`` text, or int64 indices in place of the mask), or one
-    whose node is not a node id raises :class:`LearnerError` naming it.
+    Headers, ``#weights mask`` among them, come before the first model
+    line; a ``#`` line after it is rejected.  Unknown headers are ignored.
+    Loaded models carry no objective value and are marked converged.  A
+    model line that breaks the format, one in an older form, or one whose
+    node is not a node id raises :class:`LearnerError` naming it.
     """
-    if isinstance(lines, str):
-        raise TypeError("parse_model_set reads an iterable of lines, such as an open model "
-                        "file, not a str; pass text.splitlines()")
     headers: dict[str, str] = {}
     settings: tuple[str, str, int, float] | None = None
     models: dict[int, NodeModel] = {}
-    # An empty item is an empty line (from text.splitlines()); a file yields none.
-    split = (line for physical in lines for line in physical.splitlines() or [""])
-    for lineno, line in enumerate(split, 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
+    for lineno, line in numbered_lines(lines):
+        if line.startswith("#"):
             if settings is not None:
                 raise LearnerError(f"line {lineno}: a '#' header after the first model line;"
                                    " headers come first")
-            key, _, value = stripped[1:].partition(" ")
+            key, _, value = line[1:].partition(" ")
             headers[key] = value
             continue
         if settings is None:
+            if headers.get("weights") != "mask":
+                raise LearnerError(f"line {lineno}: no '#weights mask' header; the file may be in "
+                                   "the previous index form: retrain the model")
             settings = _model_settings(headers)
-        node, theta = _model_theta(lineno, stripped, settings[2])  # at #dimensionality
+        node, theta = _model_theta(lineno, line, settings[2])  # at #dimensionality
         if node in models:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
         models[node] = NodeModel(node=node, theta=theta)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Union
 
 from .simgraph import SimilarPairSet
-from .taxonomy import _MAX_ID, Taxonomy, _check_id
+from .taxonomy import _MAX_ID, Taxonomy, _check_id, numbered_lines
 
 
 class RewireError(ValueError):
@@ -151,11 +151,9 @@ class RewireLog:
         return "".join(_JSONL_LINE[type(op)](op) for op in self.ops)
 
     @staticmethod
-    def from_jsonl(text: str) -> "RewireLog":
+    def from_jsonl(text: str | Iterable[str]) -> "RewireLog":
         ops: list[RewireOp] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
+        for lineno, line in numbered_lines(text):
             try:
                 record = json.loads(line)
                 kind = record.pop("op")

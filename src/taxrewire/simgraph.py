@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from .corpus import Dataset, SparseVector
-from .taxonomy import parse_id
+from .taxonomy import numbered_lines, parse_id
 
 
 class SimilarityError(ValueError):
@@ -403,7 +403,7 @@ def serialize_pair_set(pair_set: SimilarPairSet) -> str:
     return buf.getvalue()
 
 
-def parse_pair_set(text: str) -> SimilarPairSet:
+def parse_pair_set(text: str | Iterable[str]) -> SimilarPairSet:
     """Inverse of :func:`serialize_pair_set`.
 
     Each pair line names two distinct classes by their node ids (see
@@ -414,12 +414,9 @@ def parse_pair_set(text: str) -> SimilarPairSet:
     tau: float | None = None
     # Typed buffers hold every pair; only the current line's are Python objects.
     lo, hi, linenos, score = array("q"), array("q"), array("q"), array("d")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
+    for lineno, line in numbered_lines(text):
+        if line.startswith("#"):
+            parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "tau":
                 try:
                     tau = float(parts[1])
@@ -428,15 +425,15 @@ def parse_pair_set(text: str) -> SimilarPairSet:
                 if not -1.0 <= tau <= 1.0:
                     raise SimilarityError(f"line {lineno}: tau must lie in [-1, 1], got {parts[1]}")
             continue
-        parts = stripped.split()
+        parts = line.split()
         if len(parts) != 3:
-            raise SimilarityError(f"line {lineno}: expected 'a b score', got {stripped!r}")
+            raise SimilarityError(f"line {lineno}: expected 'a b score', got {line!r}")
         a = parse_id(parts[0], lineno, SimilarityError)
         b = parse_id(parts[1], lineno, SimilarityError)
         try:
             s = float(parts[2])
         except ValueError:
-            raise SimilarityError(f"line {lineno}: malformed pair line {stripped!r}") from None
+            raise SimilarityError(f"line {lineno}: malformed pair line {line!r}") from None
         if a == b:
             raise SimilarityError(f"line {lineno}: pair ({a}, {b}) names one class twice")
         if not -1.0 <= s <= 1.0:

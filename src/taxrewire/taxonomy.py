@@ -8,8 +8,8 @@ Children lists are kept sorted ascending so that every traversal of the
 tree is deterministic.
 
 Every file that names nodes (hierarchy, pairs, models, predictions) reads
-them with :func:`parse_id`, and every reader skips blank and ``#`` lines
-with :func:`records`; this module imports neither numpy nor scipy.
+them with :func:`parse_id`, every reader reads a text or an open file with
+:func:`numbered_lines`, and this module imports neither numpy nor scipy.
 
 The editing helpers (:meth:`Taxonomy.add_node`, :meth:`Taxonomy.reparent`)
 return an edited copy and never touch the receiver.  An edit checks only
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import insort
-from typing import Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 
 class TaxonomyError(ValueError):
@@ -308,16 +309,24 @@ def parse_id(
     raise error(f"line {lineno}: {field} {shown!r} {what}")
 
 
-def records(text: str) -> Iterator[tuple[int, str]]:
-    """``(lineno, line)`` of the stripped lines of ``text`` that are not blank or ``#``."""
-    return (
-        (lineno, stripped)
-        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), 1)
-        if stripped and not stripped.startswith("#")
-    )
+def numbered_lines(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` of the stripped lines of ``source`` that are not blank.
+
+    ``source`` is a text or an iterable of lines, such as an open file.  Each
+    item is split again with ``str.splitlines``, so lines and line numbers are
+    those of ``splitlines()`` on the whole text; an empty item is one line.
+    """
+    items = (source,) if isinstance(source, str) else source
+    split = chain.from_iterable(item.splitlines() or ("",) for item in items)
+    return ((lineno, line) for lineno, line in enumerate(map(str.strip, split), 1) if line)
 
 
-def parse_taxonomy(text: str) -> Taxonomy:
+def records(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The :func:`numbered_lines` of ``source`` that do not start with ``#``."""
+    return ((lineno, line) for lineno, line in numbered_lines(source) if not line.startswith("#"))
+
+
+def parse_taxonomy(text: str | Iterable[str]) -> Taxonomy:
     """Parse an edge list with one ``parent child`` pair of node ids per line.
 
     Blank lines and lines starting with ``#`` are skipped.  A token that

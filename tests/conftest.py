@@ -23,6 +23,10 @@ from taxrewire.taxonomy import parse_taxonomy
 
 LETTER_EDGES = "6 7\n6 8\n7 0\n7 1\n7 2\n8 3\n8 4\n8 5\n"
 
+# Every character str.splitlines() breaks a line at; "\r\n" is one break.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
 
 @pytest.fixture
 def letter_tree():

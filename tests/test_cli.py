@@ -4,6 +4,7 @@ import base64
 import collections
 import csv
 import filecmp
+import gc
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +557,60 @@ class TestRewireModes:
         assert replay_log(parse_taxonomy(tax.read_text()), log) == modified
 
 
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """Every kind of input file, from a tf-idf flat model of four instances."""
+    root = tmp_path_factory.mktemp("inputs")
+    files = {"hierarchy": "0 1\n0 2\n", "pairs": "# tau 0.5\n1 2 0.9\n",
+             "cost-file": "1.0\n2.0\n1.0\n0.5\n",
+             "data": "1 1:2.0 3:1.0\n1 1:3.0 3:2.0\n2 2:2.0 3:1.0\n2 2:1.0 3:3.0\n"}
+    paths = {flag: root / flag for flag in files}
+    for flag, text in files.items():
+        paths[flag].write_text(text)
+    assert run("train", "--data", paths["data"], "--hierarchy", paths["hierarchy"],
+               "--method", "flat", "--C", "5", "--out", root / "t") == 0
+    paths["model"], paths["idf"] = root / "t" / "model.txt", root / "t" / "idf.txt"
+    assert run("predict", "--model", paths["model"], "--data", paths["data"], "--idf",
+               paths["idf"], "--hierarchy", paths["hierarchy"], "--out", root / "p") == 0
+    paths["predictions"] = root / "p" / "predictions.txt"
+    paths["train-data"] = paths["data"]
+    return paths
+
+
+class TestInputNotUtf8:
+    @pytest.mark.parametrize("flag,argv", [
+        ("hierarchy", ["rewire", "--hierarchy", "--pairs"]),
+        ("data", ["similarity", "--data", "--hierarchy", "--no-tfidf", "--top-k", "1"]),
+        ("train-data", ["evaluate", "--predictions", "--data", "--hierarchy", "--train-data"]),
+        ("pairs", ["rewire", "--hierarchy", "--pairs"]),
+        ("model", ["predict", "--model", "--data", "--idf", "--hierarchy"]),
+        ("idf", ["predict", "--model", "--data", "--idf", "--hierarchy"]),
+        ("predictions", ["evaluate", "--predictions", "--data", "--hierarchy"]),
+        ("cost-file", ["train", "--data", "--hierarchy", "--cost-file", "--C", "1"]),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_exit_6_and_no_file_left_open(self, tiny_inputs, tmp_path, capsys, flag, argv):
+        def command(inputs, out):
+            """``argv`` with each input flag followed by its file."""
+            args = []
+            for arg in argv:
+                args.append(arg)
+                if arg[2:] in inputs:
+                    args.append(inputs[arg[2:]])
+            return [*args, "--out", out]
+
+        assert run(*command(tiny_inputs, tmp_path / "ok")) == 0
+        bad = tmp_path / flag
+        bad.write_bytes(b"\xff" + tiny_inputs[flag].read_bytes())  # on line 1
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*command({**tiny_inputs, flag: bad}, out)) == 6
+            gc.collect()
+        assert "'utf-8' codec can't decode byte 0xff in position 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert run("rewire", "--hierarchy", tmp_path / "nope.edges",
@@ -733,9 +789,11 @@ class TestExitCodes:
         ('#C {"1": 0.5}', """the C header is not a number: '{"1": 0.5}'; retrain the model"""),
         *[(f"#C {c}", f"C must be finite and positive, got the C header '{c}'")
           for c in ("nan", "-1", "inf", "0")],
+        ("#weights index", "no '#weights mask' header; the file may be in the previous index"
+         " form: retrain the model"),
     ], ids=["dimensionality-longer-than-the-masks", "dimensionality-above-2^60-1",
             "C-map-with-null", "C-list", "C-per-node-map", "C-nan", "C-negative", "C-inf",
-            "C-zero"])
+            "C-zero", "weights-not-a-mask"])
     def test_bad_model_header(self, pipeline, tmp_path, capsys, header, msg):
         text = (pipeline["train"] / "model.txt").read_text()
         key = header.split(" ", 1)[0]

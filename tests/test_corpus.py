@@ -30,6 +30,7 @@ from taxrewire.corpus import (
 from taxrewire import corpus
 from taxrewire.simgraph import class_centroids
 
+from conftest import traced_peak
 from reference_impls import (
     per_line_parse_dataset,
     per_row_apply_tfidf,
@@ -188,6 +189,26 @@ class TestParsing:
         assert indptr.tolist() == [0, 2, 2, 4]
         assert cols.tolist() == [1, 6, 0, 1]
         assert vals.tolist() == [0.5, -1.0, 0.0, 1000.0]
+
+    def test_parse_from_a_file_holds_no_text(self, tmp_path):
+        # Word counts over 6,000 features, about 2 MB of text: the whole
+        # text and its line list took 4.3 times the file's bytes.
+        rng = np.random.default_rng(8)
+        lines = []
+        for _ in range(4_000):
+            cols = np.sort(rng.choice(6_000, int(rng.integers(1, 120)), replace=False))
+            lines.append(format_row(int(rng.integers(64)), cols,
+                                    rng.geometric(0.6, cols.size).astype(float)))
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        def parse():
+            with path.open(encoding="utf-8") as fh:
+                return parse_dataset(fh)
+
+        data, peak = traced_peak(parse)
+        assert data.n == 4_000
+        assert peak < 3.5 * path.stat().st_size
 
     def test_chunks_hold_at_most_the_chunk_size(self, monkeypatch):
         monkeypatch.setattr(corpus, "_PARSE_CHUNK", 3)

@@ -35,7 +35,7 @@ from taxrewire.learner import (
 from taxrewire.solver import minimize_lbfgs
 from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
-from conftest import one_hot_dataset, traced_peak
+from conftest import LINE_BREAKS, one_hot_dataset, traced_peak
 from reference_impls import (
     fd_gradient,
     predict_flat,
@@ -521,7 +521,7 @@ class TestTuning:
             tune_c(letter_tree, data, grid=(0.1, 10.0), mode="flat", split=0.99)
 
 
-HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n"
+HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n#weights mask\n"
 HEAD9 = HEAD.replace("#dimensionality 2", "#dimensionality 9")
 
 
@@ -584,8 +584,19 @@ class TestSerialization:
         assert base64.b64decode(bits) == bytes([0b110])  # indices 2 and 3, little bit order
         assert base64.b64decode(weights) == np.array([1.5, -2.0], "<f8").tobytes()
 
+    def test_previous_index_form_without_the_format_header_is_refused(self):
+        # An int64 index list as long as a mask: [4] at #dimensionality 64
+        # would read as the mask of index 3.
+        text = HEAD.replace("#dimensionality 2", "#dimensionality 64").replace(
+            "#weights mask\n", "") + index_line(0, [4], [0.5])
+        with pytest.raises(LearnerError, match="^line 5: no '#weights mask' header; the file "
+                           "may be in the previous index form: retrain the model$"):
+            parse_model_set(io.StringIO(text))
+        header_only = parse_model_set(io.StringIO(HEAD))
+        assert header_only.models == {} and header_only.extra_headers == {}
+
     def test_unknown_headers_survive(self):
-        text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#note kept verbatim\n"
+        text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#weights mask\n#note kept verbatim\n"
         ms = parse_model_set(io.StringIO(text + model_line(0, [1], [0.5])))
         assert ms.extra_headers == {"note": "kept verbatim"}
         assert np.array_equal(ms.models[0].theta, [0.5, 0.0])
@@ -607,48 +618,49 @@ class TestSerialization:
                f"C must be finite and positive, got the C header '{c}'")
               for c in ("nan", "-1", "inf", "0")],
             (HEAD + "0 1:0.5 2:0.25\n",
-             "line 5: an old 'idx:weight' model line; retrain the model"),
-            (HEAD + "0 1:0.5\n", "line 5: an old 'idx:weight' model line"),
+             "line 6: an old 'idx:weight' model line; retrain the model"),
+            (HEAD + "0 1:0.5\n", "line 6: an old 'idx:weight' model line"),
             (HEAD + "x " + model_line(0, [1], [0.5]).split(" ", 1)[1],
-             "line 5: node 'x' is not a decimal integer id"),
+             "line 6: node 'x' is not a decimal integer id"),
             (HEAD + "9223372036854775808 " + model_line(0, [1], [0.5]).split(" ", 1)[1],
-             "line 5: node '9223372036854775808' is above 2\\^63 - 1"),
+             "line 6: node '9223372036854775808' is above 2\\^63 - 1"),
             (HEAD + "0 " + mask([1]) + "\n",
-             "line 5: expected 'node mask weights', got 2 tokens"),
+             "line 6: expected 'node mask weights', got 2 tokens"),
             (HEAD + model_line(0, [1], [0.5]).rstrip() + " AAAAAAAAAAA=\n",
-             "line 5: expected 'node mask weights', got 4 tokens"),
-            (HEAD + "0 AQAAAAAAAA!= " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
-            (HEAD + "0 AQAAAAAAAA " + b64([0.5], "<f8") + "\n", "line 5: malformed token"),
+             "line 6: expected 'node mask weights', got 4 tokens"),
+            (HEAD + "0 AQAAAAAAAA!= " + b64([0.5], "<f8") + "\n", "line 6: malformed token"),
+            (HEAD + "0 AQAAAAAAAA " + b64([0.5], "<f8") + "\n", "line 6: malformed token"),
             (HEAD + "0 " + mask([1]) + " " + b64([1], "<i4") + "\n",
-             "line 5: malformed token: the weights are not whole 8-byte values"),
+             "line 6: malformed token: the weights are not whole 8-byte values"),
             (HEAD9 + model_line(0, [1], [0.5], dim=1),
-             "^line 5: the mask has 1 bytes, but #dimensionality 9 needs 2; the line may be in "
+             "^line 6: the mask has 1 bytes, but #dimensionality 9 needs 2; the line may be in "
              "the previous index form: retrain the model$"),
             (HEAD9 + model_line(0, [1], [0.5], dim=17),
-             "^line 5: the mask has 3 bytes, but #dimensionality 9 needs 2;"),
-            (HEAD + model_line(0, [1], [0.5], dim=9), "^line 5: the mask has 2 bytes"),
+             "^line 6: the mask has 3 bytes, but #dimensionality 9 needs 2;"),
+            (HEAD + model_line(0, [1], [0.5], dim=9), "^line 6: the mask has 2 bytes"),
             (HEAD + index_line(0, [1], [0.5]),
-             "^line 5: the mask has 8 bytes, but #dimensionality 2 needs 1; the line may be in "
+             "^line 6: the mask has 8 bytes, but #dimensionality 2 needs 1; the line may be in "
              "the previous index form: retrain the model$"),
             ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846975\n#C 1.0\n"
+             "#weights mask\n"
              + model_line(0, [1], [0.5]),
-             "^line 5: the mask has 1 bytes, but #dimensionality 1152921504606846975 needs "
+             "^line 6: the mask has 1 bytes, but #dimensionality 1152921504606846975 needs "
              "144115188075855872;"),
             (HEAD + model_line(0, [3], [0.5]),
-             "^line 5: a mask bit past #dimensionality 2 is set$"),
-            (HEAD + model_line(0, [1, 8], [0.5, 0.5]), "^line 5: a mask bit past"),
-            (HEAD9 + model_line(0, [16], [0.5], dim=9), "^line 5: a mask bit past"),
+             "^line 6: a mask bit past #dimensionality 2 is set$"),
+            (HEAD + model_line(0, [1, 8], [0.5, 0.5]), "^line 6: a mask bit past"),
+            (HEAD9 + model_line(0, [16], [0.5], dim=9), "^line 6: a mask bit past"),
             (HEAD + model_line(0, [1, 2], [0.5]),
-             "^line 5: the mask sets 2 bits but there are 1 weights$"),
+             "^line 6: the mask sets 2 bits but there are 1 weights$"),
             (HEAD + model_line(0, [2], [0.5, 0.25]),
-             "^line 5: the mask sets 1 bits but there are 2 weights$"),
-            (HEAD + model_line(0, [1, 2], [0.5, math.nan]), "line 5: non-finite weight"),
-            (HEAD + model_line(0, [1], [-math.inf]), "line 5: non-finite weight"),
+             "^line 6: the mask sets 1 bits but there are 2 weights$"),
+            (HEAD + model_line(0, [1, 2], [0.5, math.nan]), "line 6: non-finite weight"),
+            (HEAD + model_line(0, [1], [-math.inf]), "line 6: non-finite weight"),
             (HEAD + model_line(0, [1], [0.5]) + model_line(0, [2], [0.5]),
-             "line 6: duplicate model for node 0"),
+             "line 7: duplicate model for node 0"),
             # a per-node C map, as older versions wrote it
             ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0, "1": 2.0}\n'
-             + model_line(0, [1], [0.5]) + model_line(1, [2], [0.5]),
+             '#weights mask\n' + model_line(0, [1], [0.5]) + model_line(1, [2], [0.5]),
              "the C header is not a number: .*; retrain the model"),
         ],
     )
@@ -657,11 +669,6 @@ class TestSerialization:
         path.write_text(text, encoding="utf-8")
         with path.open(encoding="utf-8") as fh, pytest.raises(LearnerError, match=msg):
             parse_model_set(fh)
-
-
-# Every character str.splitlines() breaks a line at; "\r\n" is one break.
-LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-               "\u2028", "\u2029"]
 
 
 def read_model_file(path: Path) -> ModelSet:
@@ -694,7 +701,7 @@ class TestLineReader:
         # a break inside a model line cuts it in two
         *[HEAD + BODY.replace("AAAA", "AA" + brk + "AA", 1) for brk in ("\x0c", "\x85", "\u2028")],
         HEAD.replace("\n", "\x1e") + BODY.replace("\n", "\u2029"),
-        "#mode flat\r\n#fingerprint a\n#dimensionality 2\r#C 1.0\x0c\x0c" + BODY,
+        "#mode flat\r\n#fingerprint a\n#dimensionality 2\r#C 1.0\x0c\x0c#weights mask\u2028" + BODY,
         HEAD + BODY + "x\r\n",
         HEAD + BODY + model_line(0, [2], [1.0]).rstrip("\n"),
     ], ids=["crlf", "lone-cr", "no-final-newline", "blank-lines", "form-feed", "next-line",
@@ -730,12 +737,12 @@ class TestLineReader:
     def test_blank_items_count_as_lines(self):
         # text.splitlines() gives "" for a blank line; it keeps its number.
         lines = [*HEAD.splitlines(), "", "", model_line(0, [3], [0.5]).rstrip()]
-        with pytest.raises(LearnerError, match="^line 7: a mask bit past #dimensionality 2"):
+        with pytest.raises(LearnerError, match="^line 8: a mask bit past #dimensionality 2"):
             parse_model_set(lines)
 
     @pytest.mark.parametrize("late,msg", [
-        ("#note kept", "^line 6: a '#' header after the first model line; headers come first$"),
-        ("#C 2.0", "^line 6: a '#' header after the first model line"),
+        ("#note kept", "^line 7: a '#' header after the first model line; headers come first$"),
+        ("#C 2.0", "^line 7: a '#' header after the first model line"),
     ])
     def test_header_after_a_model_line(self, tmp_path, late, msg):
         path = tmp_path / "model.txt"
@@ -750,11 +757,6 @@ class TestLineReader:
                         encoding="utf-8")
         with pytest.raises(LearnerError, match="^model file is missing the 'C' header$"):
             read_model_file(path)
-
-    def test_str_is_a_type_error(self):
-        text = HEAD + model_line(0, [1], [0.5])
-        with pytest.raises(TypeError, match="not a str"):
-            parse_model_set(text)
 
 
 def dense_model_set(n_models: int = 64, dim: int = 10_000) -> ModelSet:

@@ -609,6 +609,25 @@ class TestPairSetText:
         with pytest.raises(SimilarityError, match=msg):
             parse_pair_set(text)
 
+    def test_parse_from_a_file_holds_no_text(self, tmp_path):
+        # The whole text and its line list took 147 B per pair.
+        n = 50_000
+        rng = np.random.default_rng(5)
+        a = np.arange(n)
+        s = SimilarPairSet(a, a + 1 + rng.integers(0, 10**6, n),
+                           np.sort(rng.uniform(-1.0, 1.0, n))[::-1], tau=-1.0)
+        path = tmp_path / "pairs.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            write_pair_set(s, fh)
+
+        def parse():
+            with path.open(encoding="utf-8") as fh:
+                return parse_pair_set(fh)
+
+        again, peak = traced_peak(parse)
+        assert rows(again) == rows(s)
+        assert peak < 80 * n
+
     def test_curve_csv_format(self):
         buf = io.StringIO()
         write_score_curve(ScoreTable([1], [2], [0.5]), buf)

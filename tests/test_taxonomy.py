@@ -1,8 +1,16 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxrewire import cli
+from taxrewire.corpus import parse_dataset, parse_idf, parse_labels
+from taxrewire.learner import ModelSet, NodeModel, parse_costs, parse_model_set, serialize_model_set
+from taxrewire.rewire import DeleteOp, MoveOp, RewireLog
+from taxrewire.simgraph import parse_pair_set
 from taxrewire.taxonomy import (
     Taxonomy,
     TaxonomyError,
@@ -10,6 +18,7 @@ from taxrewire.taxonomy import (
     serialize_taxonomy,
 )
 
+from conftest import LINE_BREAKS
 from reference_impls import oracle_lca, random_taxonomy
 
 
@@ -214,3 +223,99 @@ def test_random_tree_round_trip(n_nodes, seed):
     again = parse_taxonomy(serialize_taxonomy(tax))
     assert again == tax
     assert again.fingerprint() == tax.fingerprint()
+
+
+# ----------------------------------------------------------------------
+# every reader takes a text or an open file, through one line reader
+
+MODEL_LINES = serialize_model_set(ModelSet("flat", "f", 2, 1.0, {
+    0: NodeModel(0, np.array([0.5, 0.0])), 3: NodeModel(3, np.array([0.25, -1.0]))})).splitlines()
+LOG_LINES = RewireLog([MoveOp(1, (0, 2), 0, 5, 6), DeleteOp(5, 4)]).to_jsonl().splitlines()
+
+
+def model_key(ms):
+    return (ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
+            {node: m.theta.tobytes() for node, m in ms.models.items()})
+
+
+# name: (reader, its result as comparable values, the lines of a good
+# file, a bad line and the message it gives after its line number)
+READERS = {
+    "parse_taxonomy": (parse_taxonomy, lambda tax: tax, ["0 1", "0 2", "1 3"],
+                       "1 x", "node 'x' is not a decimal integer id"),
+    "parse_dataset": (parse_dataset, lambda d: (d.labels, d.to_csr().toarray().tolist()),
+                      ["3 1:0.5 4:2.0", "4 2:1.5", "3 1:1"], "3 1:x", "malformed entry '1:x'"),
+    "parse_labels": (parse_labels, list, ["3 1:0.5", "4 2:1.5", "3"], "x 1:1",
+                     "non-numeric label 'x'"),
+    "parse_idf": (parse_idf, dict, ["1 0.5", "2 1.25", "4 0.0"], "3 nan", "non-finite idf 'nan'"),
+    "parse_costs": (parse_costs, np.ndarray.tolist, ["1.0", "2.5", "0.5"], "-1",
+                    "costs must be positive and finite"),
+    "_parse_predictions": (lambda source: cli._parse_predictions(source, 3), list,
+                           ["0 3", "1 4", "2 3"], "1 4 5", "expected 'index label'"),
+    "parse_pair_set": (parse_pair_set, lambda p: (p.a.tolist(), p.b.tolist(),
+                                                  p.score.tolist(), p.tau),
+                       ["# tau 0.5", "0 1 0.9", "2 1 0.75", "0 2 0.6"], "0 0 0.5",
+                       "pair (0, 0) names one class twice"),
+    "parse_model_set": (parse_model_set, model_key, MODEL_LINES, "0 1:0.5",
+                        "an old 'idx:weight' model line"),
+    "RewireLog.from_jsonl": (RewireLog.from_jsonl, lambda log: log.ops, LOG_LINES,
+                             '{"op": "nope"}', "unknown op 'nope'"),
+}
+
+
+def outcome(reader, source):
+    """``("ok", the reader's result as comparable values)``, or ``("error",
+    its error's type, its message)``."""
+    parse, key = READERS[reader][:2]
+    try:
+        return "ok", key(parse(source))
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+def from_file(reader, text, directory):
+    """:func:`outcome` of the reader on ``text`` written to a file and opened as the CLI opens it."""
+    path = Path(directory) / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    with path.open(encoding="utf-8") as fh:
+        return outcome(reader, fh)
+
+
+def head(reader):
+    """Blank and '#' lines a good file of ``reader`` may start with: a log has no '#' line."""
+    return ["", "  "] if reader == "RewireLog.from_jsonl" else ["", "# note", "  "]
+
+
+class TestTextAndFileReadAlike:
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_every_line_break(self, tmp_path, reader, brk):
+        good = READERS[reader][2]
+        text = brk.join([*head(reader), good[0], "", *good[1:]])
+        for source in (text, text + brk):  # without and with the final break
+            want = outcome(reader, source)
+            assert want[0] == "ok"
+            assert from_file(reader, source, tmp_path) == want
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_bad_line_is_named_alike(self, tmp_path, reader):
+        lines = [*head(reader), *READERS[reader][2], READERS[reader][3]]
+        text = "".join(line + brk for line, brk in zip(lines, LINE_BREAKS[::-1] * 2))
+        want = outcome(reader, text)
+        assert want[0] == "error" and f"line {len(lines)}: {READERS[reader][4]}" in want[2]
+        assert from_file(reader, text, tmp_path) == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    @pytest.mark.parametrize("reader", READERS)
+    def test_any_lines_read_alike(self, reader, data):
+        _, _, good, bad, _ = READERS[reader]
+        lines = data.draw(st.lists(st.sampled_from([*good, bad, "", "  ", "# note"]),
+                                   max_size=8))
+        breaks = data.draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines),
+                                    max_size=len(lines)))
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        if lines and data.draw(st.booleans()):
+            text = text[:-len(breaks[-1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert from_file(reader, text, tmp) == outcome(reader, text)

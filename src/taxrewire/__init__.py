@@ -23,7 +23,7 @@ from .learner import (
     FingerprintMismatchError,
     LearnerError,
     ModelSet,
-    NodeModel,
+    WeightBlock,
     lr_objective_gradient,
     parse_model_set,
     predict_dataset,

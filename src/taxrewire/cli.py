@@ -64,9 +64,22 @@ T = TypeVar("T")
 
 
 def _parse(parse: Callable[[IO[str]], T], path: str) -> T:
-    """``parse`` of the file at ``path``, opened as UTF-8 text with universal newlines."""
+    """``parse`` of the file at ``path``, opened as UTF-8 text with universal newlines.
+
+    The text layer decodes the file block by block, so the codec's message
+    gives a bad byte's offset in its block; it is rebuilt with the offset
+    in the file, the block being the bytes that end at ``fh.buffer.tell()``.
+    """
     with open(path, encoding="utf-8") as fh:
-        return parse(fh)
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            start = fh.buffer.tell() - len(exc.object) + exc.start
+            if exc.end - exc.start == 1:
+                at = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+            else:
+                at = f"bytes in position {start}-{start + exc.end - exc.start - 1}"
+            raise ValueError(f"'{exc.encoding}' codec can't decode {at}: {exc.reason}") from None
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -244,8 +257,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
         summary["grid_scores"] = {repr(k): v for k, v in sorted(tuned.scores.items())}
         summary["split"] = dict(zip(("train", "validation"), tuned.split))
 
-    summary["n_models"] = len(model_set.models)
-    summary["n_unconverged"] = sum(1 for m in model_set.models.values() if not m.converged)
+    summary["n_models"] = sum(map(len, model_set.children.values()))
+    summary["n_unconverged"] = sum(int((~b.converged).sum()) for b in model_set.blocks.values())
     summary["fingerprint"] = model_set.fingerprint
     model_set.extra_headers["config"] = json.dumps(_provenance(args), sort_keys=True)
     if args.bias:
@@ -258,7 +271,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 
 def cmd_predict(args: argparse.Namespace) -> dict:
-    model_set = _parse(learner.parse_model_set, args.model)
+    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
+    model_set = _parse(lambda fh: learner.parse_model_set(fh, tax), args.model)
     tfidf = model_set.extra_headers.get("tfidf") == "1"
     if tfidf and args.idf is None:
         raise LearnerError("the model was trained on tf-idf features; pass its --idf table")
@@ -269,7 +283,6 @@ def cmd_predict(args: argparse.Namespace) -> dict:
         data = corpus.apply_tfidf(data, _parse(corpus.parse_idf, args.idf))
     if model_set.extra_headers.get("bias") == "1":
         data = corpus.with_constant_feature(data, model_set.dimensionality)
-    tax = _parse(taxonomy.parse_taxonomy, args.hierarchy)
     preds, n_evals = learner.predict_dataset(model_set, data, tax)
 
     # one line per instance, nothing else: downstream tools count lines

@@ -32,7 +32,7 @@ from scipy import sparse as sp
 from scipy.special import expit
 
 from .corpus import MAX_WIDTH, Dataset
-from .solver import minimize_lbfgs
+from .solver import SolveResult, minimize_lbfgs
 from .taxonomy import Taxonomy, numbered_lines, parse_id, records
 
 DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
@@ -47,19 +47,23 @@ class FingerprintMismatchError(LearnerError):
 
 
 @dataclass
-class NodeModel:
-    """Binary one-vs-rest model attached to one taxonomy node."""
+class WeightBlock:
+    """The models of one parent's children: a C-contiguous (children x
+    dimensionality) float64 ``weights`` array, one row per child, and each
+    row's ``final_objective`` (NaN once loaded) and ``converged`` flag."""
 
-    node: int
-    theta: np.ndarray
-    final_objective: float = math.nan
-    converged: bool = True
+    weights: np.ndarray
+    final_objective: np.ndarray
+    converged: np.ndarray
 
 
 @dataclass
 class ModelSet:
     """All node models of one trained classifier plus its provenance.
 
+    ``children`` maps each parent of the tree the models were fit over
+    to its children, in ``tree.children`` order, and ``blocks`` maps it
+    to their :class:`WeightBlock`, the only copy of their weights.
     ``fingerprint`` identifies the hierarchy the models were trained
     against; applying the set with any other tree is refused.  ``c`` is
     the one regularization weight every node model was fit with.
@@ -71,12 +75,47 @@ class ModelSet:
     fingerprint: str
     dimensionality: int
     c: float
-    models: dict[int, NodeModel] = field(default_factory=dict)
+    children: dict[int, tuple[int, ...]]
+    blocks: dict[int, WeightBlock]
     extra_headers: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.mode not in ("td-lr", "flat"):
             raise LearnerError(f"unknown mode {self.mode!r}")
+        if self.children.keys() != self.blocks.keys():
+            raise LearnerError("children and blocks must have the same parents")
+        for parent, kids in self.children.items():
+            block, k = self.blocks[parent], len(kids)
+            w = block.weights
+            if not (w.shape == (k, self.dimensionality) and w.dtype == np.float64
+                    and w.flags.c_contiguous and block.final_objective.shape == (k,)
+                    and block.converged.shape == (k,)):
+                raise LearnerError(f"node {parent} needs a C-contiguous float64 block of {k}"
+                                   f" rows of {self.dimensionality} weights, and {k} fits")
+
+    def slots(self) -> dict[int, tuple[WeightBlock, int]]:
+        """Each model's node: its parent's block and its row in it, in node order."""
+        return dict(sorted(((kid, (self.blocks[parent], i)) for parent, kids in
+                            self.children.items() for i, kid in enumerate(kids)),
+                           key=lambda slot: slot[0]))
+
+
+def _zero_model_set(settings: tuple[str, str, int, float], tax: Taxonomy) -> ModelSet:
+    """The all-zero model set of ``(mode, fingerprint, dimensionality, C)`` over ``tax``."""
+    dim, children = settings[2], _layout(settings[0], tax)
+    try:
+        blocks = {n: WeightBlock(np.zeros((len(kids), dim)), np.full(len(kids), math.nan),
+                                 np.ones(len(kids), dtype=bool)) for n, kids in children.items()}
+    except ValueError:  # numpy's "array is too big", past 2^63 bytes
+        raise MemoryError from None
+    return ModelSet(*settings, children, blocks)
+
+
+def _check_fingerprint(fingerprint: str, tax: Taxonomy) -> None:
+    if tax.fingerprint() != fingerprint:
+        raise FingerprintMismatchError(
+            "hierarchy does not match the one the model set was trained on"
+        )
 
 
 def parse_costs(text: str | Iterable[str]) -> np.ndarray:
@@ -165,8 +204,8 @@ def train_node(
     *,
     grad_tol: float = 1e-6,
     max_iter: int = 1000,
-) -> NodeModel:
-    """Fit the binary model of one node.
+) -> SolveResult:
+    """Fit the binary model of one node: the solver's result, its weights ``x``.
 
     Positives are instances labeled with a leaf of the node's subtree
     (for a leaf node, the leaf itself).  A node with no positive training
@@ -182,38 +221,38 @@ def train_node(
     if not np.any(y > 0):
         warnings.warn(f"node {node} has no positive training instances", stacklevel=2)
     x0 = np.zeros(features.shape[1], dtype=np.float64)
-    result = minimize_lbfgs(
+    return minimize_lbfgs(
         lambda th: lr_objective_gradient(th, features, y, c, costs),
         x0,
         grad_tol=grad_tol,
         max_iter=max_iter,
     )
-    return NodeModel(
-        node=node,
-        theta=result.x,
-        final_objective=result.fun,
-        converged=result.converged,
-    )
 
 
 def _fit_tree(
-    tree: Taxonomy,
+    mode: str,
+    tax: Taxonomy,
     train: Dataset,
     c: float,
     costs: np.ndarray | None,
     grad_tol: float,
     max_iter: int,
-) -> dict[int, NodeModel]:
-    """One model per non-root node of ``tree``, collected in node order.
+) -> ModelSet:
+    """One model per non-root node of the tree ``mode`` descends, fit in node order.
 
-    Every setting is checked before the first node is fit.
+    Every setting is checked before the first node is fit, and each fit
+    is written into its row of its parent's block.  The labels, and a
+    flat model's positives, are the same in ``tax`` as in its one-level tree.
     """
-    _check_labels(tree, train)
+    _check_labels(tax, train)
     _check_solver_settings((c,), grad_tol, max_iter)
-    return {
-        n: train_node(tree, n, train, c, costs, grad_tol=grad_tol, max_iter=max_iter)
-        for n in tree.non_root_nodes()
-    }
+    model_set = _zero_model_set((mode, tax.fingerprint(), train.dimensionality, float(c)), tax)
+    for node, (block, i) in model_set.slots().items():
+        result = train_node(tax, node, train, c, costs, grad_tol=grad_tol, max_iter=max_iter)
+        block.weights[i] = result.x
+        block.final_objective[i] = result.fun
+        block.converged[i] = result.converged
+    return model_set
 
 
 def check_leaf_labels(tax: Taxonomy, labels: Iterable[int]) -> None:
@@ -236,9 +275,13 @@ def _check_labels(tax: Taxonomy, train: Dataset) -> None:
         )
 
 
-def _one_level(tax: Taxonomy) -> Taxonomy:
-    """The flat hierarchy over ``tax``'s classes: every leaf a child of the root."""
-    return Taxonomy(tax.root, {leaf: tax.root for leaf in tax.leaves if leaf != tax.root})
+def _layout(mode: str, tax: Taxonomy) -> dict[int, tuple[int, ...]]:
+    """Each parent's children in the tree ``mode`` descends: ``tax`` for td-lr, and for
+    flat the one-level tree over ``tax``'s classes, every leaf a child of the root."""
+    if mode == "td-lr":
+        return {n: tax.children(n) for n in tax.internal_nodes}
+    leaves = tuple(sorted(tax.leaves - {tax.root}))
+    return {tax.root: leaves} if leaves else {}
 
 
 def train_topdown(
@@ -256,8 +299,7 @@ def train_topdown(
     training label that is not a leaf of ``tax`` raises
     :class:`LearnerError`.
     """
-    models = _fit_tree(tax, train, c, costs, grad_tol, max_iter)
-    return ModelSet("td-lr", tax.fingerprint(), train.dimensionality, float(c), models)
+    return _fit_tree("td-lr", tax, train, c, costs, grad_tol, max_iter)
 
 
 def train_flat(
@@ -276,8 +318,7 @@ def train_flat(
     fingerprint.  A training label that is not a leaf of ``tax`` raises
     :class:`LearnerError`.
     """
-    models = _fit_tree(_one_level(tax), train, c, costs, grad_tol, max_iter)
-    return ModelSet("flat", tax.fingerprint(), train.dimensionality, float(c), models)
+    return _fit_tree("flat", tax, train, c, costs, grad_tol, max_iter)
 
 
 # ----------------------------------------------------------------------
@@ -290,40 +331,25 @@ def predict_dataset(
     """(leaf per instance, model evaluations in all), checking the fingerprint first.
 
     Prediction descends the tree the models were fit over: ``tax`` for
-    top-down, its one-level tree for flat, whose non-root nodes must be
-    the nodes of the model set, no more and no fewer.  Each instance
+    top-down, its one-level tree for flat, whose parents and children must
+    be the model set's, no more and no fewer.  Each instance
     starts at the root and at each level enters the highest-scoring
     child, where NaN and -inf rank lowest and ties go to the smallest id,
     so top-down only evaluates the models along one root-leaf path while
     flat evaluates every leaf model.
     Features beyond the model's dimensionality contribute nothing.
     """
-    if tax.fingerprint() != model_set.fingerprint:
-        raise FingerprintMismatchError(
-            "hierarchy does not match the one the model set was trained on"
-        )
-    tree = tax if model_set.mode == "td-lr" else _one_level(tax)
-    nodes = set(tree.non_root_nodes())
-    missing = sorted(nodes - model_set.models.keys())
-    if missing:
-        raise LearnerError(f"model set has no model for node {missing[0]}")
-    extra = sorted(model_set.models.keys() - nodes)
-    if extra:
-        raise LearnerError(
-            f"model set has a model for node {extra[0]}, which {model_set.mode}"
-            " prediction over the hierarchy never uses"
-        )
-    children = {n: tree.children(n) for n in tree.internal_nodes}
+    _check_fingerprint(model_set.fingerprint, tax)
+    children = model_set.children
+    if children != _layout(model_set.mode, tax):
+        raise LearnerError(f"the model set's nodes are not those {model_set.mode} prediction"
+                           " over the hierarchy descends")
     dim = model_set.dimensionality
-    if any(m.theta.shape != (dim,) for m in model_set.models.values()):
-        raise LearnerError(f"every model must have {dim} weights")
-    # One (children x dim) weight block per internal node.  Each (instance,
-    # node) pair gathers its columns once with ``take``, whose rows are
-    # contiguous: a dot over such a row equals np.dot(theta[cols], vals)
-    # bit for bit (a strided row of block[:, cols] does not).
-    blocks = {
-        n: np.stack([model_set.models[k].theta for k in kids]) for n, kids in children.items()
-    }
+    # Each (instance, node) pair gathers the columns of the node's weight
+    # block once with ``take``, whose rows are contiguous: a dot over such a
+    # row equals np.dot(theta[cols], vals) bit for bit (a strided row of
+    # block[:, cols] does not).
+    blocks = {n: block.weights for n, block in model_set.blocks.items()}
     x = data.to_csr()
     if x.shape[1] > dim:
         x = x[:, :dim]
@@ -335,7 +361,7 @@ def predict_dataset(
     with np.errstate(over="ignore", invalid="ignore"):
         for s, e in zip(ptr, ptr[1:]):
             cols, vals = x.indices[s:e], x.data[s:e]
-            node = tree.root
+            node = tax.root
             while node in children:
                 kids = children[node]
                 total_evals += len(kids)
@@ -451,8 +477,8 @@ def serialize_model_set(model_set: ModelSet) -> str:
     ]
     for key in sorted(model_set.extra_headers):
         lines.append(f"#{key} {model_set.extra_headers[key]}")
-    for node in sorted(model_set.models):
-        theta = model_set.models[node].theta
+    for node, (block, i) in model_set.slots().items():
+        theta = block.weights[i]
         nonzero = theta != 0
         if nonzero.any():
             mask = np.packbits(nonzero, bitorder="little").tobytes()
@@ -471,10 +497,11 @@ def _b64decode(lineno: int, token: str) -> bytes:
         raise LearnerError(f"line {lineno}: malformed token: not base64") from None
 
 
-def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
+def _model_settings(headers: dict[str, str], tax: Taxonomy) -> tuple[str, str, int, float]:
     """Mode, fingerprint, dimensionality and C of a model file's headers, checked.
 
-    The four and ``#weights`` are popped from ``headers``; the rest are the extra headers.
+    The four and ``#weights`` are popped from ``headers``; the rest are the
+    extra headers.  A fingerprint other than ``tax``'s is checked last.
     """
     for required in ("mode", "fingerprint", "dimensionality", "C"):
         if required not in headers:
@@ -497,14 +524,15 @@ def _model_settings(headers: dict[str, str]) -> tuple[str, str, int, float]:
     if not (math.isfinite(c) and c > 0.0):
         raise LearnerError(f"C must be finite and positive, got the C header {c_text!r}")
     headers.pop("weights", None)  # parse_model_set checks it at the first model line
+    _check_fingerprint(fingerprint, tax)
     return mode, fingerprint, dim, c
 
 
-def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
-    """The node and dense weights of the model line ``record``, checked.
+def _model_line(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray | None,
+                                                              np.ndarray | None]:
+    """The node, nonzero bitmap and nonzero weights of the model line ``record``, checked.
 
-    The mask and the weights are checked against ``dim`` before the dense
-    weights are allocated.
+    A line that is its node alone has no bitmap (None) and no weights.
     """
     if ":" in record:
         raise LearnerError(f"line {lineno}: an old 'idx:weight' model line; retrain the model")
@@ -514,7 +542,7 @@ def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
         raise LearnerError(f"line {lineno}: expected 'node mask weights', "
                            f"got {len(codes) + 1} tokens")
     if not codes:
-        return node, np.zeros(dim, dtype=np.float64)
+        return node, None, None
     mask, n_bytes = _b64decode(lineno, codes[0]), (dim + 7) // 8
     if len(mask) != n_bytes:
         raise LearnerError(
@@ -535,26 +563,29 @@ def _model_theta(lineno: int, record: str, dim: int) -> tuple[int, np.ndarray]:
                            f"{weights.size} weights")
     if not np.isfinite(weights).all():
         raise LearnerError(f"line {lineno}: non-finite weight")
-    theta = np.zeros(dim, dtype=np.float64)
-    theta[bits] = weights
-    return node, theta
+    return node, bits, weights
 
 
-def parse_model_set(lines: str | Iterable[str]) -> ModelSet:
-    """Inverse of :func:`serialize_model_set`, read one line at a time.
+def parse_model_set(lines: str | Iterable[str], tax: Taxonomy) -> ModelSet:
+    """Inverse of :func:`serialize_model_set` for models trained on ``tax``, read a line at a time.
 
-    ``lines`` is a text or an iterable of lines, such as an open model file;
-    each model line is decoded into its dense weights as it is read.
-
+    ``lines`` is a text or an iterable of lines, such as an open model file.
     Headers, ``#weights mask`` among them, come before the first model
-    line; a ``#`` line after it is rejected.  Unknown headers are ignored.
-    Loaded models carry no objective value and are marked converged.  A
-    model line that breaks the format, one in an older form, or one whose
-    node is not a node id raises :class:`LearnerError` naming it.
+    line, which raises :class:`FingerprintMismatchError` if they name a
+    tree other than ``tax``; a ``#`` line after it is rejected.  Each model
+    line is decoded into its row of its parent's block, allocated once the
+    first mask has matched ``#dimensionality``.  Loaded models carry no
+    objective value and are marked converged.  A model line that breaks
+    the format, one in an older form, or one whose node is not a node id
+    or is listed twice raises :class:`LearnerError` naming it; so do, with
+    no line, a model for a node that prediction over ``tax`` never uses
+    and a node with no model.
     """
     headers: dict[str, str] = {}
     settings: tuple[str, str, int, float] | None = None
-    models: dict[int, NodeModel] = {}
+    model_set: ModelSet | None = None
+    slots: dict[int, tuple[WeightBlock, int]] = {}  # the rows not read yet
+    done: set[int] = set()
     for lineno, line in numbered_lines(lines):
         if line.startswith("#"):
             if settings is not None:
@@ -567,11 +598,24 @@ def parse_model_set(lines: str | Iterable[str]) -> ModelSet:
             if headers.get("weights") != "mask":
                 raise LearnerError(f"line {lineno}: no '#weights mask' header; the file may be in "
                                    "the previous index form: retrain the model")
-            settings = _model_settings(headers)
-        node, theta = _model_theta(lineno, line, settings[2])  # at #dimensionality
-        if node in models:
+            settings = _model_settings(headers, tax)
+        node, bits, weights = _model_line(lineno, line, settings[2])  # at #dimensionality
+        if model_set is None:  # once the mask has matched #dimensionality
+            model_set = _zero_model_set(settings, tax)
+            slots = model_set.slots()
+        if node in done:
             raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        models[node] = NodeModel(node=node, theta=theta)
-    if settings is None:
-        settings = _model_settings(headers)
-    return ModelSet(*settings, models, extra_headers=headers)
+        if node not in slots:
+            raise LearnerError(f"model set has a model for node {node}, which {settings[0]}"
+                               " prediction over the hierarchy never uses")
+        block, i = slots.pop(node)
+        done.add(node)
+        if bits is not None:
+            block.weights[i][bits] = weights
+    if model_set is None:  # no model line
+        model_set = _zero_model_set(_model_settings(headers, tax), tax)
+        slots = model_set.slots()
+    if slots:
+        raise LearnerError(f"model set has no model for node {min(slots)}")
+    model_set.extra_headers = headers
+    return model_set

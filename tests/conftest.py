@@ -18,8 +18,9 @@ import pytest
 
 from taxrewire import corpus
 from taxrewire.corpus import Dataset, make_sparse
+from taxrewire.learner import ModelSet, WeightBlock
 from taxrewire.simgraph import SimilarPairSet
-from taxrewire.taxonomy import parse_taxonomy
+from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
 LETTER_EDGES = "6 7\n6 8\n7 0\n7 1\n7 2\n8 3\n8 4\n8 5\n"
 
@@ -89,6 +90,30 @@ def one_hot_dataset(leaves, per_leaf, dims=None, seed=0, jitter=0.0):
             vectors.append(make_sparse(idx, val))
             labels.append(leaf)
     return Dataset(vectors, labels, dims)
+
+
+def model_set_of(tax: Taxonomy, mode: str, thetas: dict, dims: int, c: float = 1.0) -> ModelSet:
+    """The ``mode`` model set over ``tax`` whose node ``n`` has the weights ``thetas[n]``.
+
+    Its blocks stack the rows of each parent's children in the tree
+    ``mode`` descends: ``tax`` for td-lr, the one-level tree for flat.
+    """
+    if mode == "flat":
+        leaves = tuple(sorted(tax.leaves - {tax.root}))
+        children = {tax.root: leaves} if leaves else {}
+    else:
+        children = {n: tax.children(n) for n in tax.internal_nodes}
+    blocks = {
+        n: WeightBlock(np.array([thetas[k] for k in kids], np.float64).reshape(len(kids), dims),
+                       np.full(len(kids), np.nan), np.ones(len(kids), dtype=bool))
+        for n, kids in children.items()
+    }
+    return ModelSet(mode, tax.fingerprint(), dims, c, children, blocks)
+
+
+def node_weights(model_set: ModelSet) -> dict:
+    """Each node's weights, a row of its parent's block, in node order."""
+    return {node: block.weights[i] for node, (block, i) in model_set.slots().items()}
 
 
 def traced_peak(fn):

@@ -219,34 +219,6 @@ def json_dumps_log(ops):
     return "".join(lines)
 
 
-def whole_text_parse_model_set(text):
-    """The model file reader as it was before it read a line at a time.
-
-    It splits the whole text with ``splitlines()``, collects every
-    header wherever it stands, then decodes the model lines.  The header
-    checks and the per-line decoder are the package's, so an agreement
-    pins the line splitting and numbering of the streaming reader.
-    """
-    from taxrewire.learner import ModelSet, NodeModel, _model_settings, _model_theta
-
-    headers, body = {}, []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            key, _, value = stripped[1:].partition(" ")
-            headers[key] = value
-        elif stripped:
-            body.append((lineno, stripped))
-    settings = _model_settings(headers)
-    models = {}
-    for lineno, record in body:
-        node, theta = _model_theta(lineno, record, settings[2])
-        if node in models:
-            raise LearnerError(f"line {lineno}: duplicate model for node {node}")
-        models[node] = NodeModel(node, theta)
-    return ModelSet(*settings, models, extra_headers=headers)
-
-
 def oracle_lca(tax: Taxonomy, a: int, b: int) -> int:
     """Reference lowest common ancestor: intersect full root paths, take the deepest.
 
@@ -400,6 +372,12 @@ def sparse_score(theta, x):
     return float(np.dot(theta[idx], x.values))
 
 
+def _thetas(model_set):
+    """Each node's weights, read from its parent's block by its position among the children."""
+    return {kid: model_set.blocks[parent].weights[i]
+            for parent, kids in model_set.children.items() for i, kid in enumerate(kids)}
+
+
 def predict_topdown(model_set, tax, x, return_evals=False):
     """Descend from the root, at each level entering the highest-scoring child.
 
@@ -408,16 +386,16 @@ def predict_topdown(model_set, tax, x, return_evals=False):
     """
     if model_set.mode != "td-lr":
         raise LearnerError(f"top-down prediction needs a td-lr model set, got {model_set.mode!r}")
+    thetas = _thetas(model_set)
     node = tax.root
     evals = 0
     while not tax.is_leaf(node):
         kids = tax.children(node)
         best_child, best_score = kids[0], -math.inf  # NaN and -inf rank lowest
         for child in kids:
-            model = model_set.models.get(child)
-            if model is None:
+            if child not in thetas:
                 raise LearnerError(f"model set has no model for node {child}")
-            score = sparse_score(model.theta, x)
+            score = sparse_score(thetas[child], x)
             evals += 1
             if score > best_score:
                 best_child, best_score = child, score
@@ -429,13 +407,14 @@ def predict_flat(model_set, x, return_evals=False):
     """Score every leaf model and return the argmax leaf (ties: smallest id)."""
     if model_set.mode != "flat":
         raise LearnerError(f"flat prediction needs a flat model set, got {model_set.mode!r}")
-    if not model_set.models:
+    thetas = _thetas(model_set)
+    if not thetas:
         raise LearnerError("model set is empty")
-    leaves = sorted(model_set.models)
+    leaves = sorted(thetas)
     best_leaf, best_score = leaves[0], -math.inf  # NaN and -inf rank lowest
     evals = 0
     for leaf in leaves:
-        score = sparse_score(model_set.models[leaf].theta, x)
+        score = sparse_score(thetas[leaf], x)
         evals += 1
         if score > best_score:
             best_leaf, best_score = leaf, score

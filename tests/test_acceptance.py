@@ -254,8 +254,9 @@ def test_one_level_tree_makes_topdown_and_flat_identical():
 
     td = train_topdown(tree, data, 1.0)
     flat = train_flat(tree, data, 1.0)
-    for leaf in sorted(tree.leaves):
-        assert np.array_equal(td.models[leaf].theta, flat.models[leaf].theta)
+    assert td.children == flat.children
+    for parent, block in td.blocks.items():
+        assert np.array_equal(block.weights, flat.blocks[parent].weights)
     td_preds, _ = predict_dataset(td, data, tree)
     assert td_preds == predict_dataset(flat, data, tree)[0]
     agreements = len(td_preds)
@@ -284,7 +285,7 @@ def test_topdown_prediction_cost_on_thousand_leaves():
     solver_settings = dict(grad_tol=1e-6, max_iter=3)
     td = train_topdown(tree, data, 1.0, **solver_settings)
     flat = train_flat(tree, data, 1.0, **solver_settings)
-    assert len(td.models) == 1110 and len(flat.models) == 1000
+    assert len(td.slots()) == 1110 and len(flat.slots()) == 1000
 
     test = Dataset(vectors[:200], leaves[:200], dims)
     for i in range(5):

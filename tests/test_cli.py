@@ -610,6 +610,24 @@ class TestInputNotUtf8:
         assert not out.exists()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    # The text layer decodes 8,192 bytes at a time; the offset is the file's.
+    @pytest.mark.parametrize("body,at", [
+        (b"0 1\n0 2\n# " + b"x" * 33_876 + b"\xff\n", 33_886),
+        # an "e" with an acute accent across the first block boundary, then a bad byte
+        (b"0 1\n0 2\n# " + b"x" * 8_181 + "\u00e9".encode() + b"y" * 900 + b"\xff", 9_093),
+        (b"0 1\n0 2\n# " + b"x" * 8_181 + b"\xc3\xff", 8_191),
+    ], ids=["33886", "accent-across-8192", "bad-pair-across-8192"])
+    def test_offset_is_in_the_file(self, tiny_inputs, tmp_path, capsys, body, at):
+        bad = tmp_path / "h.edges"
+        bad.write_bytes(body)
+        with pytest.raises(UnicodeDecodeError, match=f"in position {at}:"):
+            bad.read_text(encoding="utf-8")
+        assert run("rewire", "--hierarchy", bad, "--pairs", tiny_inputs["pairs"],
+                   "--out", tmp_path / "o") == 6
+        err = capsys.readouterr().err
+        assert f"'utf-8' codec can't decode byte 0x{body[at]:02x} in position {at}: " in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -930,6 +948,27 @@ class TestExitCodes:
             "predict", "--model", t / "model.txt", "--data", b / "data.txt",
             "--hierarchy", b / "corrupted.edges", "--out", tmp_path / "o",
         ) == 5
+
+    def test_predict_reads_the_hierarchy_before_the_model(self, pipeline, tmp_path, capsys):
+        # The hierarchy is read first and the model file against it: a tree
+        # the model was not trained on is named before a bad model line, and
+        # a malformed hierarchy before anything in the model file.
+        b, t = pipeline["bench"], pipeline["train"]
+        lines = (t / "model.txt").read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[first] = "x"
+        model = tmp_path / "model.txt"
+        model.write_text("\n".join(lines) + "\n")
+        bad_tree = tmp_path / "h.edges"
+        bad_tree.write_text("0 1\n0 x\n")
+        for tree, code, msg in (
+            (b / "corrupted.edges", 5,
+             "hierarchy does not match the one the model set was trained on"),
+            (bad_tree, 4, "line 2: node 'x' is not a decimal integer id"),
+        ):
+            assert run("predict", "--model", model, "--data", b / "data.txt",
+                       "--hierarchy", tree, "--out", tmp_path / "o") == code
+            assert capsys.readouterr().err == f"error: {msg}\n"
 
     def test_bad_tau_value(self, pipeline, tmp_path):
         b = pipeline["bench"]

@@ -3,9 +3,9 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from taxrewire.learner import (
     FingerprintMismatchError,
     LearnerError,
     ModelSet,
-    NodeModel,
+    WeightBlock,
     lr_objective_gradient,
     parse_costs,
     parse_model_set,
@@ -35,14 +35,13 @@ from taxrewire.learner import (
 from taxrewire.solver import minimize_lbfgs
 from taxrewire.taxonomy import Taxonomy, parse_taxonomy
 
-from conftest import LINE_BREAKS, one_hot_dataset, traced_peak
+from conftest import model_set_of, node_weights, one_hot_dataset, traced_peak
 from reference_impls import (
     fd_gradient,
     predict_flat,
     predict_topdown,
     random_taxonomy,
     sparse_score,
-    whole_text_parse_model_set,
 )
 
 
@@ -154,14 +153,15 @@ class TestTraining:
     def test_train_node_without_positives_warns(self, letter_tree):
         data = one_hot_dataset([0, 1], per_leaf=3)
         with pytest.warns(UserWarning, match="no positive"):
-            model = train_node(letter_tree, 5, data, 1.0)
-        assert model.node == 5 and model.converged
+            result = train_node(letter_tree, 5, data, 1.0)
+        assert result.converged and result.x.shape == (data.dimensionality,)
 
     def test_topdown_covers_every_non_root_node(self, letter_tree):
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=4)
         ms = train_topdown(letter_tree, data, c=1.0)
         assert ms.mode == "td-lr"
-        assert sorted(ms.models) == [0, 1, 2, 3, 4, 5, 7, 8]
+        assert list(ms.slots()) == [0, 1, 2, 3, 4, 5, 7, 8]
+        assert ms.children == {6: (7, 8), 7: (0, 1, 2), 8: (3, 4, 5)}
         assert ms.fingerprint == letter_tree.fingerprint()
         assert ms.dimensionality == data.dimensionality
 
@@ -169,7 +169,10 @@ class TestTraining:
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=4)
         ms = train_flat(letter_tree, data, c=1.0)
         assert ms.mode == "flat"
-        assert sorted(ms.models) == [0, 1, 2, 3, 4, 5]
+        assert ms.children == {6: (0, 1, 2, 3, 4, 5)}
+        block = ms.blocks[6]
+        assert block.weights.shape == (6, data.dimensionality) and block.weights.flags.c_contiguous
+        assert block.converged.tolist() == [True] * 6 and np.isfinite(block.final_objective).all()
 
     def test_missing_leaf_class_warns(self, letter_tree):
         data = one_hot_dataset([0, 1, 2, 3, 4], per_leaf=2, dims=6)
@@ -197,8 +200,10 @@ class TestTraining:
         # Each node model is train_node's fit at that C on the tree trained.
         tree = letter_tree if trainer is train_topdown else parse_taxonomy(
             "".join(f"{letter_tree.root} {leaf}\n" for leaf in sorted(letter_tree.leaves)))
-        for node, model in ms.models.items():
-            assert np.array_equal(model.theta, train_node(tree, node, data, 2.0).theta)
+        for node, (block, i) in ms.slots().items():
+            fit = train_node(tree, node, data, 2.0)
+            assert np.array_equal(block.weights[i], fit.x)
+            assert block.final_objective[i] == fit.fun and block.converged[i] == fit.converged
 
     @pytest.mark.parametrize("c,grad_tol,max_iter,msg", [
         (math.nan, 1e-6, 10, "C must be finite and positive, got nan"),
@@ -225,13 +230,13 @@ class TestTraining:
                 fit()
 
 
+def zero_blocks(children: dict, dims: int) -> dict:
+    return {p: WeightBlock(np.zeros((len(kids), dims)), np.full(len(kids), np.nan),
+                           np.ones(len(kids), dtype=bool)) for p, kids in children.items()}
+
+
 def zero_model_set(tax: Taxonomy, mode: str, dims: int) -> ModelSet:
-    if mode == "td-lr":
-        nodes = tax.non_root_nodes()
-    else:
-        nodes = sorted(tax.leaves)
-    models = {n: NodeModel(n, np.zeros(dims)) for n in nodes}
-    return ModelSet(mode, tax.fingerprint(), dims, 1.0, models)
+    return model_set_of(tax, mode, {n: np.zeros(dims) for n in tax.nodes}, dims)
 
 
 # Predicts the row 1:1e308 2:1 on the tree 0 -> {1, 2}, for a mode and
@@ -240,14 +245,15 @@ NO_SCORE_SCRIPT = """
 import json, sys
 import numpy as np
 from taxrewire.corpus import parse_dataset
-from taxrewire.learner import ModelSet, NodeModel, predict_dataset
+from taxrewire.learner import ModelSet, WeightBlock, predict_dataset
 from taxrewire.taxonomy import parse_taxonomy
 tax = parse_taxonomy("0 1\\n0 2\\n")
 data = parse_dataset("1 1:1e308 2:1\\n")
 preds = []
 for thetas in json.loads(sys.argv[2]):
-    models = {n: NodeModel(n, np.array(t)) for n, t in zip((1, 2), thetas)}
-    preds += predict_dataset(ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, models), data, tax)[0]
+    block = WeightBlock(np.array(thetas), np.full(2, np.nan), np.ones(2, dtype=bool))
+    ms = ModelSet(sys.argv[1], tax.fingerprint(), 2, 1.0, {0: (1, 2)}, {0: block})
+    preds += predict_dataset(ms, data, tax)[0]
 print(json.dumps(preds))
 """
 
@@ -256,8 +262,7 @@ class TestPrediction:
     def test_unseen_dimensions_contribute_nothing(self):
         # Leaf 1 wins only when its score beats leaf 0's constant 0.0.
         tax = parse_taxonomy("2 0\n2 1\n")
-        models = {0: NodeModel(0, np.zeros(3)), 1: NodeModel(1, np.array([1.0, 2.0, 3.0]))}
-        ms = ModelSet("flat", tax.fingerprint(), 3, 1.0, models)
+        ms = model_set_of(tax, "flat", {0: np.zeros(3), 1: [1.0, 2.0, 3.0]}, dims=3)
         rows = [{2: 0.5}, {5: 9.0}, {2: 0.5, 5: 9.0}, {}, {1: -1.0, 5: 9.0}]
         data = Dataset([sv(r) for r in rows], [0] * len(rows), dimensionality=5)
         assert predict_dataset(ms, data, tax) == ([1, 0, 1, 0, 0], 10)
@@ -291,35 +296,41 @@ class TestPrediction:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [1, 1, 1, 1, 2, 2]
 
-    def test_missing_child_model_rejected_before_any_instance(self, letter_tree):
-        ms = zero_model_set(letter_tree, "td-lr", 6)
-        del ms.models[8]
+    @pytest.mark.parametrize("mode,children", [
+        ("td-lr", {6: (7, 8), 7: (0, 1, 2), 8: (3, 4)}),  # node 5 has no model
+        ("td-lr", {6: (7, 8), 7: (0, 1, 2), 8: (3, 4, 5, 999)}),  # 999 is no node
+        ("td-lr", {6: (7, 8), 7: (0, 1, 2)}),  # node 8's children have none
+        ("td-lr", {6: (8, 7), 7: (0, 1, 2), 8: (3, 4, 5)}),  # not in tree.children order
+        ("flat", {6: (7, 8), 7: (0, 1, 2), 8: (3, 4, 5)}),  # the td-lr layout
+        ("flat", {6: (0, 1, 2, 3, 4, 5), 7: (0,)}),  # 7 is internal
+        ("flat", {}),
+    ])
+    def test_layout_of_another_tree_rejected_before_any_instance(self, letter_tree, mode,
+                                                                   children):
+        ms = ModelSet(mode, letter_tree.fingerprint(), 6, 1.0, children, zero_blocks(children, 6))
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
         for rows in ([0], []):  # instance 0 never reaches node 8; no instance at all
-            with pytest.raises(LearnerError, match="no model for node 8"):
+            with pytest.raises(LearnerError, match=f"^the model set's nodes are not those {mode}"
+                               " prediction over the hierarchy descends$"):
                 predict_dataset(ms, data.subset(rows), letter_tree)
 
-    # 7 is an internal node, which a flat model set has no use for.
-    @pytest.mark.parametrize("mode,node", [("td-lr", 999), ("flat", 999), ("flat", 7)])
-    def test_model_for_a_node_outside_the_descended_tree_rejected(self, letter_tree, mode, node):
-        ms = zero_model_set(letter_tree, mode, 6)
-        ms.models[node] = NodeModel(node, np.zeros(6))
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
-        with pytest.raises(LearnerError, match=f"a model for node {node}, which {mode} pre"):
-            predict_dataset(ms, data, letter_tree)
+    @pytest.mark.parametrize("weights,objectives,flags", [
+        (np.zeros((3, 4)), 3, 3),  # narrower than #dimensionality
+        (np.zeros((2, 6)), 3, 3),  # a row short
+        (np.zeros((3, 6), dtype=np.float32), 3, 3),
+        (np.zeros((6, 3)).T, 3, 3),  # not C-contiguous
+        (np.zeros((3, 6)), 2, 3),  # an objective short
+        (np.zeros((3, 6)), 3, 4),  # a converged flag too many
+    ])
+    def test_model_set_checks_each_block(self, weights, objectives, flags):
+        block = WeightBlock(weights, np.full(objectives, np.nan), np.ones(flags, dtype=bool))
+        with pytest.raises(LearnerError, match="^node 0 needs a C-contiguous float64 block of 3"
+                           " rows of 6 weights, and 3 fits$"):
+            ModelSet("flat", "f", 6, 1.0, {0: (1, 2, 3)}, {0: block})
 
-    def test_empty_flat_model_set_rejected(self):
-        tax = parse_taxonomy("0 1\n0 2\n")
-        ms = ModelSet("flat", tax.fingerprint(), 2, 1.0, {})
-        with pytest.raises(LearnerError, match="no model for node 1"):
-            predict_dataset(ms, Dataset((), (), dimensionality=2), tax)
-
-    def test_model_width_must_match_dimensionality(self, letter_tree):
-        ms = zero_model_set(letter_tree, "flat", 6)
-        ms.models[3].theta = np.zeros(4)
-        data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=1)
-        with pytest.raises(LearnerError, match="6 weights"):
-            predict_dataset(ms, data, letter_tree)
+    def test_model_set_has_one_block_per_parent(self):
+        with pytest.raises(LearnerError, match="^children and blocks must have the same parents$"):
+            ModelSet("flat", "f", 6, 1.0, {0: (1, 2, 3)}, {})
 
     def test_dataset_fingerprint_checked(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 6)
@@ -361,9 +372,9 @@ def random_rows(rng: np.random.Generator, n: int, width: int) -> list:
 EXTREME_WEIGHTS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1.0]
 
 
-def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeModel]:
-    """Node models with all-zero (tying), small-integer (often tying),
-    normal or extreme weights, in shuffled insertion order."""
+def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, np.ndarray]:
+    """Node weights, all zero (tying), small-integer (often tying), normal
+    or extreme, drawn in shuffled node order."""
     models = {}
     for node in rng.permutation(np.asarray(nodes, dtype=np.int64)).tolist():
         kind = rng.random()
@@ -375,7 +386,7 @@ def random_thetas(rng: np.random.Generator, nodes, dim: int) -> dict[int, NodeMo
             theta = rng.standard_normal(dim)
         else:
             theta = rng.choice(EXTREME_WEIGHTS, size=dim)
-        models[node] = NodeModel(node, theta)
+        models[node] = theta
     return models
 
 
@@ -396,16 +407,15 @@ class TestMatchesPerInstanceOracles:
             width = max(0, dim + int(rng.integers(-2, 4)))  # data narrower or wider
             vectors = random_rows(rng, int(rng.integers(0, 12)), width)
             data = Dataset(vectors, [0] * len(vectors), dimensionality=width)
-            fp = tax.fingerprint()
 
-            td = ModelSet("td-lr", fp, dim, 1.0, random_thetas(rng, tax.non_root_nodes(), dim))
+            td = model_set_of(tax, "td-lr", random_thetas(rng, tax.non_root_nodes(), dim), dim)
             want = [predict_topdown(td, tax, x, return_evals=True) for x in vectors]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = predict_dataset(td, data, tax)
             assert got == ([leaf for leaf, _ in want], sum(n for _, n in want))
 
-            flat = ModelSet("flat", fp, dim, 1.0, random_thetas(rng, sorted(tax.leaves), dim))
+            flat = model_set_of(tax, "flat", random_thetas(rng, sorted(tax.leaves), dim), dim)
             want = [predict_flat(flat, x, return_evals=True) for x in vectors]
             expected = ([leaf for leaf, _ in want], sum(n for _, n in want))
             with warnings.catch_warnings():
@@ -414,7 +424,7 @@ class TestMatchesPerInstanceOracles:
             checked["td-lr"] += len(vectors)
             checked["flat"] += len(vectors)
             for x in vectors:
-                scores = [sparse_score(flat.models[leaf].theta, x) for leaf in sorted(flat.models)]
+                scores = [sparse_score(theta, x) for theta in node_weights(flat).values()]
                 numbers = [v for v in scores if not math.isnan(v)]
                 ranked["NaN"] += len(numbers) < len(scores)
                 ranked["-inf"] += -math.inf in numbers
@@ -436,7 +446,7 @@ class TestMatchesPerInstanceOracles:
                 warnings.simplefilter("ignore")  # leaves without instances
                 ms = train_flat(tax, data, 3.0, costs, max_iter=40)
             assert ms.mode == "flat" and ms.fingerprint == tax.fingerprint() and ms.c == 3.0
-            assert sorted(ms.models) == leaves
+            assert ms.children == {tax.root: tuple(leaves)}
             features = data.to_csr()
             for leaf in leaves:
                 y = np.where(np.asarray(labels) == leaf, 1.0, -1.0)
@@ -444,9 +454,9 @@ class TestMatchesPerInstanceOracles:
                     lambda th: lr_objective_gradient(th, features, y, 3.0, costs),
                     np.zeros(dim), grad_tol=1e-6, max_iter=40,
                 )
-                model = ms.models[leaf]
-                assert np.array_equal(model.theta, want.x)
-                assert model.final_objective == want.fun
+                block, i = ms.slots()[leaf]
+                assert np.array_equal(block.weights[i], want.x)
+                assert block.final_objective[i] == want.fun
 
 
 class TestTuning:
@@ -479,11 +489,11 @@ class TestTuning:
                         split=0.6, seed=4)
         fit = trainer(letter_tree, data, result.best_c, costs)
         assert result.model_set.c == fit.c
-        assert sorted(result.model_set.models) == sorted(fit.models)
-        for node, model in fit.models.items():
-            tuned = result.model_set.models[node]
-            assert np.array_equal(tuned.theta, model.theta)
-            assert tuned.final_objective == model.final_objective
+        assert result.model_set.children == fit.children
+        for parent, block in fit.blocks.items():
+            tuned = result.model_set.blocks[parent]
+            assert np.array_equal(tuned.weights, block.weights)
+            assert np.array_equal(tuned.final_objective, block.final_objective)
 
     @pytest.mark.parametrize("mode,trainer", [("td-lr", train_topdown), ("flat", train_flat)])
     @pytest.mark.parametrize("weighted", [False, True], ids=["no-costs", "costs"])
@@ -521,7 +531,11 @@ class TestTuning:
             tune_c(letter_tree, data, grid=(0.1, 10.0), mode="flat", split=0.99)
 
 
-HEAD = "#mode flat\n#fingerprint a\n#dimensionality 2\n#C 1.0\n#weights mask\n"
+# The hierarchy the hand-written model files below are read against: flat
+# over it, nodes 0 and 1 have models.
+TREE = parse_taxonomy("5 0\n5 1\n")
+FP = TREE.fingerprint()
+HEAD = f"#mode flat\n#fingerprint {FP}\n#dimensionality 2\n#C 1.0\n#weights mask\n"
 HEAD9 = HEAD.replace("#dimensionality 2", "#dimensionality 9")
 
 
@@ -551,15 +565,18 @@ class TestSerialization:
         data = one_hot_dataset(sorted(letter_tree.leaves), per_leaf=3, jitter=0.1, seed=9)
         ms = train_topdown(letter_tree, data, c=3.0)
         ms.extra_headers["config"] = '{"seed": 4}'
-        back = parse_model_set(io.StringIO(serialize_model_set(ms)))
+        back = parse_model_set(io.StringIO(serialize_model_set(ms)), letter_tree)
         assert back.mode == ms.mode
         assert back.fingerprint == ms.fingerprint
         assert back.dimensionality == ms.dimensionality
         assert back.c == 3.0
         assert back.extra_headers == {"config": '{"seed": 4}'}
-        assert sorted(back.models) == sorted(ms.models)
-        for node in ms.models:
-            assert np.array_equal(back.models[node].theta, ms.models[node].theta)
+        assert back.children == ms.children
+        for parent, block in ms.blocks.items():
+            loaded = back.blocks[parent]
+            assert np.array_equal(loaded.weights, block.weights)
+            assert loaded.weights.flags.c_contiguous
+            assert np.isnan(loaded.final_objective).all() and loaded.converged.all()
 
     @pytest.mark.parametrize("c", [0.1, 1 / 3, 1e-3, 1e3])
     def test_c_header_is_the_float_repr(self, letter_tree, c):
@@ -567,18 +584,18 @@ class TestSerialization:
         ms.c = c
         text = serialize_model_set(ms)
         assert f"\n#C {c!r}\n" in text
-        back = parse_model_set(io.StringIO(text))
+        back = parse_model_set(io.StringIO(text), letter_tree)
         assert type(back.c) is float and back.c == c
 
     def test_zero_weights_are_dropped(self, letter_tree):
         ms = zero_model_set(letter_tree, "flat", 4)
-        ms.models[2].theta[1] = -0.0
+        node_weights(ms)[2][1] = -0.0
         text = serialize_model_set(ms)
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert body == ["0", "1", "2", "3", "4", "5"]
 
     def test_model_line_encoding(self):
-        ms = ModelSet("flat", "f", 3, 1.0, {7: NodeModel(7, np.array([0.0, 1.5, -2.0]))})
+        ms = model_set_of(parse_taxonomy("0 7\n"), "flat", {7: [0.0, 1.5, -2.0]}, dims=3)
         node, bits, weights = serialize_model_set(ms).splitlines()[-1].split()
         assert node == "7"
         assert base64.b64decode(bits) == bytes([0b110])  # indices 2 and 3, little bit order
@@ -591,30 +608,35 @@ class TestSerialization:
             "#weights mask\n", "") + index_line(0, [4], [0.5])
         with pytest.raises(LearnerError, match="^line 5: no '#weights mask' header; the file "
                            "may be in the previous index form: retrain the model$"):
-            parse_model_set(io.StringIO(text))
-        header_only = parse_model_set(io.StringIO(HEAD))
-        assert header_only.models == {} and header_only.extra_headers == {}
+            parse_model_set(io.StringIO(text), TREE)
+        # The format header is checked at the first model line: a tree with
+        # no model reads from the headers alone, with or without it.
+        lone = Taxonomy(5, {})
+        for head in (HEAD, HEAD.replace("#weights mask\n", "")):
+            header_only = parse_model_set(head.replace(FP, lone.fingerprint()), lone)
+            assert header_only.children == {} and header_only.extra_headers == {}
 
     def test_unknown_headers_survive(self):
-        text = "#mode flat\n#fingerprint abc\n#dimensionality 2\n#C 1.0\n#weights mask\n#note kept verbatim\n"
-        ms = parse_model_set(io.StringIO(text + model_line(0, [1], [0.5])))
+        text = HEAD + "#note kept verbatim\n" + model_line(0, [1], [0.5]) + "1\n"
+        ms = parse_model_set(io.StringIO(text), TREE)
         assert ms.extra_headers == {"note": "kept verbatim"}
-        assert np.array_equal(ms.models[0].theta, [0.5, 0.0])
+        assert node_weights(ms)[0].tolist() == [0.5, 0.0]
 
     @pytest.mark.parametrize(
         "text,msg",
         [
             ("#mode flat\n#dimensionality 2\n#C 1.0\n", "fingerprint"),
-            ("#mode flat\n#fingerprint a\n#dimensionality two\n#C 1.0\n", "not an integer"),
-            ("#mode flat\n#fingerprint a\n#dimensionality -1\n#C 1.0\n", "must not be negative"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846976\n#C 1.0\n",
+            (f"#mode flat\n#fingerprint {FP}\n#dimensionality two\n#C 1.0\n", "not an integer"),
+            (f"#mode flat\n#fingerprint {FP}\n#dimensionality -1\n#C 1.0\n",
+             "must not be negative"),
+            (f"#mode flat\n#fingerprint {FP}\n#dimensionality 1152921504606846976\n#C 1.0\n",
              "must be at most 2\\^60 - 1"),
-            ("#mode nope\n#fingerprint a\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
-            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"1": null, "2": 1.0}\n',
+            (f"#mode nope\n#fingerprint {FP}\n#dimensionality 2\n#C 1.0\n", "unknown mode"),
+            (f'#mode flat\n#fingerprint {FP}\n#dimensionality 2\n#C {{"1": null, "2": 1.0}}\n',
              "the C header is not a number: .*; retrain the model"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 2\n#C [1]\n",
+            (f"#mode flat\n#fingerprint {FP}\n#dimensionality 2\n#C [1]\n",
              "the C header is not a number"),
-            *[(f"#mode flat\n#fingerprint a\n#dimensionality 2\n#C {c}\n",
+            *[(f"#mode flat\n#fingerprint {FP}\n#dimensionality 2\n#C {c}\n",
                f"C must be finite and positive, got the C header '{c}'")
               for c in ("nan", "-1", "inf", "0")],
             (HEAD + "0 1:0.5 2:0.25\n",
@@ -641,7 +663,7 @@ class TestSerialization:
             (HEAD + index_line(0, [1], [0.5]),
              "^line 6: the mask has 8 bytes, but #dimensionality 2 needs 1; the line may be in "
              "the previous index form: retrain the model$"),
-            ("#mode flat\n#fingerprint a\n#dimensionality 1152921504606846975\n#C 1.0\n"
+            (f"#mode flat\n#fingerprint {FP}\n#dimensionality 1152921504606846975\n#C 1.0\n"
              "#weights mask\n"
              + model_line(0, [1], [0.5]),
              "^line 6: the mask has 1 bytes, but #dimensionality 1152921504606846975 needs "
@@ -659,7 +681,7 @@ class TestSerialization:
             (HEAD + model_line(0, [1], [0.5]) + model_line(0, [2], [0.5]),
              "line 7: duplicate model for node 0"),
             # a per-node C map, as older versions wrote it
-            ('#mode flat\n#fingerprint a\n#dimensionality 2\n#C {"0": 1.0, "1": 2.0}\n'
+            (f'#mode flat\n#fingerprint {FP}\n#dimensionality 2\n#C {{"0": 1.0, "1": 2.0}}\n'
              '#weights mask\n' + model_line(0, [1], [0.5]) + model_line(1, [2], [0.5]),
              "the C header is not a number: .*; retrain the model"),
         ],
@@ -668,77 +690,26 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         path.write_text(text, encoding="utf-8")
         with path.open(encoding="utf-8") as fh, pytest.raises(LearnerError, match=msg):
-            parse_model_set(fh)
+            parse_model_set(fh, TREE)
 
 
-def read_model_file(path: Path) -> ModelSet:
+def read_model_file(path: Path, tax: Taxonomy = TREE) -> ModelSet:
     with path.open(encoding="utf-8") as fh:
-        return parse_model_set(fh)
-
-
-def outcome(parse, arg):
-    """``parse(arg)``'s model set as comparable values, or its LearnerError's message."""
-    try:
-        ms = parse(arg)
-    except LearnerError as exc:
-        return str(exc)
-    return (ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
-            {node: m.theta.tobytes() for node, m in ms.models.items()})
-
-
-BODY = model_line(0, [1], [0.5]) + model_line(3, [1, 2], [0.25, -1.0])
+        return parse_model_set(fh, tax)
 
 
 class TestLineReader:
-    """parse_model_set reads lines, numbered as the whole text's splitlines() numbers them."""
+    """parse_model_set numbers lines as the whole text's splitlines() numbers them.
 
-    @pytest.mark.parametrize("text", [
-        (HEAD + BODY).replace("\n", "\r\n"),
-        (HEAD + BODY).replace("\n", "\r"),
-        HEAD + BODY.rstrip("\n"),
-        HEAD + "\n\n   \n" + BODY.replace("\n", "\n\n"),
-        *[HEAD + BODY.replace("\n", brk, 1) for brk in ("\x0c", "\x85", "\u2028")],
-        # a break inside a model line cuts it in two
-        *[HEAD + BODY.replace("AAAA", "AA" + brk + "AA", 1) for brk in ("\x0c", "\x85", "\u2028")],
-        HEAD.replace("\n", "\x1e") + BODY.replace("\n", "\u2029"),
-        "#mode flat\r\n#fingerprint a\n#dimensionality 2\r#C 1.0\x0c\x0c#weights mask\u2028" + BODY,
-        HEAD + BODY + "x\r\n",
-        HEAD + BODY + model_line(0, [2], [1.0]).rstrip("\n"),
-    ], ids=["crlf", "lone-cr", "no-final-newline", "blank-lines", "form-feed", "next-line",
-            "line-separator", "form-feed-in-line", "next-line-in-line",
-            "line-separator-in-line", "record-and-paragraph-separators", "mixed",
-            "bad-last-line", "duplicate-last-line-without-newline"])
-    def test_file_reads_as_the_whole_text_did(self, tmp_path, text):
-        path = tmp_path / "model.txt"
-        path.write_text(text, encoding="utf-8", newline="")
-        want = outcome(whole_text_parse_model_set, path.read_text(encoding="utf-8"))
-        assert outcome(read_model_file, path) == want
-        assert outcome(parse_model_set, text.splitlines()) == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.sampled_from([
-        "", "  ", "x", "0 1:0.5", model_line(0, [1], [0.5]).rstrip(),
-        model_line(1, [2], [-0.5]).rstrip(), model_line(0, [1, 2], [1.0]).rstrip(),
-        "0 AQAAAAAAAA", "7",
-    ]), max_size=6), st.lists(st.sampled_from(LINE_BREAKS), min_size=12, max_size=12),
-        st.booleans())
-    def test_any_line_breaks_read_as_the_whole_text_did(self, body, breaks, final_break):
-        lines = HEAD.splitlines() + body
-        text = "".join(line + brk for line, brk in zip(lines, breaks))
-        if not final_break:
-            text = text[:-len(breaks[len(lines) - 1])]
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.txt"
-            path.write_text(text, encoding="utf-8", newline="")
-            want = outcome(whole_text_parse_model_set, path.read_text(encoding="utf-8"))
-            assert outcome(read_model_file, path) == want
-        assert outcome(parse_model_set, text.splitlines()) == want
+    tests/test_taxonomy.py checks that a text, its file and its lines read
+    alike for every reader, this one among them.
+    """
 
     def test_blank_items_count_as_lines(self):
         # text.splitlines() gives "" for a blank line; it keeps its number.
         lines = [*HEAD.splitlines(), "", "", model_line(0, [3], [0.5]).rstrip()]
         with pytest.raises(LearnerError, match="^line 8: a mask bit past #dimensionality 2"):
-            parse_model_set(lines)
+            parse_model_set(lines, TREE)
 
     @pytest.mark.parametrize("late,msg", [
         ("#note kept", "^line 7: a '#' header after the first model line; headers come first$"),
@@ -759,17 +730,19 @@ class TestLineReader:
             read_model_file(path)
 
 
-def dense_model_set(n_models: int = 64, dim: int = 10_000) -> ModelSet:
+def dense_model_set(n_models: int = 64, dim: int = 10_000) -> tuple[ModelSet, Taxonomy]:
+    """A flat model set of ``n_models`` leaves with dense normal weights, and its tree."""
     rng = np.random.default_rng(0)
-    return ModelSet("flat", "f" * 8, dim, 1.0,
-                    {n: NodeModel(n, rng.standard_normal(dim)) for n in range(n_models)})
+    tax = Taxonomy(n_models, {n: n_models for n in range(n_models)})
+    thetas = {n: rng.standard_normal(dim) for n in range(n_models)}
+    return model_set_of(tax, "flat", thetas, dim), tax
 
 
 class TestModelFileMemory:
     """The model text is held once while written and not at all while read."""
 
     def test_writer_holds_the_text_at_most_twice(self):
-        ms = dense_model_set()
+        ms, _ = dense_model_set()
         text, peak = traced_peak(lambda: serialize_model_set(ms))
         # the line list and the joined text; the old "+ '\n'" made a third copy
         assert peak <= 2.1 * len(text)
@@ -779,30 +752,96 @@ class TestModelFileMemory:
         # mask and k 8-byte weights, each in padded base64.
         rng = np.random.default_rng(1)
         n_models, d = 64, 10_000
-        ms = ModelSet("flat", "f" * 8, d, 1.0, {
-            n: NodeModel(n, rng.standard_normal(d) * (rng.random(d) < 0.85))
-            for n in range(n_models)})
+        tax = Taxonomy(n_models, {n: n_models for n in range(n_models)})
+        ms = model_set_of(tax, "flat", {
+            n: rng.standard_normal(d) * (rng.random(d) < 0.85) for n in range(n_models)}, d)
         text, peak = traced_peak(lambda: serialize_model_set(ms))
         body = [line for line in text.splitlines() if not line.startswith("#")]
         assert len(body) == n_models
-        for line, (node, model) in zip(body, sorted(ms.models.items())):
-            k = np.count_nonzero(model.theta)
+        for line, (node, theta) in zip(body, node_weights(ms).items()):
+            k = np.count_nonzero(theta)
             assert 0.8 * d < k < 0.9 * d
             assert len(line) == (len(str(node)) + 2 + 4 * math.ceil(math.ceil(d / 8) / 3)
                                  + 4 * math.ceil(8 * k / 3))
         assert peak <= 2.1 * len(text)
 
     def test_reader_holds_the_dense_weights_and_a_few_lines(self, tmp_path):
-        ms = dense_model_set()
+        ms, tax = dense_model_set()
         path = tmp_path / "model.txt"
         path.write_text(serialize_model_set(ms), encoding="utf-8")
-        back, peak = traced_peak(lambda: read_model_file(path))
-        dense = sum(m.theta.nbytes for m in ms.models.values())
+        back, peak = traced_peak(lambda: read_model_file(path, tax))
+        dense = sum(block.weights.nbytes for block in ms.blocks.values())
         # a reader that held the whole text at any moment would break the bound
         assert path.stat().st_size > dense + 2**20
         assert peak <= dense + 2**20
-        assert all(back.models[n].theta.tobytes() == m.theta.tobytes()
-                   for n, m in ms.models.items())
+        assert back.blocks[64].weights.tobytes() == ms.blocks[64].weights.tobytes()
+
+
+def test_prediction_holds_no_copy_of_the_weights():
+    # 64 leaves x 10,000 weights, the shape of the text-flat-64 benchmark:
+    # a copy of the weights would be 5.1 MB, four times the bound.
+    ms, tax = dense_model_set()
+    rng = np.random.default_rng(2)
+    rows = [make_sparse(np.sort(rng.choice(np.arange(1, 10_001), 40, replace=False)),
+                        rng.random(40)) for _ in range(50)]
+    data = Dataset(rows, [0] * len(rows), dimensionality=10_000)
+    data.to_csr()
+    (preds, evals), peak = traced_peak(lambda: predict_dataset(ms, data, tax))
+    weights = sum(block.weights.nbytes for block in ms.blocks.values())
+    assert evals == 64 * len(rows) and len(preds) == len(rows)
+    assert peak < weights / 4
+
+
+class TestReadingAgainstATree:
+    """parse_model_set checks a model file against the tree prediction descends."""
+
+    @staticmethod
+    def model_text(tax, mode):
+        ms = model_set_of(tax, mode, {n: np.arange(1.0, 7.0) * (n + 1) for n in tax.nodes}, 6)
+        return serialize_model_set(ms)
+
+    @pytest.mark.parametrize("mode", ["td-lr", "flat"])
+    def test_fingerprint_checked_before_any_model_line(self, letter_tree, monkeypatch, mode):
+        import taxrewire.learner as learner
+
+        def no_decode(*args):
+            raise AssertionError("a model line was decoded")
+
+        monkeypatch.setattr(learner, "_model_line", no_decode)
+        with pytest.raises(FingerprintMismatchError, match="^hierarchy does not match the one"
+                           " the model set was trained on$"):
+            parse_model_set(self.model_text(letter_tree, mode), parse_taxonomy("0 1\n0 2\n"))
+
+    # 7 is an internal node, which a flat model set has no use for.
+    @pytest.mark.parametrize("mode,node", [("td-lr", 999), ("flat", 999), ("flat", 7)])
+    def test_model_for_a_node_outside_the_descended_tree(self, letter_tree, mode, node):
+        lines = self.model_text(letter_tree, mode).splitlines()
+        lines.append(str(node))
+        with pytest.raises(LearnerError, match=f"^model set has a model for node {node}, which"
+                           f" {mode} prediction over the hierarchy never uses$"):
+            parse_model_set(lines, letter_tree)
+
+    @pytest.mark.parametrize("mode,node", [("td-lr", 8), ("td-lr", 0), ("flat", 3)])
+    def test_node_without_a_model(self, letter_tree, mode, node):
+        lines = [line for line in self.model_text(letter_tree, mode).splitlines()
+                 if line.split(" ", 1)[0] != str(node)]
+        with pytest.raises(LearnerError, match=f"^model set has no model for node {node}$"):
+            parse_model_set(lines, letter_tree)
+
+    @pytest.mark.parametrize("mode,node", [("td-lr", 8), ("flat", 3)])
+    def test_duplicate_node(self, letter_tree, mode, node):
+        lines = self.model_text(letter_tree, mode).splitlines()
+        lines.append(next(line for line in lines if line.split(" ", 1)[0] == str(node)))
+        with pytest.raises(LearnerError, match=f"^line {len(lines)}: duplicate model for node"
+                           f" {node}$"):
+            parse_model_set(lines, letter_tree)
+
+    @pytest.mark.parametrize("mode", ["td-lr", "flat"])
+    def test_rows_are_the_written_weights(self, letter_tree, mode):
+        back = parse_model_set(self.model_text(letter_tree, mode), letter_tree)
+        assert {n: w.tolist() for n, w in node_weights(back).items()} == {
+            n: (np.arange(1.0, 7.0) * (n + 1)).tolist()
+            for n in (letter_tree.non_root_nodes() if mode == "td-lr" else range(6))}
 
 
 # Weights a writer must keep bit for bit: -0.0 (never written), subnormals
@@ -811,40 +850,50 @@ SPECIAL_WEIGHTS = [-0.0, 5e-324, -5e-324, 2.5e-310, sys.float_info.max, -sys.flo
                    1e308, 0.1]
 
 
-def one_model(*weights: float) -> ModelSet:
-    return ModelSet("flat", "f", len(weights), 1.0, {3: NodeModel(3, np.array(weights))})
+def flat_case(thetas: dict, dim: int) -> tuple[ModelSet, Taxonomy]:
+    """A flat model set whose leaves are the keys of ``thetas``, under root 0, and its tree."""
+    tax = Taxonomy(0, {n: 0 for n in thetas})
+    return model_set_of(tax, "flat", thetas, dim), tax
 
 
-def spread_model(dim: int) -> ModelSet:
+def one_model(*weights: float) -> tuple[ModelSet, Taxonomy]:
+    return flat_case({3: weights}, len(weights))
+
+
+def spread_model(dim: int) -> tuple[ModelSet, Taxonomy]:
     """Two models at ``dim``: every third weight zero, and only the last weight."""
     theta = np.where(np.arange(dim) % 3 == 1, 0.0, np.arange(1, dim + 1) * -0.75)
     last = np.zeros(dim)
     last[-1] = 2.5
-    return ModelSet("flat", "f", dim, 1.0, {1: NodeModel(1, theta), 2: NodeModel(2, last)})
+    return flat_case({1: theta, 2: last}, dim)
 
 
 @st.composite
-def model_sets(draw) -> ModelSet:
-    """Model sets of up to 5 nodes, some all zero."""
+def model_sets(draw) -> tuple[ModelSet, Taxonomy]:
+    """Model sets of up to 5 nodes, some all zero, and the tree they were fit over."""
     dim = draw(st.integers(min_value=0, max_value=8))
     weight = st.one_of(st.just(0.0), st.sampled_from(SPECIAL_WEIGHTS),
                        st.floats(allow_nan=False, allow_infinity=False))
     # Models are fit on tree nodes, so their ids are node ids.
-    nodes = draw(st.lists(st.integers(min_value=0, max_value=2**63 - 1),
-                          max_size=5, unique=True))
-    models = {n: NodeModel(n, np.array(draw(st.lists(weight, min_size=dim, max_size=dim)),
-                                       dtype=np.float64)) for n in nodes}
+    node_id = st.integers(min_value=0, max_value=2**63 - 1)
+    nodes = draw(st.lists(node_id, max_size=5, unique=True))
+    root = draw(node_id.filter(lambda n: n not in nodes))
+    # Each node hangs from the root or from a node drawn before it.
+    tax = Taxonomy(root, {n: draw(st.sampled_from([root, *nodes[:k]]))
+                          for k, n in enumerate(nodes)})
+    thetas = {n: draw(st.lists(weight, min_size=dim, max_size=dim)) for n in nodes}
     c = draw(st.floats(min_value=1e-3, max_value=1e3))
     values = st.sampled_from(['{"a": 1, "b": [2, 3]}', "1", "kept  as  it is"])
     headers = draw(st.dictionaries(st.sampled_from(["config", "bias", "note"]), values))
-    mode = draw(st.sampled_from(["flat", "td-lr"]))
-    return ModelSet(mode, "f" * 8, dim, c, models, extra_headers=headers)
+    ms = model_set_of(tax, draw(st.sampled_from(["flat", "td-lr"])), thetas, dim, c)
+    ms.extra_headers = headers
+    return ms, tax
 
 
 @settings(max_examples=200, deadline=None)
 @given(model_sets())
-@example(ModelSet("td-lr", "f", 0, 1.0, {}))  # no models
-@example(ModelSet("flat", "f", 0, 1.0, {0: NodeModel(0, np.zeros(0))}))  # dimensionality 0
+@example((model_set_of(Taxonomy(0, {}), "td-lr", {}, 0), Taxonomy(0, {})))  # no models
+@example(flat_case({5: np.zeros(0)}, 0))  # dimensionality 0
 @example(one_model(-0.0))  # dimensionality 1, the one weight never written
 @example(one_model(*SPECIAL_WEIGHTS))
 # around whole mask bytes and whole 64-bit words, the last weight nonzero
@@ -854,16 +903,17 @@ def model_sets(draw) -> ModelSet:
 @example(spread_model(63))
 @example(spread_model(64))
 @example(spread_model(65))
-def test_model_set_round_trip_is_bitwise(ms):
+def test_model_set_round_trip_is_bitwise(case):
+    ms, tax = case
     text = serialize_model_set(ms)
-    back = parse_model_set(io.StringIO(text))
+    back = parse_model_set(io.StringIO(text), tax)
     assert (back.mode, back.fingerprint, back.dimensionality, back.c, back.extra_headers) == (
         ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers)
-    assert sorted(back.models) == sorted(ms.models)
-    for node, model in ms.models.items():
+    assert back.children == ms.children
+    for parent, block in ms.blocks.items():
         # -0.0 is a zero weight: it is not written, and loads as 0.0.
-        want = np.where(model.theta == 0.0, 0.0, model.theta)
-        assert back.models[node].theta.tobytes() == want.tobytes()
+        want = np.where(block.weights == 0.0, 0.0, block.weights)
+        assert back.blocks[parent].weights.tobytes() == want.tobytes()
     assert serialize_model_set(back) == text
 
 
@@ -871,9 +921,11 @@ def test_model_set_round_trip_is_bitwise(ms):
 @given(st.lists(st.text(alphabet="0123456789AQgw+/=:- x", max_size=30), max_size=3))
 def test_any_model_line_loads_or_names_its_line(lines):
     # Whatever the node lines hold, the load either succeeds or raises a
-    # LearnerError that names a line: it never fails in another way.
+    # LearnerError that names a line, or the node the tree has no use for
+    # or no model of: it never fails in another way.
     text = HEAD + "".join(line + "\n" for line in lines)
     try:
-        parse_model_set(io.StringIO(text))
+        parse_model_set(io.StringIO(text), TREE)
     except LearnerError as exc:
-        assert str(exc).startswith("line ")
+        assert re.match(r"line \d+: |model set has (a model for node \d+, which flat prediction"
+                        r" over the hierarchy never uses|no model for node [01])$", str(exc))

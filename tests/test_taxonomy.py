@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from taxrewire import cli
 from taxrewire.corpus import parse_dataset, parse_idf, parse_labels
-from taxrewire.learner import ModelSet, NodeModel, parse_costs, parse_model_set, serialize_model_set
+from taxrewire.learner import parse_costs, parse_model_set, serialize_model_set
 from taxrewire.rewire import DeleteOp, MoveOp, RewireLog
 from taxrewire.simgraph import parse_pair_set
 from taxrewire.taxonomy import (
@@ -18,7 +18,7 @@ from taxrewire.taxonomy import (
     serialize_taxonomy,
 )
 
-from conftest import LINE_BREAKS
+from conftest import LINE_BREAKS, model_set_of, node_weights
 from reference_impls import oracle_lca, random_taxonomy
 
 
@@ -228,14 +228,15 @@ def test_random_tree_round_trip(n_nodes, seed):
 # ----------------------------------------------------------------------
 # every reader takes a text or an open file, through one line reader
 
-MODEL_LINES = serialize_model_set(ModelSet("flat", "f", 2, 1.0, {
-    0: NodeModel(0, np.array([0.5, 0.0])), 3: NodeModel(3, np.array([0.25, -1.0]))})).splitlines()
+MODEL_TREE = parse_taxonomy("5 0\n5 3\n")
+MODEL_LINES = serialize_model_set(model_set_of(MODEL_TREE, "flat", {
+    0: [0.5, 0.0], 3: [0.25, -1.0]}, dims=2)).splitlines()
 LOG_LINES = RewireLog([MoveOp(1, (0, 2), 0, 5, 6), DeleteOp(5, 4)]).to_jsonl().splitlines()
 
 
 def model_key(ms):
-    return (ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers,
-            {node: m.theta.tobytes() for node, m in ms.models.items()})
+    return (ms.mode, ms.fingerprint, ms.dimensionality, ms.c, ms.extra_headers, ms.children,
+            {node: theta.tobytes() for node, theta in node_weights(ms).items()})
 
 
 # name: (reader, its result as comparable values, the lines of a good
@@ -256,7 +257,8 @@ READERS = {
                                                   p.score.tolist(), p.tau),
                        ["# tau 0.5", "0 1 0.9", "2 1 0.75", "0 2 0.6"], "0 0 0.5",
                        "pair (0, 0) names one class twice"),
-    "parse_model_set": (parse_model_set, model_key, MODEL_LINES, "0 1:0.5",
+    "parse_model_set": (lambda source: parse_model_set(source, MODEL_TREE), model_key,
+                        MODEL_LINES, "0 1:0.5",
                         "an old 'idx:weight' model line"),
     "RewireLog.from_jsonl": (RewireLog.from_jsonl, lambda log: log.ops, LOG_LINES,
                              '{"op": "nope"}', "unknown op 'nope'"),
@@ -287,6 +289,8 @@ def head(reader):
 
 
 class TestTextAndFileReadAlike:
+    """A text, its file and its ``splitlines()`` read alike, lines numbered as in the text."""
+
     @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
     @pytest.mark.parametrize("reader", READERS)
     def test_every_line_break(self, tmp_path, reader, brk):
@@ -296,6 +300,18 @@ class TestTextAndFileReadAlike:
             want = outcome(reader, source)
             assert want[0] == "ok"
             assert from_file(reader, source, tmp_path) == want
+            assert outcome(reader, source.splitlines()) == want
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028"], ids=repr)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_a_break_inside_a_line_cuts_it(self, tmp_path, reader, brk):
+        good = READERS[reader][2]
+        cut = len(good[-1]) // 2
+        text = "\n".join([*good[:-1], good[-1][:cut] + brk + good[-1][cut:]]) + "\n"
+        want = outcome(reader, text)
+        assert want == outcome(reader, text.replace(brk, "\n"))
+        assert from_file(reader, text, tmp_path) == want
+        assert outcome(reader, text.splitlines()) == want
 
     @pytest.mark.parametrize("reader", READERS)
     def test_a_bad_line_is_named_alike(self, tmp_path, reader):
@@ -304,6 +320,7 @@ class TestTextAndFileReadAlike:
         want = outcome(reader, text)
         assert want[0] == "error" and f"line {len(lines)}: {READERS[reader][4]}" in want[2]
         assert from_file(reader, text, tmp_path) == want
+        assert outcome(reader, text.splitlines()) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -317,5 +334,7 @@ class TestTextAndFileReadAlike:
         text = "".join(line + brk for line, brk in zip(lines, breaks))
         if lines and data.draw(st.booleans()):
             text = text[:-len(breaks[-1])]
+        want = outcome(reader, text)
         with tempfile.TemporaryDirectory() as tmp:
-            assert from_file(reader, text, tmp) == outcome(reader, text)
+            assert from_file(reader, text, tmp) == want
+        assert outcome(reader, text.splitlines()) == want

@@ -166,22 +166,20 @@ def cmd_similarity(args: argparse.Namespace) -> dict:
     if not args.no_tfidf:
         data = _check_tfidf(corpus.tfidf_normalize(data))
     centroids = simgraph.class_centroids(data, tax.leaves)
-    scores = simgraph.all_pairs_scores(centroids)
     if args.tau is None and args.top_k is None:
-        selected = simgraph.select_at_knee(scores)
+        selected = simgraph.select_at_knee(simgraph.all_pairs_scores(centroids))
     else:
-        selected = simgraph.select_pairs(scores, tau=args.tau, top_k=args.top_k)
+        selected = simgraph.select_pairs(centroids, tau=args.tau, top_k=args.top_k)
 
     def write_pairs(fh) -> None:
         fh.write(_config_line(args) + "\n")
         simgraph.write_pair_set(selected, fh)
 
     return {
-        "pairs.csv": lambda fh: simgraph.write_score_curve(scores, fh),
         "pairs.txt": write_pairs,
         "similarity_summary.json": {
             "n_classes": centroids.n,
-            "n_pairs": len(scores),
+            "n_pairs": centroids.n * (centroids.n - 1) // 2,
             "n_selected": len(selected),
             "tau_selected": selected.tau,
         },

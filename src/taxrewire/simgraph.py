@@ -6,11 +6,13 @@ leaf pairs are scored by cosine similarity, and a pair survives either a
 similarity threshold or a top-k cut.  When no threshold is known up
 front, the knee of the sorted similarity curve suggests one.
 
-All pairs are kept as one :class:`ScoreTable` of numpy arrays, sorted
-once.  A selection is a :class:`SimilarPairSet`: the same three arrays,
-sliced to the kept rows, plus the threshold they passed.  No pair
-becomes a Python object; only rewiring's membership tests build a set
-of ``(a, b)`` tuples, on first use.
+The knee needs the whole curve, so it reads one :class:`ScoreTable` of
+numpy arrays holding every pair, sorted once.  A threshold or top-k cut
+selects while scoring and holds only one score block and its
+candidates.  A selection is a :class:`SimilarPairSet`: the three arrays
+of the kept rows, plus the threshold they passed.  No pair becomes a
+Python object; only rewiring's membership tests build a set of
+``(a, b)`` tuples, on first use.
 """
 
 from __future__ import annotations
@@ -157,11 +159,7 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     then ``a``, and a row per pair in the smallest unsigned dtype that
     holds n - 1 (2 bytes up to 65,536 classes).
     """
-    labels = np.asarray(centroids.labels, dtype=np.int64)
-    if labels.size < 2:
-        raise SimilarityError("need at least 2 class centroids to form pairs")
-    if np.any(labels[1:] <= labels[:-1]):
-        raise SimilarityError("centroid labels must be strictly ascending")
+    labels = _pair_labels(centroids)
     n = labels.size
     scores = np.empty(n * (n - 1) // 2)
     filled = 0
@@ -175,9 +173,8 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
     order = _rank_descending(scores)
     score = scores[order]
     del scores
-    # Row i holds the n - 1 - i pairs numbered from firsts[i].
     rows = np.arange(n)
-    firsts = rows * (2 * n - 1 - rows) // 2
+    firsts = _row_firsts(n)
     row_of = np.repeat(rows.astype(np.min_scalar_type(n - 1)), n - 1 - rows)
     col_shift = rows + 1 - firsts  # pair k of row i is (i, k + col_shift[i])
     a = np.empty_like(order)
@@ -188,6 +185,22 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
         k += col_shift[i]
         k[:] = labels[k]
     return ScoreTable(a, order, score)
+
+
+def _pair_labels(centroids: Dataset) -> np.ndarray:
+    """The centroid labels as int64, checked to name at least one pair in ascending order."""
+    labels = np.asarray(centroids.labels, dtype=np.int64)
+    if labels.size < 2:
+        raise SimilarityError("need at least 2 class centroids to form pairs")
+    if np.any(labels[1:] <= labels[:-1]):
+        raise SimilarityError("centroid labels must be strictly ascending")
+    return labels
+
+
+def _row_firsts(n: int) -> np.ndarray:
+    """Pair numbers in (a, b) order: row i holds the n - 1 - i pairs numbered from ``firsts[i]``."""
+    rows = np.arange(n)
+    return rows * (2 * n - 1 - rows) // 2
 
 
 def _unit_centroids(centroids: Dataset) -> sp.csr_matrix:
@@ -274,38 +287,77 @@ def _rank_descending(values: np.ndarray) -> np.ndarray:
 
 
 def select_pairs(
-    scores: ScoreTable,
+    centroids: Dataset,
     tau: float | None = None,
     top_k: int | None = None,
 ) -> SimilarPairSet:
-    """Cut a descending score table down to the similar pairs.
+    """The similar pairs of ``centroids``, selected while they are scored.
 
-    Exactly one of ``tau`` and ``top_k`` must be given.  Threshold mode
-    keeps scores strictly above ``tau`` and fails when there are none;
-    top-k mode keeps the first ``k`` rows and adopts the k-th score as the
-    set's threshold.  The set's arrays are the table's first rows.
+    ``centroids`` is what :func:`all_pairs_scores` takes, and the result
+    is the first rows of its table.  Exactly one of ``tau`` and ``top_k``
+    must be given.  Threshold mode keeps scores strictly above ``tau`` and
+    fails when there are none; top-k mode keeps the ``k`` best pairs and
+    adopts the k-th score as the set's threshold.
+
+    No array has an entry per pair.  Each row of a score block passes
+    its pairs scoring strictly above a running cut to a buffer of
+    (score, pair number), in pair-number order.  In top-k mode, a buffer
+    of more than 2k entries keeps only those at or above its k-th best
+    score, and the cut rises to that score: a later pair that ties it
+    ranks after k pairs already held.  Ranking the buffer stably leaves
+    ties in (a, b) order, as in the table.  Besides a score block, this
+    holds O(k) entries in top-k mode and the kept pairs in threshold
+    mode.
     """
+    labels = _pair_labels(centroids)
     if (tau is None) == (top_k is None):
         raise SimilarityError("exactly one of tau and top_k must be given")
-    if not len(scores):
-        raise SimilarityError("cannot select from an empty score table")
+    n = labels.size
+    n_pairs = n * (n - 1) // 2
     if tau is not None:
         if not -1.0 <= tau <= 1.0:
             raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
-        k = int(np.count_nonzero(scores.score > tau))
-        if not k:
-            raise SimilarityError(f"no pair scores above tau {tau} (top score {scores.score[0]})")
+        cut, limit = tau, math.inf
     else:
         if top_k < 1:
             raise SimilarityError(f"top_k must be >= 1, got {top_k}")
-        if top_k > len(scores):
+        if top_k > n_pairs:
             warnings.warn(
-                f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
+                f"top_k={top_k} exceeds the {n_pairs} available pairs; keeping all",
                 stacklevel=2,
             )
-        k = min(top_k, len(scores))
-        tau = scores.score[k - 1]
-    return SimilarPairSet(scores.a[:k], scores.b[:k], scores.score[:k], tau)
+        cut, limit = -math.inf, 2 * top_k  # every score beats -inf
+    firsts = _row_firsts(n)
+    score_parts: list[np.ndarray] = []
+    number_parts: list[np.ndarray] = []
+    held = 0
+    top = -math.inf  # the best score, for the error text
+    for start, block in _score_blocks(centroids):
+        for i, row in enumerate(block[:n - 1 - start], start):
+            tail = row[i + 1:]
+            if not held:  # only needed while nothing has passed the cut
+                top = max(top, tail.max())
+            keep = np.flatnonzero(tail > cut)
+            if not keep.size:
+                continue
+            score_parts.append(tail[keep])
+            keep += firsts[i]
+            number_parts.append(keep)
+            held += keep.size
+            if held > limit:
+                score, number = np.concatenate(score_parts), np.concatenate(number_parts)
+                cut = np.partition(score, held - top_k)[held - top_k]
+                best = score >= cut
+                score_parts, number_parts = [score[best]], [number[best]]
+                held = score_parts[0].size
+    if not held:  # in threshold mode only: every score beats -inf
+        raise SimilarityError(f"no pair scores above tau {tau} (top score {top})")
+    score, number = np.concatenate(score_parts), np.concatenate(number_parts)
+    order = _rank_descending(score)[:top_k]  # all of them in threshold mode
+    score, number = score[order], number[order]
+    row = np.searchsorted(firsts, number, side="right") - 1
+    return SimilarPairSet(labels[row], labels[number - firsts[row] + row + 1], score,
+                          score[-1] if tau is None else tau)
 
 
 def select_at_knee(scores: ScoreTable) -> SimilarPairSet:
@@ -313,10 +365,12 @@ def select_at_knee(scores: ScoreTable) -> SimilarPairSet:
 
     This is the default selection.  Unlike ``select_pairs(tau=...)``, which
     is strict, it keeps the knee pair itself and any pair tied with it;
-    the set's threshold is the knee score.
+    the set's threshold is the knee score.  The set's arrays are views of
+    the table's first rows.
     """
     knee = auto_threshold(scores)
-    return select_pairs(scores, top_k=int(np.count_nonzero(scores.score >= knee)))
+    k = int(np.count_nonzero(scores.score >= knee))
+    return SimilarPairSet(scores.a[:k], scores.b[:k], scores.score[:k], scores.score[k - 1])
 
 
 def knee_rank(values: Sequence[float] | np.ndarray) -> int:
@@ -360,7 +414,7 @@ def auto_threshold(scores: ScoreTable) -> float:
     return float(scores.score[rank - 1])
 
 
-# Ranks of the sorted table that write_score_curve writes: pairs.csv.
+# Ranks of the sorted table that write_score_curve writes.
 _CURVE_SAMPLE_ROWS = 1_024
 
 # Rows formatted per write by write_pair_set: bounds the text and the
@@ -371,6 +425,7 @@ _CURVE_CHUNK_ROWS = 65_536
 def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
     """CSV sample of a score table: rank, class ids, score (``repr``).
 
+    No command writes it; it stays importable for callers of the API.
     Writes ``T = min(_CURVE_SAMPLE_ROWS, n)`` ranks spread evenly over
     the curve, ``1 + floor(j * (n - 1) / (T - 1))`` for ``j = 0..T-1``:
     the first and the last rank, and every rank when ``n <= T``.

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 from array import array
 from collections import Counter
 
@@ -19,7 +20,7 @@ from scipy import sparse as sp
 
 from taxrewire.corpus import Dataset, DatasetFormatError, SparseVector, make_sparse
 from taxrewire.learner import LearnerError
-from taxrewire.simgraph import SimilarPairSet
+from taxrewire.simgraph import SimilarityError, SimilarPairSet, all_pairs_scores
 from taxrewire.synthbench import BenchError
 from taxrewire.taxonomy import Taxonomy
 
@@ -121,6 +122,35 @@ def per_pair_scores(centroids, workers=1):
                 out.append((ids[r], ids[c], min(1.0, max(-1.0, s))))
     out.sort(key=lambda t: (-t[2], t[0], t[1]))
     return out
+
+
+def table_select_pairs(centroids, tau=None, top_k=None):
+    """The selection that cut a whole sorted score table, kept as its reference.
+
+    Scores every pair into ``all_pairs_scores``' table, then keeps the
+    scores strictly above ``tau``, or the first ``top_k`` rows with the
+    k-th score as the threshold; same checks and messages.
+    """
+    scores = all_pairs_scores(centroids)
+    if (tau is None) == (top_k is None):
+        raise SimilarityError("exactly one of tau and top_k must be given")
+    if tau is not None:
+        if not -1.0 <= tau <= 1.0:
+            raise SimilarityError(f"tau must lie in [-1, 1], got {tau}")
+        k = int(np.count_nonzero(scores.score > tau))
+        if not k:
+            raise SimilarityError(f"no pair scores above tau {tau} (top score {scores.score[0]})")
+    else:
+        if top_k < 1:
+            raise SimilarityError(f"top_k must be >= 1, got {top_k}")
+        if top_k > len(scores):
+            warnings.warn(
+                f"top_k={top_k} exceeds the {len(scores)} available pairs; keeping all",
+                stacklevel=2,
+            )
+        k = min(top_k, len(scores))
+        tau = scores.score[k - 1]
+    return SimilarPairSet(scores.a[:k], scores.b[:k], scores.score[:k], tau)
 
 
 def csv_score_curve(pairs, out):

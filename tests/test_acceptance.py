@@ -134,7 +134,7 @@ def test_planted_corruption_is_repaired():
         train, test = map(bench.data.subset, split_train_validation(bench.data, 0.9, seed))
 
         centroids = class_centroids(train, bench.true_tree.leaves)
-        pairs = select_pairs(all_pairs_scores(centroids), top_k=27)
+        pairs = select_pairs(centroids, top_k=27)
         modified, _ = rewire_hierarchy(bench.corrupted_tree, pairs)
         partitions_ok += leaf_partition(modified) == leaf_partition(bench.true_tree)
 

@@ -24,10 +24,15 @@ from taxrewire.cli import main
 from taxrewire.corpus import parse_dataset
 from taxrewire.metrics import build_report, report_as_dict, write_per_class_csv
 from taxrewire.rewire import RewireLog, replay_log
-from taxrewire.simgraph import class_centroids, parse_pair_set
+from taxrewire.simgraph import (
+    all_pairs_scores,
+    class_centroids,
+    parse_pair_set,
+    serialize_pair_set,
+)
 from taxrewire.taxonomy import parse_taxonomy, serialize_taxonomy
 
-from reference_impls import csv_score_curve, per_pair_scores
+from reference_impls import table_select_pairs
 
 BENCH_ARGS = [
     "--seed", "7", "--fanout", "3", "--leaves", "9", "--dims", "16",
@@ -117,12 +122,13 @@ class TestArtifacts:
         assert "tau_suggested" not in summary
         selected = parse_pair_set((s / "pairs.txt").read_text())
         assert len(selected) == summary["n_selected"]
-        curve = (s / "pairs.csv").read_text().splitlines()
-        assert curve[0] == "rank,class_a,class_b,score"
-        assert len(curve) == 37
+        assert sorted(p.name for p in s.iterdir()) == ["pairs.txt", "similarity_summary.json"]
         # the default selection keeps the knee pair: every pair scoring at least tau
-        scores = [float(line.split(",")[3]) for line in curve[1:]]
-        assert summary["n_selected"] == sum(s >= summary["tau_selected"] for s in scores)
+        b = pipeline["bench"]
+        data = parse_dataset((b / "data.txt").read_text())
+        leaves = parse_taxonomy((b / "corrupted.edges").read_text()).leaves
+        scores = all_pairs_scores(class_centroids(data, leaves)).score
+        assert summary["n_selected"] == np.count_nonzero(scores >= summary["tau_selected"])
 
     def test_rewire_outputs_and_replay(self, pipeline):
         b, r = pipeline["bench"], pipeline["rewire"]
@@ -195,36 +201,27 @@ def bench81(tmp_path_factory):
     return out
 
 
-class TestScoreCurve:
-    def test_curve_is_an_even_sample_of_the_full_curve(self, bench81, tmp_path):
+class TestBoundedSelection:
+    @pytest.mark.parametrize("flags", [["--top-k", "1"], ["--top-k", "100"],
+                                       ["--top-k", "5000"], ["--tau", "0.5"]])
+    def test_pairs_txt_is_the_table_cut(self, bench81, tmp_path, flags):
         out = tmp_path / "sim"
-        assert run(
-            "similarity", "--data", bench81 / "data.txt",
-            "--hierarchy", bench81 / "corrupted.edges", "--out", out,
-            "--no-tfidf", "--top-k", "100",
-        ) == 0
-        # The full curve of the per-pair scorer and csv writer.
-        data = parse_dataset((bench81 / "data.txt").read_text())
-        leaves = parse_taxonomy((bench81 / "corrupted.edges").read_text()).leaves
-        cents = class_centroids(data, leaves)
-        buf = io.StringIO()
-        csv_score_curve(per_pair_scores(dict(zip(cents.labels, cents.vectors))), buf)
-        full_lines = buf.getvalue().splitlines()
-        assert len(full_lines) == 1 + 3240
-
-        lines = (out / "pairs.csv").read_text().splitlines()
-        ranks = [int(line.split(",", 1)[0]) for line in lines[1:]]
-        assert lines[0] == full_lines[0]
-        assert [full_lines[r] for r in ranks] == lines[1:]
-        assert ranks == sorted(set(ranks)) and len(lines) == 1 + 1024
-        assert ranks[0] == 1 and ranks[-1] == 3240
-        # Sampled ranks within the selection are the pairs of pairs.txt.
-        selected = parse_pair_set((out / "pairs.txt").read_text())
-        head = [line.split(",") for line in lines[1:] if int(line.split(",", 1)[0]) <= 100]
-        assert len(head) == 32  # 1 + floor(j * 3239 / 1023) <= 100 for j = 0..31
-        assert [(int(a), int(b)) for _, a, b, _ in head] == [
-            (selected.a[int(r) - 1], selected.b[int(r) - 1]) for r, _, _, _ in head
-        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # --top-k 5000 keeps all 3,240 pairs
+            assert run(
+                "similarity", "--data", bench81 / "data.txt",
+                "--hierarchy", bench81 / "corrupted.edges", "--out", out, "--no-tfidf", *flags,
+            ) == 0
+            data = parse_dataset((bench81 / "data.txt").read_text())
+            leaves = parse_taxonomy((bench81 / "corrupted.edges").read_text()).leaves
+            mode = {"top_k": int(flags[1])} if flags[0] == "--top-k" else {"tau": float(flags[1])}
+            want = table_select_pairs(class_centroids(data, leaves), **mode)
+        config, text = (out / "pairs.txt").read_text().split("\n", 1)
+        assert config.startswith("# config ")
+        assert text == serialize_pair_set(want)
+        assert sorted(p.name for p in out.iterdir()) == ["pairs.txt", "similarity_summary.json"]
+        summary = json.loads((out / "similarity_summary.json").read_text())
+        assert (summary["n_pairs"], summary["n_selected"]) == (3240, len(want))
 
 
 class TestDeterminism:
@@ -658,7 +655,7 @@ class TestExitCodes:
         assert run("train", "--data", bad, "--hierarchy", h,
                    "--out", tmp_path / "t", "--C", "1") == 4
         assert "line 2: non-finite" in capsys.readouterr().err
-        assert not (tmp_path / "s" / "pairs.csv").exists()
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_idf_value(self, tmp_path, capsys, value):
@@ -1144,7 +1141,7 @@ class TestExitCodes:
         def no_space(*args):
             raise OSError(28, "No space left on device")
 
-        # pairs.csv is written first; the pair list then fails.
+        # pairs.txt is made and its config line written; the pair list then fails.
         monkeypatch.setattr("taxrewire.simgraph.write_pair_set", no_space)
         b = pipeline["bench"]
         out = tmp_path / "deep" / "s"

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,13 @@ from taxrewire.simgraph import (
 )
 
 from conftest import traced_peak
-from reference_impls import brute_cosine_pairs, brute_knee, csv_score_curve, per_pair_scores
+from reference_impls import (
+    brute_cosine_pairs,
+    brute_knee,
+    csv_score_curve,
+    per_pair_scores,
+    table_select_pairs,
+)
 
 
 def sv(*entries):
@@ -275,7 +282,7 @@ class TestMatchesPerPairScorer:
         rng = np.random.default_rng(2024)
         ties = zeros = negatives = 0
         # Two sets are large.  258 centroids are the fewest whose pairs
-        # name a row above 255; 364 make 66,066 pairs, more than pairs.csv
+        # name a row above 255; 364 make 66,066 pairs, more than write_score_curve
         # samples and more than all_pairs_scores names the classes of at once.
         for trial in range(242):
             n = 2 if trial % 8 == 0 else int(rng.integers(3, 30))
@@ -388,7 +395,7 @@ class TestScoreBlocks:
 
 
 class TestScoreCurve:
-    """pairs.csv: an even sample of the sorted table's ranks, every rank of a small table."""
+    """write_score_curve: an even sample of the sorted table's ranks, all ranks of a small table."""
 
     @staticmethod
     def table(n, seed=0):
@@ -428,54 +435,118 @@ def descending(*vals):
     return ScoreTable(ids, ids + 100, np.asarray(vals, dtype=np.float64))
 
 
+def four_centroids():
+    """Classes 1..4 scoring 1.0 (1, 2); r = 1/sqrt(2), three times: (1, 4), (2, 4), (3, 4);
+    then 0.0 (1, 3), (2, 3)."""
+    return centroid_rows({1: sv((1, 1.0)), 2: sv((1, 2.0)), 3: sv((2, 1.0)),
+                          4: sv((1, 1.0), (2, 1.0))})
+
+
 class TestSelectPairs:
     def test_exactly_one_mode(self):
         with pytest.raises(SimilarityError, match="exactly one"):
-            select_pairs(descending(0.5), tau=0.1, top_k=1)
+            select_pairs(four_centroids(), tau=0.1, top_k=1)
         with pytest.raises(SimilarityError, match="exactly one"):
-            select_pairs(descending(0.5))
+            select_pairs(four_centroids())
 
     def test_tau_is_strict(self):
-        scores = descending(0.9, 0.5, 0.5, 0.1)
-        kept = select_pairs(scores, tau=0.5)
-        assert len(kept) == 1
-        assert kept.tau == 0.5
+        r = all_pairs_scores(four_centroids()).score[1]
+        kept = select_pairs(four_centroids(), tau=r)
+        assert rows(kept) == [(1, 2, 1.0)]
+        assert kept.tau == r
 
     def test_tau_range_checked(self):
         with pytest.raises(SimilarityError, match="tau"):
-            select_pairs(descending(0.5), tau=1.5)
+            select_pairs(four_centroids(), tau=1.5)
 
     def test_tau_above_every_score_fails(self):
-        top = r"no pair scores above tau 0.9 \(top score 0.9\)"
+        top = r"no pair scores above tau 1.0 \(top score 1.0\)"
         with pytest.raises(SimilarityError, match=top):
-            select_pairs(descending(0.9, 0.5), tau=0.9)
-        with pytest.raises(SimilarityError, match="empty score table"):
-            select_pairs(descending(), tau=0.0)
+            select_pairs(four_centroids(), tau=1.0)
+        half = r"no pair scores above tau 0.75 \(top score 0.7071067811865475\)"
+        with pytest.raises(SimilarityError, match=half):
+            select_pairs(centroid_rows({1: sv((1, 1.0)), 2: sv((1, 1.0), (2, 1.0))}), tau=0.75)
 
-    @pytest.mark.parametrize("mode", [{"tau": 0.55}, {"top_k": 2}])
+    @pytest.mark.parametrize("mode", [{"tau": 0.5}, {"top_k": 4}])
     def test_selection_is_the_tables_first_rows(self, mode):
-        scores = descending(0.9, 0.6, 0.5, 0.1)
-        kept = select_pairs(scores, **mode)
-        assert rows(kept) == rows(scores)[:2]
-        for col in ("a", "b", "score"):
-            assert np.shares_memory(getattr(kept, col), getattr(scores, col))
+        kept = select_pairs(four_centroids(), **mode)
+        assert rows(kept) == rows(all_pairs_scores(four_centroids()))[:4]
 
     def test_top_k_keeps_k_and_adopts_kth_score(self):
-        scores = descending(0.9, 0.8, 0.7, 0.6)
-        kept = select_pairs(scores, top_k=2)
-        assert len(kept) == 2
-        assert kept.tau == 0.8
+        kept = select_pairs(four_centroids(), top_k=2)
+        assert [(a, b) for a, b, _ in rows(kept)] == [(1, 2), (1, 4)]
+        assert kept.tau == pytest.approx(1 / math.sqrt(2))
+
+    def test_top_k_through_a_tie_keeps_the_first_pairs(self):
+        kept = select_pairs(four_centroids(), top_k=3)
+        assert [(a, b) for a, b, _ in rows(kept)] == [(1, 2), (1, 4), (2, 4)]
 
     def test_top_k_clamps_with_warning(self):
-        with pytest.warns(UserWarning, match="exceeds"):
-            kept = select_pairs(descending(0.9, 0.8), top_k=5)
-        assert len(kept) == 2
+        with pytest.warns(UserWarning, match="top_k=7 exceeds the 6 available pairs; keeping all"):
+            kept = select_pairs(four_centroids(), top_k=7)
+        assert len(kept) == 6
 
     def test_top_k_validation(self):
         with pytest.raises(SimilarityError, match=">= 1"):
-            select_pairs(descending(0.9), top_k=0)
-        with pytest.raises(SimilarityError, match="empty"):
-            select_pairs(descending(), top_k=1)
+            select_pairs(four_centroids(), top_k=0)
+        with pytest.raises(SimilarityError, match="at least 2"):
+            select_pairs(Dataset([sv((1, 1.0))], [1]), top_k=1)
+        with pytest.raises(SimilarityError, match="strictly ascending"):
+            select_pairs(Dataset([sv((1, 1.0)), sv((2, 1.0))], [2, 1]), tau=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_table_cut(self, data):
+        """Against the cut of the whole sorted table, on tie-heavy sets, in small blocks."""
+        dims = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(-2, 2), min_size=dims, max_size=dims)
+        dense = np.array(data.draw(st.lists(row, min_size=2, max_size=14)), dtype=np.float64)
+        n = len(dense)
+        labels = sorted(data.draw(st.sets(st.integers(0, 10**6), min_size=n, max_size=n)))
+        cents = Dataset._from_matrix(sp.csr_matrix(dense), labels)
+        table = all_pairs_scores(cents)
+        n_pairs = len(table)
+        ties = np.flatnonzero(table.score[1:] == table.score[:-1])
+        modes = [{"top_k": k} for k in (1, 2, 5, n_pairs, n_pairs + 1)]
+        modes += [{"top_k": int(i) + 1} for i in ties[:1]]  # cuts through a tie
+        modes += [{"tau": data.draw(st.sampled_from(table.score.tolist()))},
+                  {"tau": float(table.score[0])}]  # no score above it: fails
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simgraph, "_GRAM_BLOCK_ENTRIES",
+                       data.draw(st.integers(1, 3)) * max(n, cents.dimensionality))
+            for mode in modes:
+                assert selection_text(select_pairs, cents, mode) == selection_text(
+                    table_select_pairs, cents, mode)
+
+    @pytest.mark.parametrize("same", [False, True], ids=["random", "all-tied"])
+    def test_bounded_modes_hold_one_block_and_their_pairs(self, monkeypatch, same):
+        # The whole table of these 1,124,250 pairs took over 30 MB.
+        rng = np.random.default_rng(31)
+        n, rows_per_block = 1500, 16
+        dense = rng.standard_normal((n, 16))
+        if same:
+            dense[:] = dense[0]  # every pair scores the same
+        cents = Dataset._from_matrix(sp.csr_matrix(dense), list(range(n)))
+        csr = cents.to_csr()
+        fixed = 2 * 8 * rows_per_block * n + 3 * (csr.data.nbytes + csr.indices.nbytes)
+        monkeypatch.setattr(simgraph, "_GRAM_BLOCK_ENTRIES", rows_per_block * n)
+        for mode in ({"top_k": 1}, {"top_k": 1000}, {"tau": 0.6}):
+            if same and "tau" in mode:
+                continue  # every pair is kept
+            kept, peak = traced_peak(lambda: select_pairs(cents, **mode))
+            assert 0 < len(kept) < 10_000
+            assert peak <= fixed + 100 * len(kept)
+
+
+def selection_text(select, cents, mode):
+    """``select(cents, **mode)`` as pair-list text, or its error or warning text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            text = serialize_pair_set(select(cents, **mode))
+        except SimilarityError as exc:
+            text = f"error: {exc}"
+    return text, [str(w.message) for w in caught]
 
 
 class TestSimilarPairSet:

@@ -22,6 +22,7 @@ from .corpus import (
 from .learner import (
     FingerprintMismatchError,
     LearnerError,
+    LogisticProblem,
     ModelSet,
     WeightBlock,
     lr_objective_gradient,

@@ -134,48 +134,62 @@ def parse_costs(text: str | Iterable[str]) -> np.ndarray:
     return np.asarray(vals, dtype=np.float64)
 
 
-def lr_objective_gradient(
-    theta: np.ndarray,
-    features: sp.csr_matrix,
-    labels: np.ndarray,
-    c: float,
-    costs: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
-    """Objective value and gradient of the regularized logistic loss.
+class LogisticProblem:
+    """The data of one binary fit, checked once, for :func:`lr_objective_gradient`.
 
-    ``features`` is an (n, d) CSR matrix, ``labels`` an n-vector over
-    {-1, +1}, ``costs`` an optional positive n-vector.  Uniform costs of
-    1.0 reproduce the unweighted objective exactly.
+    ``features`` is an (n, d) sparse matrix, ``labels`` an n-vector over
+    {-1, +1}, ``c`` a finite positive regularization weight and ``costs``
+    an optional positive, finite n-vector; None stands for uniform costs
+    of 1.0, which reproduce the unweighted objective exactly.  What stays
+    fixed during a fit is computed here: the transpose view ``features.T``,
+    ``-labels`` and ``costs * labels``.
     """
+
+    def __init__(
+        self,
+        features: sp.csr_matrix,
+        labels: np.ndarray,
+        c: float,
+        costs: np.ndarray | None = None,
+    ) -> None:
+        labels = np.array(labels, dtype=np.float64)  # copies: the checks hold for the fit
+        n, _ = features.shape
+        if labels.shape != (n,):
+            raise LearnerError(f"labels have shape {labels.shape}, expected ({n},)")
+        if not np.all((labels == 1.0) | (labels == -1.0)):
+            raise LearnerError("labels must be -1 or +1")
+        if not (math.isfinite(c) and c > 0.0):
+            raise LearnerError(f"C must be finite and positive, got {c}")
+        if costs is None:
+            costs = np.ones(n, dtype=np.float64)
+        else:
+            costs = np.array(costs, dtype=np.float64)
+            if costs.shape != (n,):
+                raise LearnerError(f"costs have shape {costs.shape}, expected ({n},)")
+            if not np.all(np.isfinite(costs) & (costs > 0.0)):
+                raise LearnerError("costs must be positive and finite")
+        self.features = features
+        self.labels = labels
+        self.c = c
+        self.costs = costs
+        self._features_t = features.T
+        self._neg_labels = -labels
+        self._cost_labels = costs * labels
+
+
+def lr_objective_gradient(theta: np.ndarray, problem: LogisticProblem) -> tuple[float, np.ndarray]:
+    """Objective value and gradient of ``problem``'s regularized logistic loss at ``theta``."""
     theta = np.asarray(theta, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    n, d = features.shape
+    d = problem.features.shape[1]
     if theta.shape != (d,):
         raise LearnerError(f"theta has shape {theta.shape}, expected ({d},)")
-    if labels.shape != (n,):
-        raise LearnerError(f"labels have shape {labels.shape}, expected ({n},)")
-    if not np.all((labels == 1.0) | (labels == -1.0)):
-        raise LearnerError("labels must be -1 or +1")
-    if c <= 0.0:
-        raise LearnerError(f"C must be positive, got {c}")
-    if costs is not None:
-        costs = np.asarray(costs, dtype=np.float64)
-        if costs.shape != (n,):
-            raise LearnerError(f"costs have shape {costs.shape}, expected ({n},)")
-        if not np.all(costs > 0.0):
-            raise LearnerError("costs must be positive")
-
-    # One code path for both: uniform costs then reproduce the unweighted
-    # objective bit for bit.
-    if costs is None:
-        costs = np.ones(n, dtype=np.float64)
-    margins = features @ theta
-    z = -labels * margins
+    c = problem.c
+    z = problem._neg_labels * (problem.features @ theta)
     losses = np.logaddexp(0.0, z)
-    total = float(np.dot(costs, losses))
-    coeff = costs * labels * expit(z)
+    total = float(np.dot(problem.costs, losses))
+    coeff = problem._cost_labels * expit(z)
     obj = c * total + 0.5 * float(np.dot(theta, theta))
-    grad = -c * (features.T @ coeff) + theta
+    grad = -c * (problem._features_t @ coeff) + theta
     return obj, np.asarray(grad, dtype=np.float64)
 
 
@@ -220,9 +234,10 @@ def train_node(
     y = _binary_labels(train, tax.subtree_leaves(node))
     if not np.any(y > 0):
         warnings.warn(f"node {node} has no positive training instances", stacklevel=2)
+    problem = LogisticProblem(features, y, c, costs)
     x0 = np.zeros(features.shape[1], dtype=np.float64)
     return minimize_lbfgs(
-        lambda th: lr_objective_gradient(th, features, y, c, costs),
+        lambda th: lr_objective_gradient(th, problem),
         x0,
         grad_tol=grad_tol,
         max_iter=max_iter,

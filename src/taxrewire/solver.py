@@ -10,6 +10,7 @@ bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -51,55 +52,64 @@ def minimize_lbfgs(
     g = np.asarray(g, dtype=np.float64)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise ValueError("objective is not finite at the starting point")
-    g0_norm = float(np.linalg.norm(g))
+    # Each norm is sqrt(v . v), which is how np.linalg.norm computes it, so
+    # an inner product already taken is not taken again.
+    gg = float(np.dot(g, g))
+    g0_norm = g_norm = math.sqrt(gg)
     tol = grad_tol * max(1.0, g0_norm)
     history = [f] if record_history else None
 
     s_list: deque[np.ndarray] = deque(maxlen=MEMORY)
     y_list: deque[np.ndarray] = deque(maxlen=MEMORY)
     rho_list: deque[float] = deque(maxlen=MEMORY)
+    gamma = 1.0  # s.y / y.y of the last stored pair
 
     n_iter = 0
-    converged = float(np.linalg.norm(g)) <= tol
+    converged = g_norm <= tol
     while not converged and n_iter < max_iter:
-        d = _two_loop_direction(g, s_list, y_list, rho_list)
+        d = _two_loop_direction(g, s_list, y_list, rho_list, gamma)
         gd = float(np.dot(g, d))
         if gd >= 0.0:
             # Curvature history turned unreliable; fall back to steepest descent.
             d = -g
-            gd = -float(np.dot(g, g))
+            gd = -gg
 
         step = 1.0 if s_list else min(1.0, 1.0 / max(1.0, g0_norm))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             x_new = x + step * d
             f_new, g_new = fun_grad(x_new)
-            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gd:
+            if math.isfinite(f_new) and f_new <= f + ARMIJO_C1 * step * gd:
                 accepted = True
                 break
             step *= BACKTRACK_FACTOR
         if not accepted:
             break
 
+        g_new = np.asarray(g_new, dtype=np.float64)
         s = x_new - x
-        y = np.asarray(g_new, dtype=np.float64) - g
+        y = g_new - g
         sy = float(np.dot(s, y))
+        yy = float(np.dot(y, y))
         # Guard against division blow-ups from near-zero curvature.
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-10 * math.sqrt(float(np.dot(s, s))) * math.sqrt(yy):
             s_list.append(s)
             y_list.append(y)
             rho_list.append(1.0 / sy)
+            gamma = sy / yy
 
-        x, f, g = x_new, f_new, np.asarray(g_new, dtype=np.float64)
+        x, f, g = x_new, f_new, g_new
         n_iter += 1
         if history is not None:
             history.append(f)
-        converged = float(np.linalg.norm(g)) <= tol
+        gg = float(np.dot(g, g))
+        g_norm = math.sqrt(gg)
+        converged = g_norm <= tol
 
     return SolveResult(
         x=x,
         fun=f,
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=g_norm,
         n_iter=n_iter,
         converged=converged,
         history=history,
@@ -111,7 +121,9 @@ def _two_loop_direction(
     s_list: deque[np.ndarray],
     y_list: deque[np.ndarray],
     rho_list: deque[float],
+    gamma: float,
 ) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the stored pairs, scaled by ``gamma``."""
     q = g.copy()
     tmp = np.empty_like(q)  # scratch for each update; rounds as ``q -= a * y`` does
     alphas: list[float] = []
@@ -120,8 +132,6 @@ def _two_loop_direction(
         alphas.append(a)
         q -= np.multiply(a, y, out=tmp)
     if s_list:
-        s, y = s_list[-1], y_list[-1]
-        gamma = float(np.dot(s, y)) / float(np.dot(y, y))
         q *= gamma
     for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
         b = rho * float(np.dot(y, q))

@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from array import array
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 from scipy import sparse as sp
@@ -21,6 +21,7 @@ from scipy import sparse as sp
 from taxrewire.corpus import Dataset, DatasetFormatError, SparseVector, make_sparse
 from taxrewire.learner import LearnerError
 from taxrewire.simgraph import SimilarityError, SimilarPairSet, all_pairs_scores
+from taxrewire.solver import SolveResult
 from taxrewire.synthbench import BenchError
 from taxrewire.taxonomy import Taxonomy
 
@@ -34,6 +35,85 @@ def fd_gradient(fun, x, h=1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+# ----------------------------------------------------------------------
+# The L-BFGS solver as it was before it kept its inner products: every
+# norm through np.linalg.norm, and the two-loop scaling gamma recomputed
+# from the last stored pair.  The package solver must match it bit for bit.
+
+
+def norm_recomputing_lbfgs(fun_grad, x0, grad_tol=1e-6, max_iter=1000, record_history=False,
+                           skipped=None):
+    """``minimize_lbfgs`` with each norm and gamma computed where it is used.
+
+    ``skipped``, a list if given, receives the iteration of every pair the
+    curvature guard drops while an earlier pair is stored.
+    """
+    c1, memory, backtrack, max_backtracks = 1e-4, 10, 0.5, 60
+    x = np.array(x0, dtype=np.float64, copy=True)
+    f, g = fun_grad(x)
+    g = np.asarray(g, dtype=np.float64)
+    if not np.isfinite(f) or not np.all(np.isfinite(g)):
+        raise ValueError("objective is not finite at the starting point")
+    g0_norm = float(np.linalg.norm(g))
+    tol = grad_tol * max(1.0, g0_norm)
+    history = [f] if record_history else None
+    s_list, y_list, rho_list = deque(maxlen=memory), deque(maxlen=memory), deque(maxlen=memory)
+    n_iter = 0
+    converged = float(np.linalg.norm(g)) <= tol
+    while not converged and n_iter < max_iter:
+        d = norm_recomputing_two_loop(g, s_list, y_list, rho_list)
+        gd = float(np.dot(g, d))
+        if gd >= 0.0:
+            d = -g
+            gd = -float(np.dot(g, g))
+        step = 1.0 if s_list else min(1.0, 1.0 / max(1.0, g0_norm))
+        accepted = False
+        for _ in range(max_backtracks):
+            x_new = x + step * d
+            f_new, g_new = fun_grad(x_new)
+            if np.isfinite(f_new) and f_new <= f + c1 * step * gd:
+                accepted = True
+                break
+            step *= backtrack
+        if not accepted:
+            break
+        s = x_new - x
+        y = np.asarray(g_new, dtype=np.float64) - g
+        sy = float(np.dot(s, y))
+        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            s_list.append(s)
+            y_list.append(y)
+            rho_list.append(1.0 / sy)
+        elif s_list and skipped is not None:
+            skipped.append(n_iter)
+        x, f, g = x_new, f_new, np.asarray(g_new, dtype=np.float64)
+        n_iter += 1
+        if history is not None:
+            history.append(f)
+        converged = float(np.linalg.norm(g)) <= tol
+    return SolveResult(x=x, fun=f, grad_norm=float(np.linalg.norm(g)), n_iter=n_iter,
+                       converged=converged, history=history)
+
+
+def norm_recomputing_two_loop(g, s_list, y_list, rho_list):
+    """The two-loop recursion, gamma from the last stored pair's s.y / y.y."""
+    q = g.copy()
+    tmp = np.empty_like(q)
+    alphas = []
+    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        a = rho * float(np.dot(s, q))
+        alphas.append(a)
+        q -= np.multiply(a, y, out=tmp)
+    if s_list:
+        s, y = s_list[-1], y_list[-1]
+        gamma = float(np.dot(s, y)) / float(np.dot(y, y))
+        q *= gamma
+    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        b = rho * float(np.dot(y, q))
+        q += np.multiply(a - b, s, out=tmp)
+    return -q
 
 
 def brute_knee(values):

@@ -26,6 +26,7 @@ from taxrewire.corpus import (
     split_train_validation,
 )
 from taxrewire.learner import (
+    LogisticProblem,
     lr_objective_gradient,
     predict_dataset,
     train_flat,
@@ -176,16 +177,15 @@ def test_analytic_gradient_against_finite_differences():
         costs = rng.uniform(0.1, 4.0, size=n) if draw % 2 else None
         theta = rng.standard_normal(d)
 
-        _, grad = lr_objective_gradient(theta, features, labels, c, costs)
-        fd = fd_gradient(
-            lambda t: lr_objective_gradient(t, features, labels, c, costs)[0], theta
-        )
+        problem = LogisticProblem(features, labels, c, costs)
+        _, grad = lr_objective_gradient(theta, problem)
+        fd = fd_gradient(lambda t: lr_objective_gradient(t, problem)[0], theta)
         rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-5, f"draw {draw}: gradient relative error {rel:.2e}"
 
-        obj_plain, _ = lr_objective_gradient(theta, features, labels, c, None)
-        obj_ones, _ = lr_objective_gradient(theta, features, labels, c, np.ones(n))
+        obj_plain, _ = lr_objective_gradient(theta, LogisticProblem(features, labels, c, None))
+        obj_ones, _ = lr_objective_gradient(theta, LogisticProblem(features, labels, c, np.ones(n)))
         diff = abs(obj_plain - obj_ones)
         worst_reduction = max(worst_reduction, diff)
         assert diff <= 1e-12, f"draw {draw}: all-ones costs drifted by {diff:.2e}"

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
+from scipy.special import expit
 
 import taxrewire
 from taxrewire.corpus import Dataset, make_sparse, split_train_validation
 from taxrewire.learner import (
     FingerprintMismatchError,
     LearnerError,
+    LogisticProblem,
     ModelSet,
     WeightBlock,
     lr_objective_gradient,
@@ -72,15 +74,16 @@ class TestObjective:
         # By hand: both losses are ln 2, the gradient pulls each theta
         # component toward its instance's label.
         features, labels = small_problem()
-        obj, grad = lr_objective_gradient(np.zeros(2), features, labels, c=2.0)
+        obj, grad = lr_objective_gradient(np.zeros(2), LogisticProblem(features, labels, c=2.0))
         assert obj == pytest.approx(4.0 * math.log(2.0), abs=1e-15)
         np.testing.assert_allclose(grad, [-1.0, 1.0], atol=1e-15)
 
     def test_regularizer_included(self):
         features, labels = small_problem()
+        problem = LogisticProblem(features, labels, c=1.0)
         theta = np.array([3.0, -4.0])
-        obj_rl, _ = lr_objective_gradient(theta, features, labels, c=1.0)
-        obj_zero, _ = lr_objective_gradient(np.zeros(2), features, labels, c=1.0)
+        obj_rl, _ = lr_objective_gradient(theta, problem)
+        obj_zero, _ = lr_objective_gradient(np.zeros(2), problem)
         losses = obj_rl - 0.5 * 25.0
         assert losses < obj_zero  # theta fits the labels, loss part shrinks
 
@@ -89,8 +92,8 @@ class TestObjective:
         features = sp.csr_matrix(rng.standard_normal((20, 6)))
         labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
         theta = rng.standard_normal(6)
-        a = lr_objective_gradient(theta, features, labels, 3.0, None)
-        b = lr_objective_gradient(theta, features, labels, 3.0, np.ones(20))
+        a = lr_objective_gradient(theta, LogisticProblem(features, labels, 3.0, None))
+        b = lr_objective_gradient(theta, LogisticProblem(features, labels, 3.0, np.ones(20)))
         assert a[0] == b[0]
         assert np.array_equal(a[1], b[1])
 
@@ -98,8 +101,8 @@ class TestObjective:
         x = sp.csr_matrix(np.array([[1.0, 2.0]]))
         x2 = sp.csr_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
         theta = np.array([0.3, -0.2])
-        a = lr_objective_gradient(theta, x, np.array([1.0]), 1.5, np.array([2.0]))
-        b = lr_objective_gradient(theta, x2, np.array([1.0, 1.0]), 1.5, None)
+        a = lr_objective_gradient(theta, LogisticProblem(x, np.array([1.0]), 1.5, np.array([2.0])))
+        b = lr_objective_gradient(theta, LogisticProblem(x2, np.array([1.0, 1.0]), 1.5, None))
         assert a[0] == pytest.approx(b[0], abs=1e-12)
         np.testing.assert_allclose(a[1], b[1], atol=1e-12)
 
@@ -112,35 +115,77 @@ class TestObjective:
             costs = rng.uniform(0.2, 3.0, size=n) if rng.random() < 0.5 else None
             c = float(rng.uniform(0.1, 5.0))
             theta = rng.standard_normal(d)
-            _, grad = lr_objective_gradient(theta, features, labels, c, costs)
-            fd = fd_gradient(
-                lambda t: lr_objective_gradient(t, features, labels, c, costs)[0],
-                theta,
-            )
+            problem = LogisticProblem(features, labels, c, costs)
+            _, grad = lr_objective_gradient(theta, problem)
+            fd = fd_gradient(lambda t: lr_objective_gradient(t, problem)[0], theta)
             denom = max(np.linalg.norm(fd), 1e-8)
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
+
+    def test_matches_the_expressions_of_one_call(self):
+        # Hoisting -labels, costs * labels and features.T out of the
+        # evaluation changes no float: the objective and gradient equal the
+        # whole expressions evaluated in one go, bit for bit.
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            features = sp.random(n, d, density=0.3, format="csr", random_state=rng,
+                                 data_rvs=rng.standard_normal)
+            labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            costs = rng.uniform(0.2, 3.0, size=n) if rng.random() < 0.5 else None
+            c = float(rng.uniform(0.1, 50.0))
+            theta = rng.standard_normal(d) * 10.0
+            w = np.ones(n) if costs is None else costs
+            z = -labels * (features @ theta)
+            want_obj = c * float(np.dot(w, np.logaddexp(0.0, z))) + 0.5 * float(np.dot(theta, theta))
+            want_grad = -c * (features.T @ (w * labels * expit(z))) + theta
+            obj, grad = lr_objective_gradient(theta, LogisticProblem(features, labels, c, costs))
+            assert obj == want_obj
+            assert grad.tobytes() == want_grad.tobytes()
 
     def test_huge_margins_stay_finite(self):
         features = sp.csr_matrix(np.array([[1000.0], [-1000.0]]))
         labels = np.array([-1.0, 1.0])  # both misclassified by theta > 0
-        obj, grad = lr_objective_gradient(np.array([5.0]), features, labels, 1.0)
+        obj, grad = lr_objective_gradient(np.array([5.0]), LogisticProblem(features, labels, 1.0))
         assert math.isfinite(obj) and np.all(np.isfinite(grad))
         assert obj == pytest.approx(10000.0 + 12.5, rel=1e-12)
 
     def test_validation(self):
         features, labels = small_problem()
         with pytest.raises(LearnerError, match="theta"):
-            lr_objective_gradient(np.zeros(3), features, labels, 1.0)
+            lr_objective_gradient(np.zeros(3), LogisticProblem(features, labels, 1.0))
         with pytest.raises(LearnerError, match="labels"):
-            lr_objective_gradient(np.zeros(2), features, labels[:1], 1.0)
+            LogisticProblem(features, labels[:1], 1.0)
         with pytest.raises(LearnerError, match="-1 or \\+1"):
-            lr_objective_gradient(np.zeros(2), features, np.array([1.0, 0.0]), 1.0)
-        with pytest.raises(LearnerError, match="C must be positive"):
-            lr_objective_gradient(np.zeros(2), features, labels, 0.0)
+            LogisticProblem(features, np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(LearnerError, match="C must be finite and positive"):
+            LogisticProblem(features, labels, 0.0)
         with pytest.raises(LearnerError, match="costs"):
-            lr_objective_gradient(np.zeros(2), features, labels, 1.0, np.ones(3))
+            LogisticProblem(features, labels, 1.0, np.ones(3))
         with pytest.raises(LearnerError, match="positive"):
-            lr_objective_gradient(np.zeros(2), features, labels, 1.0, np.array([1.0, -1.0]))
+            LogisticProblem(features, labels, 1.0, np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_c_rejected(self, c):
+        features, labels = small_problem()
+        with pytest.raises(LearnerError, match=f"^C must be finite and positive, got {c}$"):
+            LogisticProblem(features, labels, c)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        features, labels = small_problem()
+        with pytest.raises(LearnerError, match="^costs must be positive and finite$"):
+            LogisticProblem(features, labels, 1.0, np.array([1.0, bad]))
+
+    def test_inputs_are_copied(self):
+        # The checks hold for the whole fit: changing the caller's arrays
+        # afterwards changes nothing.
+        features, labels = small_problem()
+        costs = np.array([1.0, 2.0])
+        problem = LogisticProblem(features, labels, 1.5, costs)
+        want = lr_objective_gradient(np.array([0.3, -0.2]), problem)
+        labels[0], costs[1] = 0.0, -1.0
+        got = lr_objective_gradient(np.array([0.3, -0.2]), problem)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 class TestTraining:
@@ -432,6 +477,41 @@ class TestMatchesPerInstanceOracles:
         assert min(checked.values()) > 500
         assert min(ranked.values()) > 100, ranked
 
+    # Rows of 40 or more nonzeros under 64 or more children, so every dot is
+    # long enough for BLAS's unrolled loop; the weights are as above.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
+                                "ignore:invalid value encountered in dot:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_top=st.integers(64, 100),
+           dim=st.integers(40, 160), extra=st.integers(0, 3), n_rows=st.integers(1, 6))
+    def test_long_rows_match_per_instance_prediction(self, seed, n_top, dim, extra, n_rows):
+        rng = np.random.default_rng(seed)
+        # n_top children of the root 0, each a leaf or the parent of 1-4 leaves.
+        parent_of, next_id = {}, n_top + 1
+        for kid in range(1, n_top + 1):
+            parent_of[kid] = 0
+            if rng.random() < 0.3:
+                for _ in range(int(rng.integers(1, 5))):
+                    parent_of[next_id], next_id = kid, next_id + 1
+        tax = Taxonomy(0, parent_of)
+        width = dim + extra  # features past the model's width contribute nothing
+        vectors = []
+        for _ in range(n_rows):
+            idx = rng.choice(np.arange(1, width + 1), size=int(rng.integers(40, width + 1)),
+                             replace=False)
+            vectors.append(make_sparse(idx, rng.choice([-1.0, 0.5, 1.0, 2.0], size=idx.size)
+                                       if rng.random() < 0.3 else rng.standard_normal(idx.size)))
+        data = Dataset(vectors, [0] * n_rows, dimensionality=width)
+
+        td = model_set_of(tax, "td-lr", random_thetas(rng, tax.non_root_nodes(), dim), dim)
+        want = [predict_topdown(td, tax, x, return_evals=True) for x in vectors]
+        assert predict_dataset(td, data, tax) == ([leaf for leaf, _ in want],
+                                                  sum(n for _, n in want))
+        flat = model_set_of(tax, "flat", random_thetas(rng, sorted(tax.leaves), dim), dim)
+        want = [predict_flat(flat, x, return_evals=True) for x in vectors]
+        assert predict_dataset(flat, data, tax) == ([leaf for leaf, _ in want],
+                                                    sum(n for _, n in want))
+
     def test_flat_thetas_match_per_leaf_fits(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
@@ -450,8 +530,9 @@ class TestMatchesPerInstanceOracles:
             features = data.to_csr()
             for leaf in leaves:
                 y = np.where(np.asarray(labels) == leaf, 1.0, -1.0)
+                problem = LogisticProblem(features, y, 3.0, costs)
                 want = minimize_lbfgs(
-                    lambda th: lr_objective_gradient(th, features, y, 3.0, costs),
+                    lambda th: lr_objective_gradient(th, problem),
                     np.zeros(dim), grad_tol=1e-6, max_iter=40,
                 )
                 block, i = ms.slots()[leaf]

@@ -51,7 +51,6 @@ from .rewire import (
     rewire_hierarchy,
 )
 from .simgraph import (
-    ScoreTable,
     SimilarPairSet,
     SimilarityError,
     all_pairs_scores,

@@ -450,12 +450,11 @@ def tune_c(
 
     train, validation = data.subset(train_idx), data.subset(val_idx)
     train_costs = None if costs is None else costs[train_idx]
-    candidates = {g: trainer(tax, train, g, train_costs, **kwargs) for g in grid}
-
     scores: dict[float, float] = {}
     best, best_mu = grid[0], -1.0
     for g in grid:
-        preds, _ = predict_dataset(candidates[g], validation, tax)
+        # Each candidate is scored as soon as it is fit, then dropped.
+        preds, _ = predict_dataset(trainer(tax, train, g, train_costs, **kwargs), validation, tax)
         mu = micro_f1(list(zip(validation.labels, preds)))
         scores[g] = mu
         if mu > best_mu:

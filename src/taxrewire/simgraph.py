@@ -6,13 +6,13 @@ leaf pairs are scored by cosine similarity, and a pair survives either a
 similarity threshold or a top-k cut.  When no threshold is known up
 front, the knee of the sorted similarity curve suggests one.
 
-The knee needs the whole curve, so it reads one :class:`ScoreTable` of
-numpy arrays holding every pair, sorted once.  A threshold or top-k cut
-selects while scoring and holds only one score block and its
-candidates.  A selection is a :class:`SimilarPairSet`: the three arrays
-of the kept rows, plus the threshold they passed.  No pair becomes a
-Python object; only rewiring's membership tests build a set of
-``(a, b)`` tuples, on first use.
+Every pair list is a :class:`SimilarPairSet`: three numpy arrays of
+pairs in descending score order, plus the threshold they passed.  The
+knee needs the whole curve, so it reads the set of every pair, sorted
+once.  A threshold or top-k cut selects while scoring and holds only one
+score block and its candidates.  No pair becomes a Python object; only
+rewiring's membership tests build a set of ``(a, b)`` tuples, on first
+use.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse as sp
@@ -33,59 +33,53 @@ from .taxonomy import numbered_lines, parse_id
 
 
 class SimilarityError(ValueError):
-    """Raised for invalid similarity inputs or selection parameters."""
+    """Raised for invalid similarity inputs or selection parameters.
+
+    ``row`` is the index of the first row that breaks a row rule of
+    :class:`SimilarPairSet`, and None for every other error.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreTable:
-    """Scored class pairs as three parallel arrays, in descending score order.
+class SimilarPairSet:
+    """Scored class pairs as three parallel arrays, plus the threshold they passed.
 
-    Row ``i`` is the pair ``(a[i], b[i])`` with ``a[i] < b[i]`` and cosine
-    ``score[i]``; ties are in (a, b) order.  The order is checked on
-    construction.  ``len()`` is the pair count.
+    Row ``i`` is the pair ``(a[i], b[i])`` with cosine ``score[i]``.  A
+    full score table (:func:`all_pairs_scores`) and a selection are both
+    one.  The rows are checked on construction, in this order: ``a < b``,
+    scores in [-1, 1], descending score order, and every score at least
+    ``tau``; the first row that breaks a rule is the error's ``row``.
+    ``len()`` is the pair count.  Membership tests normalize pair
+    orientation, so ``(a, b)`` and ``(b, a)`` are the same pair; the
+    first test builds the set of member tuples.
     """
 
     a: np.ndarray
     b: np.ndarray
     score: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", np.asarray(self.a))
-        object.__setattr__(self, "b", np.asarray(self.b))
-        object.__setattr__(self, "score", np.asarray(self.score, dtype=np.float64))
-        if self.a.ndim != 1 or not self.a.shape == self.b.shape == self.score.shape:
-            raise SimilarityError("a, b and score must be 1-d arrays of equal length")
-        if np.any(self.score[1:] > self.score[:-1]):
-            raise SimilarityError("pairs must be sorted by descending score")
-
-    def __len__(self) -> int:
-        return int(self.score.size)
-
-
-@dataclass(frozen=True, eq=False)
-class SimilarPairSet(ScoreTable):
-    """Selected pairs in descending score order, plus the threshold they passed.
-
-    The rows are checked on construction: ``a < b``, scores in [-1, 1]
-    and at least ``tau``, besides the table's order.  Membership tests
-    normalize pair orientation, so ``(a, b)`` and ``(b, a)`` are the same
-    pair; the first test builds the set of member tuples.
-    """
-
     tau: float
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "tau", float(self.tau))
-        bad = np.flatnonzero(self.a >= self.b)
-        if bad.size:
-            i = bad[0]
-            raise SimilarityError(f"pair must satisfy a < b, got ({self.a[i]}, {self.b[i]})")
-        bad = np.flatnonzero(~((self.score >= -1.0) & (self.score <= 1.0)))
-        if bad.size:
-            raise SimilarityError(f"cosine score out of range: {self.score[bad[0]]}")
-        if np.any(self.score < self.tau):
-            raise SimilarityError("every stored score must be >= tau")
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        score, tau = np.asarray(self.score, dtype=np.float64), float(self.tau)
+        for name, value in (("a", a), ("b", b), ("score", score), ("tau", tau)):
+            object.__setattr__(self, name, value)
+        if a.ndim != 1 or not a.shape == b.shape == score.shape:
+            raise SimilarityError("a, b and score must be 1-d arrays of equal length")
+        _require(a >= b, lambda i: f"pair must satisfy a < b, got ({a[i]}, {b[i]})")
+        _require(~((score >= -1.0) & (score <= 1.0)),
+                 lambda i: f"cosine score out of range: {score[i]}")
+        _require(np.concatenate(([False], score[1:] > score[:-1])),
+                 lambda i: f"pairs must be sorted by descending score, "
+                           f"got {score[i]} after {score[i - 1]}")
+        _require(score < tau, lambda i: f"every stored score must be >= tau {tau}, got {score[i]}")
+
+    def __len__(self) -> int:
+        return int(self.score.size)
 
     @cached_property
     def _members(self) -> frozenset[tuple[int, int]]:
@@ -96,6 +90,14 @@ class SimilarPairSet(ScoreTable):
         if a > b:
             a, b = b, a
         return (a, b) in self._members
+
+
+def _require(broken: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``SimilarityError(message(i), i)`` for the first row ``i`` that is ``broken``."""
+    bad = np.flatnonzero(broken)
+    if bad.size:
+        i = int(bad[0])
+        raise SimilarityError(message(i), i)
 
 
 def cosine(u: SparseVector, v: SparseVector) -> float:
@@ -144,13 +146,14 @@ def class_centroids(data: Dataset, leaves: Iterable[int]) -> Dataset:
 _PAIR_CHUNK = 1 << 16
 
 
-def all_pairs_scores(centroids: Dataset) -> ScoreTable:
-    """Cosine score for every unordered class pair, as a sorted :class:`ScoreTable`.
+def all_pairs_scores(centroids: Dataset) -> SimilarPairSet:
+    """Cosine score for every unordered class pair, as a sorted :class:`SimilarPairSet`.
 
     ``centroids`` has the strictly ascending labels of :func:`class_centroids`.
     Order: descending score, ties by (a, b) ascending.  The scores come
     from :func:`_score_blocks`, one row block at a time, so a pair with a
-    zero-norm centroid scores 0.0 and every score lies in [-1, 1].  Pairs
+    zero-norm centroid scores 0.0 and every score lies in [-1, 1]; the
+    set's threshold is the lowest score, so it keeps every pair.  Pairs
     are numbered in (a, b) order and scored into one vector by number;
     a pair's classes are computed from its number only once the vector
     is ranked, ``_PAIR_CHUNK`` ranks at a time.  Besides a score block,
@@ -184,7 +187,8 @@ def all_pairs_scores(centroids: Dataset) -> ScoreTable:
         a[start:start + k.size] = labels[i]
         k += col_shift[i]
         k[:] = labels[k]
-    return ScoreTable(a, order, score)
+    del row_of  # the set's row checks need its room
+    return SimilarPairSet(a, order, score, score[-1])
 
 
 def _pair_labels(centroids: Dataset) -> np.ndarray:
@@ -294,7 +298,7 @@ def select_pairs(
     """The similar pairs of ``centroids``, selected while they are scored.
 
     ``centroids`` is what :func:`all_pairs_scores` takes, and the result
-    is the first rows of its table.  Exactly one of ``tau`` and ``top_k``
+    is the first rows of its set.  Exactly one of ``tau`` and ``top_k``
     must be given.  Threshold mode keeps scores strictly above ``tau`` and
     fails when there are none; top-k mode keeps the ``k`` best pairs and
     adopts the k-th score as the set's threshold.
@@ -305,9 +309,9 @@ def select_pairs(
     of more than 2k entries keeps only those at or above its k-th best
     score, and the cut rises to that score: a later pair that ties it
     ranks after k pairs already held.  Ranking the buffer stably leaves
-    ties in (a, b) order, as in the table.  Besides a score block, this
-    holds O(k) entries in top-k mode and the kept pairs in threshold
-    mode.
+    ties in (a, b) order, as in :func:`all_pairs_scores`.  Besides a
+    score block, this holds O(k) entries in top-k mode and the kept pairs
+    in threshold mode.
     """
     labels = _pair_labels(centroids)
     if (tau is None) == (top_k is None):
@@ -360,13 +364,13 @@ def select_pairs(
                           score[-1] if tau is None else tau)
 
 
-def select_at_knee(scores: ScoreTable) -> SimilarPairSet:
+def select_at_knee(scores: SimilarPairSet) -> SimilarPairSet:
     """Keep every pair scoring at least the knee score of :func:`auto_threshold`.
 
     This is the default selection.  Unlike ``select_pairs(tau=...)``, which
     is strict, it keeps the knee pair itself and any pair tied with it;
     the set's threshold is the knee score.  The set's arrays are views of
-    the table's first rows.
+    the first rows of ``scores``.
     """
     knee = auto_threshold(scores)
     k = int(np.count_nonzero(scores.score >= knee))
@@ -403,7 +407,7 @@ def knee_rank(values: Sequence[float] | np.ndarray) -> int:
     return best + 1
 
 
-def auto_threshold(scores: ScoreTable) -> float:
+def auto_threshold(scores: SimilarPairSet) -> float:
     """Pick the similarity threshold at the knee of the sorted score curve.
 
     Returns the score at the knee rank.  Every pair scoring at least that
@@ -414,16 +418,16 @@ def auto_threshold(scores: ScoreTable) -> float:
     return float(scores.score[rank - 1])
 
 
-# Ranks of the sorted table that write_score_curve writes.
+# Ranks of the sorted set that write_score_curve writes.
 _CURVE_SAMPLE_ROWS = 1_024
 
 # Rows formatted per write by write_pair_set: bounds the text and the
 # per-row Python objects held in memory.
-_CURVE_CHUNK_ROWS = 65_536
+_WRITE_CHUNK_ROWS = 65_536
 
 
-def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
-    """CSV sample of a score table: rank, class ids, score (``repr``).
+def write_score_curve(scores: SimilarPairSet, out: IO[str]) -> None:
+    """CSV sample of a sorted pair set: rank, class ids, score (``repr``).
 
     No command writes it; it stays importable for callers of the API.
     Writes ``T = min(_CURVE_SAMPLE_ROWS, n)`` ranks spread evenly over
@@ -444,8 +448,8 @@ def write_score_curve(scores: ScoreTable, out: IO[str]) -> None:
 def write_pair_set(pair_set: SimilarPairSet, out: IO[str]) -> None:
     """Text form: a ``# tau`` header, then one ``a b score`` line per pair, in chunks of rows."""
     out.write(f"# tau {pair_set.tau!r}\n")
-    for start in range(0, len(pair_set), _CURVE_CHUNK_ROWS):
-        part = slice(start, start + _CURVE_CHUNK_ROWS)
+    for start in range(0, len(pair_set), _WRITE_CHUNK_ROWS):
+        part = slice(start, start + _WRITE_CHUNK_ROWS)
         rows = zip(pair_set.a[part].tolist(), pair_set.b[part].tolist(),
                    pair_set.score[part].tolist())
         out.write("".join(f"{a} {b} {s!r}\n" for a, b, s in rows))
@@ -462,9 +466,11 @@ def parse_pair_set(text: str | Iterable[str]) -> SimilarPairSet:
     """Inverse of :func:`serialize_pair_set`.
 
     Each pair line names two distinct classes by their node ids (see
-    :func:`~taxrewire.taxonomy.parse_id`), in either order, and a finite
-    score in [-1, 1]; no pair may be listed twice.  Errors name
-    the line.  Without a ``# tau`` header the last score is the threshold.
+    :func:`~taxrewire.taxonomy.parse_id`), in either order, and a score;
+    no pair may be listed twice.  The rows must keep the rules of
+    :class:`SimilarPairSet`, which checks them once the whole file is
+    read.  Errors name the line.  The file has at most one ``# tau``
+    header; without one the last score is the threshold.
     """
     tau: float | None = None
     # Typed buffers hold every pair; only the current line's are Python objects.
@@ -473,6 +479,8 @@ def parse_pair_set(text: str | Iterable[str]) -> SimilarPairSet:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 2 and parts[0] == "tau":
+                if tau is not None:
+                    raise SimilarityError(f"line {lineno}: a second '# tau' header")
                 try:
                     tau = float(parts[1])
                 except ValueError:
@@ -491,15 +499,18 @@ def parse_pair_set(text: str | Iterable[str]) -> SimilarPairSet:
             raise SimilarityError(f"line {lineno}: malformed pair line {line!r}") from None
         if a == b:
             raise SimilarityError(f"line {lineno}: pair ({a}, {b}) names one class twice")
-        if not -1.0 <= s <= 1.0:
-            raise SimilarityError(f"line {lineno}: cosine score out of range: {parts[2]}")
         lo.append(a if a < b else b)
         hi.append(b if a < b else a)
         linenos.append(lineno)
         score.append(s)
     if not score:
         raise SimilarityError("pair list is empty")
-    pairs = SimilarPairSet(lo, hi, score, score[-1] if tau is None else tau)
+    try:
+        pairs = SimilarPairSet(lo, hi, score, score[-1] if tau is None else tau)
+    except SimilarityError as exc:
+        if exc.row is None:
+            raise
+        raise SimilarityError(f"line {linenos[exc.row]}: {exc}", exc.row) from None
     # A stable sort by pair: a row equal to the one before it repeats that pair.
     order = np.lexsort((pairs.b, pairs.a))
     later = order[1:][(np.diff(pairs.a[order]) == 0) & (np.diff(pairs.b[order]) == 0)]

@@ -1013,6 +1013,9 @@ class TestExitCodes:
         ("3 3 0.9", "line 2: pair (3, 3) names one class twice"),
         ("1 2 1.5", "line 2: cosine score out of range: 1.5"),
         ("3 5 0.9\n5 3 0.8", "line 3: pair (3, 5) is listed twice"),
+        ("4 5 0.6\n4 6 0.9", "line 3: pairs must be sorted by descending score, got 0.9 after 0.6"),
+        ("4 5 0.9\n4 6 0.4", "line 3: every stored score must be >= tau 0.5, got 0.4"),
+        ("4 5 0.9\n# tau 0.1", "line 3: a second '# tau' header"),
     ])
     def test_bad_pair_lines(self, pipeline, tmp_path, capsys, body, msg):
         pairs = tmp_path / "pairs.txt"

@@ -599,6 +599,19 @@ class TestTuning:
         assert result.scores == {g: hits[g] / val.n for g in grid}
         assert result.best_c == min(g for g in grid if hits[g] == max(hits.values()))
 
+    def test_one_candidate_held_at_a_time(self):
+        # Each candidate is scored as soon as it is fit, then dropped, so a
+        # three-value grid peaks at most one model set above a one-value grid.
+        leaves = range(1, 33)
+        tax = parse_taxonomy("".join(f"0 {leaf}\n" for leaf in leaves))
+        data = one_hot_dataset(leaves, per_leaf=4, dims=4000)
+        peaks = {}
+        for grid in ((1.0,), (0.5, 1.0, 2.0)):
+            result, peaks[grid] = traced_peak(lambda: tune_c(tax, data, grid=grid, mode="flat"))
+        one_set = sum(block.weights.nbytes for block in result.model_set.blocks.values())
+        assert one_set == 32 * 4000 * 8
+        assert peaks[(0.5, 1.0, 2.0)] <= peaks[(1.0,)] + one_set
+
     def test_empty_validation_rejected_before_any_fit(self, letter_tree, monkeypatch):
         import taxrewire.learner as learner
 

@@ -11,14 +11,14 @@ from scipy import sparse as sp
 
 from taxrewire import simgraph
 from taxrewire.corpus import Dataset, make_sparse
+from taxrewire.rewire import rewire_hierarchy
 from taxrewire.simgraph import (
-    _CURVE_CHUNK_ROWS,
     _CURVE_SAMPLE_ROWS,
     _PAIR_CHUNK,
+    _WRITE_CHUNK_ROWS,
     _rank_descending,
     _score_blocks,
     _unit_centroids,
-    ScoreTable,
     SimilarityError,
     SimilarPairSet,
     all_pairs_scores,
@@ -289,7 +289,7 @@ class TestMatchesPerPairScorer:
             if trial == 240:
                 n = 258
             if trial == 241:
-                n = math.isqrt(2 * max(_CURVE_CHUNK_ROWS, _PAIR_CHUNK)) + 2
+                n = math.isqrt(2 * max(_WRITE_CHUNK_ROWS, _PAIR_CHUNK)) + 2
                 assert n * (n - 1) // 2 > max(_CURVE_SAMPLE_ROWS, _PAIR_CHUNK)
             cents = random_centroids(rng, n, int(rng.integers(1, 9)))
             table = all_pairs_scores(cents)
@@ -402,7 +402,7 @@ class TestScoreCurve:
         rng = np.random.default_rng(seed)
         scores = np.sort(np.round(rng.uniform(-1.0, 1.0, n), 3))[::-1]  # with ties
         a = rng.integers(0, 500, n)
-        return ScoreTable(a, a + 1 + rng.integers(0, 500, n), scores)
+        return SimilarPairSet(a, a + 1 + rng.integers(0, 500, n), scores, tau=-1.0)
 
     @staticmethod
     def full_text(table):
@@ -418,7 +418,7 @@ class TestScoreCurve:
         )
 
     @pytest.mark.parametrize(
-        "n", [0, 1, 2, 5, 1023, 1024, 1025, 2047, 3000, _CURVE_CHUNK_ROWS + 3000])
+        "n", [0, 1, 2, 5, 1023, 1024, 1025, 2047, 3000, _WRITE_CHUNK_ROWS + 3000])
     def test_even_sample_of_the_full_curve(self, n):
         table = self.table(n)
         check_sampled_curve(table, self.full_text(table))
@@ -432,7 +432,7 @@ class TestScoreCurve:
 
 def descending(*vals):
     ids = np.arange(len(vals))
-    return ScoreTable(ids, ids + 100, np.asarray(vals, dtype=np.float64))
+    return SimilarPairSet(ids, ids + 100, np.asarray(vals, dtype=np.float64), tau=-1.0)
 
 
 def four_centroids():
@@ -550,20 +550,50 @@ def selection_text(select, cents, mode):
 
 
 class TestSimilarPairSet:
-    def test_invariants(self):
-        with pytest.raises(SimilarityError, match="descending"):
-            SimilarPairSet([1, 1], [2, 3], [0.1, 0.9], tau=0.0)
-        with pytest.raises(SimilarityError, match=">= tau"):
-            SimilarPairSet([1], [2], [0.1], tau=0.5)
+    def test_shapes_checked(self):
+        for a, b, score in (([1], [2, 3], [0.5]), ([[1]], [[2]], [[0.5]])):
+            with pytest.raises(SimilarityError, match="equal length") as caught:
+                SimilarPairSet(a, b, score, tau=0.0)
+            assert caught.value.row is None
+        assert len(SimilarPairSet([1, 1], [2, 3], [0.5, 0.25], tau=0.25)) == 2
 
-    def test_orientation_and_range_checked(self):
-        with pytest.raises(SimilarityError, match=r"a < b, got \(2, 1\)"):
-            SimilarPairSet([1, 2], [3, 1], [0.9, 0.5], tau=0.0)
-        with pytest.raises(SimilarityError, match=r"a < b, got \(1, 1\)"):
-            SimilarPairSet([1], [1], [0.5], tau=0.0)
-        for bad in (1.5, -1.5, math.nan, math.inf):
-            with pytest.raises(SimilarityError, match="out of range"):
-                SimilarPairSet([1], [2], [bad], tau=-1.0)
+    @pytest.mark.parametrize("a,b,score,tau,msg,row", [
+        ([1, 1, 1], [2, 3, 4], [0.5, 0.1, 0.9], 0.0,
+         "pairs must be sorted by descending score, got 0.9 after 0.1", 2),
+        ([1, 1], [2, 3], [0.9, 0.1], 0.5, "every stored score must be >= tau 0.5, got 0.1", 1),
+        ([1, 2], [3, 1], [0.9, 0.5], 0.0, r"a < b, got \(2, 1\)", 1),
+        ([1], [1], [0.5], 0.0, r"a < b, got \(1, 1\)", 0),
+        ([1, 1], [2, 3], [0.5, 1.5], -1.0, "cosine score out of range: 1.5", 1),
+        ([1], [2], [-1.5], -1.0, "cosine score out of range: -1.5", 0),
+        ([1], [2], [math.nan], -1.0, "cosine score out of range: nan", 0),
+        ([1], [2], [math.inf], -1.0, "cosine score out of range: inf", 0),
+        # The rules are checked in order: the range before the order.
+        ([1, 1], [2, 3], [0.5, 2.0], 0.0, "out of range", 1),
+    ])
+    def test_row_rules_name_the_first_failing_row(self, a, b, score, tau, msg, row):
+        with pytest.raises(SimilarityError, match=msg) as caught:
+            SimilarPairSet(a, b, score, tau)
+        assert caught.value.row == row
+
+    def test_ties_are_in_order(self):
+        assert len(SimilarPairSet([1, 3], [2, 4], [0.5, 0.5], tau=0.5)) == 2
+
+    def test_other_errors_carry_no_row(self):
+        with pytest.raises(SimilarityError) as caught:
+            select_pairs(four_centroids(), tau=2.0)
+        assert caught.value.row is None
+
+    def test_full_table_is_a_pair_set(self, letter_tree):
+        # Every pair, its threshold the lowest score: it serializes,
+        # parses back and rewires like any selection.
+        cents = centroid_rows({leaf: sv((1, 1.0), (2, 1.0 + leaf)) for leaf in letter_tree.leaves})
+        table = all_pairs_scores(cents)
+        assert len(table) == 15 and table.tau == table.score[-1]
+        again = parse_pair_set(serialize_pair_set(table))
+        assert rows(again) == rows(table) and again.tau == table.tau
+        assert (table.b[0], table.a[0]) in table
+        modified, _ = rewire_hierarchy(letter_tree, table)
+        modified.validate()
 
     def test_contains_normalizes_orientation(self):
         s = SimilarPairSet([1], [2], [0.9], tau=0.5)
@@ -631,7 +661,7 @@ class TestPairSetText:
         assert rows(again) == rows(s)
 
     def test_text_over_several_chunks(self):
-        n = _CURVE_CHUNK_ROWS + 1000
+        n = _WRITE_CHUNK_ROWS + 1000
         rng = np.random.default_rng(2)
         a = rng.integers(0, 500, n)
         b = a + 1 + rng.integers(0, 500, n)
@@ -671,6 +701,13 @@ class TestPairSetText:
         ("1 2 -1.5\n", "line 1: cosine score out of range: -1.5"),
         ("1 2 nan\n", "line 1: cosine score out of range: nan"),
         ("1 2 inf\n", "line 1: cosine score out of range: inf"),
+        ("1 2 0.9\n1 3 -1.50\n", "line 2: cosine score out of range: -1.5$"),  # the parsed value
+        ("# tau 0.5\n1 2 0.9\n# tau 0.1\n", "line 3: a second '# tau' header"),
+        ("# tau 0.5\n# tau 0.5\n1 2 0.9\n", "line 2: a second '# tau' header"),
+        ("1 2 0.5\n# c\n1 3 0.9\n",
+         "line 3: pairs must be sorted by descending score, got 0.9 after 0.5"),
+        ("# tau 0.5\n1 2 0.9\n\n1 3 0.4\n",
+         "line 4: every stored score must be >= tau 0.5, got 0.4"),
         ("3 5 0.9\n5 3 0.8\n", r"line 2: pair \(3, 5\) is listed twice"),
         ("3 5 0.9\n3 5 0.9\n", r"line 2: pair \(3, 5\) is listed twice"),
         ("# c\n7 8 0.9\n1 2 0.8\n\n8 7 0.7\n2 1 0.6\n",
@@ -701,19 +738,5 @@ class TestPairSetText:
 
     def test_curve_csv_format(self):
         buf = io.StringIO()
-        write_score_curve(ScoreTable([1], [2], [0.5]), buf)
+        write_score_curve(SimilarPairSet([1], [2], [0.5], tau=0.5), buf)
         assert buf.getvalue() == "rank,class_a,class_b,score\n1,1,2,0.5\n"
-
-
-class TestScoreTable:
-    def test_score_table_shapes_checked(self):
-        with pytest.raises(SimilarityError, match="equal length"):
-            ScoreTable([1], [2, 3], [0.5])
-        with pytest.raises(SimilarityError, match="equal length"):
-            SimilarPairSet([1], [2, 3], [0.5], tau=0.0)
-        assert len(ScoreTable([1, 1], [2, 3], [0.5, 0.25])) == 2
-
-    def test_unsorted_scores_rejected(self):
-        with pytest.raises(SimilarityError, match="pairs must be sorted by descending score"):
-            ScoreTable([1, 3], [2, 4], [0.1, 0.9])
-        assert len(ScoreTable([1, 3], [2, 4], [0.5, 0.5])) == 2  # ties are in order

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 
+from taxrewire import solver
 from taxrewire.learner import LogisticProblem, lr_objective_gradient
 from taxrewire.solver import MEMORY, SolveResult, minimize_lbfgs
 
+import reference_impls
 from reference_impls import norm_recomputing_lbfgs
 
 
@@ -221,3 +223,16 @@ class TestMatchesNormRecomputingOracle:
         norm_recomputing_lbfgs(fg, np.array(x0), max_iter=500, skipped=skipped)
         assert skipped
         assert assert_matches_oracle(fg, np.array(x0), max_iter=500).converged
+
+    def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # A two-loop direction that climbs (here +g) is replaced by -g, so
+        # the solve still converges, every step along the negative gradient.
+        def ascent(g, *history):
+            return 2.0 * g
+
+        monkeypatch.setattr(solver, "_two_loop_direction", ascent)
+        monkeypatch.setattr(reference_impls, "norm_recomputing_two_loop", ascent)
+        fg = quadratic([3.0, -2.0, 0.5], [1.0, 2.0, 0.5])
+        res = assert_matches_oracle(fg, np.zeros(3), grad_tol=1e-10, max_iter=1000)
+        assert res.converged and res.n_iter > 1
+        np.testing.assert_allclose(res.x, [3.0, -2.0, 0.5], atol=1e-8)

@@ -107,6 +107,10 @@ class TestValidation:
     def test_unreachable_component_rejected(self):
         with pytest.raises(TaxonomyError, match="cycle"):
             Taxonomy(0, {1: 0, 2: 3, 3: 2})
+        # Node 5 has a child but no parent: a second root.
+        with pytest.raises(TaxonomyError, match="multiple root candidates: node 5 has no parent "
+                           "but the root is 0"):
+            Taxonomy(0, {1: 0, 2: 5})
 
 
 class TestQueries:
